@@ -282,11 +282,8 @@ struct SweepResult {
   unsigned Vars;
   double WallMs;     ///< Total wall time of the trial (incl. bookkeeping).
   double AnalysisMs; ///< Sum of per-edit analysis latencies.
-  ClosureCounters Closure;
-  ZoneCounters Zone;
+  ThreadCounters Counters;      ///< Per-thread counter deltas of the region.
   NameTableCounters Names;
-  StagedCounters Staged;        ///< Staged rows only (zero otherwise).
-  DisIntervalCounters DisInt;   ///< dis_interval rows only (zero otherwise).
   uint64_t SumQueries = 0;      ///< Sum-phase bound comparisons performed.
   uint64_t SumMismatches = 0;   ///< Answers that were NOT octagon-exact.
   uint64_t SumTighter = 0;      ///< Sound zone-side prunings (⊥ collapse).
@@ -294,34 +291,36 @@ struct SweepResult {
   double SumQueryMs = 0;        ///< Wall time of the sum-query phase.
 };
 
-/// Snapshot of every per-thread counter family a sweep point reports —
-/// the shared take/delta boilerplate of runSweepPoint and the staged
-/// sweep, so the two cannot drift in which counters they window.
+/// Snapshot of every counter a sweep point reports — the shared take/delta
+/// boilerplate of runSweepPoint and the staged sweep.
 struct CounterSnapshot {
-  ClosureCounters Closure;
-  ZoneCounters Zone;
+  ThreadCounters Thread;
   NameTableCounters Names;
-  StagedCounters Staged;
-  DisIntervalCounters DisInt;
 
   static CounterSnapshot take() {
     // PeakDbmBytes is a gauge; zero it so the region reports its own peak
     // rather than the largest matrix any earlier phase ever allocated.
     closureCounters().PeakDbmBytes = 0;
-    return {closureCounters(), zoneCounters(), nameTableCounters(),
-            stagedCounters(), disIntervalCounters()};
+    return {ThreadCounters::snapshot(), nameTableCounters()};
   }
   /// Writes (now − snapshot) into \p R. Call at the END of the measured
   /// region — anything that runs afterwards (e.g. the staged point's
   /// pure-octagon verification engine) stays out of the reported deltas.
   void deltaInto(SweepResult &R) const {
-    R.Closure = closureCounters() - Closure;
-    R.Zone = zoneCounters() - Zone;
+    R.Counters = ThreadCounters::snapshot().deltaSince(Thread);
     R.Names = nameTableCounters() - Names;
-    R.Staged = stagedCounters() - Staged;
-    R.DisInt = disIntervalCounters() - DisInt;
   }
 };
+
+/// Appends `, "<Prefix><name>": <value>` for every counter of \p C, in
+/// counter-table order.
+template <class Fam>
+void printCounters(std::FILE *F, const Fam &C, const char *Prefix = "") {
+  C.forEachCounter([&](const CounterInfo &I, uint64_t V) {
+    std::fprintf(F, ", \"%s%s\": %llu", Prefix, I.Name,
+                 static_cast<unsigned long long>(V));
+  });
+}
 
 template <typename D>
 SweepResult runSweepPoint(const Options &Opt, unsigned Vars) {
@@ -528,8 +527,8 @@ ErasureAB runErasureAB(const Options &Opt) {
   R.OverheadPct =
       Direct.WallMs > 0 ? (Erased.WallMs / Direct.WallMs - 1) * 100 : 0;
   std::ostringstream A, B;
-  A << Direct.Zone;
-  B << Erased.Zone;
+  A << Direct.Counters.Zone;
+  B << Erased.Counters.Zone;
   R.CounterMismatches = A.str() == B.str() ? 0 : 1;
   R.Ran = true;
   return R;
@@ -1023,109 +1022,53 @@ int main(int argc, char **argv) {
     const SweepResult &S = Sweep[SI];
     const char *Sep =
         SI + 1 < Sweep.size() || !ArrayRows.empty() ? "," : "";
+    const ThreadCounters &C = S.Counters;
+    std::fprintf(F,
+                 "    {\"domain\": \"%s\", \"vars\": %u, \"wall_ms\": %.3f, "
+                 "\"analysis_ms\": %.3f",
+                 S.Domain, S.Vars, S.WallMs, S.AnalysisMs);
     if (std::strcmp(S.Domain, "dis_interval") == 0) {
       // dis_interval rows carry ONLY dis_interval_-prefixed counters (plus
       // the shared vars/wall_ms/analysis_ms shape the gate script keys on);
       // dis_interval_partitions_collapsed is the gated family.
-      std::fprintf(
-          F,
-          "    {\"domain\": \"dis_interval\", \"vars\": %u, "
-          "\"wall_ms\": %.3f, \"analysis_ms\": %.3f, "
-          "\"dis_interval_max_partitions\": %u, "
-          "\"dis_interval_partitions_collapsed\": %llu, "
-          "\"dis_interval_partition_splits\": %llu, "
-          "\"dis_interval_disjunctive_joins\": %llu}%s\n",
-          S.Vars, S.WallMs, S.AnalysisMs, disIntervalMaxPartitions(),
-          static_cast<unsigned long long>(S.DisInt.PartitionsCollapsed),
-          static_cast<unsigned long long>(S.DisInt.PartitionSplits),
-          static_cast<unsigned long long>(S.DisInt.DisjunctiveJoins), Sep);
-      continue;
-    }
-    if (std::strcmp(S.Domain, "staged") == 0) {
+      std::fprintf(F, ", \"dis_interval_max_partitions\": %u",
+                   disIntervalMaxPartitions());
+      printCounters(F, C.DisInterval);
+    } else if (std::strcmp(S.Domain, "staged") == 0) {
       // Staged rows carry ONLY staged_-prefixed counter fields so the gate
       // script's per-field largest-size scan never conflates them with the
-      // octagon/zone rows at the same sweep size.
+      // octagon/zone rows at the same sweep size. staged_sum_queries is
+      // the bench's lockstep comparison count, not StagedCounters'.
       std::fprintf(
           F,
-          "    {\"domain\": \"staged\", \"vars\": %u, \"wall_ms\": %.3f, "
-          "\"analysis_ms\": %.3f, \"staged_escalations\": %llu, "
-          "\"staged_oct_seeds\": %llu, \"staged_escalated_transfers\": %llu, "
+          ", \"staged_escalations\": %llu, \"staged_oct_seeds\": %llu, "
+          "\"staged_escalated_transfers\": %llu, "
           "\"staged_zone_transfers\": %llu, \"staged_sum_queries\": %llu, "
           "\"staged_sum_query_ms\": %.3f, \"staged_sum_mismatches\": %llu, "
           "\"staged_sum_tighter\": %llu, \"staged_escalated_locations\": "
-          "%llu, \"staged_budget_exhaustions\": %llu, "
-          "\"staged_degraded_cells\": %llu, "
-          "\"staged_cancellations_honored\": %llu}%s\n",
-          S.Vars, S.WallMs, S.AnalysisMs,
-          static_cast<unsigned long long>(S.Staged.Escalations),
-          static_cast<unsigned long long>(S.Staged.OctSeeds),
-          static_cast<unsigned long long>(S.Staged.EscalatedTransfers),
-          static_cast<unsigned long long>(S.Staged.ZoneTransfers),
+          "%llu",
+          static_cast<unsigned long long>(C.Staged.Escalations),
+          static_cast<unsigned long long>(C.Staged.OctSeeds),
+          static_cast<unsigned long long>(C.Staged.EscalatedTransfers),
+          static_cast<unsigned long long>(C.Staged.ZoneTransfers),
           static_cast<unsigned long long>(S.SumQueries), S.SumQueryMs,
           static_cast<unsigned long long>(S.SumMismatches),
           static_cast<unsigned long long>(S.SumTighter),
-          static_cast<unsigned long long>(S.EscalatedLocs),
-          static_cast<unsigned long long>(S.Staged.BudgetExhaustions),
-          static_cast<unsigned long long>(S.Staged.DegradedCells),
-          static_cast<unsigned long long>(S.Staged.CancellationsHonored),
-          Sep);
-      continue;
-    }
-    if (std::strcmp(S.Domain, "zone") == 0) {
+          static_cast<unsigned long long>(S.EscalatedLocs));
+      printCounters(F, C.Budget, "staged_");
+    } else if (std::strcmp(S.Domain, "zone") == 0) {
       // Sparse-graph counters: closure_vertices_visited is the zone's
       // deterministic gate metric (the analogue of dbm_cells_touched).
-      std::fprintf(
-          F,
-          "    {\"domain\": \"zone\", \"vars\": %u, \"wall_ms\": %.3f, "
-          "\"analysis_ms\": %.3f, \"zone_full_closes\": %llu, "
-          "\"zone_incremental_closes\": %llu, \"zone_closes_skipped\": %llu, "
-          "\"zone_cached_closes\": %llu, \"zone_edges_stored\": %llu, "
-          "\"zone_potential_repairs\": %llu, "
-          "\"zone_closure_vertices_visited\": %llu, "
-          "\"zone_budget_exhaustions\": %llu, "
-          "\"zone_degraded_cells\": %llu, "
-          "\"zone_cancellations_honored\": %llu, "
-          "\"names_interned\": %llu, \"intern_hits\": %llu, "
-          "\"name_table_bytes\": %llu}%s\n",
-          S.Vars, S.WallMs, S.AnalysisMs,
-          static_cast<unsigned long long>(S.Zone.FullCloses),
-          static_cast<unsigned long long>(S.Zone.IncrementalCloses),
-          static_cast<unsigned long long>(S.Zone.ClosesSkipped),
-          static_cast<unsigned long long>(S.Zone.CachedCloses),
-          static_cast<unsigned long long>(S.Zone.EdgesStored),
-          static_cast<unsigned long long>(S.Zone.PotentialRepairs),
-          static_cast<unsigned long long>(S.Zone.ClosureVerticesVisited),
-          static_cast<unsigned long long>(S.Zone.BudgetExhaustions),
-          static_cast<unsigned long long>(S.Zone.DegradedCells),
-          static_cast<unsigned long long>(S.Zone.CancellationsHonored),
-          static_cast<unsigned long long>(S.Names.NamesInterned),
-          static_cast<unsigned long long>(S.Names.InternHits),
-          static_cast<unsigned long long>(S.Names.NameTableBytes), Sep);
-      continue;
+      printCounters(F, C.Zone);
+      printCounters(F, C.Budget, "zone_");
+      printCounters(F, S.Names);
+    } else {
+      // Octagon entries keep the historical, unprefixed field set so older
+      // tooling keyed on dbm_cells_touched still parses them.
+      printCounters(F, C.Closure);
+      printCounters(F, S.Names);
     }
-    // Octagon entries keep the historical field set (and no "domain" tag
-    // changes their shape) so older tooling keyed on dbm_cells_touched
-    // still parses them.
-    std::fprintf(
-        F,
-        "    {\"domain\": \"octagon\", \"vars\": %u, \"wall_ms\": %.3f, "
-        "\"analysis_ms\": %.3f, "
-        "\"full_closes\": %llu, \"incremental_closes\": %llu, "
-        "\"closes_skipped\": %llu, \"cached_closes\": %llu, "
-        "\"dbm_cells_touched\": %llu, \"dbm_cells_stored\": %llu, "
-        "\"dbm_peak_bytes\": %llu, \"names_interned\": %llu, "
-        "\"intern_hits\": %llu, \"name_table_bytes\": %llu}%s\n",
-        S.Vars, S.WallMs, S.AnalysisMs,
-        static_cast<unsigned long long>(S.Closure.FullCloses),
-        static_cast<unsigned long long>(S.Closure.IncrementalCloses),
-        static_cast<unsigned long long>(S.Closure.ClosesSkipped),
-        static_cast<unsigned long long>(S.Closure.CachedCloses),
-        static_cast<unsigned long long>(S.Closure.CellsTouched),
-        static_cast<unsigned long long>(S.Closure.CellsStored),
-        static_cast<unsigned long long>(S.Closure.PeakDbmBytes),
-        static_cast<unsigned long long>(S.Names.NamesInterned),
-        static_cast<unsigned long long>(S.Names.InternHits),
-        static_cast<unsigned long long>(S.Names.NameTableBytes), Sep);
+    std::fprintf(F, "}%s\n", Sep);
   }
   // Array-smashing corpus rows (registry-reported domain names). Verdict
   // tallies carry the domain-name prefix so neither the checker-bench gate

@@ -147,23 +147,20 @@ inline bool budgetExhausted() {
   return S.Active && S.Hard;
 }
 
-/// Mirror the budget events into the per-domain bench counter sinks (the
-/// bench emits them per sweep size; the regression gate asserts they stay
-/// zero on the default, un-budgeted workload).
+/// Count the budget events in BudgetCounters (the bench emits them per
+/// sweep size; the regression gate asserts they stay zero on the default,
+/// un-budgeted workload).
 inline void recordBudgetExhaustion() {
   traceInstant("budget.exhausted");
-  ++zoneCounters().BudgetExhaustions;
-  ++stagedCounters().BudgetExhaustions;
+  ++budgetCounters().BudgetExhaustions;
 }
 inline void recordDegradedCell() {
   traceInstant("budget.degraded_cell");
-  ++zoneCounters().DegradedCells;
-  ++stagedCounters().DegradedCells;
+  ++budgetCounters().DegradedCells;
 }
 inline void recordCancellationHonored() {
   traceInstant("budget.cancelled");
-  ++zoneCounters().CancellationsHonored;
-  ++stagedCounters().CancellationsHonored;
+  ++budgetCounters().CancellationsHonored;
 }
 
 /// The checkpoint: called at DAIG cell evaluation, fix iteration, and

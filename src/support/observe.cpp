@@ -305,33 +305,6 @@ const std::vector<uint64_t> &Histogram::defaultLatencyBoundsNs() {
   return Bounds;
 }
 
-MetricsRegistry MetricsRegistry::deltaSince(
-    const MetricsRegistry &Before) const {
-  MetricsRegistry Out;
-  for (const auto &[Nm, Cur] : M) {
-    auto BIt = Before.M.find(Nm);
-    Metric D = Cur;
-    if (BIt != Before.M.end() && BIt->second.K == Cur.K) {
-      switch (Cur.K) {
-      case Kind::Counter:
-        D.V = Cur.V - BIt->second.V;
-        break;
-      case Kind::Gauge:
-        // Gauges carry the current (peak) value: max-merge on the
-        // receiving side makes repatriation idempotent.
-        break;
-      case Kind::Hist:
-        D.H.subtract(BIt->second.H);
-        break;
-      }
-    }
-    bool Empty = D.K == Kind::Hist ? D.H.total() == 0 : D.V == 0;
-    if (!Empty)
-      Out.M.emplace(Nm, std::move(D));
-  }
-  return Out;
-}
-
 void MetricsRegistry::mergeFrom(const MetricsRegistry &O) {
   for (const auto &[Nm, In] : O.M) {
     Metric &Mine = slot(Nm, In.K);
@@ -383,77 +356,39 @@ std::string MetricsRegistry::toJson() const {
   return Out;
 }
 
-MetricsRegistry &metricsRegistry() {
-  static thread_local MetricsRegistry R;
-  return R;
-}
-
 //===----------------------------------------------------------------------===//
 // Export bridges
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Publishes every counter of \p C under its table name and kind,
+/// prefixed; zero values are skipped when \p SkipZero is set.
+template <class Fam>
+void exportFamily(const Fam &C, MetricsRegistry &R, const std::string &Prefix,
+                  bool SkipZero) {
+  C.forEachCounter([&](const CounterInfo &I, uint64_t V) {
+    if (SkipZero && V == 0)
+      return;
+    if (I.Kind == CounterKind::Gauge)
+      R.gaugeMax(Prefix + I.Name, V);
+    else
+      R.add(Prefix + I.Name, V);
+  });
+}
+
+} // namespace
+
 void exportStatistics(const Statistics &S, MetricsRegistry &R,
                       const char *Prefix) {
-  std::string P = Prefix;
-  auto C = [&](const char *Nm, uint64_t V) {
-    if (V)
-      R.add(P + Nm, V);
-  };
-  C("transfers", S.Transfers);
-  C("joins", S.Joins);
-  C("widens", S.Widens);
-  C("fix_checks", S.FixChecks);
-  C("unrollings", S.Unrollings);
-  C("cell_reuses", S.CellReuses);
-  C("memo_hits", S.MemoHits);
-  C("memo_misses", S.MemoMisses);
-  C("cells_dirtied", S.CellsDirtied);
-  C("call_summaries", S.CallSummaries);
-  C("memo_evictions", S.MemoEvictions);
-  C("cells_degraded", S.CellsDegraded);
-  C("checks_evaluated", S.ChecksEvaluated);
-  C("checks_rechecked", S.ChecksRechecked);
-  C("alarms_raised", S.AlarmsRaised);
+  exportFamily(S, R, Prefix, /*SkipZero=*/true);
 }
 
 void exportDomainCounters(MetricsRegistry &R) {
-  // Octagon closure family: the fig10 octagon rows' historical, unprefixed
-  // names.
-  const ClosureCounters &CC = closureCounters();
-  R.add("full_closes", CC.FullCloses);
-  R.add("incremental_closes", CC.IncrementalCloses);
-  R.add("closes_skipped", CC.ClosesSkipped);
-  R.add("cached_closes", CC.CachedCloses);
-  R.add("dbm_cells_touched", CC.CellsTouched);
-  R.add("dbm_cells_stored", CC.CellsStored);
-  R.gaugeMax("dbm_peak_bytes", CC.PeakDbmBytes);
-  // Zone family: zone_*-prefixed (fig10 zone rows).
-  const ZoneCounters &ZC = zoneCounters();
-  R.add("zone_edges_stored", ZC.EdgesStored);
-  R.add("zone_potential_repairs", ZC.PotentialRepairs);
-  R.add("zone_closure_vertices_visited", ZC.ClosureVerticesVisited);
-  R.add("zone_full_closes", ZC.FullCloses);
-  R.add("zone_incremental_closes", ZC.IncrementalCloses);
-  R.add("zone_closes_skipped", ZC.ClosesSkipped);
-  R.add("zone_cached_closes", ZC.CachedCloses);
-  R.add("zone_budget_exhaustions", ZC.BudgetExhaustions);
-  R.add("zone_degraded_cells", ZC.DegradedCells);
-  R.add("zone_cancellations_honored", ZC.CancellationsHonored);
-  // Staged family: staged_*-prefixed (fig10 staged rows).
-  const StagedCounters &SC = stagedCounters();
-  R.add("staged_escalations", SC.Escalations);
-  R.add("staged_oct_seeds", SC.OctSeeds);
-  R.add("staged_escalated_transfers", SC.EscalatedTransfers);
-  R.add("staged_zone_transfers", SC.ZoneTransfers);
-  R.add("staged_sum_queries", SC.SumQueries);
-  R.add("staged_budget_exhaustions", SC.BudgetExhaustions);
-  R.add("staged_degraded_cells", SC.DegradedCells);
-  R.add("staged_cancellations_honored", SC.CancellationsHonored);
-  // Name-table family (process-global atomic sink).
-  NameTableCounters NC = nameTableCounters();
-  R.add("names_interned", NC.NamesInterned);
-  R.add("intern_hits", NC.InternHits);
-  R.gaugeMax("name_table_bytes", NC.NameTableBytes);
+  const ThreadCounters &T = ThreadCounters::live();
+  ThreadCounters::forEachFamily(
+      [&](auto M) { exportFamily(T.*M, R, "", /*SkipZero=*/false); });
+  exportFamily(nameTableCounters(), R, "", /*SkipZero=*/false);
 }
 
 void exportTraceStats(MetricsRegistry &R) {

@@ -42,13 +42,10 @@
 /// Metrics. MetricsRegistry holds named counters (merge: add), gauges
 /// (merge: max) and fixed-bucket histograms (deterministic, explicit
 /// boundaries; merge: bucket-wise add) in a sorted map, so toJson() is
-/// deterministic. metricsRegistry() is the thread_local sink; TaskPool
-/// repatriates worker deltas alongside ThreadCounters (snapshot/deltaSince/
-/// mergeFrom), and at threads=1 the inline path leaves counters
-/// bit-identical to a serial run. The exportStatistics/
-/// exportDomainCounters/exportTraceStats bridges migrate the Statistics and
-/// thread_local counter families onto the registry WITHOUT changing their
-/// emitted names: the keys are exactly the fig10 bench JSON field names
+/// deterministic. Benches fill a local registry on the calling thread. The
+/// exportStatistics/exportDomainCounters bridges walk the counter table of
+/// support/statistics.h, publishing every row under its declared name and
+/// kind: the keys are exactly the fig10 bench JSON field names
 /// (dbm_cells_touched, zone_closure_vertices_visited, ...), so a bench that
 /// emits a registry snapshot cannot drift from the gate schema.
 ///
@@ -256,15 +253,6 @@ public:
     Total += O.Total;
   }
 
-  /// Bucket-wise subtract (for worker-delta repatriation).
-  void subtract(const Histogram &O) {
-    if (Counts.size() != O.Counts.size())
-      return;
-    for (size_t I = 0; I < Counts.size(); ++I)
-      Counts[I] -= O.Counts[I];
-    Total -= O.Total;
-  }
-
   const std::vector<uint64_t> &bounds() const { return Bounds; }
   const std::vector<uint64_t> &counts() const { return Counts; }
   uint64_t total() const { return Total; }
@@ -280,9 +268,7 @@ private:
 };
 
 /// Named counters / gauges / histograms in one sorted map (deterministic
-/// iteration ⇒ deterministic JSON). Not thread-safe by itself: each thread
-/// owns metricsRegistry(); cross-thread movement goes through snapshot /
-/// deltaSince / mergeFrom at TaskPool barriers, mirroring ThreadCounters.
+/// iteration ⇒ deterministic JSON). Not thread-safe.
 class MetricsRegistry {
 public:
   enum class Kind : uint8_t { Counter, Gauge, Hist };
@@ -331,12 +317,6 @@ public:
   bool empty() const { return M.empty(); }
   void clear() { M.clear(); }
 
-  MetricsRegistry snapshot() const { return *this; }
-
-  /// The since-\p Before delta: counters and histogram buckets subtract;
-  /// gauges carry the CURRENT value (max-merge makes that idempotent).
-  MetricsRegistry deltaSince(const MetricsRegistry &Before) const;
-
   /// Counters add, gauges max, histogram buckets add.
   void mergeFrom(const MetricsRegistry &O);
 
@@ -355,29 +335,19 @@ private:
   std::map<std::string, Metric, std::less<>> M;
 };
 
-/// The thread's metric sink (one per thread, like the counter sinks in
-/// support/statistics.h). TaskPool repatriates worker deltas at batch
-/// barriers.
-MetricsRegistry &metricsRegistry();
-
 //===----------------------------------------------------------------------===//
-// Export bridges: established counter families → registry names
+// Export bridges: the counter table → registry names
 //===----------------------------------------------------------------------===//
 
-/// Publishes \p S onto \p R under the checker/engine bench field names
-/// (transfers, joins, widens, fix_checks, unrollings, cell_reuses,
-/// memo_hits, memo_misses, cells_dirtied, call_summaries, memo_evictions,
-/// cells_degraded, checks_evaluated, checks_rechecked, alarms_raised),
-/// optionally prefixed.
+/// Publishes the nonzero counters of \p S onto \p R under their table
+/// names (transfers, joins, ..., alarms_raised), optionally prefixed.
 void exportStatistics(const Statistics &S, MetricsRegistry &R,
                       const char *Prefix = "");
 
-/// Publishes the calling thread's domain counter families under the fig10
-/// bench JSON schema names: octagon closure counters unprefixed
-/// (full_closes .. dbm_peak_bytes), zone_*-prefixed zone counters,
-/// staged_*-prefixed staged counters, and the name-table family
-/// (names_interned, intern_hits, name_table_bytes). Gauges publish as
-/// gauges (merge: max), everything else as counters.
+/// Publishes every ThreadCounters family of the calling thread and the
+/// name-table family under their table names. Zero values still create
+/// their slots; gauges publish as gauges (merge: max), the rest as
+/// counters.
 void exportDomainCounters(MetricsRegistry &R);
 
 /// Publishes traceStats() as dai_trace_events_recorded /

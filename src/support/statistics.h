@@ -11,6 +11,14 @@
 /// behavior (e.g., the Section 2 example: a re-query after the Fig. 4b edit
 /// executes exactly two transfers and one join).
 ///
+/// Every counter is declared exactly once, as one row of the counter table
+/// below: X(Family, Field, "export_name", Kind). Kind is Counter (monotone:
+/// merge adds, a delta subtracts) or Gauge (a high-water mark: merge takes
+/// the max, a delta carries the later value). The table generates each
+/// family's fields, reset/mergeFrom/operator-/operator<<, the ThreadCounters
+/// bundle the TaskPool repatriates, and the MetricsRegistry export bridges
+/// (support/observe.h). Adding a counter is one table row.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DAI_SUPPORT_STATISTICS_H
@@ -18,420 +26,276 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 
+//===----------------------------------------------------------------------===//
+// The counter table
+//===----------------------------------------------------------------------===//
+
+/// Statistics: work counters shared by the DAIG, memo table, and batch
+/// interpreter (one sink per engine, not thread_local).
+#define DAI_STATISTICS_COUNTERS(X)                                             \
+  /* Transfer-function, join (⊔) and widen (∇) applications.               */ \
+  X(Statistics, Transfers, "transfers", Counter)                               \
+  X(Statistics, Joins, "joins", Counter)                                       \
+  X(Statistics, Widens, "widens", Counter)                                     \
+  /* Convergence checks at fix edges; demanded loop unrollings.             */ \
+  X(Statistics, FixChecks, "fix_checks", Counter)                              \
+  X(Statistics, Unrollings, "unrollings", Counter)                             \
+  /* Q-Reuse hits (value already in the DAIG), Q-Match hits (memo table),   */ \
+  /* Q-Miss events (computed and memoized).                                 */ \
+  X(Statistics, CellReuses, "cell_reuses", Counter)                            \
+  X(Statistics, MemoHits, "memo_hits", Counter)                                \
+  X(Statistics, MemoMisses, "memo_misses", Counter)                            \
+  /* Reference cells emptied by edits.                                      */ \
+  X(Statistics, CellsDirtied, "cells_dirtied", Counter)                        \
+  /* Interprocedural callee-summary demands.                                */ \
+  X(Statistics, CallSummaries, "call_summaries", Counter)                      \
+  /* Memo-table entries dropped by the LRU cap.                             */ \
+  X(Statistics, MemoEvictions, "memo_evictions", Counter)                      \
+  /* Cells ⊤-substituted or taint-marked by a budget (support/budget.h):    */ \
+  /* nonzero means some answers carry degraded provenance.                  */ \
+  X(Statistics, CellsDegraded, "cells_degraded", Counter)                      \
+  /* Check obligations evaluated against an abstract pre-state.             */ \
+  X(Statistics, ChecksEvaluated, "checks_evaluated", Counter)                  \
+  /* Obligations re-evaluated by an incremental re-check (the demanded      */ \
+  /* slice; cache hits are not counted).                                    */ \
+  X(Statistics, ChecksRechecked, "checks_rechecked", Counter)                  \
+  /* WARNING/ERROR verdicts recorded in a ChecksDb (post degraded-clamp).   */ \
+  X(Statistics, AlarmsRaised, "alarms_raised", Counter)
+
+/// ClosureCounters: DBM strong-closure work in the octagon. The export
+/// names are the fig10 octagon rows' historical, unprefixed ones.
+#define DAI_CLOSURE_COUNTERS(X)                                                \
+  /* O(n³) Floyd–Warshall closures / O(n²) single-constraint re-closures.   */ \
+  X(ClosureCounters, FullCloses, "full_closes", Counter)                       \
+  X(ClosureCounters, IncrementalCloses, "incremental_closes", Counter)         \
+  /* close() calls on already-closed values / answered by a closedView.     */ \
+  X(ClosureCounters, ClosesSkipped, "closes_skipped", Counter)                 \
+  X(ClosureCounters, CachedCloses, "cached_closes", Counter)                   \
+  /* DBM cells tightened during closure; the CI gate metric.                */ \
+  X(ClosureCounters, CellsTouched, "dbm_cells_touched", Counter)               \
+  /* Cumulative DBM cells allocated: the half-matrix layout shows up here   */ \
+  /* as a ~2× drop vs. the dense (2n)² layout.                              */ \
+  X(ClosureCounters, CellsStored, "dbm_cells_stored", Counter)                 \
+  /* High-water bytes of a single DBM allocation.                           */ \
+  X(ClosureCounters, PeakDbmBytes, "dbm_peak_bytes", Gauge)
+
+/// ZoneCounters: the sparse zone domain (domain/zone.h).
+#define DAI_ZONE_COUNTERS(X)                                                   \
+  X(ZoneCounters, FullCloses, "zone_full_closes", Counter)                     \
+  X(ZoneCounters, IncrementalCloses, "zone_incremental_closes", Counter)       \
+  X(ZoneCounters, ClosesSkipped, "zone_closes_skipped", Counter)               \
+  X(ZoneCounters, CachedCloses, "zone_cached_closes", Counter)                 \
+  /* Graph edges materialized (inserts, not weight updates).                */ \
+  X(ZoneCounters, EdgesStored, "zone_edges_stored", Counter)                   \
+  /* Bellman–Ford potential repairs triggered by constraint additions.      */ \
+  X(ZoneCounters, PotentialRepairs, "zone_potential_repairs", Counter)         \
+  /* Vertices scanned by the closure kernels; the CI gate metric.           */ \
+  X(ZoneCounters, ClosureVerticesVisited, "zone_closure_vertices_visited",     \
+    Counter)
+
+/// StagedCounters: the staged zone→octagon domain (domain/staged.h).
+#define DAI_STAGED_COUNTERS(X)                                                 \
+  /* Full re-demands of a query's slice with the octagon tier enabled.      */ \
+  X(StagedCounters, Escalations, "staged_escalations", Counter)                \
+  /* Octagon tiers seeded from a closed zone value (mid-path escalation).   */ \
+  X(StagedCounters, OctSeeds, "staged_oct_seeds", Counter)                     \
+  /* Tier evaluations that ran BOTH tiers; the CI gate metric.              */ \
+  X(StagedCounters, EscalatedTransfers, "staged_escalated_transfers",          \
+    Counter)                                                                   \
+  /* Zone-only tier evaluations: each one a dense evaluation avoided.       */ \
+  X(StagedCounters, ZoneTransfers, "staged_zone_transfers", Counter)           \
+  X(StagedCounters, SumQueries, "staged_sum_queries", Counter) /* ±x±y */
+
+/// DisIntervalCounters: the disjunctive-interval domain
+/// (domain/dis_interval.h).
+#define DAI_DIS_INTERVAL_COUNTERS(X)                                           \
+  /* Closest-pair merges forced by the partition bound K; the CI gate       */ \
+  /* metric.                                                                */ \
+  X(DisIntervalCounters, PartitionsCollapsed,                                  \
+    "dis_interval_partitions_collapsed", Counter)                              \
+  /* Partitions split by a ≠-refinement (the path-sensitivity win).         */ \
+  X(DisIntervalCounters, PartitionSplits, "dis_interval_partition_splits",     \
+    Counter)                                                                   \
+  /* Variable joins that kept ≥ 2 partitions (not the convex hull).         */ \
+  X(DisIntervalCounters, DisjunctiveJoins, "dis_interval_disjunctive_joins",   \
+    Counter)
+
+/// BudgetCounters: budget events (support/budget.h). The fig10 zone and
+/// staged rows print them as zone_<name> / staged_<name>; the regression
+/// gate asserts all three stay zero on the default, un-budgeted workload.
+#define DAI_BUDGET_COUNTERS(X)                                                 \
+  X(BudgetCounters, BudgetExhaustions, "budget_exhaustions", Counter)          \
+  X(BudgetCounters, DegradedCells, "degraded_cells", Counter)                  \
+  X(BudgetCounters, CancellationsHonored, "cancellations_honored", Counter)
+
+/// NameTableCounters: the global hash-consed NameTable (daig/name.h).
+#define DAI_NAME_TABLE_COUNTERS(X)                                             \
+  X(NameTableCounters, NamesInterned, "names_interned", Counter)               \
+  X(NameTableCounters, InternHits, "intern_hits", Counter)                     \
+  X(NameTableCounters, NameTableBytes, "name_table_bytes", Gauge)
+
+/// The whole table, every family in turn.
+#define DAI_COUNTER_TABLE(X)                                                   \
+  DAI_STATISTICS_COUNTERS(X)                                                   \
+  DAI_CLOSURE_COUNTERS(X)                                                      \
+  DAI_ZONE_COUNTERS(X)                                                         \
+  DAI_STAGED_COUNTERS(X)                                                       \
+  DAI_DIS_INTERVAL_COUNTERS(X)                                                 \
+  DAI_BUDGET_COUNTERS(X)                                                       \
+  DAI_NAME_TABLE_COUNTERS(X)
+
 namespace dai {
 
-/// Work counters shared by the DAIG, memo table, and batch interpreter.
-struct Statistics {
-  uint64_t Transfers = 0;     ///< Abstract transfer-function applications.
-  uint64_t Joins = 0;         ///< Join (⊔) applications.
-  uint64_t Widens = 0;        ///< Widen (∇) applications.
-  uint64_t FixChecks = 0;     ///< Convergence checks at fix edges.
-  uint64_t Unrollings = 0;    ///< Demanded loop unrollings (Q-Loop-Unroll).
-  uint64_t CellReuses = 0;    ///< Q-Reuse hits (value already in DAIG).
-  uint64_t MemoHits = 0;      ///< Q-Match hits (auxiliary memo table).
-  uint64_t MemoMisses = 0;    ///< Q-Miss events (computed and memoized).
-  uint64_t CellsDirtied = 0;  ///< Reference cells emptied by edits.
-  uint64_t CallSummaries = 0; ///< Interprocedural callee-summary demands.
-  uint64_t MemoEvictions = 0; ///< Memo-table entries dropped by the LRU cap.
-  uint64_t CellsDegraded = 0; ///< Cells ⊤-substituted or taint-marked by a
-                              ///< budget (support/budget.h) — nonzero means
-                              ///< some answers carry degraded provenance.
-  uint64_t ChecksEvaluated = 0; ///< Check obligations evaluated against an
-                                ///< abstract pre-state (analysis/checker.h).
-  uint64_t ChecksRechecked = 0; ///< Obligations re-evaluated by an
-                                ///< incremental re-check pass (the demanded
-                                ///< slice; cache hits are not counted).
-  uint64_t AlarmsRaised = 0;    ///< WARNING/ERROR verdicts recorded in a
-                                ///< ChecksDb (post degraded-clamping).
+//===----------------------------------------------------------------------===//
+// Generated families
+//===----------------------------------------------------------------------===//
 
-  void reset() { *this = Statistics(); }
+enum class CounterKind : uint8_t { Counter, Gauge };
+
+/// What a counter-table row declares beyond its C++ family and field.
+struct CounterInfo {
+  const char *Name; ///< Export / bench JSON name ("zone_edges_stored").
+  CounterKind Kind;
+};
+
+/// The operations every family derives from its table rows (CRTP base).
+template <class Fam> struct CounterFamily {
+  void reset() { self() = Fam(); }
+
+  /// Calls \p F(Info, Value) for every counter, in table order.
+  template <class Fn> void forEachCounter(Fn &&F) const {
+    Fam::forEachField(
+        [&](const CounterInfo &I, uint64_t Fam::*M) { F(I, self().*M); });
+  }
+
+  /// Cross-thread merge: counters add; gauges take the max (the
+  /// process-wide peak is the max of the per-thread peaks). The parallel
+  /// engine folds per-instance Statistics sinks with this at its pass
+  /// barrier, in deterministic key order.
+  void mergeFrom(const Fam &O) {
+    Fam::forEachField([&](const CounterInfo &I, uint64_t Fam::*M) {
+      uint64_t &V = self().*M;
+      V = I.Kind == CounterKind::Gauge ? std::max(V, O.*M) : V + O.*M;
+    });
+  }
+
+  /// The work done since \p O. A gauge is not subtractable: the delta
+  /// carries this snapshot's value, which covers the whole history. A
+  /// region that wants its OWN peak (the fig10 per-size sweep does) zeroes
+  /// the gauge when it opens: `closureCounters().PeakDbmBytes = 0`.
+  Fam operator-(const Fam &O) const {
+    Fam R = self();
+    Fam::forEachField([&](const CounterInfo &I, uint64_t Fam::*M) {
+      if (I.Kind == CounterKind::Counter)
+        R.*M -= O.*M;
+    });
+    return R;
+  }
+
+  /// Prints {name=value ...} under the export names, in table order.
+  friend std::ostream &operator<<(std::ostream &OS, const Fam &C) {
+    char Sep = '{';
+    C.forEachCounter([&](const CounterInfo &I, uint64_t V) {
+      OS << Sep << I.Name << '=' << V;
+      Sep = ' ';
+    });
+    return OS << '}';
+  }
+
+private:
+  Fam &self() { return static_cast<Fam &>(*this); }
+  const Fam &self() const { return static_cast<const Fam &>(*this); }
+};
+
+#define DAI_COUNTER_FIELD(Fam, Field, Name, Kind) uint64_t Field = 0;
+#define DAI_COUNTER_VISIT(Fam, Field, Name, Kind)                              \
+  F(CounterInfo{Name, CounterKind::Kind}, &Fam::Field);
+
+/// A family's fields plus the static visitor CounterFamily is built on:
+/// forEachField(F) calls F(Info, &Fam::Field) for each row.
+#define DAI_COUNTER_FAMILY(Rows)                                               \
+  Rows(DAI_COUNTER_FIELD)                                                      \
+  template <class Fn> static void forEachField(Fn &&F) {                       \
+    Rows(DAI_COUNTER_VISIT)                                                    \
+  }
+
+/// Work counters shared by the DAIG, memo table, and batch interpreter.
+struct Statistics : CounterFamily<Statistics> {
+  DAI_COUNTER_FAMILY(DAI_STATISTICS_COUNTERS)
 
   /// Total domain operations (the expensive work in rich domains).
   uint64_t domainOps() const { return Transfers + Joins + Widens; }
-
-  /// Accumulates another counter set into this one (all fields are monotone
-  /// counters, so addition is the correct merge). This is the cross-thread
-  /// aggregation primitive: the parallel engine gives each (function,
-  /// context) instance a private Statistics sink for the duration of a
-  /// parallel pass and folds them back into the engine's sink, in
-  /// deterministic key order, at the pass barrier.
-  void mergeFrom(const Statistics &O) {
-    Transfers += O.Transfers;
-    Joins += O.Joins;
-    Widens += O.Widens;
-    FixChecks += O.FixChecks;
-    Unrollings += O.Unrollings;
-    CellReuses += O.CellReuses;
-    MemoHits += O.MemoHits;
-    MemoMisses += O.MemoMisses;
-    CellsDirtied += O.CellsDirtied;
-    CallSummaries += O.CallSummaries;
-    MemoEvictions += O.MemoEvictions;
-    CellsDegraded += O.CellsDegraded;
-    ChecksEvaluated += O.ChecksEvaluated;
-    ChecksRechecked += O.ChecksRechecked;
-    AlarmsRaised += O.AlarmsRaised;
-  }
-
-  Statistics operator-(const Statistics &O) const {
-    Statistics R;
-    R.Transfers = Transfers - O.Transfers;
-    R.Joins = Joins - O.Joins;
-    R.Widens = Widens - O.Widens;
-    R.FixChecks = FixChecks - O.FixChecks;
-    R.Unrollings = Unrollings - O.Unrollings;
-    R.CellReuses = CellReuses - O.CellReuses;
-    R.MemoHits = MemoHits - O.MemoHits;
-    R.MemoMisses = MemoMisses - O.MemoMisses;
-    R.CellsDirtied = CellsDirtied - O.CellsDirtied;
-    R.CallSummaries = CallSummaries - O.CallSummaries;
-    R.MemoEvictions = MemoEvictions - O.MemoEvictions;
-    R.CellsDegraded = CellsDegraded - O.CellsDegraded;
-    R.ChecksEvaluated = ChecksEvaluated - O.ChecksEvaluated;
-    R.ChecksRechecked = ChecksRechecked - O.ChecksRechecked;
-    R.AlarmsRaised = AlarmsRaised - O.AlarmsRaised;
-    return R;
-  }
 };
 
-inline std::ostream &operator<<(std::ostream &OS, const Statistics &S) {
-  OS << "{transfers=" << S.Transfers << " joins=" << S.Joins
-     << " widens=" << S.Widens << " unrollings=" << S.Unrollings
-     << " cellReuses=" << S.CellReuses << " memoHits=" << S.MemoHits
-     << " memoMisses=" << S.MemoMisses << " dirtied=" << S.CellsDirtied
-     << " callSummaries=" << S.CallSummaries
-     << " memoEvictions=" << S.MemoEvictions
-     << " cellsDegraded=" << S.CellsDegraded
-     << " checksEvaluated=" << S.ChecksEvaluated
-     << " checksRechecked=" << S.ChecksRechecked
-     << " alarmsRaised=" << S.AlarmsRaised << "}";
-  return OS;
-}
-
-/// Counters for DBM strong-closure work in relational domains (octagon).
-/// Closure is the dominant cost of the Fig. 10 workload, so benches report
-/// these alongside wall time to explain *why* latency moved: a healthy
-/// incremental pipeline shows IncrementalCloses ≫ FullCloses.
-///
-/// Kept process-global (per thread) rather than inside Statistics because
-/// domain values are plain data with no back-pointer to an engine; benches
-/// snapshot-and-subtract around the region of interest.
-struct ClosureCounters {
-  uint64_t FullCloses = 0;        ///< O(n³) Floyd–Warshall closures run.
-  uint64_t IncrementalCloses = 0; ///< O(n²) single-constraint re-closures.
-  uint64_t ClosesSkipped = 0;     ///< close() calls on already-closed values.
-  uint64_t CachedCloses = 0;      ///< Closures answered by a closedView cache.
-  uint64_t CellsTouched = 0;      ///< DBM cells tightened during closure.
-  uint64_t CellsStored = 0;       ///< Cumulative DBM cells allocated; the
-                                  ///< half-matrix layout shows up here as a
-                                  ///< ~2× drop vs. the dense (2n)² layout.
-  uint64_t PeakDbmBytes = 0;      ///< High-water bytes of a single DBM
-                                  ///< allocation (gauge, not a counter).
-
-  void reset() { *this = ClosureCounters(); }
-
-  /// Cross-thread merge: counters add; the PeakDbmBytes gauge merges via
-  /// max (the process-wide peak is the max of the per-thread peaks).
-  void mergeFrom(const ClosureCounters &O) {
-    FullCloses += O.FullCloses;
-    IncrementalCloses += O.IncrementalCloses;
-    ClosesSkipped += O.ClosesSkipped;
-    CachedCloses += O.CachedCloses;
-    CellsTouched += O.CellsTouched;
-    CellsStored += O.CellsStored;
-    PeakDbmBytes = std::max(PeakDbmBytes, O.PeakDbmBytes);
-  }
-
-  ClosureCounters operator-(const ClosureCounters &O) const {
-    ClosureCounters R;
-    R.FullCloses = FullCloses - O.FullCloses;
-    R.IncrementalCloses = IncrementalCloses - O.IncrementalCloses;
-    R.ClosesSkipped = ClosesSkipped - O.ClosesSkipped;
-    R.CachedCloses = CachedCloses - O.CachedCloses;
-    R.CellsTouched = CellsTouched - O.CellsTouched;
-    R.CellsStored = CellsStored - O.CellsStored;
-    // A gauge, not subtractable: the delta carries the later snapshot's
-    // peak, which covers the whole process history. A region that wants its
-    // OWN peak (the bench's per-size sweep does) must zero the gauge at the
-    // start of the region: `closureCounters().PeakDbmBytes = 0`.
-    R.PeakDbmBytes = PeakDbmBytes;
-    return R;
-  }
+/// DBM strong-closure work in relational domains (octagon). Closure is the
+/// dominant cost of the Fig. 10 workload, so benches report these alongside
+/// wall time to explain *why* latency moved: a healthy incremental pipeline
+/// shows IncrementalCloses ≫ FullCloses. Kept per thread rather than inside
+/// Statistics because domain values are plain data with no back-pointer to
+/// an engine; benches snapshot-and-subtract around the region of interest.
+struct ClosureCounters : CounterFamily<ClosureCounters> {
+  DAI_COUNTER_FAMILY(DAI_CLOSURE_COUNTERS)
 };
 
-inline std::ostream &operator<<(std::ostream &OS, const ClosureCounters &C) {
-  OS << "{fullCloses=" << C.FullCloses
-     << " incrementalCloses=" << C.IncrementalCloses
-     << " closesSkipped=" << C.ClosesSkipped
-     << " cachedCloses=" << C.CachedCloses
-     << " cellsTouched=" << C.CellsTouched
-     << " cellsStored=" << C.CellsStored
-     << " peakDbmBytes=" << C.PeakDbmBytes << "}";
-  return OS;
-}
-
-/// The thread's closure-counter sink (see ClosureCounters).
-inline ClosureCounters &closureCounters() {
-  static thread_local ClosureCounters Counters;
-  return Counters;
-}
-
-/// Counters for the sparse zone domain (domain/zone.h). The zone subsystem's
-/// whole point is that transfer/query cost scales with the number of LIVE
-/// constraints, not the dimension count — these counters let benches and the
-/// CI gate verify that claim deterministically: on the mostly-⊤ Fig. 10
-/// workload, ClosureVerticesVisited should grow sub-quadratically in the
-/// variable-pool size while the octagon's CellsTouched stays ~n².
-///
-/// thread_local like ClosureCounters (one analysis engine per thread).
-struct ZoneCounters {
-  uint64_t EdgesStored = 0;     ///< Cumulative graph edges materialized
-                                ///< (inserts, not weight updates) — the
-                                ///< sparse analogue of CellsStored.
-  uint64_t PotentialRepairs = 0; ///< Bellman–Ford potential-repair runs
-                                 ///< triggered by constraint additions.
-  uint64_t ClosureVerticesVisited = 0; ///< Vertices scanned by the closure
-                                       ///< kernels (restricted single-source
-                                       ///< sweeps + incremental cross
-                                       ///< products). Deterministic on a
-                                       ///< seeded workload; the CI gate
-                                       ///< metric.
-  uint64_t FullCloses = 0;        ///< Restricted all-sources closures run.
-  uint64_t IncrementalCloses = 0; ///< Single-edge close_over_edge runs.
-  uint64_t ClosesSkipped = 0;     ///< close() calls on already-closed values.
-  uint64_t CachedCloses = 0;      ///< Closures answered by a closedView cache.
-  // Budget events (support/budget.h), mirrored here so the bench reports
-  // them per sweep size; the regression gate asserts all three stay zero
-  // on the default, un-budgeted workload.
-  uint64_t BudgetExhaustions = 0;     ///< Hard budget-limit latches.
-  uint64_t DegradedCells = 0;         ///< Cells ⊤-substituted/taint-marked.
-  uint64_t CancellationsHonored = 0;  ///< Cancellation tokens honored.
-
-  void reset() { *this = ZoneCounters(); }
-
-  /// Cross-thread merge: all fields are monotone counters, so they add.
-  void mergeFrom(const ZoneCounters &O) {
-    EdgesStored += O.EdgesStored;
-    PotentialRepairs += O.PotentialRepairs;
-    ClosureVerticesVisited += O.ClosureVerticesVisited;
-    FullCloses += O.FullCloses;
-    IncrementalCloses += O.IncrementalCloses;
-    ClosesSkipped += O.ClosesSkipped;
-    CachedCloses += O.CachedCloses;
-    BudgetExhaustions += O.BudgetExhaustions;
-    DegradedCells += O.DegradedCells;
-    CancellationsHonored += O.CancellationsHonored;
-  }
-
-  ZoneCounters operator-(const ZoneCounters &O) const {
-    ZoneCounters R;
-    R.EdgesStored = EdgesStored - O.EdgesStored;
-    R.PotentialRepairs = PotentialRepairs - O.PotentialRepairs;
-    R.ClosureVerticesVisited =
-        ClosureVerticesVisited - O.ClosureVerticesVisited;
-    R.FullCloses = FullCloses - O.FullCloses;
-    R.IncrementalCloses = IncrementalCloses - O.IncrementalCloses;
-    R.ClosesSkipped = ClosesSkipped - O.ClosesSkipped;
-    R.CachedCloses = CachedCloses - O.CachedCloses;
-    R.BudgetExhaustions = BudgetExhaustions - O.BudgetExhaustions;
-    R.DegradedCells = DegradedCells - O.DegradedCells;
-    R.CancellationsHonored = CancellationsHonored - O.CancellationsHonored;
-    return R;
-  }
+/// The sparse zone domain's whole point is that transfer/query cost scales
+/// with the number of LIVE constraints, not the dimension count: on the
+/// mostly-⊤ Fig. 10 workload, ClosureVerticesVisited should grow
+/// sub-quadratically in the variable-pool size while the octagon's
+/// CellsTouched stays ~n².
+struct ZoneCounters : CounterFamily<ZoneCounters> {
+  DAI_COUNTER_FAMILY(DAI_ZONE_COUNTERS)
 };
 
-inline std::ostream &operator<<(std::ostream &OS, const ZoneCounters &C) {
-  OS << "{edgesStored=" << C.EdgesStored
-     << " potentialRepairs=" << C.PotentialRepairs
-     << " closureVerticesVisited=" << C.ClosureVerticesVisited
-     << " fullCloses=" << C.FullCloses
-     << " incrementalCloses=" << C.IncrementalCloses
-     << " closesSkipped=" << C.ClosesSkipped
-     << " cachedCloses=" << C.CachedCloses
-     << " budgetExhaustions=" << C.BudgetExhaustions
-     << " degradedCells=" << C.DegradedCells
-     << " cancellationsHonored=" << C.CancellationsHonored << "}";
-  return OS;
-}
-
-/// The thread's zone-counter sink (see ZoneCounters).
-inline ZoneCounters &zoneCounters() {
-  static thread_local ZoneCounters Counters;
-  return Counters;
-}
-
-/// Counters for the staged zone→octagon domain (domain/staged.h). The
-/// staged subsystem's claim is that octagon work is paid only where a query
-/// demands ±x±y precision: ZoneTransfers counts the transfers that skipped
-/// the octagon tier entirely (the avoided dense work), EscalatedTransfers
-/// the ones that ran both tiers, and Escalations the demand-driven slice
-/// re-evaluations triggered by precision queries. All deterministic on a
-/// seeded workload; EscalatedTransfers is the CI gate metric.
-///
-/// thread_local like ClosureCounters (one analysis engine per thread).
-struct StagedCounters {
-  uint64_t Escalations = 0;         ///< Demand-driven escalations: full
-                                    ///< re-demands of a query's slice with
-                                    ///< the octagon tier enabled.
-  uint64_t OctSeeds = 0;            ///< Octagon tiers seeded from a closed
-                                    ///< zone value (mid-path escalation).
-  uint64_t EscalatedTransfers = 0;  ///< Tier evaluations (transfer/assume)
-                                    ///< that ran BOTH tiers.
-  uint64_t ZoneTransfers = 0;       ///< Zone-only tier evaluations — each
-                                    ///< one is a dense octagon evaluation
-                                    ///< avoided.
-  uint64_t SumQueries = 0;          ///< ±x±y (sum-form) bounds queries.
-  // Budget events (support/budget.h) — see the ZoneCounters note.
-  uint64_t BudgetExhaustions = 0;     ///< Hard budget-limit latches.
-  uint64_t DegradedCells = 0;         ///< Cells ⊤-substituted/taint-marked.
-  uint64_t CancellationsHonored = 0;  ///< Cancellation tokens honored.
-
-  void reset() { *this = StagedCounters(); }
-
-  /// Cross-thread merge: all fields are monotone counters, so they add.
-  void mergeFrom(const StagedCounters &O) {
-    Escalations += O.Escalations;
-    OctSeeds += O.OctSeeds;
-    EscalatedTransfers += O.EscalatedTransfers;
-    ZoneTransfers += O.ZoneTransfers;
-    SumQueries += O.SumQueries;
-    BudgetExhaustions += O.BudgetExhaustions;
-    DegradedCells += O.DegradedCells;
-    CancellationsHonored += O.CancellationsHonored;
-  }
-
-  StagedCounters operator-(const StagedCounters &O) const {
-    StagedCounters R;
-    R.Escalations = Escalations - O.Escalations;
-    R.OctSeeds = OctSeeds - O.OctSeeds;
-    R.EscalatedTransfers = EscalatedTransfers - O.EscalatedTransfers;
-    R.ZoneTransfers = ZoneTransfers - O.ZoneTransfers;
-    R.SumQueries = SumQueries - O.SumQueries;
-    R.BudgetExhaustions = BudgetExhaustions - O.BudgetExhaustions;
-    R.DegradedCells = DegradedCells - O.DegradedCells;
-    R.CancellationsHonored = CancellationsHonored - O.CancellationsHonored;
-    return R;
-  }
+/// The staged domain pays octagon work only where a query demands ±x±y
+/// precision: ZoneTransfers counts the transfers that skipped the octagon
+/// tier, EscalatedTransfers the ones that ran both, and Escalations the
+/// demand-driven slice re-evaluations triggered by precision queries.
+struct StagedCounters : CounterFamily<StagedCounters> {
+  DAI_COUNTER_FAMILY(DAI_STAGED_COUNTERS)
 };
 
-inline std::ostream &operator<<(std::ostream &OS, const StagedCounters &C) {
-  OS << "{escalations=" << C.Escalations << " octSeeds=" << C.OctSeeds
-     << " escalatedTransfers=" << C.EscalatedTransfers
-     << " zoneTransfers=" << C.ZoneTransfers
-     << " sumQueries=" << C.SumQueries
-     << " budgetExhaustions=" << C.BudgetExhaustions
-     << " degradedCells=" << C.DegradedCells
-     << " cancellationsHonored=" << C.CancellationsHonored << "}";
-  return OS;
-}
-
-/// The thread's staged-domain counter sink (see StagedCounters).
-inline StagedCounters &stagedCounters() {
-  static thread_local StagedCounters Counters;
-  return Counters;
-}
-
-/// Counters for the disjunctive-interval domain (domain/dis_interval.h).
-/// The domain's defining cost knob is the per-variable partition bound K:
-/// joins and ≠-refinements grow the partition list, and normalization merges
-/// the closest pair whenever the list would exceed K. PartitionsCollapsed
-/// counts those forced merges — the precision actually *paid* for the bound —
-/// and is deterministic on a seeded workload, so it is the CI gate metric
-/// for the dis_interval bench rows.
-///
-/// thread_local like ClosureCounters (one analysis engine per thread).
-struct DisIntervalCounters {
-  uint64_t PartitionsCollapsed = 0; ///< Closest-pair merges forced by the
-                                    ///< partition bound K (precision lost to
-                                    ///< the bound). The CI gate metric.
-  uint64_t PartitionSplits = 0;     ///< Partitions split by a ≠-refinement
-                                    ///< (the path-sensitivity win).
-  uint64_t DisjunctiveJoins = 0;    ///< Variable joins whose result kept ≥ 2
-                                    ///< partitions (a plain interval would
-                                    ///< have taken the convex hull here).
-
-  void reset() { *this = DisIntervalCounters(); }
-
-  /// Cross-thread merge: all fields are monotone counters, so they add.
-  void mergeFrom(const DisIntervalCounters &O) {
-    PartitionsCollapsed += O.PartitionsCollapsed;
-    PartitionSplits += O.PartitionSplits;
-    DisjunctiveJoins += O.DisjunctiveJoins;
-  }
-
-  DisIntervalCounters operator-(const DisIntervalCounters &O) const {
-    DisIntervalCounters R;
-    R.PartitionsCollapsed = PartitionsCollapsed - O.PartitionsCollapsed;
-    R.PartitionSplits = PartitionSplits - O.PartitionSplits;
-    R.DisjunctiveJoins = DisjunctiveJoins - O.DisjunctiveJoins;
-    return R;
-  }
+/// The dis_interval domain's cost knob is the per-variable partition bound
+/// K: joins and ≠-refinements grow the partition list, and normalization
+/// merges the closest pair whenever it would exceed K. PartitionsCollapsed
+/// counts those forced merges — the precision paid for the bound.
+struct DisIntervalCounters : CounterFamily<DisIntervalCounters> {
+  DAI_COUNTER_FAMILY(DAI_DIS_INTERVAL_COUNTERS)
 };
 
-inline std::ostream &operator<<(std::ostream &OS,
-                                const DisIntervalCounters &C) {
-  OS << "{partitionsCollapsed=" << C.PartitionsCollapsed
-     << " partitionSplits=" << C.PartitionSplits
-     << " disjunctiveJoins=" << C.DisjunctiveJoins << "}";
-  return OS;
-}
-
-/// The thread's dis_interval counter sink (see DisIntervalCounters).
-inline DisIntervalCounters &disIntervalCounters() {
-  static thread_local DisIntervalCounters Counters;
-  return Counters;
-}
-
-/// Counters for the global hash-consed NameTable (daig/name.h). Name
-/// construction sits on the hot path of every edit and query (Fig. 6 names
-/// resolve DAIG cells and memo entries), so benches report these alongside
-/// wall time: a healthy interned name layer shows InternHits ≫ NamesInterned
-/// — construction is overwhelmingly table lookups, where the pre-interning
-/// shared_ptr trees paid a heap allocation plus refcount traffic per node.
-///
-/// Process-global (not thread_local) because the NameTable itself is a
-/// process-global singleton. Since the table accepts concurrent interning,
-/// the live sink is a set of relaxed atomics (nameTableCountersAtomic());
-/// this struct is the plain snapshot handed to callers by
-/// nameTableCounters(), preserving the snapshot-and-subtract idiom.
-struct NameTableCounters {
-  uint64_t NamesInterned = 0; ///< Distinct names created (table growth).
-  uint64_t InternHits = 0;    ///< Constructions answered by an existing node.
-  uint64_t NameTableBytes = 0; ///< Approx. resident table bytes (gauge).
-
-  void reset() { *this = NameTableCounters(); }
-
-  NameTableCounters operator-(const NameTableCounters &O) const {
-    NameTableCounters R;
-    R.NamesInterned = NamesInterned - O.NamesInterned;
-    R.InternHits = InternHits - O.InternHits;
-    // A gauge, like PeakDbmBytes: the delta reports the later snapshot's
-    // absolute footprint (the table never shrinks).
-    R.NameTableBytes = NameTableBytes;
-    return R;
-  }
+/// Budget events, bumped once per event by support/budget.h.
+struct BudgetCounters : CounterFamily<BudgetCounters> {
+  DAI_COUNTER_FAMILY(DAI_BUDGET_COUNTERS)
 };
 
-inline std::ostream &operator<<(std::ostream &OS, const NameTableCounters &C) {
-  OS << "{namesInterned=" << C.NamesInterned << " internHits=" << C.InternHits
-     << " nameTableBytes=" << C.NameTableBytes << "}";
-  return OS;
-}
+/// Name construction sits on the hot path of every edit and query, so
+/// benches report these alongside wall time: a healthy interned name layer
+/// shows InternHits ≫ NamesInterned. The table is a process-global
+/// singleton accepting concurrent interning, so the live sink is the
+/// atomic twin below; this struct is the plain snapshot nameTableCounters()
+/// returns, preserving the snapshot-and-subtract idiom.
+struct NameTableCounters : CounterFamily<NameTableCounters> {
+  DAI_COUNTER_FAMILY(DAI_NAME_TABLE_COUNTERS)
+};
 
-/// The live, concurrently-updated name-table counter sink. All updates use
-/// relaxed ordering: these are monotone statistics, not synchronization.
+/// The live, concurrently-updated name-table sink. All updates use relaxed
+/// ordering: these are monotone statistics, not synchronization.
 struct AtomicNameTableCounters {
-  std::atomic<uint64_t> NamesInterned{0};
-  std::atomic<uint64_t> InternHits{0};
-  std::atomic<uint64_t> NameTableBytes{0}; ///< Gauge; stored, not added.
+#define DAI_ATOMIC_FIELD(Fam, Field, Name, Kind) std::atomic<uint64_t> Field{0};
+  DAI_NAME_TABLE_COUNTERS(DAI_ATOMIC_FIELD)
+#undef DAI_ATOMIC_FIELD
 
-  void reset() {
-    NamesInterned.store(0, std::memory_order_relaxed);
-    InternHits.store(0, std::memory_order_relaxed);
-    NameTableBytes.store(0, std::memory_order_relaxed);
+  /// A plain snapshot (relaxed loads).
+  NameTableCounters load() const {
+    NameTableCounters S;
+#define DAI_ATOMIC_LOAD(Fam, Field, Name, Kind)                                \
+  S.Field = Field.load(std::memory_order_relaxed);
+    DAI_NAME_TABLE_COUNTERS(DAI_ATOMIC_LOAD)
+#undef DAI_ATOMIC_LOAD
+    return S;
   }
 };
 
@@ -441,69 +305,78 @@ inline AtomicNameTableCounters &nameTableCountersAtomic() {
   return Counters;
 }
 
-/// A point-in-time snapshot of the process-global name-table counters.
-/// Unlike the thread_local sinks this returns BY VALUE: the live sink is
-/// atomic (concurrent interning), and callers only ever want a consistent
-/// plain-struct copy to subtract against.
+/// A point-in-time snapshot of the process-global name-table counters,
+/// returned BY VALUE: the live sink is atomic.
 inline NameTableCounters nameTableCounters() {
-  const AtomicNameTableCounters &A = nameTableCountersAtomic();
-  NameTableCounters S;
-  S.NamesInterned = A.NamesInterned.load(std::memory_order_relaxed);
-  S.InternHits = A.InternHits.load(std::memory_order_relaxed);
-  S.NameTableBytes = A.NameTableBytes.load(std::memory_order_relaxed);
-  return S;
+  return nameTableCountersAtomic().load();
 }
 
-/// A bundle of every thread_local counter sink, used to carry counter
-/// deltas across threads. The domain/closure sinks are thread_local by
-/// design (one analysis engine per thread); when a TaskPool worker runs
-/// analysis work, its deltas land in the WORKER's sinks and would be
-/// invisible to bench reporting on the main thread. The pool snapshots the
-/// worker sinks around each task and merges the deltas back into the
-/// calling thread's sinks, so "read the current thread's counters" stays
-/// correct whether or not work was farmed out.
-///
-/// NameTableCounters are deliberately absent: that sink is process-global
-/// and atomic (nameTableCountersAtomic()), so worker-thread interning is
-/// already counted without any merge step.
-struct ThreadCounters {
-  ClosureCounters Closure;
-  ZoneCounters Zone;
-  StagedCounters Staged;
-  DisIntervalCounters DisInterval;
+//===----------------------------------------------------------------------===//
+// The per-thread block
+//===----------------------------------------------------------------------===//
 
-  /// Copies the calling thread's live sinks.
-  static ThreadCounters snapshot() {
-    return {closureCounters(), zoneCounters(), stagedCounters(),
-            disIntervalCounters()};
+/// The thread_local families: X(Type, Member, accessor).
+#define DAI_THREAD_COUNTER_FAMILIES(X)                                         \
+  X(ClosureCounters, Closure, closureCounters)                                 \
+  X(ZoneCounters, Zone, zoneCounters)                                          \
+  X(StagedCounters, Staged, stagedCounters)                                    \
+  X(DisIntervalCounters, DisInterval, disIntervalCounters)                     \
+  X(BudgetCounters, Budget, budgetCounters)
+
+/// Every thread_local counter family in one block. Domain values carry no
+/// engine pointer, so these sinks are per thread (one analysis engine per
+/// thread); live() is the calling thread's block, and closureCounters(),
+/// zoneCounters(), ... return references into it, so hot-path increments
+/// stay plain non-atomic adds. A TaskPool worker's deltas would land in the
+/// WORKER's block, so the pool snapshots the block around each task and
+/// merges the deltas into the calling thread's block before run() returns.
+///
+/// NameTableCounters are absent: that sink is process-global and atomic,
+/// so worker-thread interning is counted without any merge step.
+struct ThreadCounters {
+#define DAI_THREAD_MEMBER(Type, Member, Accessor) Type Member;
+#define DAI_THREAD_VISIT(Type, Member, Accessor) F(&ThreadCounters::Member);
+  DAI_THREAD_COUNTER_FAMILIES(DAI_THREAD_MEMBER)
+
+  /// Calls \p F(&ThreadCounters::Member) for every family.
+  template <class Fn> static void forEachFamily(Fn &&F) {
+    DAI_THREAD_COUNTER_FAMILIES(DAI_THREAD_VISIT)
+  }
+#undef DAI_THREAD_VISIT
+#undef DAI_THREAD_MEMBER
+
+  /// The calling thread's live block.
+  static ThreadCounters &live() {
+    static thread_local ThreadCounters Block;
+    return Block;
   }
 
+  /// Copies the calling thread's live block.
+  static ThreadCounters snapshot() { return live(); }
+
   /// The work performed since \p Base (both taken on the same thread).
-  /// Gauges follow the operator- convention: the delta carries this
-  /// snapshot's absolute gauge value.
+  /// Gauges follow the operator- convention.
   ThreadCounters deltaSince(const ThreadCounters &Base) const {
-    return {Closure - Base.Closure, Zone - Base.Zone, Staged - Base.Staged,
-            DisInterval - Base.DisInterval};
+    ThreadCounters D;
+    forEachFamily([&](auto M) { D.*M = this->*M - Base.*M; });
+    return D;
   }
 
   /// Accumulates a delta into this bundle (counters add, gauges max).
   void addDelta(const ThreadCounters &D) {
-    Closure.mergeFrom(D.Closure);
-    Zone.mergeFrom(D.Zone);
-    Staged.mergeFrom(D.Staged);
-    DisInterval.mergeFrom(D.DisInterval);
+    forEachFamily([&](auto M) { (this->*M).mergeFrom(D.*M); });
   }
 
-  /// Folds this bundle into the calling thread's live sinks.
-  void mergeIntoCurrentThread() const {
-    closureCounters().mergeFrom(Closure);
-    zoneCounters().mergeFrom(Zone);
-    stagedCounters().mergeFrom(Staged);
-    disIntervalCounters().mergeFrom(DisInterval);
-  }
+  /// Folds this bundle into the calling thread's live block.
+  void mergeIntoCurrentThread() const { live().addDelta(*this); }
 
   void reset() { *this = ThreadCounters(); }
 };
+
+#define DAI_THREAD_ACCESSOR(Type, Member, Accessor)                            \
+  inline Type &Accessor() { return ThreadCounters::live().Member; }
+DAI_THREAD_COUNTER_FAMILIES(DAI_THREAD_ACCESSOR)
+#undef DAI_THREAD_ACCESSOR
 
 /// Records a DBM matrix allocation of \p Cells entries (fresh buffers and
 /// copy-on-write clones alike): bumps CellsStored and the PeakDbmBytes

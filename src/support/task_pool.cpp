@@ -6,6 +6,8 @@
 
 #include "support/task_pool.h"
 
+#include "support/observe.h"
+
 #include <cassert>
 
 namespace dai {
@@ -97,11 +99,9 @@ void TaskPool::workerLoop(unsigned Id) {
   for (;;) {
     Task T = grabTask(Id);
     if (T) {
-      // Bracket the task with counter + metric snapshots so its
-      // thread_local deltas can be repatriated to the caller after the
-      // batch.
+      // Bracket the task with counter snapshots so its thread_local deltas
+      // can be repatriated to the caller after the batch.
       ThreadCounters Before = ThreadCounters::snapshot();
-      MetricsRegistry MBefore = metricsRegistry().snapshot();
       {
         TraceSpan Sp("taskpool.task", Id);
         try {
@@ -111,11 +111,9 @@ void TaskPool::workerLoop(unsigned Id) {
         }
       }
       ThreadCounters Delta = ThreadCounters::snapshot().deltaSince(Before);
-      MetricsRegistry MDelta = metricsRegistry().deltaSince(MBefore);
       {
         std::lock_guard<std::mutex> G(AggM);
         Agg.addDelta(Delta);
-        AggMetrics.mergeFrom(MDelta);
       }
       finishTask();
       continue;
@@ -144,8 +142,8 @@ void TaskPool::run(std::vector<Task> Tasks) {
   if (Tasks.empty())
     return;
   if (NumWorkers <= 1 || Tasks.size() == 1) {
-    // Inline fast path: deterministic order, counters and metrics already
-    // land in the caller's sinks (bit-identical to a serial run). Still
+    // Inline fast path: deterministic order, counters already land in the
+    // caller's sinks (bit-identical to a serial run). Still
     // capture-and-rethrow so error behavior matches the threaded path
     // (every task runs once).
     for (Task &T : Tasks) {
@@ -208,19 +206,15 @@ void TaskPool::run(std::vector<Task> Tasks) {
     });
   }
 
-  // Repatriate worker-side counter and metric deltas into the caller's
-  // sinks. The caller's own task executions already landed there directly.
+  // Repatriate worker-side counter deltas into the caller's sinks. The
+  // caller's own task executions already landed there directly.
   ThreadCounters Batch;
-  MetricsRegistry BatchMetrics;
   {
     std::lock_guard<std::mutex> G(AggM);
     Batch = Agg;
     Agg.reset();
-    BatchMetrics = std::move(AggMetrics);
-    AggMetrics.clear();
   }
   Batch.mergeIntoCurrentThread();
-  metricsRegistry().mergeFrom(BatchMetrics);
 
   std::exception_ptr E;
   {

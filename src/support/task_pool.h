@@ -22,13 +22,13 @@
 ///  - Caller participation. The thread calling run() is worker 0: it
 ///    executes tasks alongside the spawned threads and only blocks once
 ///    the batch has no runnable task left for it.
-///  - Counter repatriation. The analysis counters (closure/zone/staged)
-///    are thread_local sinks; work executed on a spawned worker would be
-///    invisible to the caller's sinks. The pool snapshots each worker's
-///    sinks around task execution and folds the deltas into the CALLING
-///    thread's sinks before run() returns, so bench totals include
-///    worker-thread work (the name-table sink is process-global and
-///    atomic, and needs no repatriation).
+///  - Counter repatriation. The analysis counters live in one thread_local
+///    block (ThreadCounters); work executed on a spawned worker would be
+///    invisible to the caller's block. The pool snapshots the worker's
+///    block around each task and folds the one ThreadCounters delta into
+///    the CALLING thread's block before run() returns, so bench totals
+///    include worker-thread work (the name-table sink is process-global
+///    and atomic, and needs no repatriation).
 ///
 /// Exceptions thrown by tasks are captured; the batch still runs to
 /// completion (every task executes exactly once) and the first captured
@@ -42,7 +42,6 @@
 #ifndef DAI_SUPPORT_TASK_POOL_H
 #define DAI_SUPPORT_TASK_POOL_H
 
-#include "support/observe.h"
 #include "support/statistics.h"
 
 #include <atomic>
@@ -114,8 +113,7 @@ private:
                                     ///< park/rescan signal.
 
   std::mutex AggM;
-  ThreadCounters Agg;          ///< Worker-side counter deltas for the batch.
-  MetricsRegistry AggMetrics;  ///< Worker-side metric deltas (same barrier).
+  ThreadCounters Agg; ///< Worker-side counter deltas for the batch.
 
   std::mutex ErrM;
   std::exception_ptr FirstError;

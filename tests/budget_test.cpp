@@ -96,10 +96,10 @@ TEST(BudgetCheckpoint, CancellationHonoredAndCounted) {
   B.Cancel = &Tok;
   BudgetScope Scope(B);
   budgetCheckpoint("test"); // not yet requested: no throw
-  uint64_t Before = zoneCounters().CancellationsHonored;
+  uint64_t Before = budgetCounters().CancellationsHonored;
   Tok.requestCancel();
   EXPECT_THROW(budgetCheckpoint("test-site"), AnalysisCancelled);
-  EXPECT_EQ(zoneCounters().CancellationsHonored, Before + 1);
+  EXPECT_EQ(budgetCounters().CancellationsHonored, Before + 1);
   Tok.reset();
   budgetCheckpoint("test"); // reset token: checkpoints pass again
 }

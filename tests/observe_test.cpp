@@ -6,11 +6,11 @@
 ///
 /// \file
 /// The observability layer (support/observe.h): histogram bucketing is
-/// deterministic; MetricsRegistry merge/delta follow the counter-add /
-/// gauge-max / bucket-add contract and TaskPool repatriates worker metric
-/// deltas exactly like ThreadCounters (bit-identical JSON at every thread
-/// count); the trace ring records only when enabled (and counts drops,
-/// never wraps); exports are sorted ts-monotone per tid; and
+/// deterministic; MetricsRegistry merge follows the counter-add /
+/// gauge-max / bucket-add contract; every row of the counter table reaches
+/// the export bridges under its declared name and kind; the trace ring
+/// records only when enabled (and counts drops, never wraps); exports are
+/// sorted ts-monotone per tid; and
 /// Daig::explainQuery returns the same demand tree for equal DAIG states —
 /// with the outcome tags actually tracking Q-Reuse / Q-Match / Q-Miss.
 ///
@@ -22,12 +22,10 @@
 #include "daig/daig.h"
 #include "domain/interval.h"
 #include "support/budget.h"
-#include "support/task_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -70,7 +68,7 @@ TEST(Histogram, SameSequenceSameBuckets) {
   EXPECT_EQ(A.total(), B.total());
 }
 
-TEST(Histogram, MergeAndSubtractAreBucketwise) {
+TEST(Histogram, MergeIsBucketwise) {
   Histogram A({10, 100});
   Histogram B({10, 100});
   A.record(5);
@@ -83,9 +81,6 @@ TEST(Histogram, MergeAndSubtractAreBucketwise) {
   EXPECT_EQ(M.counts()[0], 1u);
   EXPECT_EQ(M.counts()[1], 2u);
   EXPECT_EQ(M.counts()[2], 1u);
-  M.subtract(B);
-  EXPECT_EQ(M.counts(), A.counts());
-  EXPECT_EQ(M.total(), A.total());
 }
 
 //===----------------------------------------------------------------------===//
@@ -108,26 +103,6 @@ TEST(MetricsRegistry, MergeSemantics) {
   const MetricsRegistry::Metric *H = A.find("cell_eval_ns");
   ASSERT_NE(H, nullptr);
   EXPECT_EQ(H->H.total(), 2u); // histogram buckets add
-}
-
-TEST(MetricsRegistry, DeltaSinceIsTheRepatriationInverse) {
-  MetricsRegistry Before;
-  Before.add("transfers", 10);
-  Before.gaugeMax("dbm_peak_bytes", 80);
-  MetricsRegistry Cur = Before.snapshot();
-  Cur.add("transfers", 7);
-  Cur.add("widens", 1);
-  Cur.gaugeMax("dbm_peak_bytes", 120);
-
-  MetricsRegistry D = Cur.deltaSince(Before);
-  EXPECT_EQ(D.value("transfers"), 7u);
-  EXPECT_EQ(D.value("widens"), 1u);
-  // Gauges carry the CURRENT value so a max-merge is idempotent.
-  EXPECT_EQ(D.value("dbm_peak_bytes"), 120u);
-
-  MetricsRegistry Rebuilt = Before.snapshot();
-  Rebuilt.mergeFrom(D);
-  EXPECT_EQ(Rebuilt.toJson(), Cur.toJson());
 }
 
 TEST(MetricsRegistry, ToJsonIsDeterministicAndSorted) {
@@ -162,8 +137,8 @@ TEST(MetricsRegistry, ExportBridgesUseEstablishedNames) {
   MetricsRegistry Dom;
   exportDomainCounters(Dom);
   // The zero-assertable budget fields must exist even when zero.
-  EXPECT_NE(Dom.find("zone_budget_exhaustions"), nullptr);
-  EXPECT_NE(Dom.find("staged_degraded_cells"), nullptr);
+  EXPECT_NE(Dom.find("budget_exhaustions"), nullptr);
+  EXPECT_NE(Dom.find("degraded_cells"), nullptr);
   EXPECT_NE(Dom.find("dbm_cells_touched"), nullptr);
 
   MetricsRegistry T;
@@ -173,55 +148,67 @@ TEST(MetricsRegistry, ExportBridgesUseEstablishedNames) {
 }
 
 //===----------------------------------------------------------------------===//
-// TaskPool metric repatriation
+// The counter table
 //===----------------------------------------------------------------------===//
 
-/// Runs \p N metric-writing tasks on a pool of \p Threads and returns the
-/// caller-side registry JSON, starting from a cleared registry.
-std::string runMetricBatch(unsigned Threads, unsigned N) {
-  metricsRegistry().clear();
-  TaskPool Pool(Threads);
-  std::vector<TaskPool::Task> Tasks;
-  for (unsigned I = 0; I < N; ++I)
-    Tasks.push_back([I] {
-      MetricsRegistry &R = metricsRegistry();
-      R.add("obs_test_tasks");
-      R.add("obs_test_work", I);
-      R.gaugeMax("obs_test_peak", I);
-      R.recordLatencyNs("obs_test_latency_ns", uint64_t(I) * 10'000);
-    });
-  Pool.run(std::move(Tasks));
-  std::string Json = metricsRegistry().toJson();
-  metricsRegistry().clear();
-  return Json;
-}
+/// The sink each table family's export bridge reads. A family added to the
+/// table without an entry here fails to compile.
+struct ExportSources {
+  Statistics Stats;
+  ThreadCounters &Thread = ThreadCounters::live();
+  Statistics &of(Statistics *) { return Stats; }
+  ClosureCounters &of(ClosureCounters *) { return Thread.Closure; }
+  ZoneCounters &of(ZoneCounters *) { return Thread.Zone; }
+  StagedCounters &of(StagedCounters *) { return Thread.Staged; }
+  DisIntervalCounters &of(DisIntervalCounters *) { return Thread.DisInterval; }
+  BudgetCounters &of(BudgetCounters *) { return Thread.Budget; }
+  AtomicNameTableCounters &of(NameTableCounters *) {
+    return nameTableCountersAtomic();
+  }
+};
 
-TEST(TaskPoolMetrics, WorkerDeltasRepatriateToCaller) {
-  constexpr unsigned N = 64;
-  std::string Serial = runMetricBatch(1, N);
-  // Counters add and gauges max, so the caller-side totals are schedule-
-  // independent: every thread count yields the serial run's JSON bit for
-  // bit.
-  EXPECT_EQ(runMetricBatch(2, N), Serial);
-  EXPECT_EQ(runMetricBatch(4, N), Serial);
-  EXPECT_NE(Serial.find("\"obs_test_tasks\": 64"), std::string::npos)
-      << Serial;
-}
+/// Walks every row of DAI_COUNTER_TABLE: each counter, given a distinct
+/// value in its live sink, must reach exportStatistics/exportDomainCounters
+/// under its declared name, with its declared kind and that value — and
+/// the bridges must publish nothing else.
+TEST(CounterTable, EveryRowReachesTheExportUnderItsNameAndKind) {
+  const ThreadCounters SavedThread = ThreadCounters::snapshot();
+  const NameTableCounters SavedNames = nameTableCounters();
+  ExportSources Src;
+  uint64_t Next = 1000;
+#define DAI_TEST_SET(Fam, Field, Name, Kind)                                   \
+  Src.of(static_cast<Fam *>(nullptr)).Field = ++Next;
+  DAI_COUNTER_TABLE(DAI_TEST_SET)
+#undef DAI_TEST_SET
 
-TEST(TaskPoolMetrics, RepatriationSurvivesTaskExceptions) {
-  metricsRegistry().clear();
-  TaskPool Pool(3);
-  std::vector<TaskPool::Task> Tasks;
-  for (unsigned I = 0; I < 12; ++I)
-    Tasks.push_back([I] {
-      metricsRegistry().add("obs_test_throwing_tasks");
-      if (I % 3 == 0)
-        throw std::runtime_error("task failure");
-    });
-  EXPECT_THROW(Pool.run(std::move(Tasks)), std::runtime_error);
-  // Every task ran once and its pre-throw metrics were still repatriated.
-  EXPECT_EQ(metricsRegistry().value("obs_test_throwing_tasks"), 12u);
-  metricsRegistry().clear();
+  MetricsRegistry R;
+  exportStatistics(Src.Stats, R);
+  exportDomainCounters(R);
+
+  size_t Rows = 0;
+  auto expectRow = [&](const char *Row, const char *Name, CounterKind Kind,
+                       uint64_t Value) {
+    ++Rows;
+    const MetricsRegistry::Metric *M = R.find(Name);
+    ASSERT_NE(M, nullptr) << Row << " is not exported as " << Name;
+    EXPECT_EQ(M->K, Kind == CounterKind::Gauge
+                        ? MetricsRegistry::Kind::Gauge
+                        : MetricsRegistry::Kind::Counter)
+        << Row;
+    EXPECT_EQ(M->V, Value) << Row;
+  };
+#define DAI_TEST_EXPECT(Fam, Field, Name, Kind)                                \
+  expectRow(#Fam "::" #Field, Name, CounterKind::Kind,                         \
+            Src.of(static_cast<Fam *>(nullptr)).Field);
+  DAI_COUNTER_TABLE(DAI_TEST_EXPECT)
+#undef DAI_TEST_EXPECT
+  EXPECT_EQ(R.metrics().size(), Rows) << R.toJson();
+
+  ThreadCounters::live() = SavedThread;
+#define DAI_TEST_RESTORE(Fam, Field, Name, Kind)                               \
+  nameTableCountersAtomic().Field = SavedNames.Field;
+  DAI_NAME_TABLE_COUNTERS(DAI_TEST_RESTORE)
+#undef DAI_TEST_RESTORE
 }
 
 //===----------------------------------------------------------------------===//
