@@ -374,7 +374,7 @@ template <typename D> SweepResult runSweep(const Options &Opt, unsigned Vars) {
 
     Clock::time_point T0 = Clock::now();
     if (Rec.Kind == EditKind::InsertStmt)
-      G.applyInsertedStatement(Rec.At, Rec.Splice); // falls back internally
+      G.applyInsertedStatement(Rec.At, Rec.Splice);
     else
       G.rebuild();
     VerdictCounts Counts = Checker.recheck();

@@ -10,7 +10,7 @@
 /// equals, swap, indexOf, ...) totalling 85 array accesses; Buckets.JS is a
 /// third-party library we cannot ship, so these are equivalent
 /// array-manipulating programs in the mini-language with the same
-/// verification structure (see DESIGN.md, substitutions):
+/// verification structure (see docs/architecture.md, "Substitutions"):
 ///   - bounds-*guarded* accesses verify under every context policy;
 ///   - direct in-bounds accesses need call-site argument binding (k ≥ 1);
 ///   - doubly-wrapped accesses need two call sites of context (k = 2);

@@ -11,8 +11,8 @@
 ///   2-call-site sensitive:  85/85 verified
 ///   1-call-site sensitive:  71/74 (96%)
 ///   context-insensitive:     4/18 (22%)
-/// Absolute counts differ on our corpus (see DESIGN.md's Buckets.JS
-/// substitution); the reproduced *shape* is the precision ordering
+/// Absolute counts differ on our corpus (see the Buckets.JS substitution in
+/// docs/architecture.md); the reproduced *shape* is the precision ordering
 /// k=2 ≥ k=1 ≫ k=0. Doubles as the context-policy ablation (A2).
 ///
 //===----------------------------------------------------------------------===//
@@ -103,7 +103,7 @@ int main() {
   std::printf("# Section 7.2 reproduction: interval array-bounds "
               "verification across context policies\n");
   std::printf("# Corpus: %d array-manipulating programs (Buckets.JS "
-              "substitution; see DESIGN.md)\n\n",
+              "substitution; see docs/architecture.md)\n\n",
               corpus::NumArrayPrograms);
 
   struct Policy {

@@ -19,6 +19,8 @@
 #   5. Every scripts/*.sh path the docs mention exists.
 #   6. Every --domain value the docs promise is accepted by the bench's
 #      argument parser.
+#   7. Every *.md path named in src/, bench/, tests/, scripts/ or the docs
+#      exists, at the repository root or next to the file that names it.
 
 set -u
 
@@ -89,6 +91,17 @@ done
 for V in octagon zone staged dis_interval arr_interval arr_zone both; do
   grep -q "\"$V\"" "$BENCH_SRC" ||
     fail "bench no longer accepts --domain $V promised by the docs"
+done
+
+# 7. Named Markdown files must exist. A name counts when it starts a word
+#    (so shell expansions such as $ROOT/README.md are skipped).
+for F in $(grep -rlE '[A-Za-z0-9_]\.md' "$ROOT/src" "$ROOT/bench" "$ROOT/tests" \
+             "$ROOT/scripts" $DOCS); do
+  for P in $(grep -ohE '(^|[^$A-Za-z0-9_./-])[A-Za-z0-9_][A-Za-z0-9_./-]*\.md\b' \
+               "$F" | sed -E 's/^[^A-Za-z0-9_]//' | sort -u); do
+    [ -r "$ROOT/$P" ] || [ -r "$(dirname "$F")/$P" ] ||
+      fail "${F#$ROOT/} names $P, which does not exist"
+  done
 done
 
 if [ "$STATUS" -eq 0 ]; then

@@ -151,9 +151,10 @@ runChecks(const std::vector<Obligation> &Obs,
 /// remains valid while re-evaluation proceeds, and a location filled as a
 /// side effect of re-checking some earlier edge does not leak tier-1 reuse.
 ///
-/// Structural edits that rebuild the DAIG salvage unchanged cells by name;
-/// whatever they cannot salvage reads un-ready and falls through to tier 2
-/// or full re-evaluation — conservative, never unsound.
+/// Structural edits reconcile the DAIG in place (Daig::rebuild): cells they
+/// do not touch stay filled, and whatever they rebuild or empty reads
+/// un-ready and falls through to tier 2 or full re-evaluation —
+/// conservative, never unsound.
 template <typename D>
   requires AbstractDomain<D>
 class IncrementalChecker {

@@ -45,12 +45,15 @@ namespace {
 struct Adjacency {
   std::vector<std::vector<EdgeId>> Succ, Pred;
 
-  Adjacency(const Cfg &G) {
+  Adjacency(const Cfg &G, std::vector<Loc> &EdgeSrc) {
     Succ.resize(G.numLocs());
     Pred.resize(G.numLocs());
     for (const auto &[Id, E] : G.edges()) {
       Succ[E.Src].push_back(Id);
       Pred[E.Dst].push_back(Id);
+      if (Id >= EdgeSrc.size())
+        EdgeSrc.resize(Id + 1, InvalidLoc);
+      EdgeSrc[Id] = E.Src;
     }
   }
 };
@@ -84,7 +87,7 @@ CfgInfo dai::analyzeCfg(const Cfg &G) {
   CfgInfo Info;
   Info.CfgVersion = G.version();
 
-  Adjacency Adj(G);
+  Adjacency Adj(G, Info.EdgeSrc);
 
   // Reverse postorder and reachability.
   std::vector<Loc> Post;

@@ -54,6 +54,10 @@ struct CfgInfo {
   /// Loc → forward in-edges, ordered by EdgeId; the 1-based position in this
   /// vector is the paper's fwd-edges-to index.
   std::map<Loc, std::vector<EdgeId>> FwdEdgesTo;
+  /// EdgeId → source location in this snapshot (InvalidLoc for removed ids).
+  /// Edits re-source edges in place, so a DAIG reconciling against a newer
+  /// snapshot reads its pre-edit sources here.
+  std::vector<Loc> EdgeSrc;
   std::set<Loc> JoinPoints;    ///< L⊔: forward in-degree ≥ 2.
 
   bool valid() const { return Error.empty(); }

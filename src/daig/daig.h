@@ -20,16 +20,21 @@
 /// (resetting directly nested loops to their initial two iterates) and
 /// slides the fix edge forward; dirtying an iterate rolls the fix edge back
 /// to iterates (0, 1) and deletes the unrolled region (a semantically
-/// equivalent, memory-friendlier variant of E-Loop; see DESIGN.md).
+/// equivalent, memory-friendlier variant of E-Loop; see docs/architecture.md,
+/// "DAIG edits").
 ///
-/// Two kinds of program edits are supported:
+/// Program edits:
 ///  - applyStatementEdit: in-place statement replacement — surgical dirtying
 ///    with no structural change;
-///  - rebuild(): after arbitrary structural CFG edits — reconstructs the
-///    DAIG skeleton, salvages every cell value whose name and defining
-///    computation are unchanged (incremental computation with names),
-///    re-adopts demanded unrollings of structurally untouched loops, and
-///    then dirties forward from every changed cell.
+///  - rebuild(): after arbitrary structural CFG edits — reconciles the DAIG
+///    with the CFG in place. Only the locations whose construction inputs
+///    changed, widened to the outermost loops around them, are rebuilt;
+///    every other cell keeps its name, value and degraded mark, and loops
+///    without a changed location keep their unrollings. Cells whose
+///    computation changed or that disappeared are emptied by the Fig. 9
+///    dirtying rules;
+///  - applyInsertedStatement: rebuild() for one statement insertion, whose
+///    few candidate locations are known, so the diff skips the scan.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -186,6 +191,9 @@ public:
   /// the engine propagate dirtying across function DAIGs.
   using EmptiedFn = std::function<void(Name)>;
 
+  /// Test access to internals (tests/daig_reconcile_test.cpp).
+  friend struct DaigTestPeer;
+
   /// Reference cell types (Fig. 6): τ ∈ {Stmt, Σ♯}.
   enum class CellType : uint8_t { StmtTy, StateTy };
 
@@ -207,7 +215,7 @@ public:
   /// Note: the memo table counts its own hits/misses/evictions into the
   /// Statistics attached to IT (MemoTable::attachStatistics) — attachment
   /// is the table owner's decision, since the sink must outlive the table
-  /// (this DAIG may be a short-lived rebuild temporary sharing the table).
+  /// (dirtyEverything builds a short-lived temporary sharing the table).
   Daig(Cfg *G, Elem EntryValue, Statistics *Stats = nullptr,
        MemoTable<D> *Memo = nullptr)
       : G(G), EntryValue(std::move(EntryValue)), Stats(Stats), Memo(Memo) {
@@ -352,274 +360,44 @@ public:
     return true;
   }
 
-  /// Surgically splices an inserted statement into the DAIG — the common
-  /// 85% case of the paper's edit workload — in O(out-degree · iteration
-  /// copies) structural work plus forward dirtying, with NO reconstruction.
-  ///
-  /// Preconditions: the CFG already contains the insertion performed by
-  /// cfg/edits.h insertStmtAt(L, S), whose result is \p R, and this DAIG
-  /// still reflects the *pre-edit* CFG. Two shapes exist (see edits.cpp):
-  ///  - after-splice (L not a loop header): L's old out-edges now originate
-  ///    at the fresh location M = R.HammockExit; the statement runs L → M;
-  ///  - before-splice (L a loop header, R.HammockExit == L): L's forward
-  ///    in-edges now target a fresh predecessor M; the statement runs M → L.
-  ///
-  /// Falls back to rebuild() (returning false) when the local patch does not
-  /// apply (e.g. the edit made previously unreachable code reachable).
+  /// Statement insertion — the common 85% case of the paper's edit
+  /// workload. Preconditions: the CFG already contains the insertion
+  /// cfg/edits.h insertStmtAt(L, S) made, whose result is \p R, and this
+  /// DAIG still reflects the pre-edit CFG. The splice is the rebuild() of
+  /// a known edit: only the new edge's endpoints and the destinations of
+  /// the edges that now leave its target can have changed, so the diff
+  /// looks at those locations alone instead of scanning the graph. (For a
+  /// splice before a loop head, L's out-edges are among the candidates;
+  /// they have not changed, which the diff confirms.) \p L is implied by
+  /// \p R. Returns true.
   bool applyInsertedStatement(Loc L, const InsertResult &R) {
+    (void)L;
     const CfgEdge *NewEdge = G->findEdge(R.FirstNewEdge);
     assert(NewEdge && "insertion must have created an edge");
-    bool BeforeHeader = R.HammockExit == L;
-    Loc M = BeforeHeader ? NewEdge->Src : R.HammockExit;
-    if (L >= Info->Reachable.size() || !Info->Reachable[L]) {
-      rebuild();
-      return false;
-    }
-
-    // Enumerate this DAIG's state cells at L across all iteration copies
-    // (and, for the before-header shape, only the 0th own-iterates).
-    std::vector<std::pair<Name, std::vector<uint32_t>>> LCells;
-    {
-      Loc DL;
-      std::vector<uint32_t> Counts;
-      for (const auto &[N, C] : Cells) {
-        if (C.T != CellType::StateTy)
-          continue;
-        if (!decodeState(N, DL, Counts) || DL != L)
-          continue;
-        if (BeforeHeader &&
-            (Counts.size() != Info->LoopNestOf[L].size() ||
-             Counts.back() != 0))
-          continue; // only full entry iterates (own count 0) are re-sourced
-        LCells.emplace_back(N, Counts);
-      }
-    }
-
-    Name NewStmtCell = BeforeHeader
-                           ? Name::pair(Name::loc(M), Name::loc(L))
-                           : Name::pair(Name::loc(L), Name::loc(M));
-    addStmtCell(NewStmtCell, NewEdge->Label);
-
-    std::vector<Name> DirtySeeds;
-    std::vector<Name> StmtCellsToDrop;
-
-    auto renameStmtSrc = [&](Name Old, Loc From, Loc To) -> Name {
-      // pair(a,b) → pair(a',b') with From ↦ To on the changed side; the
-      // join-indexed form wraps the plain pair in pair(num i, ·).
-      if (Old.kind() == Name::Kind::Pair &&
-          Old.left().kind() == Name::Kind::Num) {
-        Name Inner = Old.right();
-        Name NewInner =
-            Name::pair(Inner.left().locId() == From ? Name::loc(To)
-                                                    : Inner.left(),
-                       Inner.right().locId() == From ? Name::loc(To)
-                                                     : Inner.right());
-        return Name::pair(Old.left(), NewInner);
-      }
-      return Name::pair(Old.left().kind() == Name::Kind::Loc &&
-                                Old.left().locId() == From
-                            ? Name::loc(To)
-                            : Old.left(),
-                        Old.right().kind() == Name::Kind::Loc &&
-                                Old.right().locId() == From
-                            ? Name::loc(To)
-                            : Old.right());
-    };
-
-    if (!BeforeHeader) {
-      // After-splice: for each iteration copy SL of L's state, introduce
-      // M's state cell fed by the new statement, and re-source every
-      // consumer transfer from M with a renamed statement cell.
-      for (const auto &[SL, Counts] : LCells) {
-        Name NM = SL; // same counts: M inherits L's loop nest exactly
-        {
-          Name Base = Name::loc(M);
-          for (uint32_t C : Counts)
-            Base = Name::iter(Base, C);
-          NM = Base;
-        }
-        addStateCell(NM);
-        addComp(NM, FnKind::Transfer, {NewStmtCell, SL});
-        auto DepIt = Dependents.find(SL);
-        std::vector<Name> Consumers;
-        if (DepIt != Dependents.end())
-          Consumers.assign(DepIt->second.begin(), DepIt->second.end());
-        for (Name Dest : Consumers) {
-          if (Dest == NM)
-            continue;
-          auto CIt = CompOf.find(Dest);
-          if (CIt == CompOf.end() || CIt->second.F != FnKind::Transfer)
-            return rebuildFallback();
-          Comp C = CIt->second;
-          if (!(C.Srcs[1] == SL))
-            return rebuildFallback();
-          Name OldStmt = C.Srcs[0];
-          Name NewStmt = renameStmtSrc(OldStmt, L, M);
-          auto OldStmtIt = Cells.find(OldStmt);
-          if (OldStmtIt == Cells.end())
-            return rebuildFallback();
-          addStmtCell(NewStmt, std::get<Stmt>(*OldStmtIt->second.V));
-          StmtCellsToDrop.push_back(OldStmt);
-          addComp(Dest, FnKind::Transfer, {NewStmt, NM});
-          DirtySeeds.push_back(Dest);
-        }
-      }
-    } else {
-      // Before-splice: L's entry iterates S0 now read the new statement
-      // from M, whose cell takes over S0's former computation with the
-      // entry edges re-targeted.
-      for (const auto &[S0, Counts] : LCells) {
-        Name NM;
-        {
-          Name Base = Name::loc(M);
-          for (size_t I = 0; I + 1 < Counts.size(); ++I)
-            Base = Name::iter(Base, Counts[I]); // M sits outside L's loop
-          NM = Base;
-        }
-        addStateCell(NM);
-        auto CIt = CompOf.find(S0);
-        if (CIt == CompOf.end())
-          return rebuildFallback();
-        Comp C = CIt->second;
-        if (C.F == FnKind::Transfer) {
-          Name NewStmt = renameStmtSrc(C.Srcs[0], L, M);
-          auto OldStmtIt = Cells.find(C.Srcs[0]);
-          if (OldStmtIt == Cells.end())
-            return rebuildFallback();
-          addStmtCell(NewStmt, std::get<Stmt>(*OldStmtIt->second.V));
-          StmtCellsToDrop.push_back(C.Srcs[0]);
-          addComp(NM, FnKind::Transfer, {NewStmt, C.Srcs[1]});
-        } else if (C.F == FnKind::Join) {
-          std::vector<Name> NewPreJoins;
-          for (Name PJ : C.Srcs) {
-            auto PJComp = CompOf.find(PJ);
-            if (PJComp == CompOf.end() ||
-                PJComp->second.F != FnKind::Transfer)
-              return rebuildFallback();
-            Name NewPJ = Name::pair(PJ.left(), NM);
-            Name NewStmt = renameStmtSrc(PJComp->second.Srcs[0], L, M);
-            auto OldStmtIt = Cells.find(PJComp->second.Srcs[0]);
-            if (OldStmtIt == Cells.end())
-              return rebuildFallback();
-            addStmtCell(NewStmt, std::get<Stmt>(*OldStmtIt->second.V));
-            StmtCellsToDrop.push_back(PJComp->second.Srcs[0]);
-            addStateCell(NewPJ);
-            addComp(NewPJ, FnKind::Transfer,
-                    {NewStmt, PJComp->second.Srcs[1]});
-            NewPreJoins.push_back(NewPJ);
-            removeCell(PJ);
-          }
-          addComp(NM, FnKind::Join, std::move(NewPreJoins));
-        } else {
-          return rebuildFallback();
-        }
-        addComp(S0, FnKind::Transfer, {NewStmtCell, NM});
-        DirtySeeds.push_back(S0);
-      }
-    }
-
-    for (Name SC : StmtCellsToDrop)
-      if (!Dependents.count(SC) || Dependents[SC].empty())
-        Cells.erase(SC);
-
-    // Refresh structural facts (the CFG gained a location) and dirty
-    // forward from every re-sourced consumer.
-    Info = G->infoShared();
-    assert(Info->valid() && "insertion must preserve well-formedness");
-    std::set<Name> Visited;
-    std::vector<Name> Work;
-    for (Name Seed : DirtySeeds)
-      Work.push_back(Seed);
-    propagateDirty(Work, Visited);
+    std::vector<Loc> Candidates = {NewEdge->Src, NewEdge->Dst};
+    for (EdgeId Id : G->succEdges(NewEdge->Dst))
+      Candidates.push_back(G->findEdge(Id)->Dst);
+    reconcile(/*Everywhere=*/false, &Candidates);
     return true;
   }
 
-  /// Reconstructs the DAIG after structural CFG edits, salvaging values by
-  /// name and re-adopting unrollings of untouched loops, then dirtying
-  /// forward from every changed cell.
-  void rebuild() {
-    Daig Fresh(G, EntryValue, Stats, Memo);
-    Fresh.Hook = Hook;
-    Fresh.OnCellEmptied = OnCellEmptied;
-
-    // Pass 1 — salvage: copy values into fresh cells whose defining
-    // computation is unchanged (incremental computation with names).
-    for (auto &[N, FreshCell] : Fresh.Cells) {
-      auto OldIt = Cells.find(N);
-      if (OldIt == Cells.end() || FreshCell.T != OldIt->second.T ||
-          FreshCell.T != CellType::StateTy)
-        continue;
-      auto FreshComp = Fresh.CompOf.find(N);
-      auto OldComp = CompOf.find(N);
-      bool FreshHas = FreshComp != Fresh.CompOf.end();
-      bool OldHas = OldComp != CompOf.end();
-      if (FreshHas != OldHas ||
-          (FreshHas && !(FreshComp->second == OldComp->second)))
-        continue;
-      if (OldIt->second.hasValue() && !FreshCell.hasValue())
-        FreshCell.V = OldIt->second.V;
-    }
-
-    // Pass 2 — re-adopt demanded unrollings for loop instances whose
-    // iteration-0 structure (cells, computations, statements) is unchanged.
-    // Cells are bucketed by instance once so this pass is O(cells · depth)
-    // rather than O(cells · loops).
-    bool AnyUnrolled = false;
-    for (const auto &[FixDest, Inst] : Loops)
-      if (Inst.K > 1)
-        AnyUnrolled = true;
-    if (AnyUnrolled) {
-      InstanceBuckets FreshBuckets = Fresh.groupCellsByInstance();
-      InstanceBuckets OldBuckets = groupCellsByInstance();
-      static const std::vector<std::pair<Name, uint32_t>> Empty;
-      for (const auto &[FixDest, Inst] : Loops) {
-        if (Inst.K <= 1)
-          continue;
-        if (!Fresh.Loops.count(FixDest))
-          continue;
-        auto FB = FreshBuckets.find(FixDest);
-        if (FB == FreshBuckets.end())
-          continue;
-        if (!iterationZeroUnchanged(Fresh, Inst, FB->second))
-          continue;
-        auto OB = OldBuckets.find(FixDest);
-        adoptUnrollings(Fresh, FixDest, Inst,
-                        OB == OldBuckets.end() ? Empty : OB->second);
-      }
-    }
-
-    // Pass 3 — change detection against the post-adoption structure, then
-    // forward dirtying from every changed cell.
-    std::vector<Name> Changed;
-    for (auto &[N, FreshCell] : Fresh.Cells) {
-      auto OldIt = Cells.find(N);
-      if (OldIt == Cells.end()) {
-        Changed.push_back(N);
-        continue;
-      }
-      const Cell &Old = OldIt->second;
-      if (FreshCell.T != Old.T) {
-        Changed.push_back(N);
-        continue;
-      }
-      if (FreshCell.T == CellType::StmtTy) {
-        if (!(std::get<Stmt>(*FreshCell.V) == std::get<Stmt>(*Old.V)))
-          Changed.push_back(N);
-        continue;
-      }
-      auto FreshComp = Fresh.CompOf.find(N);
-      auto OldComp = CompOf.find(N);
-      bool FreshHas = FreshComp != Fresh.CompOf.end();
-      bool OldHas = OldComp != CompOf.end();
-      if (FreshHas != OldHas ||
-          (FreshHas && !(FreshComp->second == OldComp->second)))
-        Changed.push_back(N);
-    }
-    for (Name N : Changed)
-      Fresh.dirtyDependentsOf(N);
-
-    swapWith(Fresh);
-  }
+  /// Reconciles the DAIG with the current CFG after structural edits — any
+  /// number of them since the DAIG last matched its CFG — by rebuilding only
+  /// the region they touched. A location is *changed* when one of its
+  /// construction inputs differs between the pinned snapshot and the current
+  /// CFG (locationChanged); the region is every changed location plus every
+  /// outermost loop, old or new, around one. Loops around a changed
+  /// location roll back to iteration 0 first (E-Loop); then the region
+  /// alone is rebuilt. Cells outside it are not touched, loops without a
+  /// changed location keep their unrollings, and a rebuilt cell whose name
+  /// and computation are unchanged keeps its value and its degraded mark.
+  /// A filled cell whose computation changed, or which disappears, is
+  /// emptied through propagateDirty, so OnCellEmptied, forward dirtying and
+  /// E-Loop rollback behave exactly as for any other edit. The cost is the
+  /// diff (a linear scan over locations) plus work proportional to the
+  /// region and to the cells the edit dirties. See docs/architecture.md,
+  /// "DAIG edits".
+  void rebuild() { reconcile(/*Everywhere=*/false); }
 
   /// Empties every abstract-state cell and resets all loops (the
   /// demand-driven-only configuration: "dirty the full DAIG").
@@ -781,8 +559,9 @@ public:
 
   /// Structural self-audit beyond Definition 4.1: checkWellFormed plus
   /// Dependents↔CompOf index consistency, loop-instance metadata sanity,
-  /// and degraded-set honesty. Cheap (no domain operations) — safe to run
-  /// on a mid-cancelled DAIG. Returns "" when clean.
+  /// names that fit the pinned snapshot, and degraded-set honesty. Cheap
+  /// (no domain operations) — safe to run on a mid-cancelled DAIG.
+  /// Returns "" when clean.
   std::string auditInvariants() const {
     std::string W = checkWellFormed();
     if (!W.empty())
@@ -825,6 +604,21 @@ public:
           return "fix sources disagree with instance metadata: " +
                  FixDest.toString();
       }
+    }
+    // Names fit the snapshot: a state-like cell names a reachable location
+    // with one count per enclosing loop (one fewer for a head's fix cell),
+    // so no cell a structural edit should have removed survives it.
+    for (const auto &[N, C] : Cells) {
+      Loc L;
+      std::vector<uint32_t> Counts;
+      if (!decodeCellState(N, L, Counts))
+        continue;
+      if (L >= Info->Reachable.size() || !Info->Reachable[L])
+        return "cell of an unreachable location: " + N.toString();
+      size_t Depth = Info->LoopNestOf[L].size();
+      if (Counts.size() != Depth &&
+          !(Info->isLoopHead(L) && Counts.size() + 1 == Depth))
+        return "cell name disagrees with its loop nest: " + N.toString();
     }
     // Degraded honesty: every mark names a live, filled state cell (marks
     // are erased whenever a cell is emptied or removed).
@@ -892,15 +686,9 @@ private:
   };
   std::unordered_map<Name, LoopInstance, NameHash> Loops;
 
-  /// rebuild() wrapped for use in surgical fallbacks (returns false so the
-  /// caller can report that the fast path did not apply).
-  bool rebuildFallback() {
-    rebuild();
-    return false;
-  }
-
   void swapWith(Daig &O) {
     std::swap(Info, O.Info);
+    std::swap(LabelEdits, O.LabelEdits);
     std::swap(Cells, O.Cells);
     std::swap(CompOf, O.CompOf);
     std::swap(Dependents, O.Dependents);
@@ -979,27 +767,41 @@ private:
 
   void addStateCell(Name N) {
     Cells.emplace(N, Cell{CellType::StateTy, std::nullopt});
+    if (Log)
+      Log->Built.push_back(N);
   }
 
   void addStmtCell(Name N, const Stmt &S) {
-    auto [It, Inserted] = Cells.emplace(
-        N, Cell{CellType::StmtTy, std::variant<Stmt, Elem>(S)});
-    if (!Inserted)
+    auto [It, Inserted] =
+        Cells.emplace(N, Cell{CellType::StmtTy, std::nullopt});
+    if (Inserted) {
       It->second.V = std::variant<Stmt, Elem>(S);
+    } else if (!(std::get<Stmt>(*It->second.V) == S)) {
+      It->second.V = std::variant<Stmt, Elem>(S);
+      if (Log)
+        Log->Changed.push_back(N);
+    }
+    if (Log)
+      Log->Built.push_back(N);
   }
 
+  /// Sets Dest's computation; a no-op when it is already exactly that.
   void addComp(Name Dest, FnKind F, std::vector<Name> Srcs) {
-    removeComp(Dest);
+    auto [It, Inserted] = CompOf.try_emplace(Dest);
+    if (!Inserted) {
+      if (It->second.F == F && It->second.Srcs == Srcs)
+        return;
+      unlinkSources(Dest, It->second.Srcs);
+    }
+    if (Log)
+      Log->Changed.push_back(Dest);
     for (Name S : Srcs)
       Dependents[S].insert(Dest);
-    CompOf[Dest] = Comp{F, std::move(Srcs)};
+    It->second = Comp{F, std::move(Srcs)};
   }
 
-  void removeComp(Name Dest) {
-    auto It = CompOf.find(Dest);
-    if (It == CompOf.end())
-      return;
-    for (Name S : It->second.Srcs) {
+  void unlinkSources(Name Dest, const std::vector<Name> &Srcs) {
+    for (Name S : Srcs) {
       auto DIt = Dependents.find(S);
       if (DIt != Dependents.end()) {
         DIt->second.erase(Dest);
@@ -1007,6 +809,13 @@ private:
           Dependents.erase(DIt);
       }
     }
+  }
+
+  void removeComp(Name Dest) {
+    auto It = CompOf.find(Dest);
+    if (It == CompOf.end())
+      return;
+    unlinkSources(Dest, It->second.Srcs);
     CompOf.erase(It);
   }
 
@@ -1028,30 +837,47 @@ private:
     Dependents.clear();
     Loops.clear();
     Info = G->infoShared();
+    LabelEdits = labelEditCount();
     if (!Info->valid())
       return;
-    // The entry cell holds φ0 and must have no forward in-edges.
-    assert(Info->FwdEdgesTo.count(G->entry()) == 0 &&
-           "the entry location cannot be a forward-edge target");
-    CountCtx Ctx;
-    Name EntryName = stateCellName(G->entry(), Ctx);
-    addStateCell(EntryName);
-    Cells.at(EntryName).V = std::variant<Stmt, Elem>(EntryValue);
+    for (Loc L : Info->Rpo)
+      buildTopLevel(L);
+  }
 
-    for (Loc L : Info->Rpo) {
-      if (L == G->entry())
-        continue;
-      if (Info->inAnyLoop(L)) {
-        const auto &Nest = Info->LoopNestOf[L];
-        if (Nest.size() == 1 && Nest[0] == L) {
-          // Outermost loop head: entry edges target iterate 0.
-          buildEdgesInto(L, Ctx);
-          buildIteration(L, Ctx, 0);
-        }
-        continue; // body locations are built inside buildIteration
-      }
-      buildEdgesInto(L, Ctx);
+  /// Builds what location \p L owns outside every loop: the entry's φ0
+  /// cell, a loop-free location's cells, or an outermost loop with all it
+  /// contains. Locations inside loops are built by their outermost loop.
+  void buildTopLevel(Loc L) {
+    CountCtx Ctx;
+    if (L == G->entry()) {
+      // The entry cell holds φ0 and must have no forward in-edges.
+      assert(Info->FwdEdgesTo.count(L) == 0 &&
+             "the entry location cannot be a forward-edge target");
+      Name N = stateCellName(L, Ctx);
+      auto [It, Inserted] =
+          Cells.emplace(N, Cell{CellType::StateTy, std::nullopt});
+      if (Inserted)
+        It->second.V = std::variant<Stmt, Elem>(EntryValue);
+      if (Log)
+        Log->Built.push_back(N);
+      return;
     }
+    const auto &Nest = Info->LoopNestOf[L];
+    if (Nest.empty()) {
+      buildEdgesInto(L, Ctx);
+    } else if (Nest.front() == L) {
+      // Outermost loop head: entry edges target iterate 0.
+      buildEdgesInto(L, Ctx);
+      buildLoop(L, Ctx);
+    }
+  }
+
+  /// Statement-cell name of the edge Src→Dst: plain for a back edge or a
+  /// destination's only forward edge, else wrapped by its 1-based
+  /// fwd-edges-to index \p Idx among \p InDegree forward in-edges.
+  static Name stmtName(Loc Src, Loc Dst, unsigned Idx, size_t InDegree) {
+    Name Plain = Name::pair(Name::loc(Src), Name::loc(Dst));
+    return InDegree < 2 ? Plain : Name::pair(Name::num(Idx), Plain);
   }
 
   /// Builds the state cell for \p L under \p Ctx plus the transfer (and, at
@@ -1065,7 +891,7 @@ private:
     const std::vector<EdgeId> &Ids = It->second;
     if (Ids.size() == 1) {
       const CfgEdge *E = G->findEdge(Ids[0]);
-      Name SC = Name::pair(Name::loc(E->Src), Name::loc(E->Dst));
+      Name SC = stmtName(E->Src, L, 1, 1);
       addStmtCell(SC, E->Label);
       addComp(Dest, FnKind::Transfer, {SC, srcStateName(E->Src, L, Ctx)});
       return;
@@ -1073,8 +899,7 @@ private:
     std::vector<Name> PreJoins;
     for (unsigned I = 0; I < Ids.size(); ++I) {
       const CfgEdge *E = G->findEdge(Ids[I]);
-      Name Plain = Name::pair(Name::loc(E->Src), Name::loc(E->Dst));
-      Name SC = Name::pair(Name::num(I + 1), Plain);
+      Name SC = stmtName(E->Src, L, I + 1, Ids.size());
       addStmtCell(SC, E->Label);
       Name PJ = preJoinCellName(L, Ctx, I + 1);
       addStateCell(PJ);
@@ -1093,15 +918,42 @@ private:
     return stateCellName(Src, Ctx);
   }
 
+  /// Builds the loop headed at \p L under the enclosing counts \p Ctx:
+  /// iterations 0 … K−1 and the fix edge over iterates (K−1, K), where K is
+  /// the live instance's count (1 for a new instance). Rebuilding a live
+  /// instance therefore reproduces its unrollings cell for cell.
+  void buildLoop(Loc L, const CountCtx &Ctx) {
+    Name FixDest = fixCellName(L, Ctx);
+    auto LIt = Loops.find(FixDest);
+    uint32_t K = LIt == Loops.end() ? 1u : LIt->second.K;
+    std::pair<Name, Name> Its;
+    for (uint32_t I = 0; I < K; ++I)
+      Its = buildIteration(L, Ctx, I);
+    setFix(FixDest, L, Ctx, K, Its);
+  }
+
+  /// Points the fix edge of the loop at \p L (enclosing counts \p Ctx) at
+  /// iterates \p Its = (K−1, K) and records the instance.
+  void setFix(Name FixDest, Loc L, const CountCtx &Ctx, uint32_t K,
+              const std::pair<Name, Name> &Its) {
+    addStateCell(FixDest);
+    addComp(FixDest, FnKind::Fix, {Its.first, Its.second});
+    std::vector<std::pair<Loc, uint32_t>> EnclosingCtx;
+    for (Loc H : Info->LoopNestOf[L])
+      if (H != L)
+        EnclosingCtx.emplace_back(H, Ctx.count(H) ? Ctx.at(H) : 0u);
+    Loops[FixDest] = LoopInstance{L, std::move(EnclosingCtx), K};
+  }
+
   /// Builds abstract iteration \p I of the loop headed at \p L: the body
-  /// cells under count I, nested loops reset to their initial iterates, the
-  /// back-edge transfer into the pre-widen cell, the widen into iterate I+1,
-  /// and the fix edge over (I, I+1). Idempotent per (L, Ctx, I).
-  void buildIteration(Loc L, CountCtx Ctx, uint32_t I) {
+  /// cells under count I (nested loops through buildLoop), the back-edge
+  /// transfer into the pre-widen cell and the widen into iterate I+1.
+  /// Returns iterates (I, I+1); the caller points the fix edge. Idempotent
+  /// per (L, Ctx, I).
+  std::pair<Name, Name> buildIteration(Loc L, CountCtx Ctx, uint32_t I) {
     Ctx[L] = I;
     Name ItI = stateCellName(L, Ctx);
-    if (!Cells.count(ItI))
-      addStateCell(ItI);
+    addStateCell(ItI);
     Ctx[L] = I + 1;
     Name ItNext = stateCellName(L, Ctx);
     addStateCell(ItNext);
@@ -1109,39 +961,31 @@ private:
     Name PreWiden = Name::pair(ItI, ItNext);
     addStateCell(PreWiden);
     addComp(ItNext, FnKind::Widen, {ItI, PreWiden});
-    Name FixDest = fixCellName(L, Ctx);
-    if (!Cells.count(FixDest))
-      addStateCell(FixDest);
-    addComp(FixDest, FnKind::Fix, {ItI, ItNext});
-    std::vector<std::pair<Loc, uint32_t>> EnclosingCtx;
-    for (Loc H : Info->LoopNestOf[L])
-      if (H != L)
-        EnclosingCtx.emplace_back(H, Ctx.count(H) ? Ctx.at(H) : 0u);
-    Loops[FixDest] = LoopInstance{L, std::move(EnclosingCtx), I + 1};
 
-    // Body cells and computations under count I.
-    const std::set<Loc> &Body = Info->NaturalLoops.at(L);
-    for (Loc B : Info->Rpo) {
-      if (B == L || !Body.count(B))
+    // Body cells and computations under count I (in any order: each
+    // location's cells name their sources, built or not).
+    for (Loc B : Info->NaturalLoops.at(L)) {
+      if (B == L)
         continue;
       const auto &Nest = Info->LoopNestOf[B];
       if (Nest.back() == B && Nest.size() >= 2 &&
           Nest[Nest.size() - 2] == L) {
-        // Directly nested loop: entry edges, then its initial iteration.
+        // Directly nested loop: entry edges, then its iterations.
         buildEdgesInto(B, Ctx);
-        buildIteration(B, Ctx, 0);
+        buildLoop(B, Ctx);
         continue;
       }
       if (Nest.back() == L)
         buildEdgesInto(B, Ctx);
-      // Deeper locations are built by the nested buildIteration.
+      // Deeper locations are built by the nested buildLoop.
     }
 
     // Back edge: transfer from the latch state into the pre-widen cell.
     const CfgEdge *Back = G->findEdge(Info->LoopBackEdge.at(L));
-    Name SC = Name::pair(Name::loc(Back->Src), Name::loc(Back->Dst));
+    Name SC = stmtName(Back->Src, L, 0, 1);
     addStmtCell(SC, Back->Label);
     addComp(PreWiden, FnKind::Transfer, {SC, stateCellName(Back->Src, Ctx)});
+    return {ItI, ItNext};
   }
 
   //===--------------------------------------------------------------------===//
@@ -1281,14 +1125,14 @@ private:
   /// Demanded unrolling: builds the next abstract iteration and slides the
   /// fix edge forward (the unroll helper of Section 5.2).
   void unrollLoop(Name FixDest) {
-    LoopInstance &Inst = Loops.at(FixDest);
-    CountCtx Ctx;
-    for (const auto &[H, C] : Inst.Ctx)
-      Ctx[H] = C;
-    uint32_t NextIter = Inst.K;
-    buildIteration(Inst.Head, Ctx, NextIter);
-    // buildIteration refreshed Loops[FixDest].K to NextIter + 1.
-    assert(Loops.at(FixDest).K == NextIter + 1 && "unroll bookkeeping");
+    const LoopInstance &Inst = Loops.at(FixDest);
+    Loc L = Inst.Head;
+    uint32_t K = Inst.K;
+    CountCtx Ctx(Inst.Ctx.begin(), Inst.Ctx.end());
+    // buildIteration may add nested instances (rehashing Loops): Inst is
+    // not used past this point.
+    std::pair<Name, Name> Its = buildIteration(L, Ctx, K);
+    setFix(FixDest, L, Ctx, K + 1, Its);
   }
 
   /// Q-Match / Q-Miss evaluation of a non-fix computation.
@@ -1307,10 +1151,13 @@ private:
       const Stmt S = stmtOf(C.Srcs[0]); // copy: map may rehash during query
       Elem In = queryState(C.Srcs[1]);
       bool IsCall = S.Kind == StmtKind::Call;
-      Name Key = Name::pair(
-          Name::fn(FnKind::Transfer),
-          Name::pair(Name::valHash(S.hash()), Name::valHash(D::hash(In))));
-      if (!IsCall && Memo) {
+      // Memo keys cost hashing and interning: build one only when a memo
+      // table will read it (never for calls, whose hook is the summary).
+      Name Key;
+      if (Memo && !IsCall) {
+        Key = Name::pair(
+            Name::fn(FnKind::Transfer),
+            Name::pair(Name::valHash(S.hash()), Name::valHash(D::hash(In))));
         if (auto Hit = Memo->lookup(Key)) {
           provMarkTop(DemandOutcome::MemoHit);
           return *Hit;
@@ -1319,19 +1166,20 @@ private:
       if (Stats)
         ++Stats->Transfers;
       Elem Out = (IsCall && Hook) ? Hook(S, In) : D::transfer(S, In);
-      if (!IsCall && Memo)
+      if (Memo && !IsCall)
         Memo->store(Key, Out);
       return Out;
     }
     case FnKind::Join: {
       std::vector<Elem> Ins;
       Ins.reserve(C.Srcs.size());
-      Name Key = Name::fn(FnKind::Join);
-      for (Name S : C.Srcs) {
+      for (Name S : C.Srcs)
         Ins.push_back(queryState(S));
-        Key = Name::pair(Key, Name::valHash(D::hash(Ins.back())));
-      }
+      Name Key;
       if (Memo) {
+        Key = Name::fn(FnKind::Join);
+        for (const Elem &In : Ins)
+          Key = Name::pair(Key, Name::valHash(D::hash(In)));
         if (auto Hit = Memo->lookup(Key)) {
           provMarkTop(DemandOutcome::MemoHit);
           return *Hit;
@@ -1351,10 +1199,11 @@ private:
     case FnKind::Widen: {
       Elem Prev = queryState(C.Srcs[0]);
       Elem Next = queryState(C.Srcs[1]);
-      Name Key = Name::pair(
-          Name::fn(FnKind::Widen),
-          Name::pair(Name::valHash(D::hash(Prev)), Name::valHash(D::hash(Next))));
+      Name Key;
       if (Memo) {
+        Key = Name::pair(Name::fn(FnKind::Widen),
+                         Name::pair(Name::valHash(D::hash(Prev)),
+                                    Name::valHash(D::hash(Next))));
         if (auto Hit = Memo->lookup(Key)) {
           provMarkTop(DemandOutcome::MemoHit);
           return *Hit;
@@ -1515,7 +1364,7 @@ private:
   }
 
   //===--------------------------------------------------------------------===//
-  // Rebuild helpers
+  // Reconciling with structural CFG edits (rebuild)
   //===--------------------------------------------------------------------===//
 
   /// The "result" cell name for \p L assuming all enclosing loops are at
@@ -1528,156 +1377,258 @@ private:
     return stateCellName(L, Ctx);
   }
 
-  /// Precomputed instance membership: fix-cell name → (cell, iteration
-  /// count at that instance's loop position), for every cell inside any
-  /// loop. One O(cells · depth) pass replaces per-instance scans.
-  using InstanceBuckets =
-      std::unordered_map<Name, std::vector<std::pair<Name, uint32_t>>,
-                         NameHash>;
+  /// What the builder records while rebuild() runs it (Log is null
+  /// otherwise): every cell name it builds, and the cells whose computation
+  /// or statement it changed.
+  struct ReconcileLog {
+    std::vector<Name> Built; ///< In build order; may repeat a name.
+    std::vector<Name> Changed;
+  };
+  ReconcileLog *Log = nullptr;
 
-  InstanceBuckets groupCellsByInstance() const {
-    InstanceBuckets B;
-    Loc L;
-    std::vector<uint32_t> Counts;
-    for (const auto &[N, CellV] : Cells) {
-      (void)CellV;
-      if (!decodeCellState(N, L, Counts))
-        continue;
-      if (L >= Info->LoopNestOf.size())
-        continue;
-      const auto &Nest = Info->LoopNestOf[L];
-      CountCtx Ctx;
-      for (size_t P = 0; P < Nest.size() && P < Counts.size(); ++P) {
-        B[fixCellName(Nest[P], Ctx)].emplace_back(N, Counts[P]);
-        Ctx[Nest[P]] = Counts[P];
+  /// Statement replacements the CFG has seen (replaceStmt bumps version()
+  /// but not structuralVersion()). When this still equals LabelEdits, no
+  /// label changed behind the DAIG's back and the diff skips label checks.
+  uint64_t labelEditCount() const {
+    return G->version() - G->structuralVersion();
+  }
+  uint64_t LabelEdits = 0; ///< labelEditCount() when the DAIG last matched.
+
+  /// rebuild(), or with \p Everywhere every location rebuilt: the full
+  /// rebuild, reachable only from tests, which must agree with the region
+  /// rebuild cell for cell. \p Only, when given, lists the only locations
+  /// the edits since the last reconcile can have changed (the diff checks
+  /// just those unless a statement label changed behind the DAIG's back).
+  void reconcile(bool Everywhere, const std::vector<Loc> *Only = nullptr) {
+    std::shared_ptr<const CfgInfo> New = G->infoShared();
+    if (!Info->valid() || !New->valid()) {
+      // Ill-formed graphs get no cells (construct): empty what is filled,
+      // then start over.
+      std::vector<Name> Work;
+      for (const auto &[N, C] : Cells)
+        if (C.T == CellType::StateTy && C.hasValue())
+          Work.push_back(N);
+      std::set<Name> Visited;
+      propagateDirty(Work, Visited);
+      construct();
+      return;
+    }
+    bool Labels = LabelEdits != labelEditCount();
+    if (New == Info && !Labels && !Everywhere)
+      return; // the graph has not changed since the DAIG last matched it
+    std::shared_ptr<const CfgInfo> Pinned = Info; // outlives the swap below
+    const CfgInfo &Old = *Pinned;
+    size_t NumLocs = std::max(Old.Reachable.size(), New->Reachable.size());
+
+    // 1. Region: the changed locations, widened to every outermost loop
+    //    (old or new) containing one.
+    std::vector<char> InRegion(NumLocs, 0), OldOuter(NumLocs, 0),
+        NewOuter(NumLocs, 0), RollBack(NumLocs, 0);
+    std::vector<Loc> Region, Work;
+    auto Add = [&](Loc X) {
+      if (!InRegion[X]) {
+        InRegion[X] = 1;
+        Region.push_back(X);
+        Work.push_back(X);
+      }
+    };
+    std::vector<Loc> Changed;
+    auto Check = [&](Loc X) {
+      if (InRegion[X] || !locationChanged(*New, X, Labels))
+        return;
+      Changed.push_back(X);
+      Add(X);
+      if (X < Old.LoopNestOf.size())
+        for (Loc H : Old.LoopNestOf[X])
+          RollBack[H] = 1; // this loop's old body holds a changed location
+    };
+    if (Only && !Labels) {
+      for (Loc X : *Only)
+        Check(X);
+    } else {
+      for (Loc X = 0; X < NumLocs; ++X)
+        Check(X);
+    }
+    while (!Work.empty()) {
+      Loc X = Work.back();
+      Work.pop_back();
+      for (const CfgInfo *I : {&Old, New.get()}) {
+        if (X >= I->LoopNestOf.size() || I->LoopNestOf[X].empty())
+          continue;
+        Loc H = I->LoopNestOf[X].front();
+        std::vector<char> &Done = I == &Old ? OldOuter : NewOuter;
+        if (Done[H])
+          continue;
+        Done[H] = 1;
+        for (Loc B : I->NaturalLoops.at(H))
+          Add(B);
       }
     }
-    return B;
-  }
+    if (Everywhere)
+      for (Loc X = 0; X < NumLocs; ++X)
+        if ((X < Old.Reachable.size() && Old.Reachable[X]) ||
+            (X < New->Reachable.size() && New->Reachable[X]))
+          Add(X);
 
-  /// True when iteration 0 of \p Inst has identical structure (cells,
-  /// computations, statement contents) in \p Fresh — the condition for
-  /// re-adopting its demanded unrollings across a structural edit.
-  /// \p FreshBucket lists Fresh's cells belonging to this instance.
-  bool iterationZeroUnchanged(
-      const Daig &Fresh, const LoopInstance &Inst,
-      const std::vector<std::pair<Name, uint32_t>> &FreshBucket) {
-    Loc L = Inst.Head;
-    if (L >= Fresh.Info->LoopNestOf.size() || !Fresh.Info->isLoopHead(L))
-      return false;
-    if (Fresh.Info->LoopNestOf[L] != Info->LoopNestOf[L])
-      return false;
-    auto FreshLoop = Fresh.Info->NaturalLoops.find(L);
-    auto OldLoop = Info->NaturalLoops.find(L);
-    if (FreshLoop == Fresh.Info->NaturalLoops.end() ||
-        OldLoop == Info->NaturalLoops.end() ||
-        FreshLoop->second != OldLoop->second)
-      return false;
-    // Every fresh cell belonging to this instance must exist unchanged in
-    // the old DAIG (computations equal).
-    for (const auto &[N, CountAtL] : FreshBucket) {
-      (void)CountAtL;
-      auto FreshIt = Fresh.Cells.find(N);
-      auto OldIt = Cells.find(N);
-      if (OldIt == Cells.end() ||
-          OldIt->second.T != FreshIt->second.T)
-        return false;
-      auto FreshComp = Fresh.CompOf.find(N);
-      auto OldComp = CompOf.find(N);
-      bool FH = FreshComp != Fresh.CompOf.end();
-      bool OH = OldComp != CompOf.end();
-      if (FH != OH)
-        return false;
-      if (FH && FreshComp->second.F != FnKind::Fix &&
-          !(FreshComp->second == OldComp->second))
-        return false;
-    }
-    // Statement cells used inside the loop (incl. the back edge and entry
-    // edges) must be unchanged.
-    for (const auto &[Id, E] : G->edges()) {
-      if (!OldLoop->second.count(E.Src) && !OldLoop->second.count(E.Dst))
+    // 2. Roll every instance of a loop around a changed location back to
+    //    iteration 0 (E-Loop, under the old snapshot), then retire those
+    //    instances: the rebuild re-creates the ones that still exist. Other
+    //    loops in the region keep their unrollings; buildLoop replays them.
+    std::vector<Name> Seeds, Retired;
+    for (const auto &[FixDest, Inst] : Loops) {
+      if (!RollBack[Inst.Head])
         continue;
-      Name SC = Fresh.stmtCellName(Id);
-      auto OldIt = Cells.find(SC);
-      if (OldIt == Cells.end() ||
-          !(std::get<Stmt>(*OldIt->second.V) == E.Label))
-        return false;
-    }
-    return true;
-  }
-
-  /// True when cell \p N (in \p Ref's naming) belongs to the body/iterates
-  /// of loop instance \p Inst (any iteration count).
-  static bool belongsToInstance(const Daig &Ref, Name N,
-                                const LoopInstance &Inst) {
-    Loc CL;
-    std::vector<uint32_t> Counts;
-    if (!decodeCellState(N, CL, Counts))
-      return false;
-    if (CL >= Ref.Info->LoopNestOf.size())
-      return false;
-    const auto &CNest = Ref.Info->LoopNestOf[CL];
-    size_t P = 0;
-    for (; P < CNest.size(); ++P)
-      if (CNest[P] == Inst.Head)
-        break;
-    if (P >= CNest.size() || P >= Counts.size())
-      return false;
-    for (size_t Q = 0; Q < P; ++Q) {
-      uint32_t Expected = 0;
-      for (const auto &[H, C] : Inst.Ctx)
-        if (H == CNest[Q])
-          Expected = C;
-      if (Counts[Q] != Expected)
-        return false;
-    }
-    return true;
-  }
-
-  /// Copies this DAIG's unrolled iterations (≥ 1) of \p Inst into \p Fresh,
-  /// including values, computations, nested instances, and the fix edge.
-  /// \p OldBucket lists this DAIG's cells belonging to the instance.
-  void adoptUnrollings(Daig &Fresh, Name FixDest,
-                       const LoopInstance &Inst,
-                       const std::vector<std::pair<Name, uint32_t>> &OldBucket) {
-    for (const auto &[N, CountAtL] : OldBucket) {
-      (void)CountAtL;
-      auto CellIt = Cells.find(N);
-      if (CellIt == Cells.end())
-        continue;
-      const Cell &CellV = CellIt->second;
-      auto FreshIt = Fresh.Cells.find(N);
-      if (FreshIt == Fresh.Cells.end())
-        Fresh.Cells.emplace(N, CellV);
-      else if (CellV.hasValue() && !FreshIt->second.hasValue())
-        FreshIt->second.V = CellV.V;
-      auto CIt = CompOf.find(N);
-      if (CIt != CompOf.end()) {
-        auto FreshCIt = Fresh.CompOf.find(N);
-        if (FreshCIt == Fresh.CompOf.end() ||
-            !(FreshCIt->second == CIt->second))
-          Fresh.addComp(N, CIt->second.F, CIt->second.Srcs);
+      Retired.push_back(FixDest);
+      if (Inst.K > 1) {
+        CountCtx Ctx(Inst.Ctx.begin(), Inst.Ctx.end());
+        Ctx[Inst.Head] = 1;
+        Seeds.push_back(stateCellName(Inst.Head, Ctx));
       }
     }
-    // Fix edge position and metadata (incl. nested instances).
-    auto FIt = CompOf.find(FixDest);
-    assert(FIt != CompOf.end() && "unrolled loop must retain its fix edge");
-    Fresh.addComp(FixDest, FnKind::Fix, FIt->second.Srcs);
-    Fresh.Loops[FixDest] = Inst;
-    for (const auto &[NestedDest, NestedInst] : Loops) {
-      if (NestedDest == FixDest)
+    if (!Seeds.empty()) {
+      std::sort(Seeds.begin(), Seeds.end()); // Loops' order is incidental
+      std::set<Name> Visited;
+      propagateDirty(Seeds, Visited);
+    }
+    for (Name FixDest : Retired)
+      Loops.erase(FixDest);
+
+    // 3. The changed locations' cells under the old snapshot: candidates
+    //    for removal (an unchanged location keeps every name it had).
+    std::vector<Name> OldCells;
+    for (Loc X : Everywhere ? Region : Changed)
+      zeroContextCellsOf(X, OldCells);
+
+    // 4. Rebuild the region under the new snapshot.
+    Info = std::move(New);
+    LabelEdits = labelEditCount();
+    ReconcileLog Rec;
+    Log = &Rec;
+    for (Loc X : Info->Rpo)
+      if (InRegion[X])
+        buildTopLevel(X);
+    Log = nullptr;
+    auto ById = [](Name A, Name B) { return A.id() < B.id(); };
+    std::sort(Rec.Built.begin(), Rec.Built.end(), ById);
+    Rec.Built.erase(std::unique(Rec.Built.begin(), Rec.Built.end()),
+                    Rec.Built.end());
+    if (Stats)
+      Stats->CellsRebuilt += Rec.Built.size();
+
+    // 5. Empty what changed or disappeared, dirtying forward, then drop the
+    //    cells the new graph no longer has.
+    std::vector<Name> Dirty, Gone;
+    for (Name N : Rec.Changed) {
+      auto It = Cells.find(N);
+      if (It == Cells.end() || !It->second.hasValue())
+        continue; // an empty cell has no filled dependents to dirty
+      if (It->second.T == CellType::StateTy) {
+        Dirty.push_back(N);
         continue;
-      if (belongsToInstance(*this, NestedDest, Inst)) {
-        auto NFIt = CompOf.find(NestedDest);
-        if (NFIt != CompOf.end())
-          Fresh.addComp(NestedDest, FnKind::Fix, NFIt->second.Srcs);
-        Fresh.Loops[NestedDest] = NestedInst;
+      }
+      auto DIt = Dependents.find(N); // a new statement: dirty its readers
+      if (DIt != Dependents.end())
+        Dirty.insert(Dirty.end(), DIt->second.begin(), DIt->second.end());
+    }
+    for (Name N : OldCells)
+      if (!std::binary_search(Rec.Built.begin(), Rec.Built.end(), N, ById) &&
+          Cells.count(N)) {
+        Gone.push_back(N);
+        Dirty.push_back(N);
+      }
+    std::set<Name> Visited;
+    propagateDirty(Dirty, Visited);
+    for (Name N : Gone)
+      removeCell(N);
+  }
+
+  /// True when a construction input of location \p X differs between the
+  /// pinned snapshot (with this DAIG's statement cells as its labels) and
+  /// \p New: whether X is reachable, its loop nest (which also decides
+  /// whether it is a head), a head's back edge, and X's forward in-edges
+  /// (ids, hence join indices, and each edgeChanged). Which locations a
+  /// loop holds needs no check of its own: a location joins or leaves a
+  /// loop only by changing its nest, and a loop's body changes only when a
+  /// location in its old body gains or loses a predecessor, which changes
+  /// that location's in-edges or nest.
+  bool locationChanged(const CfgInfo &New, Loc X, bool Labels) const {
+    const CfgInfo &Old = *Info;
+    bool InOld = X < Old.Reachable.size() && Old.Reachable[X];
+    bool InNew = X < New.Reachable.size() && New.Reachable[X];
+    if (InOld != InNew)
+      return true;
+    if (!InOld)
+      return false;
+    if (Old.LoopNestOf[X] != New.LoopNestOf[X])
+      return true;
+    auto BIt = Old.LoopBackEdge.find(X);
+    if (BIt != Old.LoopBackEdge.end() &&
+        (BIt->second != New.LoopBackEdge.at(X) ||
+         edgeChanged(New, BIt->second, X, 0, 1, Labels)))
+      return true;
+    static const std::vector<EdgeId> NoEdges;
+    auto OIt = Old.FwdEdgesTo.find(X);
+    auto NIt = New.FwdEdgesTo.find(X);
+    const auto &OIds = OIt == Old.FwdEdgesTo.end() ? NoEdges : OIt->second;
+    const auto &NIds = NIt == New.FwdEdgesTo.end() ? NoEdges : NIt->second;
+    if (OIds != NIds)
+      return true;
+    for (unsigned I = 0; I < OIds.size(); ++I)
+      if (edgeChanged(New, OIds[I], X, I + 1, OIds.size(), Labels))
+        return true;
+    return false;
+  }
+
+  /// True when edge \p Id into \p X (fwd-edges-to index \p Idx of
+  /// \p InDegree) reads other cells under \p New: another source, a source
+  /// whose cells are named differently (its loop nest), or, when \p Labels,
+  /// a statement other than the one in this DAIG's statement cell. Whether
+  /// the edge leaves its source's loop (srcStateName's choice) can change
+  /// only with X's nest, which the caller has compared.
+  bool edgeChanged(const CfgInfo &New, EdgeId Id, Loc X, unsigned Idx,
+                   size_t InDegree, bool Labels) const {
+    const CfgInfo &Old = *Info;
+    Loc S = Old.EdgeSrc[Id];
+    if (S != New.EdgeSrc[Id] || Old.LoopNestOf[S] != New.LoopNestOf[S])
+      return true;
+    if (!Labels)
+      return false;
+    auto It = Cells.find(stmtName(S, X, Idx, InDegree));
+    return It == Cells.end() ||
+           !(std::get<Stmt>(*It->second.V) == G->findEdge(Id)->Label);
+  }
+
+  /// Appends the cells construction gives location \p X at the all-zero
+  /// context of the pinned snapshot: its state cell (a head's entry
+  /// iterate), the statement and pre-join cells of its forward in-edges,
+  /// and for a head iterate 1, the pre-widen cell, the fix cell and the
+  /// back-edge statement cell. After the rollback in reconcile these are
+  /// all the cells a changed location has; a location that did not change
+  /// keeps its names, so none of its cells can disappear.
+  void zeroContextCellsOf(Loc X, std::vector<Name> &Out) const {
+    if (X >= Info->Reachable.size() || !Info->Reachable[X])
+      return;
+    CountCtx Ctx;
+    Name S = stateCellName(X, Ctx);
+    Out.push_back(S);
+    auto FIt = Info->FwdEdgesTo.find(X);
+    if (FIt != Info->FwdEdgesTo.end()) {
+      const std::vector<EdgeId> &Ids = FIt->second;
+      for (unsigned I = 0; I < Ids.size(); ++I) {
+        Out.push_back(stmtName(Info->EdgeSrc[Ids[I]], X, I + 1, Ids.size()));
+        if (Ids.size() >= 2)
+          Out.push_back(preJoinCellName(X, Ctx, I + 1));
       }
     }
-    // Values of the fix cell itself.
-    auto ValIt = Cells.find(FixDest);
-    if (ValIt != Cells.end() && ValIt->second.hasValue())
-      Fresh.Cells.at(FixDest).V = ValIt->second.V;
+    if (Info->isLoopHead(X)) {
+      Ctx[X] = 1;
+      Name It1 = stateCellName(X, Ctx);
+      Out.push_back(It1);
+      Out.push_back(Name::pair(S, It1));
+      Out.push_back(fixCellName(X, CountCtx{}));
+      Out.push_back(
+          stmtName(Info->EdgeSrc[Info->LoopBackEdge.at(X)], X, 0, 1));
+    }
   }
 };
 

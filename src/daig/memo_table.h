@@ -8,9 +8,9 @@
 /// The auxiliary memo table M of the Fig. 8 operational semantics: a finite
 /// map from names of the form f·(v1···vk) to abstract states, enabling reuse
 /// of analysis computations *independent of program location* (the paper
-/// realizes this with adapton.ocaml; see DESIGN.md substitutions). Entries
-/// are keyed by the function symbol and hashes of the input values — as the
-/// paper puts it, names are "hashes, essentially".
+/// realizes this with adapton.ocaml; see docs/architecture.md,
+/// "Substitutions"). Entries are keyed by the function symbol and hashes of
+/// the input values — as the paper puts it, names are "hashes, essentially".
 ///
 /// Names are hash-consed (daig/name.h), so the table keys on the dense
 /// 32-bit NameId directly: probing hashes one integer instead of a name

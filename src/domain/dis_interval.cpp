@@ -699,10 +699,10 @@ uint64_t DisIntervalDomain::hash(const DisIntervalState &A) {
     return 0xd15b0770a1b2c3d4ULL;
   uint64_t H = 0x5eedface90217f3bULL;
   for (const auto &[Var, V] : A.Env) {
-    H = hashCombine(H, static_cast<uint64_t>(Var));
-    H = hashCombine(H, V.Num.hash());
-    H = hashCombine(H, V.Len.hash());
-    H = hashCombine(H, V.Elems.hash());
+    H = hashCombine(H, mix64(Var));
+    H = hashCombine(H, mix64(V.Num.hash()));
+    H = hashCombine(H, mix64(V.Len.hash()));
+    H = hashCombine(H, mix64(V.Elems.hash()));
   }
   return H;
 }

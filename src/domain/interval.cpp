@@ -585,10 +585,10 @@ uint64_t IntervalDomain::hash(const IntervalState &A) {
     return 0x707ea1b2c3d4e5f6ULL;
   uint64_t H = 0x1234abcd5678ef01ULL;
   for (const auto &[Var, V] : A.Env) {
-    H = hashCombine(H, static_cast<uint64_t>(Var));
-    H = hashCombine(H, V.Num.hash());
-    H = hashCombine(H, V.Len.hash());
-    H = hashCombine(H, V.Elems.hash());
+    H = hashCombine(H, mix64(Var));
+    H = hashCombine(H, mix64(V.Num.hash()));
+    H = hashCombine(H, mix64(V.Len.hash()));
+    H = hashCombine(H, mix64(V.Elems.hash()));
   }
   return H;
 }

@@ -9,7 +9,7 @@
 /// infinite-height lattice requiring widening for convergence. The paper
 /// instantiates its framework with APRON's box domain; APRON is unavailable
 /// offline, so this is a from-scratch implementation of the same lattice and
-/// transformers (see DESIGN.md, substitutions).
+/// transformers (see docs/architecture.md, "Substitutions").
 ///
 /// Abstract states map variables to a per-variable abstraction carrying a
 /// numeric interval plus, for arrays, a length interval and an element

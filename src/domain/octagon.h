@@ -10,8 +10,9 @@
 /// doubled variable set {+v, −v} with strong closure as the canonical form.
 /// This is the domain the paper uses for its scalability study (Section 7.3,
 /// Fig. 10), there provided by APRON; here implemented from scratch (see
-/// DESIGN.md, substitutions). Its deliberately expensive O(n³) closure makes
-/// domain operations dominate analysis latency, as in the paper.
+/// docs/architecture.md, "Substitutions"). Its deliberately expensive O(n³)
+/// closure makes domain operations dominate analysis latency, as in the
+/// paper.
 ///
 /// Representation notes (coherent half-matrix + interned symbols):
 ///  - Logical DBM entry (i, j) bounds V_j − V_i ≤ M[i][j], where V_{2k} = +v_k

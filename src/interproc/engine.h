@@ -216,9 +216,10 @@ public:
     return true;
   }
 
-  /// Surgical statement insertion in every instance of \p Fn: the caller
-  /// has already spliced the CFG via cfg/edits.h insertStmtAt(At, ·), whose
-  /// result is \p Splice.
+  /// Statement insertion in every instance of \p Fn: the caller has already
+  /// spliced the CFG via cfg/edits.h insertStmtAt(At, ·), whose result is
+  /// \p Splice. Each instance reconciles only the splice's few candidate
+  /// locations (Daig::applyInsertedStatement).
   void applyInsertedStatementEdit(const std::string &Fn, Loc At,
                                   const InsertResult &Splice) {
     const Function *F = Prog.find(Fn);
@@ -235,8 +236,11 @@ public:
     drainDirtyExits();
   }
 
-  /// Rebuilds every instance of \p Fn after the caller mutated its CFG
-  /// structurally (via program().find(Fn)->Body and cfg/edits.h).
+  /// Reconciles every instance of \p Fn with its CFG after the caller
+  /// mutated it structurally (via program().find(Fn)->Body and
+  /// cfg/edits.h). Each instance rebuilds only the region the edits touched
+  /// (Daig::rebuild); an instance whose exit cell is emptied or re-sourced
+  /// invalidates its callers' summaries through the drain below.
   void applyStructuralEdit(const std::string &Fn) {
     CG = buildCallGraph(Prog);
     SymbolId FnId = internSymbol(Fn);

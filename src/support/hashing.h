@@ -41,6 +41,19 @@ inline uint64_t hashCombine(uint64_t Seed, uint64_t V) {
   return Seed;
 }
 
+/// splitmix64's finalizer: a bijective 64-bit mix in which every output
+/// bit depends on every input bit. hashCombine's shift-add-xor lets small
+/// structured inputs (symbol ids, small bounds) cancel one another, so fold
+/// such elements through mix64 first.
+inline uint64_t mix64(uint64_t X) {
+  X ^= X >> 30;
+  X *= 0xbf58476d1ce4e5b9ULL;
+  X ^= X >> 27;
+  X *= 0x94d049bb133111ebULL;
+  X ^= X >> 31;
+  return X;
+}
+
 /// Variadic convenience wrapper around hashCombine.
 template <typename... Ts> uint64_t hashValues(Ts... Vs) {
   uint64_t H = 0x9e3779b97f4a7c15ULL;

@@ -51,6 +51,8 @@
   X(Statistics, MemoMisses, "memo_misses", Counter)                            \
   /* Reference cells emptied by edits.                                      */ \
   X(Statistics, CellsDirtied, "cells_dirtied", Counter)                        \
+  /* Cells a structural reconcile (Daig::rebuild) built in its region.      */ \
+  X(Statistics, CellsRebuilt, "daig_cells_rebuilt", Counter)                   \
   /* Interprocedural callee-summary demands.                                */ \
   X(Statistics, CallSummaries, "call_summaries", Counter)                      \
   /* analyzeAllFromMain quiescence passes (interproc/engine.h).             */ \

@@ -53,8 +53,8 @@ struct WorkloadOptions {
 /// Kinds of edits the generator produces (Section 7.3's mix).
 enum class EditKind : uint8_t { InsertStmt, InsertIf, InsertWhile };
 
-/// A record of one applied edit, for logging, replay, and surgical DAIG
-/// splicing (statement insertions carry the CFG splice description).
+/// A record of one applied edit, for logging, replay, and the DAIG's
+/// statement splice (statement insertions carry the CFG splice description).
 struct EditRecord {
   EditKind Kind;
   Loc At = InvalidLoc;

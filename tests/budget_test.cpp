@@ -17,10 +17,12 @@
 #include "support/budget.h"
 
 #include "cfg/cfg_analysis.h"
+#include "cfg/edits.h"
 #include "domain/interval.h"
 #include "domain/staged.h"
 #include "interproc/engine.h"
 #include "tests/test_util.h"
+#include "workload/generator.h"
 
 #include <gtest/gtest.h>
 
@@ -268,6 +270,50 @@ TEST(BudgetDegradation, EngineDegradesAndRecovers) {
       << " exact=" << IntervalDomain::toString(Exact);
   EXPECT_FALSE(E.mainLocationDegraded(Exit));
   EXPECT_EQ(E.auditInvariants(), "");
+}
+
+TEST(BudgetDegradation, StructuralEditKeepsMarksForRecovery) {
+  // A budgeted analysis leaves ⊤-substituted and tainted cells; a
+  // structural edit must keep the marks of every cell it keeps, or
+  // invalidateDegraded() cannot find them and recovery stays coarse.
+  for (uint64_t Seed : {1u, 2u, 3u, 4u}) {
+    WorkloadOptions WO;
+    WO.Seed = Seed;
+    WorkloadGenerator Gen(WO);
+    Program P = Gen.makeInitialProgram();
+    for (int I = 0; I < 40; ++I)
+      Gen.applyRandomEdit(P);
+    Function &Main = *P.find("main");
+    Daig<IntervalDomain> G(&Main.Body,
+                           IntervalDomain::initialEntry(Main.Params));
+    {
+      AnalysisBudget B;
+      B.MaxSteps = 30;
+      BudgetScope Scope(B);
+      G.queryAllLocations();
+    }
+    ASSERT_GT(G.degradedCellCount(), 0u) << "seed " << Seed;
+
+    std::vector<Loc> Sites;
+    for (Loc L : Main.Body.info().Rpo)
+      if (L != Main.Body.exit())
+        Sites.push_back(L);
+    insertIfAt(Main.Body, Sites[Gen.rng().below(Sites.size())],
+               Gen.randomCondition(), Gen.randomStmt(), Gen.randomStmt());
+    G.rebuild();
+    EXPECT_EQ(G.auditInvariants(), "") << "seed " << Seed;
+    G.invalidateDegraded();
+
+    Daig<IntervalDomain> Oracle(&Main.Body,
+                                IntervalDomain::initialEntry(Main.Params));
+    size_t Coarser = 0;
+    for (Loc L : Main.Body.info().Rpo)
+      if (!IntervalDomain::equal(G.queryLocation(L), Oracle.queryLocation(L)))
+        ++Coarser;
+    EXPECT_EQ(Coarser, 0u) << "seed " << Seed
+                           << ": locations differ from the unbudgeted run";
+    EXPECT_EQ(G.degradedCellCount(), 0u) << "seed " << Seed;
+  }
 }
 
 //===----------------------------------------------------------------------===//

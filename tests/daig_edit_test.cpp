@@ -179,7 +179,7 @@ TEST(DaigEdit, InsertStatementPreservesUnaffectedValues) {
   G.rebuild();
   EXPECT_EQ(G.checkWellFormed(), "");
   EXPECT_GT(G.unrolledLoopCount(), 0u)
-      << "structural edit outside the loop must re-adopt its unrollings";
+      << "structural edit outside the loop must keep its unrollings";
   (void)G.queryLocation(F.Body.exit());
   EXPECT_EQ(Stats.Widens, WidensBefore)
       << "the loop fixpoint must not be recomputed (Fig. 4b)";

@@ -1,13 +1,13 @@
-//===-- tests/daig_surgical_test.cpp - Surgical insertion tests -----------===//
+//===-- tests/daig_surgical_test.cpp - Statement insertion tests ----------===//
 //
 // Part of dai-cpp. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The surgical statement-insertion fast path (Daig::applyInsertedStatement):
-/// 85% of the paper's workload edits are statement insertions, which must
-/// splice locally — no reconstruction — while preserving well-formedness and
+/// Statement insertion (Daig::applyInsertedStatement): 85% of the paper's
+/// workload edits are statement insertions, which must touch only the
+/// cells around the splice while preserving well-formedness and
 /// from-scratch consistency, including insertions inside loop bodies, at
 /// latches, at join predecessors, and before loop headers.
 ///
@@ -27,7 +27,7 @@ using namespace dai::test;
 
 namespace {
 
-/// Performs the CFG insertion and the surgical DAIG splice.
+/// Performs the CFG insertion and the DAIG's statement splice.
 template <typename D>
 bool spliceStmt(Function &F, Daig<D> &G, Loc At, Stmt S) {
   InsertResult R = insertStmtAt(F.Body, At, std::move(S));
@@ -200,7 +200,7 @@ TEST(DaigSurgical, RepeatedSplicesStayConsistent) {
     Loc At = Candidates[R.below(Candidates.size())];
     std::string Var = "v" + std::to_string(R.below(3));
     Stmt S = Stmt::mkAssign(Var, Expr::mkInt(R.range(-5, 5)));
-    spliceStmt(F, G, At, S); // fallback to rebuild() is also acceptable
+    spliceStmt(F, G, At, S);
     ASSERT_EQ(G.checkWellFormed(), "") << "step " << Step;
     expectFromScratchConsistent<IntervalDomain>(
         F, G, "random splice step " + std::to_string(Step));

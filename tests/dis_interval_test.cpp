@@ -349,4 +349,16 @@ TEST(DisIntervalTest, CountersAggregateAcrossThreads) {
   EXPECT_GT(Delta.DisInterval.DisjunctiveJoins, 0u);
 }
 
+TEST(DisIntervalTest, HashSeparatesStatesThePlainCombineFoldConfused) {
+  // Found by search: a plain hashCombine fold hashes these two states alike
+  // (see IntervalHash in interval_domain_test.cpp).
+  DisIntervalState A, B;
+  A.set(SymbolId(2),
+        DisVarAbs::numeric(DisInterval::fromInterval(Interval::atLeast(1))));
+  B.set(SymbolId(3),
+        DisVarAbs::numeric(DisInterval::fromInterval(Interval::atLeast(-2))));
+  ASSERT_FALSE(DisIntervalDomain::equal(A, B));
+  EXPECT_NE(DisIntervalDomain::hash(A), DisIntervalDomain::hash(B));
+}
+
 } // namespace

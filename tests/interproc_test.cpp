@@ -14,6 +14,7 @@
 
 #include "interproc/engine.h"
 
+#include "cfg/edits.h"
 #include "domain/constprop.h"
 #include "domain/interval.h"
 #include "tests/test_util.h"
@@ -246,6 +247,38 @@ TEST(Interproc, SummariesAreReusedAcrossQueries) {
   // With k=0 both call sites share one instance; the second call site must
   // reuse the converged summary rather than re-unrolling the loop.
   EXPECT_EQ(E.instanceCount(), 2u); // main + work
+}
+
+TEST(Interproc, StructuralEditInCalleeInvalidatesCaller) {
+  // An if spliced in front of h's exit edge re-sources h's exit cell. The
+  // reconcile must empty that cell through the dirtying rules, so the
+  // engine invalidates main's stale summary of h.
+  InterprocEngine<IntervalDomain> E(mustLower(R"(
+    function h(x) { var r = x; return r; }
+    function main() { var a = h(1); return a; }
+  )"),
+                                    "main", 0);
+  ASSERT_TRUE(E.valid()) << E.error();
+  Loc MainExit = E.cfgOf("main")->exit();
+  EXPECT_EQ(E.queryMain(MainExit).get("a").Num, Interval::constant(1));
+
+  Cfg &H = E.program().find("h")->Body;
+  Loc BeforeExit = InvalidLoc;
+  for (const auto &[Id, Edge] : H.edges())
+    if (Edge.Dst == H.exit())
+      BeforeExit = Edge.Src;
+  ASSERT_NE(BeforeExit, InvalidLoc);
+  insertIfAt(H, BeforeExit,
+             Expr::mkBinary(BinaryOp::Lt, Expr::mkVar("x"), Expr::mkInt(100)),
+             Stmt::mkAssign("r", Expr::mkInt(7)),
+             Stmt::mkAssign("r", Expr::mkInt(7)));
+  E.applyStructuralEdit("h");
+  EXPECT_EQ(E.queryMain(MainExit).get("a").Num, Interval::constant(7));
+
+  InterprocEngine<IntervalDomain> Fresh(E.program(), "main", 0);
+  EXPECT_TRUE(IntervalDomain::equal(E.queryMain(MainExit),
+                                    Fresh.queryMain(MainExit)));
+  EXPECT_EQ(E.auditInvariants(), "");
 }
 
 } // namespace

@@ -249,4 +249,15 @@ TEST(IntervalWiden, StabilizesUnstableBoundsOnly) {
   EXPECT_EQ(A.widen(Interval::range(2, 8)), A) << "shrinking is stable";
 }
 
+TEST(IntervalHash, SeparatesStatesThePlainCombineFoldConfused) {
+  // Found by search: under a plain hashCombine fold over (symbol, value
+  // hashes) these two states hash alike, and the memo table, which keys on
+  // the hash alone, served one's transfer results for the other.
+  IntervalState A, B;
+  A.set(SymbolId(1), VarAbs::numeric(Interval::range(-1, 1)));
+  B.set(SymbolId(2), VarAbs::numeric(Interval::range(-2, -1)));
+  ASSERT_FALSE(IntervalDomain::equal(A, B));
+  EXPECT_NE(IntervalDomain::hash(A), IntervalDomain::hash(B));
+}
+
 } // namespace

@@ -93,9 +93,9 @@ TEST(Workload, QueriesAreReachableLocations) {
 // End-to-end stress: randomized edits + from-scratch consistency
 //===----------------------------------------------------------------------===//
 
-/// Applies \p Edits generator edits to a single-function DAIG (surgical path
-/// for statement insertions, rebuild otherwise), checking consistency with
-/// the batch oracle after every step.
+/// Applies \p Edits generator edits to a single-function DAIG (the statement
+/// splice for statement insertions, rebuild otherwise), checking
+/// consistency with the batch oracle after every step.
 template <typename D>
 void stressDaig(uint64_t Seed, unsigned Edits, unsigned CheckEvery) {
   WorkloadOptions Opts;
