@@ -21,6 +21,9 @@
 #      argument parser.
 #   7. Every *.md path named in src/, bench/, tests/, scripts/ or the docs
 #      exists, at the repository root or next to the file that names it.
+#   8. Every number in the README "Current results" table equals the
+#      committed BENCH_fig10.json: each ms cell is its row's analysis_ms to
+#      one decimal, each counter cell the JSON counter exactly.
 
 set -u
 
@@ -103,6 +106,67 @@ for F in $(grep -rlE '[A-Za-z0-9_]\.md' "$ROOT/src" "$ROOT/bench" "$ROOT/tests" 
       fail "${F#$ROOT/} names $P, which does not exist"
   done
 done
+
+# 8. The README results table quotes the committed fig10 JSON. The JSON's
+#    per-size rows are one object per line; columns 3-5 of the table are
+#    the octagon/zone/staged analysis_ms, columns 6-9 the counters below.
+JSON="$ROOT/BENCH_fig10.json"
+if [ -r "$JSON" ]; then
+  TABLE=$(awk '
+    function field(Line, Key,   V) {
+      if (!match(Line, "\"" Key "\": [-0-9.]+"))
+        return ""
+      V = substr(Line, RSTART, RLENGTH)
+      sub(/^.*: /, "", V)
+      return V
+    }
+    FNR == NR {
+      if ($0 !~ /"analysis_ms": / ||
+          !match($0, /"domain": "(octagon|zone|staged)"/))
+        next
+      D = substr($0, RSTART + 11, RLENGTH - 12)
+      V = field($0, "vars")
+      Want[V, D == "octagon" ? 3 : D == "zone" ? 4 : 5] = \
+          sprintf("%.1f", field($0, "analysis_ms"))
+      if (D == "octagon")
+        Want[V, 6] = field($0, "dbm_cells_touched")
+      else if (D == "zone")
+        Want[V, 7] = field($0, "zone_closure_vertices_visited")
+      else {
+        Want[V, 8] = field($0, "staged_escalated_transfers")
+        Want[V, 9] = field($0, "staged_sum_mismatches")
+      }
+      next
+    }
+    /^### Current results/ { In = 1; next }
+    In && /^#/ { In = 0 }
+    In && /^\| *[0-9]+ *\|/ {
+      split($0, Cell, "|")
+      V = Cell[2]
+      gsub(/ /, "", V)
+      ++Rows
+      for (I = 3; I <= 9; ++I) {
+        Got = Cell[I]
+        gsub(/[ ,]/, "", Got)
+        if (!((V, I) in Want))
+          print "vars " V " column " I - 1 ": no BENCH_fig10.json value"
+        else if (Got != Want[V, I])
+          print "vars " V " column " I - 1 ": README has " Got \
+                ", BENCH_fig10.json has " Want[V, I]
+      }
+    }
+    END { if (!Rows) print "no results table under \"### Current results\"" }
+  ' "$JSON" "$README")
+  if [ -n "$TABLE" ]; then
+    while IFS= read -r Line; do
+      fail "README results table: $Line"
+    done <<TABLE_EOF
+$TABLE
+TABLE_EOF
+  fi
+else
+  fail "BENCH_fig10.json missing (the README results table quotes it)"
+fi
 
 if [ "$STATUS" -eq 0 ]; then
   echo "docs-check: OK"

@@ -17,12 +17,12 @@
 /// A ⊥ pre-state is UNREACHABLE; a pre-state with degraded budget
 /// provenance can never yield SAFE (clamped to WARNING).
 ///
-/// IncrementalChecker is the DAIG-native part: after an edit, Fig. 9
-/// dirtying has emptied exactly the cells of the affected slice, so a cached
-/// verdict is reusable iff its edge's statement is unchanged AND the DAIG
-/// still holds the materialized pre-state (Daig::locationValueReady) with
-/// the same degraded status. Everything else — the demanded slice — is
-/// re-evaluated and counted in Statistics::ChecksRechecked.
+/// IncrementalChecker is the DAIG-native part. It keeps each live edge's
+/// statement, obligations, pre-state and verdicts across passes, keyed by
+/// EdgeId. After an edit it re-collects, re-queries, re-evaluates and
+/// rewrites ChecksDb rows only where the edit reached (the class comment
+/// gives the two reuse tiers); the re-evaluated obligations — the demanded
+/// slice — are counted in Statistics::ChecksRechecked.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +38,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -113,38 +112,51 @@ runChecks(const std::vector<Obligation> &Obs,
     Db.add(CheckResult{Ob.Kind, V, Ob.Edge, Ob.At, Ob.SubIndex, Ob.Text,
                        D::name(), Degraded},
            Stats);
-    switch (V) {
-    case Verdict::Safe: ++Counts.Safe; break;
-    case Verdict::Warning: ++Counts.Warning; break;
-    case Verdict::Error: ++Counts.Error; break;
-    case Verdict::Unreachable: ++Counts.Unreachable; break;
-    }
+    ++Counts.of(V);
   }
   return Counts;
 }
 
-/// Incremental re-checking bound to one Daig. Each recheck() pass rebuilds
-/// \p Db from a per-edge cache of (statement hash, pre-state, verdicts),
-/// re-evaluating only the obligations whose answers an edit could have
-/// changed. Two reuse tiers, both exact:
+/// Incremental re-checking bound to one Daig. The checker keeps, for every
+/// live edge, the statement its obligations came from, those obligations,
+/// the source location its pre-state was queried at, and that pre-state
+/// with its degraded flag and verdicts. db() holds the edge's rows at that
+/// location. A recheck() pass works only where an edit reached:
 ///
-///  1. Slice reuse: the edge's statement hash is unchanged AND the DAIG
-///     still holds the materialized pre-state at the edge source
-///     (locationValueReady — Fig. 9 dirtying empties exactly the affected
-///     slice's cells, so "still filled" proves "untouched by every edit
-///     since the last pass") with the same degraded status. No query, no
-///     evaluation.
-///  2. Pre-state match: the cells were dirtied, so the pre-state is
-///     re-demanded (queryLocation — this is the DAIG's incremental
-///     analysis work, counted as Transfers/Joins as usual), but the
-///     re-demanded value is D::equal to the cached one. A verdict is a
-///     pure function of (property, pre-state, degraded flag), so the
-///     cached verdicts replay without re-running the ⊥-probes — the
-///     checking analogue of the DAIG's memo-table Q-Match.
+///  - Obligations are re-collected only for an edge whose statement changed
+///    (Stmt ==, which short-circuits on the expression pointers an
+///    unchanged statement shares with the stored copy). An edge whose
+///    source moved keeps its obligations with the new location.
+///  - db() rows are replaced in place (ChecksDb::replaceEdge) only for an
+///    edge whose results changed: re-evaluated, moved to a new source,
+///    added or removed.
+///
+/// An edge with obligations is answered by one of two exact reuse tiers or
+/// re-evaluated:
+///
+///  1. Slice reuse: the edge's statement and source are unchanged, no cell
+///     was filled since the last pass (Daig::stateFills), and the DAIG still
+///     holds the materialized pre-state at the source (locationValueReady —
+///     Fig. 9 dirtying empties exactly the affected slice's cells, so
+///     "still filled, never refilled" proves "untouched by every edit since
+///     the last pass") with the same degraded status. No query, no
+///     evaluation, no DB write. A client query between passes can refill a
+///     dirtied cell with a new value, and a moved edge reads another
+///     location's cells, so both fall through to tier 2; so does an
+///     unreachable source, which has no cells.
+///  2. Pre-state match: the pre-state is re-demanded (queryLocation — this
+///     is the DAIG's incremental analysis work, counted as Transfers/Joins
+///     as usual), and the re-demanded value is D::equal to the cached one
+///     with the same degraded status. A verdict is a pure function of
+///     (property, pre-state, degraded flag), so the cached verdicts replay
+///     without re-running the ⊥-probes — the checking analogue of the
+///     DAIG's memo-table Q-Match.
 ///
 /// Only obligations failing both tiers are re-evaluated, counted in
 /// Statistics::ChecksRechecked — the deterministic "how much of the
-/// program's checking did this edit actually cost" metric.
+/// program's checking did this edit actually cost" metric. Re-collected
+/// obligations are counted in Statistics::ChecksCollected, and every pass
+/// adds the database's alarm count to Statistics::AlarmsRaised.
 ///
 /// Readiness is snapshotted for every edge BEFORE any query runs: queries
 /// fill cells (never empty them), so the snapshot taken at pass start
@@ -165,102 +177,111 @@ public:
                      uint32_t Mask = kAllChecks)
       : G(G), C(C), Stats(Stats), Mask(Mask) {}
 
-  /// Runs one full or incremental pass, rebuilding db(). Returns the pass's
-  /// verdict tallies (covering reused and re-evaluated obligations alike).
+  /// Runs one full or incremental pass, bringing db() up to date with the
+  /// CFG. Returns db()'s verdict tallies (covering reused and re-evaluated
+  /// obligations alike).
   VerdictCounts recheck() {
-    // Phase 1: collect the current obligations and snapshot readiness
-    // before any query can fill cells.
-    struct EdgeWork {
-      const Stmt *S;
-      Loc Src;
-      bool Ready;
-      bool Degraded;
-      std::vector<Obligation> Obs;
-    };
-    std::map<EdgeId, EdgeWork> Work;
+    // Phase 1: bring every live edge's obligations up to date and snapshot
+    // readiness before any query can fill cells.
+    const bool NoFillsSinceLastPass = G.stateFills() == FillsAfterLastPass;
+    ++Pass;
     for (auto [Id, E] : C.edges()) {
-      std::vector<Obligation> Obs;
-      collectObligations(E.Label, Id, E.Src, Obs, Mask);
-      if (Obs.empty())
-        continue;
-      bool Ready = G.locationValueReady(E.Src);
-      bool Degraded = Ready && G.locationDegraded(E.Src);
-      Work.emplace(Id, EdgeWork{&E.Label, E.Src, Ready, Degraded,
-                                std::move(Obs)});
+      if (Id >= Edges.size())
+        Edges.resize(Id + 1);
+      EdgeState &St = Edges[Id];
+      bool New = St.SeenIn == 0;
+      St.SeenIn = Pass;
+      if (New || St.S != E.Label) {
+        St.S = E.Label;
+        St.Obs.clear();
+        collectObligations(St.S, Id, E.Src, St.Obs, Mask);
+        if (Stats)
+          Stats->ChecksCollected += St.Obs.size();
+        St.Verdicts.clear(); // answers to other obligations: no reuse
+      } else if (!St.Obs.empty() && St.Obs.front().At != E.Src) {
+        for (Obligation &Ob : St.Obs)
+          Ob.At = E.Src;
+      }
+      St.Ready = NoFillsSinceLastPass && !St.Verdicts.empty() &&
+                 St.At == E.Src && G.locationValueReady(E.Src) &&
+                 G.locationDegraded(E.Src) == St.Degraded;
     }
 
-    // Phase 2: evaluate in ascending-EdgeId order, reusing where proven
-    // safe to.
-    Db.clear();
-    VerdictCounts Counts;
-    std::map<EdgeId, EdgeCache> NewCache;
-    for (auto &[Id, W] : Work) {
-      uint64_t H = W.S->hash();
-      auto CIt = Cache.find(Id);
-      bool HasCache = !FirstPass && CIt != Cache.end() &&
-                      CIt->second.StmtHash == H &&
-                      CIt->second.Verdicts.size() == W.Obs.size();
-      // Tier 1: the materialized pre-state survived every edit.
-      bool Reuse = HasCache && W.Ready && CIt->second.Degraded == W.Degraded;
-      EdgeCache Entry;
-      Entry.StmtHash = H;
-      if (Reuse) {
-        Entry.Degraded = CIt->second.Degraded;
-        Entry.Pre = CIt->second.Pre;
-        Entry.Verdicts = CIt->second.Verdicts;
-      } else {
-        typename D::Elem Pre = G.queryLocation(W.Src);
-        bool DegradedNow = G.locationDegraded(W.Src);
-        Entry.Degraded = DegradedNow;
-        // Tier 2: dirtied, but the re-demanded pre-state is unchanged —
-        // the cached verdicts are a pure function of it, replay them.
-        if (HasCache && CIt->second.Degraded == DegradedNow &&
-            D::equal(CIt->second.Pre, Pre)) {
-          Entry.Pre = std::move(Pre);
-          Entry.Verdicts = CIt->second.Verdicts;
-        } else {
-          Entry.Verdicts.reserve(W.Obs.size());
-          for (const Obligation &Ob : W.Obs) {
-            Entry.Verdicts.push_back(
-                evaluateObligation<D>(Ob, Pre, DegradedNow, Stats));
-            if (Stats && !FirstPass)
-              ++Stats->ChecksRechecked;
-          }
-          Entry.Pre = std::move(Pre);
+    // Phase 2: in ascending-EdgeId order, drop the rows of removed edges
+    // and answer every edge the tiers cannot.
+    for (EdgeId Id = 0, N = Edges.size(); Id != N; ++Id) {
+      EdgeState &St = Edges[Id];
+      if (St.SeenIn != Pass) {
+        if (St.SeenIn != 0) { // removed since the last pass
+          if (St.At != InvalidLoc)
+            Db.replaceEdge(Id, St.At, {});
+          St = EdgeState();
         }
+        continue;
       }
-      for (size_t I = 0, N = W.Obs.size(); I != N; ++I) {
-        const Obligation &Ob = W.Obs[I];
-        Verdict V = Entry.Verdicts[I];
-        Db.add(CheckResult{Ob.Kind, V, Ob.Edge, Ob.At, Ob.SubIndex, Ob.Text,
-                           D::name(), Entry.Degraded},
-               Stats);
-        switch (V) {
-        case Verdict::Safe: ++Counts.Safe; break;
-        case Verdict::Warning: ++Counts.Warning; break;
-        case Verdict::Error: ++Counts.Error; break;
-        case Verdict::Unreachable: ++Counts.Unreachable; break;
+      if (St.Obs.empty()) {
+        if (St.At != InvalidLoc) // the statement lost its obligations
+          Db.replaceEdge(Id, St.At, {});
+        St.At = InvalidLoc;
+        continue;
+      }
+      if (St.Ready)
+        continue; // tier 1
+      Loc Src = St.Obs.front().At;
+      typename D::Elem Pre = G.queryLocation(Src);
+      bool Degraded = G.locationDegraded(Src);
+      bool Replay = !St.Verdicts.empty() && St.Degraded == Degraded &&
+                    D::equal(St.Pre, Pre); // tier 2
+      if (!Replay) {
+        std::vector<Verdict> Verdicts;
+        Verdicts.reserve(St.Obs.size());
+        for (const Obligation &Ob : St.Obs) {
+          Verdicts.push_back(evaluateObligation<D>(Ob, Pre, Degraded, Stats));
+          if (Stats && !FirstPass)
+            ++Stats->ChecksRechecked;
         }
+        St.Verdicts = std::move(Verdicts);
       }
-      NewCache.emplace(Id, std::move(Entry));
+      St.Pre = std::move(Pre);
+      St.Degraded = Degraded;
+      if (Replay && St.At == Src)
+        continue; // same answers at the same location: the rows stand
+      std::vector<CheckResult> Rows;
+      Rows.reserve(St.Obs.size());
+      for (size_t I = 0, M = St.Obs.size(); I != M; ++I) {
+        const Obligation &Ob = St.Obs[I];
+        Rows.push_back(CheckResult{Ob.Kind, St.Verdicts[I], Ob.Edge, Ob.At,
+                                   Ob.SubIndex, Ob.Text, D::name(),
+                                   Degraded});
+      }
+      Db.replaceEdge(Id, St.At, std::move(Rows));
+      St.At = Src;
     }
-    Cache = std::move(NewCache); // drops entries for deleted edges
+    FillsAfterLastPass = G.stateFills();
     FirstPass = false;
-    return Counts;
+    if (Stats)
+      Stats->AlarmsRaised += Db.counts().alarms();
+    return Db.counts();
   }
 
-  /// The database rebuilt by the last recheck() pass.
+  /// The database, current as of the last recheck() pass.
   const ChecksDb &db() const { return Db; }
 
   /// Total obligations the last pass covered (reused + re-evaluated).
   size_t obligationCount() const { return Db.size(); }
 
 private:
-  struct EdgeCache {
-    uint64_t StmtHash = 0;
+  /// What the checker knows about one edge, indexed by EdgeId (the CFG
+  /// allocates ids densely and never reuses them).
+  struct EdgeState {
+    Stmt S;                  ///< The statement Obs were collected from.
+    std::vector<Obligation> Obs;
+    Loc At = InvalidLoc;     ///< Where Pre was queried and the rows sit.
     bool Degraded = false;
-    typename D::Elem Pre{}; ///< The pre-state the verdicts were computed of.
+    typename D::Elem Pre{};  ///< The pre-state the verdicts were computed of.
     std::vector<Verdict> Verdicts;
+    bool Ready = false;      ///< This pass's tier-1 snapshot.
+    uint64_t SeenIn = 0;     ///< Last pass that found the edge live (0: none).
   };
 
   Daig<D> &G;
@@ -268,7 +289,9 @@ private:
   Statistics *Stats;
   uint32_t Mask;
   ChecksDb Db;
-  std::map<EdgeId, EdgeCache> Cache;
+  std::vector<EdgeState> Edges;
+  uint64_t Pass = 0;
+  uint64_t FillsAfterLastPass = 0;
   bool FirstPass = true;
 };
 

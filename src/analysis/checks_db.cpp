@@ -6,7 +6,9 @@
 
 #include "analysis/checks_db.h"
 
+#include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <sstream>
 
 using namespace dai;
@@ -33,18 +35,47 @@ const char *dai::verdictName(Verdict V) {
   return "?";
 }
 
-void ChecksDb::add(CheckResult R, Statistics *Stats) {
+namespace {
+
+void clampDegraded(CheckResult &R) {
   if (R.DegradedPre && R.V == Verdict::Safe)
     R.V = Verdict::Warning; // a coarsened pre-state proves nothing
-  switch (R.V) {
-  case Verdict::Safe: ++Total.Safe; break;
-  case Verdict::Warning: ++Total.Warning; break;
-  case Verdict::Error: ++Total.Error; break;
-  case Verdict::Unreachable: ++Total.Unreachable; break;
-  }
+}
+
+} // namespace
+
+void ChecksDb::add(CheckResult R, Statistics *Stats) {
+  clampDegraded(R);
+  ++Total.of(R.V);
   if (Stats && (R.V == Verdict::Warning || R.V == Verdict::Error))
     ++Stats->AlarmsRaised;
   ByLoc[R.At].push_back(std::move(R));
+}
+
+void ChecksDb::replaceEdge(EdgeId Edge, Loc OldAt,
+                           std::vector<CheckResult> Rows) {
+  auto BeforeEdge = [](const CheckResult &R, EdgeId E) { return R.Edge < E; };
+  if (auto It = ByLoc.find(OldAt); It != ByLoc.end()) {
+    std::vector<CheckResult> &Old = It->second;
+    auto First = std::lower_bound(Old.begin(), Old.end(), Edge, BeforeEdge);
+    auto Last = First;
+    for (; Last != Old.end() && Last->Edge == Edge; ++Last)
+      --Total.of(Last->V);
+    Old.erase(First, Last);
+    if (Old.empty())
+      ByLoc.erase(It);
+  }
+  if (Rows.empty())
+    return;
+  for (CheckResult &R : Rows) {
+    assert(R.Edge == Edge && R.At == Rows.front().At);
+    clampDegraded(R);
+    ++Total.of(R.V);
+  }
+  std::vector<CheckResult> &New = ByLoc[Rows.front().At];
+  New.insert(std::lower_bound(New.begin(), New.end(), Edge, BeforeEdge),
+             std::make_move_iterator(Rows.begin()),
+             std::make_move_iterator(Rows.end()));
 }
 
 void ChecksDb::clear() {

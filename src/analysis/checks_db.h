@@ -84,6 +84,17 @@ struct VerdictCounts {
   uint64_t total() const { return Safe + Warning + Error + Unreachable; }
   uint64_t alarms() const { return Warning + Error; }
 
+  /// The tally of verdict \p V.
+  uint64_t &of(Verdict V) {
+    switch (V) {
+    case Verdict::Safe: return Safe;
+    case Verdict::Warning: return Warning;
+    case Verdict::Error: return Error;
+    case Verdict::Unreachable: return Unreachable;
+    }
+    return Unreachable;
+  }
+
   VerdictCounts &operator+=(const VerdictCounts &O) {
     Safe += O.Safe;
     Warning += O.Warning;
@@ -98,13 +109,23 @@ struct VerdictCounts {
 };
 
 /// Location-keyed alarm database. Deterministic: iteration is by (Loc,
-/// insertion order), and the checker inserts in (EdgeId, SubIndex) order.
+/// insertion order). runChecks adds in (EdgeId, SubIndex) order, and
+/// replaceEdge keeps each location's rows in that order, so an incrementally
+/// maintained database reads exactly like one filled from scratch.
 class ChecksDb {
 public:
   /// Records \p R, clamping Safe to Warning when the pre-state was degraded
   /// (a ⊤-substituted cell can prove nothing). Bumps \p Stats — per-verdict
   /// counts plus AlarmsRaised for post-clamp Warning/Error — when non-null.
   void add(CheckResult R, Statistics *Stats = nullptr);
+
+  /// Replaces, in place, the rows of edge \p Edge recorded at \p OldAt
+  /// (InvalidLoc when the edge has none) with \p Rows: one location's rows
+  /// in SubIndex order, or none to remove the edge. Applies add()'s clamp.
+  /// Each location's rows must already be in (EdgeId, SubIndex) order, and
+  /// stay so; a location left without rows is dropped. Bumps no statistics
+  /// (IncrementalChecker counts AlarmsRaised once per pass).
+  void replaceEdge(EdgeId Edge, Loc OldAt, std::vector<CheckResult> Rows);
 
   void clear();
 

@@ -417,6 +417,7 @@ public:
     auto It = Cells.find(N);
     assert(It != Cells.end() && "entry cell must exist");
     It->second.V = std::variant<Stmt, Elem>(EntryValue);
+    ++Fills;
     Degraded.erase(N); // a fresh entry value clears entry provenance
     dirtyDependentsOf(N);
   }
@@ -470,13 +471,15 @@ public:
   /// True when queryLocation(\p L) would be answered entirely from filled
   /// cells — no evaluation, no fills. This is the incremental checker's
   /// reuse test (analysis/checker.h): an edit dirties exactly the cells of
-  /// the affected slice (Fig. 9), so a location whose answer is still
+  /// the affected slice (Fig. 9), so when no cell was filled since the
+  /// checker's last pass (stateFills()), a location whose answer is still
   /// materialized was provably untouched and its cached verdicts stand.
   /// Conservative in one direction only: a false result may merely mean the
-  /// location was never demanded.
+  /// location was never demanded. An unreachable location has no cells and
+  /// reads false; its ⊥ answer costs nothing to re-demand.
   bool locationValueReady(Loc L) const {
     if (L >= Info->Reachable.size() || !Info->Reachable[L])
-      return true; // unreachable: queryLocation answers ⊥ without evaluation
+      return false;
     CountCtx Ctx;
     for (Loc H : Info->LoopNestOf[L]) {
       if (H == L)
@@ -493,6 +496,12 @@ public:
                                  : stateCellName(L, Ctx);
     return cellHasValue(N);
   }
+
+  /// Abstract-state cells filled so far: evaluations, memo hits and ⊤
+  /// substitutions (all made by queries) plus updateEntry. Monotone and
+  /// kept across rebuilds, so a client that reads the same count at two
+  /// points knows no cell was refilled in between.
+  uint64_t stateFills() const { return Fills; }
 
   //===--------------------------------------------------------------------===//
   // Degraded provenance (support/budget.h)
@@ -685,6 +694,10 @@ private:
     uint32_t K; ///< Fix sources are iterates (K−1, K); K = 1 initially.
   };
   std::unordered_map<Name, LoopInstance, NameHash> Loops;
+
+  /// stateFills(). Not swapped by swapWith: the count spans rebuilds. A
+  /// rebuilt entry cell is refilled with the unchanged φ0 and not counted.
+  uint64_t Fills = 0;
 
   void swapWith(Daig &O) {
     std::swap(Info, O.Info);
@@ -1054,6 +1067,7 @@ private:
     auto It = Cells.find(N);
     assert(It != Cells.end() && "storing into a missing cell");
     It->second.V = std::variant<Stmt, Elem>(V);
+    ++Fills;
   }
 
   void markDegraded(Name N) {

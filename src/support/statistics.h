@@ -62,6 +62,8 @@
   /* Cells ⊤-substituted or taint-marked by a budget (support/budget.h):    */ \
   /* nonzero means some answers carry degraded provenance.                  */ \
   X(Statistics, CellsDegraded, "cells_degraded", Counter)                      \
+  /* Obligations IncrementalChecker derived from edge statements.           */ \
+  X(Statistics, ChecksCollected, "checks_collected", Counter)                  \
   /* Check obligations evaluated against an abstract pre-state.             */ \
   X(Statistics, ChecksEvaluated, "checks_evaluated", Counter)                  \
   /* Obligations re-evaluated by an incremental re-check (the demanded      */ \

@@ -10,14 +10,17 @@
 /// family across the interval/zone/octagon/staged domains, UNREACHABLE on ⊥
 /// pre-states, the degraded-provenance clamp (a ⊤-substituted cell can never
 /// prove SAFE), ChecksDb bookkeeping, and the core incremental contract:
-/// IncrementalChecker verdicts after every random edit are bit-identical to
-/// a from-scratch batch re-verification, while re-evaluating strictly fewer
-/// obligations than full coverage.
+/// after every random edit, IncrementalChecker's database report is
+/// bit-identical to a from-scratch batch re-verification's, over the
+/// interval/zone/octagon/staged domains, while re-evaluating strictly fewer
+/// obligations than full coverage. Regression tests pin the cases where
+/// slice reuse must not fire, and the work counters pin what a pass does.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/checker.h"
 
+#include "cfg/edits.h"
 #include "domain/interval.h"
 #include "domain/octagon.h"
 #include "domain/staged.h"
@@ -374,38 +377,65 @@ TEST(ChecksDbTest, ReportAndWorstAt) {
   EXPECT_FALSE(Db.hasAlarms());
 }
 
+TEST(ChecksDbTest, ReplaceEdgeKeepsRowsInEdgeOrder) {
+  auto Row = [](EdgeId E, Loc At, uint32_t Sub, Verdict V,
+                bool Degraded = false) {
+    return CheckResult{CheckKind::UserAssertion, V, E, At, Sub, "p",
+                       "interval", Degraded};
+  };
+  ChecksDb Db;
+  Db.replaceEdge(7, InvalidLoc, {Row(7, 1, 0, Verdict::Error)});
+  Db.replaceEdge(3, InvalidLoc,
+                 {Row(3, 1, 0, Verdict::Safe), Row(3, 1, 1, Verdict::Safe)});
+  Db.replaceEdge(5, InvalidLoc, {Row(5, 1, 0, Verdict::Safe, true)});
+  // The same rows added in (EdgeId, SubIndex) order, as runChecks does.
+  ChecksDb Scratch;
+  for (CheckResult R :
+       {Row(3, 1, 0, Verdict::Safe), Row(3, 1, 1, Verdict::Safe),
+        Row(5, 1, 0, Verdict::Safe, true), Row(7, 1, 0, Verdict::Error)})
+    Scratch.add(R);
+  EXPECT_EQ(Db.report(), Scratch.report());
+  EXPECT_EQ(Db.at(1)[2].V, Verdict::Warning) << "degraded SAFE is clamped";
+
+  // Moving edge 5 to location 2 and removing edge 3 leave location 1 with
+  // edge 7 alone; removing edge 7 drops location 1 from the database.
+  Db.replaceEdge(5, 1, {Row(5, 2, 0, Verdict::Unreachable)});
+  Db.replaceEdge(3, 1, {});
+  ASSERT_EQ(Db.at(1).size(), 1u);
+  EXPECT_EQ(Db.at(1)[0].Edge, 7u);
+  Db.replaceEdge(7, 1, {});
+  EXPECT_EQ(Db.locations(), std::vector<Loc>{2});
+  EXPECT_EQ(Db.counts(), (VerdictCounts{0, 0, 0, 1}));
+}
+
 //===----------------------------------------------------------------------===//
 // Incremental-vs-batch equivalence under random edits
 //===----------------------------------------------------------------------===//
 
-using VerdictMap =
-    std::map<std::pair<EdgeId, uint32_t>, std::pair<CheckKind, Verdict>>;
-
-VerdictMap flatten(const ChecksDb &Db) {
-  VerdictMap M;
-  for (Loc L : Db.locations())
-    for (const CheckResult &R : Db.at(L))
-      M[{R.Edge, R.SubIndex}] = {R.Kind, R.V};
-  return M;
-}
-
-/// From-scratch verification of `main` on a fresh DAIG (the oracle the
-/// incremental checker's verdicts must be bit-identical to).
-template <typename D> VerdictMap batchVerdicts(Function &Main) {
+/// From-scratch verification of `main` on a fresh DAIG: the report the
+/// incremental checker's database must equal, row for row.
+template <typename D>
+std::string scratchReport(Function &Main, uint32_t Mask = kAllChecks) {
   Daig<D> Fresh(&Main.Body, D::initialEntry(Main.Params));
   ChecksDb Db;
-  std::vector<Obligation> Obs = collectObligations(Main.Body);
   runChecks<D>(
-      Obs, [&](Loc L) { return Fresh.queryLocation(L); },
+      collectObligations(Main.Body, Mask),
+      [&](Loc L) { return Fresh.queryLocation(L); },
       [&](Loc L) { return Fresh.locationDegraded(L); }, Db);
-  return flatten(Db);
+  return Db.report();
 }
 
 /// Random-edit equivalence: after EVERY edit the incremental checker's
-/// database must match a from-scratch batch verification exactly, and over
-/// the run it must re-evaluate strictly fewer obligations than the total it
-/// covers (i.e., the cache tiers actually fire).
-template <typename D> void runEquivalence(uint64_t Seed, unsigned Edits) {
+/// database must read exactly like a from-scratch batch verification —
+/// the same rows at the same locations in the same order, with the same
+/// verdicts, texts and degraded flags — and over the run it must
+/// re-evaluate strictly fewer obligations than the total it covers (i.e.,
+/// the cache tiers actually fire). With \p ClientQueries, a few sampled
+/// locations are queried between each edit and the next pass, as an editor
+/// does.
+template <typename D>
+void runEquivalence(uint64_t Seed, unsigned Edits,
+                    bool ClientQueries = false) {
   WorkloadOptions Opts;
   Opts.Seed = Seed;
   Opts.PctAssertStmt = 20; // workload opt-in: make user assertions common
@@ -425,10 +455,12 @@ template <typename D> void runEquivalence(uint64_t Seed, unsigned Edits) {
       G.applyInsertedStatement(Rec.At, Rec.Splice);
     else
       G.rebuild();
+    if (ClientQueries)
+      for (Loc L : Gen.sampleQueryLocations(P, 3))
+        (void)G.queryLocation(L);
     Inc.recheck();
     Covered += Inc.obligationCount();
-    VerdictMap Batch = batchVerdicts<D>(*Main);
-    ASSERT_EQ(flatten(Inc.db()), Batch)
+    ASSERT_EQ(Inc.db().report(), scratchReport<D>(*Main))
         << D::name() << " seed " << Seed << " diverged after edit " << I;
   }
   EXPECT_GT(Covered, 0u) << "workload produced no obligations";
@@ -441,9 +473,208 @@ TEST(CheckerIncremental, MatchesBatchInterval) {
     runEquivalence<IntervalDomain>(Seed, 40);
 }
 
+TEST(CheckerIncremental, MatchesBatchWithClientQueries) {
+  for (uint64_t Seed : {1u, 2u, 3u})
+    runEquivalence<IntervalDomain>(Seed, 40, /*ClientQueries=*/true);
+}
+
 TEST(CheckerIncremental, MatchesBatchZone) {
   for (uint64_t Seed : {1u, 2u, 3u})
     runEquivalence<ZoneDomain>(Seed, 40);
+}
+
+TEST(CheckerIncremental, MatchesBatchOctagon) {
+  for (uint64_t Seed : {1u, 2u, 3u})
+    runEquivalence<OctagonDomain>(Seed, 40);
+}
+
+TEST(CheckerIncremental, MatchesBatchStaged) {
+  for (uint64_t Seed : {1u, 2u, 3u})
+    runEquivalence<StagedDomain>(Seed, 40);
+}
+
+//===----------------------------------------------------------------------===//
+// Reuse-tier regressions and the work a pass does
+//===----------------------------------------------------------------------===//
+
+Stmt assertGt(const char *V, int64_t C) {
+  return Stmt::mkAssert(
+      Expr::mkBinary(BinaryOp::Gt, Expr::mkVar(V), Expr::mkInt(C)));
+}
+
+constexpr uint32_t AssertionsOnly = checkMask(CheckKind::UserAssertion);
+
+/// Tier 1 must not replay a verdict whose source an edit cut off from the
+/// entry: the from-scratch answer is UNREACHABLE.
+TEST(CheckerIncremental, CutOffSourceReadsUnreachable) {
+  Function F = mustLowerFn(R"(
+    function main(n) {
+      var x = 1;
+      var y = 2;
+      return y;
+    })",
+                           "main");
+  Loc Dead = F.Body.addLoc();
+  Loc Dead2 = F.Body.addLoc();
+  F.Body.addEdge(Dead, Dead2, assertGt("x", 5));
+  F.Body.addEdge(Dead2, destOf(F.Body, "y = 2"), Stmt::mkSkip());
+  EdgeId Link =
+      F.Body.addEdge(destOf(F.Body, "x = 1"), Dead, Stmt::mkSkip());
+  Daig<IntervalDomain> G(&F.Body, IntervalDomain::initialEntry(F.Params));
+  IncrementalChecker<IntervalDomain> Inc(G, F.Body, nullptr, AssertionsOnly);
+  Inc.recheck();
+  ASSERT_EQ(Inc.db().worstAt(Dead), Verdict::Error);
+
+  F.Body.removeEdge(Link);
+  G.rebuild();
+  Inc.recheck();
+  EXPECT_EQ(Inc.db().counts().Unreachable, 1u);
+  EXPECT_EQ(Inc.db().report(),
+            scratchReport<IntervalDomain>(F, AssertionsOnly));
+}
+
+/// Tier 1 must not replay verdicts computed at an edge's old source after
+/// redirectSrc moved the edge onto a location that already holds a value.
+TEST(CheckerIncremental, RedirectedSourceIsReevaluated) {
+  Function F = mustLowerFn(R"(
+    function main(n) {
+      var x = 1;
+      x = 10;
+      var y = 2;
+      return y;
+    })",
+                           "main");
+  Loc Mid = F.Body.addLoc();
+  EdgeId Check = F.Body.addEdge(destOf(F.Body, "x = 1"), Mid, assertGt("x", 5));
+  F.Body.addEdge(Mid, destOf(F.Body, "y = 2"), Stmt::mkSkip());
+  Daig<IntervalDomain> G(&F.Body, IntervalDomain::initialEntry(F.Params));
+  IncrementalChecker<IntervalDomain> Inc(G, F.Body, nullptr, AssertionsOnly);
+  G.queryAllLocations(); // the location after `x = 10` holds a value
+  Inc.recheck();
+  ASSERT_EQ(Inc.db().counts().Error, 1u);
+
+  F.Body.redirectSrc(Check, destOf(F.Body, "x = 10"));
+  G.rebuild();
+  Inc.recheck();
+  EXPECT_EQ(Inc.db().counts().Safe, 1u);
+  EXPECT_EQ(Inc.db().report(),
+            scratchReport<IntervalDomain>(F, AssertionsOnly));
+}
+
+/// Tier 1 must not trust a filled cell that a client query refilled after
+/// an edit dirtied it: the cell holds the new pre-state, not the cached one.
+TEST(CheckerIncremental, QueryBetweenPassesIsNotReplayed) {
+  Function F = mustLowerFn(R"(
+    function main(n) {
+      var x = 1;
+      assert(x > 5);
+      return x;
+    })",
+                           "main");
+  Daig<IntervalDomain> G(&F.Body, IntervalDomain::initialEntry(F.Params));
+  IncrementalChecker<IntervalDomain> Inc(G, F.Body, nullptr, AssertionsOnly);
+  Inc.recheck();
+  ASSERT_EQ(Inc.db().counts().Error, 1u);
+
+  G.applyStatementEdit(edgeOf(F.Body, "x = 1"),
+                       Stmt::mkAssign("x", Expr::mkInt(10)));
+  G.queryAllLocations();
+  Inc.recheck();
+  EXPECT_EQ(Inc.db().counts().Safe, 1u);
+  EXPECT_EQ(Inc.db().report(),
+            scratchReport<IntervalDomain>(F, AssertionsOnly));
+}
+
+/// A budget-degraded pass records WARNING rows flagged degraded; once the
+/// degraded cells are dropped, the next pass rewrites them to the
+/// from-scratch SAFE rows.
+TEST(CheckerIncremental, DegradedRowsRecoverExactly) {
+  Function F = mustLowerFn(R"(
+    function main(n) {
+      var i = 0;
+      while (i < n) {
+        i = i + 1;
+      }
+      assert(0 == 0);
+      return i;
+    })",
+                           "main");
+  Daig<IntervalDomain> G(&F.Body, IntervalDomain::initialEntry(F.Params));
+  IncrementalChecker<IntervalDomain> Inc(G, F.Body, nullptr, AssertionsOnly);
+  {
+    AnalysisBudget B;
+    B.MaxSteps = 2; // exhausts almost immediately
+    BudgetScope Scope(B);
+    Inc.recheck();
+  }
+  EXPECT_EQ(Inc.db().counts().Warning, 1u);
+  EXPECT_NE(Inc.db().report().find("degraded pre-state"), std::string::npos)
+      << Inc.db().report();
+
+  EXPECT_GT(G.invalidateDegraded(), 0u);
+  Inc.recheck();
+  EXPECT_EQ(Inc.db().counts().Safe, 1u);
+  EXPECT_EQ(Inc.db().report(),
+            scratchReport<IntervalDomain>(F, AssertionsOnly));
+}
+
+/// A pass with no edit since the last one collects, queries and evaluates
+/// nothing, and leaves the database as it was.
+TEST(CheckerIncremental, PassWithoutEditDoesNoWork) {
+  WorkloadOptions Opts;
+  Opts.Seed = 4;
+  Opts.PctAssertStmt = 20;
+  WorkloadGenerator Gen(Opts);
+  Program P = Gen.makeInitialProgram();
+  Function *Main = P.find("main");
+  ASSERT_NE(Main, nullptr);
+  Statistics Stats;
+  Daig<IntervalDomain> G(&Main->Body,
+                         IntervalDomain::initialEntry(Main->Params), &Stats);
+  IncrementalChecker<IntervalDomain> Inc(G, Main->Body, &Stats);
+  Inc.recheck();
+  for (unsigned I = 0; I < 10; ++I) {
+    EditRecord Rec = Gen.applyRandomEdit(P);
+    if (Rec.Kind == EditKind::InsertStmt)
+      G.applyInsertedStatement(Rec.At, Rec.Splice);
+    else
+      G.rebuild();
+    Inc.recheck();
+  }
+  ASSERT_GT(Inc.obligationCount(), 0u);
+  std::string Before = Inc.db().report();
+  Statistics Snapshot = Stats;
+  Inc.recheck();
+  EXPECT_EQ(Stats.ChecksCollected, Snapshot.ChecksCollected);
+  EXPECT_EQ(Stats.ChecksEvaluated, Snapshot.ChecksEvaluated);
+  EXPECT_EQ(Stats.CellReuses, Snapshot.CellReuses) << "a query ran";
+  EXPECT_EQ(Inc.db().report(), Before);
+}
+
+/// The obligations a pass collects after a statement insertion outside
+/// loops are the inserted statement's own, whatever the program's size.
+TEST(CheckerIncremental, CollectedChecksDoNotGrowWithProgramSize) {
+  auto collected = [](unsigned N) {
+    Function F = straightLine(N);
+    Statistics Stats;
+    Daig<IntervalDomain> G(&F.Body, IntervalDomain::initialEntry(F.Params),
+                           &Stats);
+    IncrementalChecker<IntervalDomain> Inc(G, F.Body, &Stats);
+    Inc.recheck();
+    uint64_t Before = Stats.ChecksCollected;
+    Loc At = destOf(F.Body, "x1 = x0 + 1");
+    InsertResult R = insertStmtAt(
+        F.Body, At,
+        Stmt::mkPrint(Expr::mkBinary(BinaryOp::Mul, Expr::mkVar("x1"),
+                                     Expr::mkInt(2))));
+    G.applyInsertedStatement(At, R);
+    Inc.recheck();
+    EXPECT_EQ(Inc.db().report(), scratchReport<IntervalDomain>(F));
+    return Stats.ChecksCollected - Before;
+  };
+  uint64_t Small = collected(50), Large = collected(500);
+  EXPECT_EQ(Small, 1u) << "the inserted statement's overflow check";
+  EXPECT_EQ(Small, Large);
 }
 
 } // namespace

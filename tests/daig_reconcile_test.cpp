@@ -129,22 +129,6 @@ template <typename D> struct TwinDaigs {
   }
 };
 
-Loc destOf(const Cfg &G, const std::string &Text) {
-  for (const auto &[Id, E] : G.edges())
-    if (E.Label.toString() == Text)
-      return E.Dst;
-  ADD_FAILURE() << "no edge labelled " << Text;
-  return InvalidLoc;
-}
-
-EdgeId edgeOf(const Cfg &G, const std::string &Text) {
-  for (const auto &[Id, E] : G.edges())
-    if (E.Label.toString() == Text)
-      return Id;
-  ADD_FAILURE() << "no edge labelled " << Text;
-  return InvalidEdgeId;
-}
-
 ExprPtr lt(const char *V, int64_t C) {
   return Expr::mkBinary(BinaryOp::Lt, Expr::mkVar(V), Expr::mkInt(C));
 }
@@ -446,16 +430,6 @@ TEST(DaigReconcile, EngineCalleeEditsMatchFullRebuild) {
     check(What);
     queryBoth(What);
   }
-}
-
-/// A straight-line main of \p N statements.
-Function straightLine(unsigned N) {
-  std::string Src = "function main(n) {\n  var x0 = n;\n";
-  for (unsigned I = 1; I < N; ++I)
-    Src += "  var x" + std::to_string(I) + " = x" + std::to_string(I - 1) +
-           " + 1;\n";
-  Src += "  return x" + std::to_string(N - 1) + ";\n}\n";
-  return mustLowerFn(Src, "main");
 }
 
 /// The rebuilt-cell count of an if-insertion outside loops depends on the

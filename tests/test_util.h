@@ -51,6 +51,34 @@ inline Function mustLowerFn(std::string_view Source, const std::string &Name) {
   return std::move(*F);
 }
 
+/// The destination of the edge of \p G labelled \p Text.
+inline Loc destOf(const Cfg &G, const std::string &Text) {
+  for (const auto &[Id, E] : G.edges())
+    if (E.Label.toString() == Text)
+      return E.Dst;
+  ADD_FAILURE() << "no edge labelled " << Text;
+  return InvalidLoc;
+}
+
+/// The id of the edge of \p G labelled \p Text.
+inline EdgeId edgeOf(const Cfg &G, const std::string &Text) {
+  for (const auto &[Id, E] : G.edges())
+    if (E.Label.toString() == Text)
+      return Id;
+  ADD_FAILURE() << "no edge labelled " << Text;
+  return InvalidEdgeId;
+}
+
+/// A straight-line main of \p N statements `xI = xI-1 + 1`.
+inline Function straightLine(unsigned N) {
+  std::string Src = "function main(n) {\n  var x0 = n;\n";
+  for (unsigned I = 1; I < N; ++I)
+    Src += "  var x" + std::to_string(I) + " = x" + std::to_string(I - 1) +
+           " + 1;\n";
+  Src += "  return x" + std::to_string(N - 1) + ";\n}\n";
+  return mustLowerFn(Src, "main");
+}
+
 /// Asserts that DAIG queries agree with the batch interpreter at every
 /// reachable location of \p F (from-scratch consistency, Theorem 6.1).
 template <typename D>
