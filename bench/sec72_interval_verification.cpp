@@ -84,7 +84,7 @@ PolicyResult verifyProgram(const corpus::CorpusProgram &P, unsigned K) {
         return;
       SeenInstance = true;
       const CfgEdge *E = Engine.cfgOf(Ob.Fn)->findEdge(Ob.Edge);
-      if (!G.info().Reachable[E->Src])
+      if (!G.info().reachable(E->Src))
         return; // unreachable in this instance: vacuously fine
       IntervalState Pre = G.queryLocation(E->Src);
       ObligationSummary Sum = checkArrayObligations(Pre, E->Label);

@@ -31,7 +31,7 @@ void verify(InterprocEngine<IntervalDomain> &Engine, const char *Label) {
   Engine.forEachInstance([&](const auto &Key, Daig<IntervalDomain> &G) {
     const Cfg *C = Engine.cfgOf(Key.Fn);
     for (const auto &[Id, E] : C->edges()) {
-      if (!G.info().Reachable[E.Src])
+      if (!G.info().reachable(E.Src))
         continue;
       IntervalState Pre = G.queryLocation(E.Src);
       ObligationSummary Sum = checkArrayObligations(Pre, E.Label);

@@ -67,10 +67,10 @@ public:
         continue;
       if (Info.inAnyLoop(L)) {
         if (isOutermostHead(L))
-          solveLoop(L, joinIncoming(L, nullptr));
+          solveLoop(L, joinIncoming(L, InvalidLoc));
         continue; // loop-body locations are handled inside solveLoop
       }
-      Values[L] = joinIncoming(L, nullptr);
+      Values[L] = joinIncoming(L, InvalidLoc);
     }
     return Values;
   }
@@ -89,32 +89,29 @@ private:
   }
 
   bool isOutermostHead(Loc L) const {
-    const auto &Nest = Info.LoopNestOf[L];
+    std::span<const Loc> Nest = Info.loopNest(L);
     return !Nest.empty() && Nest.size() == 1 && Nest[0] == L;
   }
 
   /// True if \p L is a loop head whose loop is *directly* nested in
   /// \p Enclosing (i.e. solving Enclosing's body must recurse at L).
   bool isHeadDirectlyWithin(Loc L, Loc Enclosing) const {
-    const auto &Nest = Info.LoopNestOf[L];
+    std::span<const Loc> Nest = Info.loopNest(L);
     if (Nest.empty() || Nest.back() != L)
       return false;
     return Nest.size() >= 2 && Nest[Nest.size() - 2] == Enclosing;
   }
 
   /// Join of transfers over the forward in-edges of \p L (in fwd-edges-to
-  /// index order, matching the DAIG's k-ary join cell). When \p Within is
-  /// non-null, only edges from inside that natural loop are considered.
-  Elem joinIncoming(Loc L, const std::set<Loc> *Within) {
-    auto It = Info.FwdEdgesTo.find(L);
-    if (It == Info.FwdEdgesTo.end())
-      return D::bottom();
+  /// index order, matching the DAIG's k-ary join cell). When \p Within is a
+  /// loop head, only edges from inside its natural loop are considered.
+  Elem joinIncoming(Loc L, Loc Within) {
     Elem Acc = D::bottom();
     bool FirstIn = true;
     unsigned Considered = 0;
-    for (EdgeId Id : It->second) {
+    for (EdgeId Id : Info.fwdEdgesTo(L)) {
       const CfgEdge *E = G.findEdge(Id);
-      if (Within && !Within->count(E->Src))
+      if (Within != InvalidLoc && !Info.inLoop(Within, E->Src))
         continue;
       ++Considered;
       Elem V = applyTransfer(E->Label, Values[E->Src]);
@@ -134,12 +131,11 @@ private:
   /// Computes the widened fixed point at head \p H starting from iterate
   /// \p X0 and publishes converged values for the whole natural loop.
   void solveLoop(Loc H, Elem X0) {
-    const std::set<Loc> &Body = Info.NaturalLoops.at(H);
-    const CfgEdge *Back = G.findEdge(Info.LoopBackEdge.at(H));
+    const CfgEdge *Back = G.findEdge(Info.backEdgeOf(H));
     Elem X = std::move(X0);
     for (;;) {
       Values[H] = X;
-      analyzeBody(H, Body);
+      analyzeBody(H);
       Elem PreWiden = applyTransfer(Back->Label, Values[Back->Src]);
       if (Stats)
         ++Stats->Widens;
@@ -156,19 +152,19 @@ private:
 
   /// One abstract iteration of a loop body: forward propagation inside the
   /// natural loop, solving directly nested loops recursively.
-  void analyzeBody(Loc H, const std::set<Loc> &Body) {
+  void analyzeBody(Loc H) {
     for (Loc L : Info.Rpo) {
-      if (L == H || !Body.count(L))
+      if (L == H || !Info.inLoop(H, L))
         continue;
-      const auto &Nest = Info.LoopNestOf[L];
+      std::span<const Loc> Nest = Info.loopNest(L);
       assert(!Nest.empty() && "loop-body locations have a loop nest");
       if (Nest.back() == H) {
         // Innermost enclosing loop is H: plain body location.
-        Values[L] = joinIncoming(L, &Body);
+        Values[L] = joinIncoming(L, H);
         continue;
       }
       if (isHeadDirectlyWithin(L, H)) {
-        solveLoop(L, joinIncoming(L, &Body));
+        solveLoop(L, joinIncoming(L, H));
         continue;
       }
       // Deeper location: handled inside the directly nested solveLoop.

@@ -79,22 +79,6 @@ bool Cfg::redirectDst(EdgeId Id, Loc NewDst) {
   return true;
 }
 
-std::vector<EdgeId> Cfg::succEdges(Loc L) const {
-  std::vector<EdgeId> Out;
-  for (const auto &[Id, E] : edges())
-    if (E.Src == L)
-      Out.push_back(Id);
-  return Out;
-}
-
-std::vector<EdgeId> Cfg::predEdges(Loc L) const {
-  std::vector<EdgeId> Out;
-  for (const auto &[Id, E] : edges())
-    if (E.Dst == L)
-      Out.push_back(Id);
-  return Out;
-}
-
 std::string Cfg::toString() const {
   std::ostringstream OS;
   OS << "entry=l" << Entry << " exit=l" << Exit << "\n";

@@ -25,12 +25,15 @@
 /// deletions, and the structured-edit API only ever adds edges, so the
 /// vector stays effectively dense in practice.
 ///
-/// Structural facts (dominators, loops, RPO — see cfg/cfg_analysis.h) are
-/// cached on the graph keyed by structuralVersion(), which statement-only
-/// edits do NOT bump: replaceStmt changes a label, never the shape, so every
-/// analyzeCfg consumer between two structural edits shares one derivation
-/// (the generator's location sampling, edits.cpp's splice-point probe, and
-/// each per-instance DAIG used to re-derive it independently).
+/// Structural facts (adjacency, dominators, loops, RPO — see
+/// cfg/cfg_analysis.h) are flat arrays derived in one linear pass and cached
+/// on the graph keyed by structuralVersion(), which statement-only edits do
+/// NOT bump: replaceStmt changes a label, never the shape, so every consumer
+/// between two structural edits shares one derivation (the generator's
+/// location sampling, edits.cpp's splice-point probe, every per-instance
+/// DAIG). Per-location edge lists live there too, in EdgeId order; the
+/// graph itself only stores edges by id. Arrays indexed by EdgeId span
+/// numEdgeIds(), removed ids included.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,7 +65,7 @@ struct CfgEdge {
   Stmt Label;
 };
 
-struct CfgInfo; // cfg/cfg_analysis.h
+class CfgInfo; // cfg/cfg_analysis.h
 
 /// A mutable control-flow graph with stable location and edge identities.
 ///
@@ -157,10 +160,9 @@ public:
   /// Number of allocated locations (locations are 0..numLocs()-1).
   uint32_t numLocs() const { return NextLoc; }
 
-  /// Outgoing edge ids of \p L, ordered by EdgeId.
-  std::vector<EdgeId> succEdges(Loc L) const;
-  /// Incoming edge ids of \p L, ordered by EdgeId.
-  std::vector<EdgeId> predEdges(Loc L) const;
+  /// Size of the EdgeId space: every id issued so far, removed ones
+  /// included, is below it.
+  EdgeId numEdgeIds() const { return NextEdge; }
 
   /// Monotonically increasing counter bumped on every mutation; lets cached
   /// analyses detect staleness.

@@ -7,234 +7,222 @@
 #include "cfg/cfg_analysis.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace dai;
 
 bool CfgInfo::dominates(Loc A, Loc B) const {
-  // Walk the dominator tree upward from B. The entry dominates everything,
-  // and Idom[entry] == entry terminates the walk.
-  if (B >= Idom.size() || !Reachable[B] || !Reachable[A])
+  if (!reachable(A) || !reachable(B))
     return false;
-  Loc Cur = B;
-  for (;;) {
-    if (Cur == A)
-      return true;
-    Loc Up = Idom[Cur];
-    if (Up == Cur)
-      return false;
-    Cur = Up;
-  }
+  // Walk B's dominator-tree path upward. Every step lowers the RPO
+  // position, so the walk meets A or passes below it.
+  uint32_t PA = RpoIndex[A], PB = RpoIndex[B];
+  while (PB > PA)
+    PB = IdomIndex[PB];
+  return PB == PA;
 }
 
 unsigned CfgInfo::fwdIndexOf(const Cfg &G, EdgeId Id) const {
   const CfgEdge *E = G.findEdge(Id);
-  if (!E || BackEdges.count(Id))
+  if (!E || isBackEdge(Id))
     return 0;
-  auto It = FwdEdgesTo.find(E->Dst);
-  if (It == FwdEdgesTo.end())
-    return 0;
-  const auto &Vec = It->second;
-  auto Pos = std::find(Vec.begin(), Vec.end(), Id);
-  return Pos == Vec.end() ? 0 : static_cast<unsigned>(Pos - Vec.begin()) + 1;
+  std::span<const EdgeId> Ids = fwdEdgesTo(E->Dst);
+  auto Pos = std::find(Ids.begin(), Ids.end(), Id);
+  return Pos == Ids.end() ? 0 : static_cast<unsigned>(Pos - Ids.begin()) + 1;
 }
 
 namespace {
 
-/// Builds per-location successor/predecessor edge-id lists (EdgeId order).
-struct Adjacency {
-  std::vector<std::vector<EdgeId>> Succ, Pred;
-
-  Adjacency(const Cfg &G, std::vector<Loc> &EdgeSrc) {
-    Succ.resize(G.numLocs());
-    Pred.resize(G.numLocs());
-    for (const auto &[Id, E] : G.edges()) {
-      Succ[E.Src].push_back(Id);
-      Pred[E.Dst].push_back(Id);
-      if (Id >= EdgeSrc.size())
-        EdgeSrc.resize(Id + 1, InvalidLoc);
-      EdgeSrc[Id] = E.Src;
-    }
-  }
-};
-
-/// Iterative DFS computing postorder over reachable locations.
-void computePostorder(const Cfg &G, const Adjacency &Adj,
-                      std::vector<Loc> &Post, std::vector<bool> &Reachable) {
-  Reachable.assign(G.numLocs(), false);
-  std::vector<std::pair<Loc, size_t>> Stack;
-  Stack.emplace_back(G.entry(), 0);
-  Reachable[G.entry()] = true;
-  while (!Stack.empty()) {
-    auto &[L, NextIdx] = Stack.back();
-    if (NextIdx < Adj.Succ[L].size()) {
-      EdgeId Id = Adj.Succ[L][NextIdx++];
-      Loc To = G.findEdge(Id)->Dst;
-      if (!Reachable[To]) {
-        Reachable[To] = true;
-        Stack.emplace_back(To, 0);
-      }
-      continue;
-    }
-    Post.push_back(L);
-    Stack.pop_back();
-  }
+/// Fills \p Out with \p Keys lists from the (key, item) pairs \p Emit
+/// yields, keeping each key's items in emission order. \p Emit runs twice,
+/// once to count and once to place, and must yield the same pairs both
+/// times.
+template <typename T, typename EmitFn>
+void buildLists(CfgInfo::Lists<T> &Out, uint32_t Keys, EmitFn Emit) {
+  std::vector<uint32_t> &Start = Out.Start;
+  Start.assign(Keys + 1, 0);
+  Emit([&](uint32_t K, T) { ++Start[K + 1]; });
+  for (uint32_t K = 0; K < Keys; ++K)
+    Start[K + 1] += Start[K];
+  Out.Items.resize(Start[Keys]);
+  // Start[K] serves as key K's cursor; afterwards each cursor sits where
+  // the next key's list begins, so shifting them by one restores Start.
+  Emit([&](uint32_t K, T V) { Out.Items[Start[K]++] = V; });
+  std::copy_backward(Start.begin(), Start.end() - 1, Start.end());
+  Start[0] = 0;
 }
 
 } // namespace
 
 CfgInfo dai::analyzeCfg(const Cfg &G) {
   CfgInfo Info;
-  Info.CfgVersion = G.version();
+  const uint32_t N = G.numLocs();
+  const EdgeId M = G.numEdgeIds();
 
-  Adjacency Adj(G, Info.EdgeSrc);
+  // 1. Adjacency: endpoints per EdgeId, out- and in-edge lists per location.
+  std::vector<Loc> EdgeDst(M, InvalidLoc);
+  Info.EdgeSrc.assign(M, InvalidLoc);
+  for (const auto &[Id, E] : G.edges()) {
+    Info.EdgeSrc[Id] = E.Src;
+    EdgeDst[Id] = E.Dst;
+  }
+  buildLists(Info.Succ, N, [&](auto Yield) {
+    for (EdgeId Id = 0; Id < M; ++Id)
+      if (Info.EdgeSrc[Id] != InvalidLoc)
+        Yield(Info.EdgeSrc[Id], Id);
+  });
+  buildLists(Info.Pred, N, [&](auto Yield) {
+    for (EdgeId Id = 0; Id < M; ++Id)
+      if (EdgeDst[Id] != InvalidLoc)
+        Yield(EdgeDst[Id], Id);
+  });
 
-  // Reverse postorder and reachability.
-  std::vector<Loc> Post;
-  computePostorder(G, Adj, Post, Info.Reachable);
-  Info.Rpo.assign(Post.rbegin(), Post.rend());
-  Info.RpoIndex.assign(G.numLocs(), ~0u);
-  for (uint32_t I = 0; I < Info.Rpo.size(); ++I)
-    Info.RpoIndex[Info.Rpo[I]] = I;
+  // 2. Reverse postorder: iterative DFS from the entry, successors in
+  //    EdgeId order. RpoIndex marks discovery before it numbers positions.
+  Info.RpoIndex.assign(N, CfgInfo::NoIndex);
+  {
+    std::vector<std::pair<Loc, uint32_t>> Stack; // (location, next Succ item)
+    Stack.reserve(N);
+    Info.Rpo.reserve(N);
+    Stack.emplace_back(G.entry(), Info.Succ.Start[G.entry()]);
+    Info.RpoIndex[G.entry()] = 0;
+    while (!Stack.empty()) {
+      auto &[L, Next] = Stack.back();
+      if (Next < Info.Succ.Start[L + 1]) {
+        Loc To = EdgeDst[Info.Succ.Items[Next++]];
+        if (Info.RpoIndex[To] == CfgInfo::NoIndex) {
+          Info.RpoIndex[To] = 0;
+          Stack.emplace_back(To, Info.Succ.Start[To]);
+        }
+        continue;
+      }
+      Info.Rpo.push_back(L); // postorder for now
+      Stack.pop_back();
+    }
+    std::reverse(Info.Rpo.begin(), Info.Rpo.end());
+    for (uint32_t I = 0; I < Info.Rpo.size(); ++I)
+      Info.RpoIndex[Info.Rpo[I]] = I;
+  }
 
-  // Dominators: Cooper-Harvey-Kennedy iterative algorithm over RPO.
-  Info.Idom.assign(G.numLocs(), InvalidLoc);
-  Info.Idom[G.entry()] = G.entry();
-  auto intersect = [&](Loc A, Loc B) {
+  // 3. Dominators: Cooper–Harvey–Kennedy, iterated over RPO positions.
+  const uint32_t R = static_cast<uint32_t>(Info.Rpo.size());
+  std::vector<uint32_t> &Idom = Info.IdomIndex;
+  Idom.assign(R, CfgInfo::NoIndex);
+  Idom[0] = 0;
+  auto intersect = [&](uint32_t A, uint32_t B) {
     while (A != B) {
-      while (Info.RpoIndex[A] > Info.RpoIndex[B])
-        A = Info.Idom[A];
-      while (Info.RpoIndex[B] > Info.RpoIndex[A])
-        B = Info.Idom[B];
+      while (A > B)
+        A = Idom[A];
+      while (B > A)
+        B = Idom[B];
     }
     return A;
   };
-  bool Changed = true;
-  while (Changed) {
+  for (bool Changed = true; Changed;) {
     Changed = false;
-    for (Loc L : Info.Rpo) {
-      if (L == G.entry())
-        continue;
-      Loc NewIdom = InvalidLoc;
-      for (EdgeId Id : Adj.Pred[L]) {
-        Loc P = G.findEdge(Id)->Src;
-        if (!Info.Reachable[P] || Info.Idom[P] == InvalidLoc)
+    for (uint32_t I = 1; I < R; ++I) {
+      uint32_t New = CfgInfo::NoIndex;
+      for (EdgeId Id : Info.Pred[Info.Rpo[I]]) {
+        uint32_t P = Info.RpoIndex[Info.EdgeSrc[Id]];
+        if (P == CfgInfo::NoIndex || Idom[P] == CfgInfo::NoIndex)
           continue;
-        NewIdom = (NewIdom == InvalidLoc) ? P : intersect(NewIdom, P);
+        New = New == CfgInfo::NoIndex ? P : intersect(New, P);
       }
-      if (NewIdom != InvalidLoc && Info.Idom[L] != NewIdom) {
-        Info.Idom[L] = NewIdom;
+      if (New != CfgInfo::NoIndex && New != Idom[I]) {
+        Idom[I] = New;
         Changed = true;
       }
     }
   }
 
-  // Back edges: Dst dominates Src. The paper (footnote 7) assumes at most
-  // one back edge per header, which structured lowering guarantees.
-  for (const auto &[Id, E] : G.edges()) {
-    if (!Info.Reachable[E.Src])
+  // 4. Back edges and reducibility. Only a retreating edge (Dst no later
+  //    than Src in RPO) can be a back edge. It is one iff Dst dominates Src;
+  //    any other retreating edge closes a cycle with two entries. A second
+  //    back edge into one head is reported first: the paper (footnote 7)
+  //    assumes one per head, which structured lowering guarantees.
+  Info.BackEdge.assign(M, false);
+  Info.HeadBackEdge.assign(N, InvalidEdgeId);
+  bool Irreducible = false;
+  for (EdgeId Id = 0; Id < M; ++Id) {
+    Loc Src = Info.EdgeSrc[Id], Dst = EdgeDst[Id];
+    if (!Info.reachable(Src) || Info.RpoIndex[Dst] > Info.RpoIndex[Src])
       continue;
-    if (Info.dominates(E.Dst, E.Src)) {
-      Info.BackEdges.insert(Id);
-      auto [It, Inserted] = Info.LoopBackEdge.emplace(E.Dst, Id);
-      (void)It;
-      if (!Inserted) {
-        Info.Error = "multiple back edges into location l" +
-                     std::to_string(E.Dst) +
-                     " (unsupported; merge them with a structured loop)";
-        return Info;
-      }
+    if (!Info.dominates(Dst, Src)) {
+      Irreducible = true;
+      continue;
     }
-  }
-
-  // Reducibility: the graph without back edges must be acyclic. Detect via
-  // Kahn's algorithm restricted to reachable locations and forward edges.
-  {
-    std::vector<uint32_t> InDeg(G.numLocs(), 0);
-    uint32_t NumReachable = 0;
-    for (Loc L = 0; L < G.numLocs(); ++L)
-      if (Info.Reachable[L])
-        ++NumReachable;
-    for (const auto &[Id, E] : G.edges())
-      if (!Info.BackEdges.count(Id) && Info.Reachable[E.Src])
-        ++InDeg[E.Dst];
-    std::vector<Loc> Work;
-    for (Loc L = 0; L < G.numLocs(); ++L)
-      if (Info.Reachable[L] && InDeg[L] == 0)
-        Work.push_back(L);
-    uint32_t Seen = 0;
-    while (!Work.empty()) {
-      Loc L = Work.back();
-      Work.pop_back();
-      ++Seen;
-      for (EdgeId Id : Adj.Succ[L]) {
-        if (Info.BackEdges.count(Id))
-          continue;
-        Loc To = G.findEdge(Id)->Dst;
-        if (--InDeg[To] == 0)
-          Work.push_back(To);
-      }
-    }
-    if (Seen != NumReachable) {
-      Info.Error = "irreducible control flow: a cycle remains after removing "
-                   "back edges";
+    if (Info.HeadBackEdge[Dst] != InvalidEdgeId) {
+      Info.Error = "multiple back edges into location l" +
+                   std::to_string(Dst) +
+                   " (unsupported; merge them with a structured loop)";
       return Info;
     }
+    Info.HeadBackEdge[Dst] = Id;
+    Info.BackEdge[Id] = true;
+  }
+  if (Irreducible) {
+    Info.Error = "irreducible control flow: a cycle remains after removing "
+                 "back edges";
+    return Info;
   }
 
-  // Natural loops: body of back edge Src→Head is {Head} ∪ all locations that
-  // reach Src without passing through Head (reverse traversal from Src).
-  for (const auto &[Head, BackId] : Info.LoopBackEdge) {
-    const CfgEdge *Back = G.findEdge(BackId);
-    std::set<Loc> Body = {Head};
-    std::vector<Loc> Work;
-    if (Back->Src != Head) {
-      Body.insert(Back->Src);
-      Work.push_back(Back->Src);
-    }
-    while (!Work.empty()) {
-      Loc L = Work.back();
-      Work.pop_back();
-      for (EdgeId Id : Adj.Pred[L]) {
-        Loc P = G.findEdge(Id)->Src;
-        if (!Info.Reachable[P] || Body.count(P))
-          continue;
-        Body.insert(P);
-        Work.push_back(P);
+  // 5. Natural loops: the body of back edge Src→Head is {Head} ∪ every
+  //    reachable location that reaches Src without passing through Head.
+  //    Seen[L] == Head marks L as already in Head's body.
+  {
+    std::vector<Loc> Seen(N, InvalidLoc), Work;
+    std::vector<Loc> &Items = Info.Body.Items;
+    Info.Body.Start.assign(N + 1, 0);
+    for (Loc H = 0; H < N; ++H) {
+      if (Info.HeadBackEdge[H] != InvalidEdgeId) {
+        Info.Heads.push_back(H);
+        size_t Begin = Items.size();
+        auto Add = [&](Loc L) {
+          Seen[L] = H;
+          Items.push_back(L);
+          Work.push_back(L);
+        };
+        Seen[H] = H;
+        Items.push_back(H);
+        Loc Latch = Info.EdgeSrc[Info.HeadBackEdge[H]];
+        if (Latch != H)
+          Add(Latch);
+        while (!Work.empty()) {
+          Loc L = Work.back();
+          Work.pop_back();
+          for (EdgeId Id : Info.Pred[L]) {
+            Loc P = Info.EdgeSrc[Id];
+            if (Info.reachable(P) && Seen[P] != H)
+              Add(P);
+          }
+        }
+        std::sort(Items.begin() + Begin, Items.end());
       }
+      Info.Body.Start[H + 1] = static_cast<uint32_t>(Items.size());
     }
-    Info.NaturalLoops[Head] = std::move(Body);
   }
 
-  // Loop nesting per location, outermost first. Nested loop bodies are
-  // strictly contained in their enclosing bodies, so ordering by decreasing
-  // body size is a correct outermost-first order.
-  Info.LoopNestOf.assign(G.numLocs(), {});
-  for (Loc L = 0; L < G.numLocs(); ++L) {
-    if (!Info.Reachable[L])
-      continue;
-    std::vector<Loc> Heads;
-    for (const auto &[Head, Body] : Info.NaturalLoops)
-      if (Body.count(L))
-        Heads.push_back(Head);
-    std::sort(Heads.begin(), Heads.end(), [&](Loc A, Loc B) {
-      size_t SA = Info.NaturalLoops[A].size(), SB = Info.NaturalLoops[B].size();
-      if (SA != SB)
-        return SA > SB;
-      return A < B;
+  // 6. Loop nests, outermost first. Natural loops of a reducible graph are
+  //    nested or disjoint, so placing heads by decreasing body size (then
+  //    id) lists every location's enclosing heads outermost first.
+  {
+    std::vector<Loc> Outer = Info.Heads;
+    auto Size = [&](Loc H) { return Info.loopBody(H).size(); };
+    std::sort(Outer.begin(), Outer.end(), [&](Loc A, Loc B) {
+      return Size(A) != Size(B) ? Size(A) > Size(B) : A < B;
     });
-    Info.LoopNestOf[L] = std::move(Heads);
+    buildLists(Info.Nest, N, [&](auto Yield) {
+      for (Loc H : Outer)
+        for (Loc L : Info.loopBody(H))
+          Yield(L, H);
+    });
   }
 
-  // Forward-edge indexing and join points.
-  for (const auto &[Id, E] : G.edges()) {
-    if (Info.BackEdges.count(Id) || !Info.Reachable[E.Src])
-      continue;
-    Info.FwdEdgesTo[E.Dst].push_back(Id); // edges() iteration is EdgeId-ordered
-  }
-  for (const auto &[L, Ids] : Info.FwdEdgesTo)
-    if (Ids.size() >= 2)
-      Info.JoinPoints.insert(L);
+  // 7. Forward in-edges: reachable source, not a back edge, EdgeId order.
+  buildLists(Info.Fwd, N, [&](auto Yield) {
+    for (EdgeId Id = 0; Id < M; ++Id)
+      if (Info.reachable(Info.EdgeSrc[Id]) && !Info.BackEdge[Id])
+        Yield(EdgeDst[Id], Id);
+  });
 
   return Info;
 }

@@ -30,20 +30,20 @@ std::pair<Loc, Loc> spliceAt(Cfg &G, Loc L) {
   // Loop headers are identified by genuine (dominance-based) back edges —
   // merely sitting on a cycle does not make a location a header. The cached
   // snapshot is pinned BEFORE the mutations below invalidate it: pre-edit
-  // facts are exactly what the splice decision needs, and between edits the
-  // probe is a version compare, not a fresh analyzeCfg.
+  // facts, L's edge lists included, are exactly what the splice needs, and
+  // between edits the probe is a version compare, not a fresh analyzeCfg.
   std::shared_ptr<const CfgInfo> Info = G.infoShared();
   assert(Info->valid() && "edits require a well-formed CFG");
   Loc M = G.addLoc();
   if (Info->isLoopHead(L)) {
     // Splice before the header: forward in-edges now enter M; the new code
     // runs once, before the loop. The back edge keeps targeting L.
-    for (EdgeId Id : G.predEdges(L))
-      if (!Info->BackEdges.count(Id))
+    for (EdgeId Id : Info->predEdges(L))
+      if (!Info->isBackEdge(Id))
         G.redirectDst(Id, M);
     return {L, M}; // code goes M → ... → L
   }
-  for (EdgeId Id : G.succEdges(L))
+  for (EdgeId Id : Info->succEdges(L))
     G.redirectSrc(Id, M);
   return {M, L}; // code goes L → ... → M
 }

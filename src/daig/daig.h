@@ -245,10 +245,10 @@ public:
   /// Demands the abstract state at location \p L, computing enclosing loop
   /// fixed points as needed. Returns ⊥ for unreachable locations.
   Elem queryLocation(Loc L) {
-    if (L >= Info->Reachable.size() || !Info->Reachable[L])
+    if (!Info->reachable(L))
       return D::bottom();
     CountCtx Ctx;
-    for (Loc H : Info->LoopNestOf[L]) {
+    for (Loc H : Info->loopNest(L)) {
       if (H == L)
         break;
       Name FixDest = fixCellName(H, Ctx);
@@ -375,7 +375,9 @@ public:
     const CfgEdge *NewEdge = G->findEdge(R.FirstNewEdge);
     assert(NewEdge && "insertion must have created an edge");
     std::vector<Loc> Candidates = {NewEdge->Src, NewEdge->Dst};
-    for (EdgeId Id : G->succEdges(NewEdge->Dst))
+    // The post-edit snapshot, which reconcile fetches next anyway.
+    std::shared_ptr<const CfgInfo> New = G->infoShared();
+    for (EdgeId Id : New->succEdges(NewEdge->Dst))
       Candidates.push_back(G->findEdge(Id)->Dst);
     reconcile(/*Everywhere=*/false, &Candidates);
     return true;
@@ -478,10 +480,10 @@ public:
   /// location was never demanded. An unreachable location has no cells and
   /// reads false; its ⊥ answer costs nothing to re-demand.
   bool locationValueReady(Loc L) const {
-    if (L >= Info->Reachable.size() || !Info->Reachable[L])
+    if (!Info->reachable(L))
       return false;
     CountCtx Ctx;
-    for (Loc H : Info->LoopNestOf[L]) {
+    for (Loc H : Info->loopNest(L)) {
       if (H == L)
         break;
       Name FixDest = fixCellName(H, Ctx);
@@ -519,10 +521,10 @@ public:
   bool locationDegraded(Loc L) const {
     if (Degraded.empty())
       return false;
-    if (L >= Info->Reachable.size() || !Info->Reachable[L])
+    if (!Info->reachable(L))
       return false;
     CountCtx Ctx;
-    for (Loc H : Info->LoopNestOf[L]) {
+    for (Loc H : Info->loopNest(L)) {
       if (H == L)
         break;
       Name FixDest = fixCellName(H, Ctx);
@@ -622,9 +624,9 @@ public:
       std::vector<uint32_t> Counts;
       if (!decodeCellState(N, L, Counts))
         continue;
-      if (L >= Info->Reachable.size() || !Info->Reachable[L])
+      if (!Info->reachable(L))
         return "cell of an unreachable location: " + N.toString();
-      size_t Depth = Info->LoopNestOf[L].size();
+      size_t Depth = Info->loopDepth(L);
       if (Counts.size() != Depth &&
           !(Info->isLoopHead(L) && Counts.size() + 1 == Depth))
         return "cell name disagrees with its loop nest: " + N.toString();
@@ -647,7 +649,7 @@ public:
     assert(E && "no such edge");
     Name Plain = Name::pair(Name::loc(E->Src), Name::loc(E->Dst));
     unsigned Idx = Info->fwdIndexOf(*G, Id);
-    if (Idx == 0 || Info->FwdEdgesTo.at(E->Dst).size() < 2)
+    if (Idx == 0 || Info->fwdEdgesTo(E->Dst).size() < 2)
       return Plain; // back edge or unique forward edge
     return Name::pair(Name::num(Idx), Plain);
   }
@@ -718,7 +720,7 @@ private:
   /// (for a loop head, the final count is its own iterate index).
   Name stateCellName(Loc L, const CountCtx &Ctx) const {
     Name N = Name::loc(L);
-    for (Loc H : Info->LoopNestOf[L]) {
+    for (Loc H : Info->loopNest(L)) {
       auto It = Ctx.find(H);
       N = Name::iter(N, It == Ctx.end() ? 0u : It->second);
     }
@@ -729,7 +731,7 @@ private:
   /// counts of strictly enclosing loops only.
   Name fixCellName(Loc H, const CountCtx &Ctx) const {
     Name N = Name::loc(H);
-    const auto &Nest = Info->LoopNestOf[H];
+    std::span<const Loc> Nest = Info->loopNest(H);
     for (size_t I = 0; I + 1 < Nest.size(); ++I) {
       auto It = Ctx.find(Nest[I]);
       N = Name::iter(N, It == Ctx.end() ? 0u : It->second);
@@ -864,7 +866,7 @@ private:
     CountCtx Ctx;
     if (L == G->entry()) {
       // The entry cell holds φ0 and must have no forward in-edges.
-      assert(Info->FwdEdgesTo.count(L) == 0 &&
+      assert(Info->fwdEdgesTo(L).empty() &&
              "the entry location cannot be a forward-edge target");
       Name N = stateCellName(L, Ctx);
       auto [It, Inserted] =
@@ -875,7 +877,7 @@ private:
         Log->Built.push_back(N);
       return;
     }
-    const auto &Nest = Info->LoopNestOf[L];
+    std::span<const Loc> Nest = Info->loopNest(L);
     if (Nest.empty()) {
       buildEdgesInto(L, Ctx);
     } else if (Nest.front() == L) {
@@ -898,10 +900,9 @@ private:
   void buildEdgesInto(Loc L, const CountCtx &Ctx) {
     Name Dest = stateCellName(L, Ctx);
     addStateCell(Dest);
-    auto It = Info->FwdEdgesTo.find(L);
-    if (It == Info->FwdEdgesTo.end())
+    std::span<const EdgeId> Ids = Info->fwdEdgesTo(L);
+    if (Ids.empty())
       return; // head reachable only through its back edge: entry via loop
-    const std::vector<EdgeId> &Ids = It->second;
     if (Ids.size() == 1) {
       const CfgEdge *E = G->findEdge(Ids[0]);
       Name SC = stmtName(E->Src, L, 1, 1);
@@ -926,7 +927,7 @@ private:
   /// the edge leaves its loop, else the head's current iterate / the plain
   /// state cell (footnote 5 of the paper).
   Name srcStateName(Loc Src, Loc DstLoc, const CountCtx &Ctx) const {
-    if (Info->isLoopHead(Src) && !Info->NaturalLoops.at(Src).count(DstLoc))
+    if (Info->isLoopHead(Src) && !Info->inLoop(Src, DstLoc))
       return fixCellName(Src, Ctx);
     return stateCellName(Src, Ctx);
   }
@@ -952,7 +953,7 @@ private:
     addStateCell(FixDest);
     addComp(FixDest, FnKind::Fix, {Its.first, Its.second});
     std::vector<std::pair<Loc, uint32_t>> EnclosingCtx;
-    for (Loc H : Info->LoopNestOf[L])
+    for (Loc H : Info->loopNest(L))
       if (H != L)
         EnclosingCtx.emplace_back(H, Ctx.count(H) ? Ctx.at(H) : 0u);
     Loops[FixDest] = LoopInstance{L, std::move(EnclosingCtx), K};
@@ -977,10 +978,10 @@ private:
 
     // Body cells and computations under count I (in any order: each
     // location's cells name their sources, built or not).
-    for (Loc B : Info->NaturalLoops.at(L)) {
+    for (Loc B : Info->loopBody(L)) {
       if (B == L)
         continue;
-      const auto &Nest = Info->LoopNestOf[B];
+      std::span<const Loc> Nest = Info->loopNest(B);
       if (Nest.back() == B && Nest.size() >= 2 &&
           Nest[Nest.size() - 2] == L) {
         // Directly nested loop: entry edges, then its iterations.
@@ -994,7 +995,7 @@ private:
     }
 
     // Back edge: transfer from the latch state into the pre-widen cell.
-    const CfgEdge *Back = G->findEdge(Info->LoopBackEdge.at(L));
+    const CfgEdge *Back = G->findEdge(Info->backEdgeOf(L));
     Name SC = stmtName(Back->Src, L, 0, 1);
     addStmtCell(SC, Back->Label);
     addComp(PreWiden, FnKind::Transfer, {SC, stateCellName(Back->Src, Ctx)});
@@ -1288,9 +1289,9 @@ private:
     std::vector<uint32_t> Counts;
     if (!decodeState(N, L, Counts))
       return;
-    if (!Info->isLoopHead(L) || L >= Info->LoopNestOf.size())
+    if (!Info->isLoopHead(L))
       return;
-    const auto &Nest = Info->LoopNestOf[L];
+    std::span<const Loc> Nest = Info->loopNest(L);
     if (Counts.size() != Nest.size() || Counts.empty() || Counts.back() != 1)
       return;
     // Reconstruct the fix-cell name from the enclosing counts.
@@ -1309,7 +1310,7 @@ private:
   /// fix computation to the initial iterates.
   void rollbackLoop(Name FixDest, LoopInstance &Inst) {
     Loc L = Inst.Head;
-    const auto &HeadNest = Info->LoopNestOf[L];
+    std::span<const Loc> HeadNest = Info->loopNest(L);
     size_t Pos = HeadNest.size() - 1; // L's index within its own nest
     CountCtx Ctx;
     for (const auto &[H, C] : Inst.Ctx)
@@ -1336,7 +1337,7 @@ private:
       std::vector<uint32_t> Counts;
       if (!decodeCellState(N, CL, Counts))
         continue; // statement cells survive rollback
-      const auto &CNest = Info->LoopNestOf[CL];
+      std::span<const Loc> CNest = Info->loopNest(CL);
       // Find L's position within this cell's nest; fix cells have one fewer
       // count than their head's nest, which the position check tolerates.
       size_t P = 0;
@@ -1432,7 +1433,7 @@ private:
       return; // the graph has not changed since the DAIG last matched it
     std::shared_ptr<const CfgInfo> Pinned = Info; // outlives the swap below
     const CfgInfo &Old = *Pinned;
-    size_t NumLocs = std::max(Old.Reachable.size(), New->Reachable.size());
+    uint32_t NumLocs = std::max(Old.numLocs(), New->numLocs());
 
     // 1. Region: the changed locations, widened to every outermost loop
     //    (old or new) containing one.
@@ -1452,9 +1453,8 @@ private:
         return;
       Changed.push_back(X);
       Add(X);
-      if (X < Old.LoopNestOf.size())
-        for (Loc H : Old.LoopNestOf[X])
-          RollBack[H] = 1; // this loop's old body holds a changed location
+      for (Loc H : Old.loopNest(X))
+        RollBack[H] = 1; // this loop's old body holds a changed location
     };
     if (Only && !Labels) {
       for (Loc X : *Only)
@@ -1467,21 +1467,20 @@ private:
       Loc X = Work.back();
       Work.pop_back();
       for (const CfgInfo *I : {&Old, New.get()}) {
-        if (X >= I->LoopNestOf.size() || I->LoopNestOf[X].empty())
+        if (!I->inAnyLoop(X))
           continue;
-        Loc H = I->LoopNestOf[X].front();
+        Loc H = I->loopNest(X).front();
         std::vector<char> &Done = I == &Old ? OldOuter : NewOuter;
         if (Done[H])
           continue;
         Done[H] = 1;
-        for (Loc B : I->NaturalLoops.at(H))
+        for (Loc B : I->loopBody(H))
           Add(B);
       }
     }
     if (Everywhere)
       for (Loc X = 0; X < NumLocs; ++X)
-        if ((X < Old.Reachable.size() && Old.Reachable[X]) ||
-            (X < New->Reachable.size() && New->Reachable[X]))
+        if (Old.reachable(X) || New->reachable(X))
           Add(X);
 
     // 2. Roll every instance of a loop around a changed location back to
@@ -1567,25 +1566,20 @@ private:
   /// that location's in-edges or nest.
   bool locationChanged(const CfgInfo &New, Loc X, bool Labels) const {
     const CfgInfo &Old = *Info;
-    bool InOld = X < Old.Reachable.size() && Old.Reachable[X];
-    bool InNew = X < New.Reachable.size() && New.Reachable[X];
-    if (InOld != InNew)
+    bool InOld = Old.reachable(X);
+    if (InOld != New.reachable(X))
       return true;
     if (!InOld)
       return false;
-    if (Old.LoopNestOf[X] != New.LoopNestOf[X])
+    if (!std::ranges::equal(Old.loopNest(X), New.loopNest(X)))
       return true;
-    auto BIt = Old.LoopBackEdge.find(X);
-    if (BIt != Old.LoopBackEdge.end() &&
-        (BIt->second != New.LoopBackEdge.at(X) ||
-         edgeChanged(New, BIt->second, X, 0, 1, Labels)))
+    EdgeId Back = Old.backEdgeOf(X);
+    if (Back != InvalidEdgeId &&
+        (Back != New.backEdgeOf(X) ||
+         edgeChanged(New, Back, X, 0, 1, Labels)))
       return true;
-    static const std::vector<EdgeId> NoEdges;
-    auto OIt = Old.FwdEdgesTo.find(X);
-    auto NIt = New.FwdEdgesTo.find(X);
-    const auto &OIds = OIt == Old.FwdEdgesTo.end() ? NoEdges : OIt->second;
-    const auto &NIds = NIt == New.FwdEdgesTo.end() ? NoEdges : NIt->second;
-    if (OIds != NIds)
+    std::span<const EdgeId> OIds = Old.fwdEdgesTo(X);
+    if (!std::ranges::equal(OIds, New.fwdEdgesTo(X)))
       return true;
     for (unsigned I = 0; I < OIds.size(); ++I)
       if (edgeChanged(New, OIds[I], X, I + 1, OIds.size(), Labels))
@@ -1602,8 +1596,9 @@ private:
   bool edgeChanged(const CfgInfo &New, EdgeId Id, Loc X, unsigned Idx,
                    size_t InDegree, bool Labels) const {
     const CfgInfo &Old = *Info;
-    Loc S = Old.EdgeSrc[Id];
-    if (S != New.EdgeSrc[Id] || Old.LoopNestOf[S] != New.LoopNestOf[S])
+    Loc S = Old.edgeSrc(Id);
+    if (S != New.edgeSrc(Id) ||
+        !std::ranges::equal(Old.loopNest(S), New.loopNest(S)))
       return true;
     if (!Labels)
       return false;
@@ -1620,19 +1615,16 @@ private:
   /// all the cells a changed location has; a location that did not change
   /// keeps its names, so none of its cells can disappear.
   void zeroContextCellsOf(Loc X, std::vector<Name> &Out) const {
-    if (X >= Info->Reachable.size() || !Info->Reachable[X])
+    if (!Info->reachable(X))
       return;
     CountCtx Ctx;
     Name S = stateCellName(X, Ctx);
     Out.push_back(S);
-    auto FIt = Info->FwdEdgesTo.find(X);
-    if (FIt != Info->FwdEdgesTo.end()) {
-      const std::vector<EdgeId> &Ids = FIt->second;
-      for (unsigned I = 0; I < Ids.size(); ++I) {
-        Out.push_back(stmtName(Info->EdgeSrc[Ids[I]], X, I + 1, Ids.size()));
-        if (Ids.size() >= 2)
-          Out.push_back(preJoinCellName(X, Ctx, I + 1));
-      }
+    std::span<const EdgeId> Ids = Info->fwdEdgesTo(X);
+    for (unsigned I = 0; I < Ids.size(); ++I) {
+      Out.push_back(stmtName(Info->edgeSrc(Ids[I]), X, I + 1, Ids.size()));
+      if (Ids.size() >= 2)
+        Out.push_back(preJoinCellName(X, Ctx, I + 1));
     }
     if (Info->isLoopHead(X)) {
       Ctx[X] = 1;
@@ -1640,8 +1632,7 @@ private:
       Out.push_back(It1);
       Out.push_back(Name::pair(S, It1));
       Out.push_back(fixCellName(X, CountCtx{}));
-      Out.push_back(
-          stmtName(Info->EdgeSrc[Info->LoopBackEdge.at(X)], X, 0, 1));
+      Out.push_back(stmtName(Info->edgeSrc(Info->backEdgeOf(X)), X, 0, 1));
     }
   }
 };

@@ -134,7 +134,7 @@ Loc WorkloadGenerator::sampleEditLocation(const Cfg &G) {
   const CfgInfo &Info = G.info();
   std::vector<Loc> Candidates;
   for (Loc L = 0; L < G.numLocs(); ++L)
-    if (Info.Reachable[L] && L != G.exit())
+    if (Info.reachable(L) && L != G.exit())
       Candidates.push_back(L);
   assert(!Candidates.empty() && "no insertable location");
   return Candidates[R.below(Candidates.size())];
@@ -176,7 +176,7 @@ std::vector<Loc> WorkloadGenerator::sampleQueryLocations(const Program &P,
   const CfgInfo &Info = Main->Body.info();
   std::vector<Loc> Reachable;
   for (Loc L = 0; L < Main->Body.numLocs(); ++L)
-    if (Info.Reachable[L])
+    if (Info.reachable(L))
       Reachable.push_back(L);
   std::vector<Loc> Out;
   for (unsigned I = 0; I < N && !Reachable.empty(); ++I)

@@ -195,7 +195,7 @@ TEST(DaigSurgical, RepeatedSplicesStayConsistent) {
     ASSERT_TRUE(Info.valid());
     std::vector<Loc> Candidates;
     for (Loc L = 0; L < F.Body.numLocs(); ++L)
-      if (Info.Reachable[L] && L != F.Body.exit())
+      if (Info.reachable(L) && L != F.Body.exit())
         Candidates.push_back(L);
     Loc At = Candidates[R.below(Candidates.size())];
     std::string Var = "v" + std::to_string(R.below(3));

@@ -169,8 +169,8 @@ TEST(Lowering, WhileProducesSingleBackEdge) {
       "f");
   CfgInfo Info = analyzeCfg(F.Body);
   ASSERT_TRUE(Info.valid()) << Info.Error;
-  EXPECT_EQ(Info.BackEdges.size(), 1u);
-  EXPECT_EQ(Info.LoopBackEdge.size(), 1u);
+  EXPECT_EQ(backEdges(F.Body, Info).size(), 1u);
+  EXPECT_EQ(Info.loopHeads().size(), 1u);
 }
 
 TEST(Lowering, BranchingLoopBodyStillSingleBackEdge) {
@@ -185,7 +185,7 @@ TEST(Lowering, BranchingLoopBodyStillSingleBackEdge) {
                            "f");
   CfgInfo Info = analyzeCfg(F.Body);
   ASSERT_TRUE(Info.valid()) << Info.Error;
-  EXPECT_EQ(Info.BackEdges.size(), 1u)
+  EXPECT_EQ(backEdges(F.Body, Info).size(), 1u)
       << "the latch must merge branched body exits";
 }
 
@@ -206,11 +206,12 @@ TEST(CfgAnalysis, DominatorsAndJoins) {
                            "f");
   CfgInfo Info = analyzeCfg(F.Body);
   ASSERT_TRUE(Info.valid());
-  EXPECT_EQ(Info.JoinPoints.size(), 1u);
-  Loc Join = *Info.JoinPoints.begin();
+  std::vector<Loc> Joins = joinPoints(Info);
+  ASSERT_EQ(Joins.size(), 1u);
+  Loc Join = Joins.front();
   EXPECT_TRUE(Info.dominates(F.Body.entry(), Join));
   EXPECT_FALSE(Info.dominates(Join, F.Body.entry()));
-  EXPECT_EQ(Info.FwdEdgesTo.at(Join).size(), 2u);
+  EXPECT_EQ(Info.fwdEdgesTo(Join).size(), 2u);
 }
 
 TEST(CfgAnalysis, NestedLoopNesting) {
@@ -227,18 +228,16 @@ TEST(CfgAnalysis, NestedLoopNesting) {
                            "f");
   CfgInfo Info = analyzeCfg(F.Body);
   ASSERT_TRUE(Info.valid());
-  ASSERT_EQ(Info.LoopBackEdge.size(), 2u);
+  ASSERT_EQ(Info.loopHeads().size(), 2u);
   // One loop nests inside the other.
-  auto It = Info.NaturalLoops.begin();
-  const auto &L1 = It->second;
-  const auto &L2 = std::next(It)->second;
+  std::span<const Loc> L1 = Info.loopBody(Info.loopHeads()[0]);
+  std::span<const Loc> L2 = Info.loopBody(Info.loopHeads()[1]);
   bool Nested = std::includes(L1.begin(), L1.end(), L2.begin(), L2.end()) ||
                 std::includes(L2.begin(), L2.end(), L1.begin(), L1.end());
   EXPECT_TRUE(Nested);
   // The inner head has nest depth 2.
   bool FoundDepth2 = false;
-  for (const auto &[Head, Ignored] : Info.LoopBackEdge) {
-    (void)Ignored;
+  for (Loc Head : Info.loopHeads()) {
     if (Info.loopDepth(Head) == 2)
       FoundDepth2 = true;
   }
@@ -273,7 +272,7 @@ TEST(CfgEdits, InsertionsPreserveWellFormedness) {
     ASSERT_TRUE(Info.valid()) << "step " << Step << ": " << Info.Error;
     std::vector<Loc> Cands;
     for (Loc L = 0; L < F.Body.numLocs(); ++L)
-      if (Info.Reachable[L] && L != F.Body.exit())
+      if (Info.reachable(L) && L != F.Body.exit())
         Cands.push_back(L);
     Loc At = Cands[R.below(Cands.size())];
     switch (R.below(3)) {

@@ -216,7 +216,7 @@ TEST(Interproc, IntervalArgumentBindingKeepsArrayLengths) {
     if (Key.Fn != ReadAt)
       return;
     for (const auto &[Id, Edge] : E.cfgOf("readAt")->edges()) {
-      if (!G.info().Reachable[Edge.Src])
+      if (!G.info().reachable(Edge.Src))
         continue;
       IntervalState Pre = G.queryLocation(Edge.Src);
       ObligationSummary Sum = checkArrayObligations(Pre, Edge.Label);

@@ -69,6 +69,24 @@ inline EdgeId edgeOf(const Cfg &G, const std::string &Text) {
   return InvalidEdgeId;
 }
 
+/// The back edges of \p G per \p Info, ascending.
+inline std::vector<EdgeId> backEdges(const Cfg &G, const CfgInfo &Info) {
+  std::vector<EdgeId> Out;
+  for (const auto &[Id, E] : G.edges())
+    if (Info.isBackEdge(Id))
+      Out.push_back(Id);
+  return Out;
+}
+
+/// The join points (forward in-degree ≥ 2) per \p Info, ascending.
+inline std::vector<Loc> joinPoints(const CfgInfo &Info) {
+  std::vector<Loc> Out;
+  for (Loc L = 0; L < Info.numLocs(); ++L)
+    if (Info.isJoin(L))
+      Out.push_back(L);
+  return Out;
+}
+
 /// A straight-line main of \p N statements `xI = xI-1 + 1`.
 inline Function straightLine(unsigned N) {
   std::string Src = "function main(n) {\n  var x0 = n;\n";

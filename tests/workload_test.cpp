@@ -73,8 +73,8 @@ TEST(Workload, LongEditSequencePreservesWellFormedCfg) {
     Gen.applyRandomEdit(P);
   CfgInfo Info = analyzeCfg(P.find("main")->Body);
   EXPECT_TRUE(Info.valid()) << Info.Error;
-  EXPECT_GT(Info.LoopBackEdge.size(), 0u) << "some whiles must have landed";
-  EXPECT_GT(Info.JoinPoints.size(), 0u);
+  EXPECT_GT(Info.loopHeads().size(), 0u) << "some whiles must have landed";
+  EXPECT_GT(joinPoints(Info).size(), 0u);
 }
 
 TEST(Workload, QueriesAreReachableLocations) {
@@ -86,7 +86,7 @@ TEST(Workload, QueriesAreReachableLocations) {
     Gen.applyRandomEdit(P);
   CfgInfo Info = analyzeCfg(P.find("main")->Body);
   for (Loc Q : Gen.sampleQueryLocations(P, 40))
-    EXPECT_TRUE(Info.Reachable[Q]);
+    EXPECT_TRUE(Info.reachable(Q));
 }
 
 //===----------------------------------------------------------------------===//
