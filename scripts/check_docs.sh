@@ -11,8 +11,9 @@
 #   2. The README documents the tier-1 verify flow (cmake -B build /
 #      cmake --build build / ctest) — the exact commands CI runs.
 #   3. Every bench_*/example_* executable name the docs mention has a
-#      corresponding source file under bench/ or examples/ (those targets
-#      are CMake globs over the source trees, so the file IS the target).
+#      corresponding source file under bench/, examples/ or (for the
+#      bench_*_test suites) tests/ — those targets are CMake globs over the
+#      source trees, so the file IS the target.
 #   4. Every `--target NAME` the docs mention is either a globbed
 #      executable (rule 3 / tests/NAME.cpp) or a named custom target in
 #      CMakeLists.txt.
@@ -22,8 +23,8 @@
 #   7. Every *.md path named in src/, bench/, tests/, scripts/ or the docs
 #      exists, at the repository root or next to the file that names it.
 #   8. Every number in the README "Current results" table equals the
-#      committed BENCH_fig10.json: each ms cell is its row's analysis_ms to
-#      one decimal, each counter cell the JSON counter exactly.
+#      committed BENCH_fig10.json: each ms cell is its sweep row's wall_ms
+#      to one decimal, each counter cell the row's counter exactly.
 
 set -u
 
@@ -61,6 +62,7 @@ grep -q "ctest" "$README" || fail "README lost the ctest verify step"
 #    and resolve through CMakeLists.txt instead.
 for T in $(grep -ohEw 'bench_[a-z0-9_]+' $DOCS | sort -u); do
   grep -q "NAME $T" "$CML" && continue
+  [ -r "$ROOT/tests/$T.cpp" ] && continue
   [ -r "$ROOT/bench/${T#bench_}.cpp" ] ||
     fail "docs reference $T but bench/${T#bench_}.cpp does not exist"
 done
@@ -91,7 +93,7 @@ for S in $(grep -ohE 'scripts/[a-z0-9_]+\.sh' $DOCS | sort -u); do
 done
 
 # 6. The --domain axis the docs promise must match the bench parser.
-for V in octagon zone staged dis_interval arr_interval arr_zone both; do
+for V in octagon zone staged dis_interval both; do
   grep -q "\"$V\"" "$BENCH_SRC" ||
     fail "bench no longer accepts --domain $V promised by the docs"
 done
@@ -107,9 +109,9 @@ for F in $(grep -rlE '[A-Za-z0-9_]\.md' "$ROOT/src" "$ROOT/bench" "$ROOT/tests" 
   done
 done
 
-# 8. The README results table quotes the committed fig10 JSON. The JSON's
-#    per-size rows are one object per line; columns 3-5 of the table are
-#    the octagon/zone/staged analysis_ms, columns 6-9 the counters below.
+# 8. The README results table quotes the committed fig10 JSON. Its sweep
+#    rows are one object per line; columns 3-5 of the table are the
+#    octagon/zone/staged wall_ms, columns 6-9 the counters below.
 JSON="$ROOT/BENCH_fig10.json"
 if [ -r "$JSON" ]; then
   TABLE=$(awk '
@@ -121,20 +123,20 @@ if [ -r "$JSON" ]; then
       return V
     }
     FNR == NR {
-      if ($0 !~ /"analysis_ms": / ||
+      if ($0 !~ /"phase": "sweep"/ ||
           !match($0, /"domain": "(octagon|zone|staged)"/))
         next
       D = substr($0, RSTART + 11, RLENGTH - 12)
       V = field($0, "vars")
       Want[V, D == "octagon" ? 3 : D == "zone" ? 4 : 5] = \
-          sprintf("%.1f", field($0, "analysis_ms"))
+          sprintf("%.1f", field($0, "wall_ms"))
       if (D == "octagon")
         Want[V, 6] = field($0, "dbm_cells_touched")
       else if (D == "zone")
         Want[V, 7] = field($0, "zone_closure_vertices_visited")
       else {
         Want[V, 8] = field($0, "staged_escalated_transfers")
-        Want[V, 9] = field($0, "staged_sum_mismatches")
+        Want[V, 9] = field($0, "sum_mismatches")
       }
       next
     }
