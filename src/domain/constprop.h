@@ -21,6 +21,7 @@
 #include "cfg/program.h"
 #include "support/hashing.h"
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -69,7 +70,8 @@ struct ConstPropDomain {
 
   static bool isBottom(const Elem &A) { return A.Bottom; }
 
-  /// Evaluates \p E to a constant if possible.
+  /// Evaluates \p E to a constant if possible. Arithmetic that leaves int64
+  /// has no constant (the value is unknown), never a wrapped one.
   static std::optional<int64_t> eval(const ExprPtr &E, const Elem &S) {
     if (!E)
       return std::nullopt;
@@ -84,18 +86,31 @@ struct ConstPropDomain {
       auto V = eval(E->Lhs, S);
       if (!V)
         return std::nullopt;
-      return E->UOp == UnaryOp::Neg ? -*V : (*V == 0 ? 1 : 0);
+      if (E->UOp != UnaryOp::Neg)
+        return *V == 0 ? 1 : 0;
+      return *V == INT64_MIN ? std::nullopt : std::optional(-*V);
     }
     case ExprKind::Binary: {
       auto L = eval(E->Lhs, S), R = eval(E->Rhs, S);
       if (!L || !R)
         return std::nullopt;
+      int64_t V;
       switch (E->BOp) {
-      case BinaryOp::Add: return *L + *R;
-      case BinaryOp::Sub: return *L - *R;
-      case BinaryOp::Mul: return *L * *R;
-      case BinaryOp::Div: return *R == 0 ? std::nullopt : std::optional(*L / *R);
-      case BinaryOp::Mod: return *R == 0 ? std::nullopt : std::optional(*L % *R);
+      case BinaryOp::Add:
+        return __builtin_add_overflow(*L, *R, &V) ? std::nullopt
+                                                  : std::optional(V);
+      case BinaryOp::Sub:
+        return __builtin_sub_overflow(*L, *R, &V) ? std::nullopt
+                                                  : std::optional(V);
+      case BinaryOp::Mul:
+        return __builtin_mul_overflow(*L, *R, &V) ? std::nullopt
+                                                  : std::optional(V);
+      case BinaryOp::Div:
+      case BinaryOp::Mod:
+        // x / 0 has no value; INT64_MIN / −1 leaves int64.
+        if (*R == 0 || (*L == INT64_MIN && *R == -1))
+          return std::nullopt;
+        return E->BOp == BinaryOp::Div ? *L / *R : *L % *R;
       case BinaryOp::Lt: return *L < *R ? 1 : 0;
       case BinaryOp::Le: return *L <= *R ? 1 : 0;
       case BinaryOp::Gt: return *L > *R ? 1 : 0;

@@ -35,7 +35,10 @@ namespace dai {
 ///
 /// Representation: Empty, or [Lo, Hi] with Lo ≤ Hi where Lo = kNegInf means
 /// unbounded below and Hi = kPosInf unbounded above. All arithmetic is
-/// over-approximating and saturating.
+/// over-approximating and saturating. The sentinels are never finite
+/// bounds on the other side: an upper bound of INT64_MIN or a lower bound
+/// of INT64_MAX (which would read as −∞ or +∞) is loosened by one, so the
+/// value INT64_MIN is [−∞, INT64_MIN + 1], never a "constant" −∞.
 class Interval {
 public:
   static constexpr int64_t kNegInf = INT64_MIN;
@@ -56,6 +59,10 @@ public:
   static Interval range(int64_t Lo, int64_t Hi) {
     if (Lo > Hi)
       return empty();
+    if (Hi == kNegInf)
+      Hi = kNegInf + 1;
+    if (Lo == kPosInf)
+      Lo = kPosInf - 1;
     Interval I;
     I.Lo = Lo;
     I.Hi = Hi;

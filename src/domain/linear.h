@@ -25,7 +25,10 @@
 
 namespace dai {
 
-/// Linear form Σ coeff·var + Const; Ok is false for non-linear expressions.
+/// Linear form Σ coeff·var + Const; Ok is false for non-linear expressions
+/// and for forms whose arithmetic overflows int64 (a wrapped constant or
+/// coefficient would be unsound). Callers treat a failed form as
+/// non-linear and fall back to interval reasoning, which saturates.
 struct LinForm {
   bool Ok = false;
   std::map<SymbolId, int64_t> Coeffs;
@@ -40,18 +43,27 @@ struct LinForm {
   }
   LinForm scaled(int64_t K) const {
     LinForm F = *this;
-    F.Const *= K;
+    if (__builtin_mul_overflow(F.Const, K, &F.Const))
+      return fail();
     for (auto &[V, C] : F.Coeffs)
-      C *= K;
+      if (__builtin_mul_overflow(C, K, &C))
+        return fail();
     std::erase_if(F.Coeffs, [](const auto &P) { return P.second == 0; });
     return F;
   }
+  /// this + Sign·O, for Sign = ±1.
   LinForm plus(const LinForm &O, int64_t Sign) const {
     LinForm F = *this;
-    F.Const += Sign * O.Const;
+    int64_t T;
+    if (__builtin_mul_overflow(Sign, O.Const, &T) ||
+        __builtin_add_overflow(F.Const, T, &F.Const))
+      return fail();
     for (const auto &[V, C] : O.Coeffs) {
-      F.Coeffs[V] += Sign * C;
-      if (F.Coeffs[V] == 0)
+      int64_t &Slot = F.Coeffs[V];
+      if (__builtin_mul_overflow(Sign, C, &T) ||
+          __builtin_add_overflow(Slot, T, &Slot))
+        return fail();
+      if (Slot == 0)
         F.Coeffs.erase(V);
     }
     return F;

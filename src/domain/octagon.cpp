@@ -14,9 +14,10 @@
 #include "support/statistics.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
-#include <map>
 #include <sstream>
+#include <tuple>
 
 using namespace dai;
 
@@ -25,45 +26,29 @@ namespace {
 constexpr int64_t Inf = Octagon::kPosInf;
 constexpr size_t npos = static_cast<size_t>(-1);
 
-/// Bound addition with +∞ absorption. Negative overflow is clamped to a
-/// large negative value; with the small constants our statement language
-/// produces this is unreachable, and the clamp errs toward ⊥ detection.
+/// The clamp for a bound sum below INT64_MIN: the bound is loosened to a
+/// large negative value instead of wrapping. Only huge constants reach it,
+/// and the clamp errs toward ⊥ detection.
+constexpr int64_t NegClamp = INT64_MIN / 4;
+
+/// Bound addition with +∞ absorption. Positive overflow loosens to +∞,
+/// negative overflow to NegClamp; a bound never wraps.
 int64_t bAdd(int64_t A, int64_t B) {
   if (A == Inf || B == Inf)
     return Inf;
   int64_t R;
   if (__builtin_add_overflow(A, B, &R))
-    return (A > 0) ? Inf : INT64_MIN / 4;
+    return (A > 0) ? Inf : NegClamp;
   return R;
 }
 
-int64_t floorDiv2(int64_t A) {
-  if (A == Inf)
-    return Inf;
-  return A >= 0 ? A / 2 : (A - 1) / 2;
-}
+/// −C as a bound. −INT64_MIN is not representable: the bound is dropped
+/// (+∞), which loosens it.
+int64_t bNeg(int64_t C) { return C == INT64_MIN ? Inf : -C; }
 
-} // namespace
-
-namespace {
-
-/// Marks which variables carry at least one constraint — the shared
-/// predicate of normalize() (which drops the unconstrained dimensions) and
-/// hashNormalized() (which must hash exactly the dimensions normalize would
-/// keep). One sweep over the stored cells suffices: every logical non-⊤
-/// off-diagonal entry has a stored representative over the same variable
-/// pair.
-std::vector<bool> constrainedVars(const Octagon &O) {
-  size_t Dim = 2 * O.numVars();
-  std::vector<bool> Constrained(O.numVars(), false);
-  for (size_t I = 0; I < Dim; ++I)
-    for (size_t J = 0, JMax = I | 1; J <= JMax; ++J)
-      if (I != J && O.at(I, J) != Inf) {
-        Constrained[I / 2] = true;
-        Constrained[J / 2] = true;
-      }
-  return Constrained;
-}
+/// ⌊A/2⌋, with +∞ absorption (an arithmetic shift floors, and unlike
+/// (A − 1)/2 it is defined on INT64_MIN).
+int64_t floorDiv2(int64_t A) { return A == Inf ? Inf : A >> 1; }
 
 /// A symbol guaranteed absent from \p O, derived from \p Base. The common
 /// case interns nothing new; each collision step interns one more
@@ -98,47 +83,63 @@ void Octagon::setMat(std::vector<int64_t> V) {
   MPtr->M = std::move(V);
 }
 
-void Octagon::resizeFor(size_t NewN, const std::vector<size_t> &OldIndexOfNew) {
-  assert(OldIndexOfNew.size() == NewN && "index map must cover new vars");
+void Octagon::resizeFor(std::vector<SymbolId> NewVars,
+                        const std::vector<size_t> &OldIndexOfNew) {
+  assert(OldIndexOfNew.size() == NewVars.size() &&
+         "index map must cover new vars");
   // No invalidateDerived() here: the old buffer is only read (sharers keep
   // it, caches intact) and setMat() installs a fresh cache-free buffer.
-  const std::vector<int64_t> &OldM = mat();
-  size_t NewDim = 2 * NewN;
+  const int64_t *OldM = mat().data();
+  size_t NewDim = 2 * NewVars.size();
+  // The old doubled index of every new one (npos: fresh), computed once.
+  static thread_local std::vector<size_t> OldOf; // see pairPivot's scratch
+  OldOf.resize(NewDim);
+  for (size_t J = 0; J < NewDim; ++J) {
+    size_t OldVar = OldIndexOfNew[J / 2];
+    OldOf[J] = OldVar == npos ? npos : 2 * OldVar + (J & 1);
+  }
   std::vector<int64_t> NewM(matSize(NewDim), Inf);
-  for (size_t I = 0; I < NewDim; ++I) {
-    size_t OldA = OldIndexOfNew[I / 2];
-    size_t JMax = I | 1;
-    size_t RowBase = matPos(I, 0);
-    for (size_t J = 0; J <= JMax; ++J) {
-      if (I == J) {
-        // Copy a surviving dimension's self-loop rather than forcing 0: a
-        // raw-set negative diagonal is pending ⊥ evidence that the next
-        // closure must still see (the dense layout preserved it too).
-        size_t D = 2 * OldA + (I & 1);
-        NewM[RowBase + J] = (OldA == npos) ? 0 : OldM[matPos2(D, D)];
-        continue;
-      }
-      size_t OldB = OldIndexOfNew[J / 2];
-      if (OldA == npos || OldB == npos)
+  int64_t *Row = NewM.data();
+  for (size_t I = 0; I < NewDim; Row += (I | 1) + 1, ++I) {
+    size_t OI = OldOf[I];
+    if (OI == npos) {
+      Row[I] = 0; // fresh dimension: unconstrained
+      continue;
+    }
+    // Gather the row from old row OI. A surviving self-loop is copied, not
+    // forced to 0: a raw-set negative diagonal is pending ⊥ evidence that
+    // the next closure must still see. A cell past the old row's stored
+    // range (only a reordering rename puts one there) is read through the
+    // coherence involution: (OI, OJ) is stored as (OJ̄, OĪ).
+    const int64_t *OldRow = OldM + matPos(OI, 0);
+    size_t OldLast = OI | 1;
+    for (size_t J = 0, JMax = I | 1; J <= JMax; ++J) {
+      size_t OJ = OldOf[J];
+      if (OJ == npos)
         continue; // fresh dimension: stays unconstrained
-      NewM[RowBase + J] =
-          OldM[matPos2(2 * OldA + (I & 1), 2 * OldB + (J & 1))];
+      Row[J] = OJ <= OldLast ? OldRow[OJ] : OldM[matPos(OJ ^ 1, OI ^ 1)];
     }
   }
   setMat(std::move(NewM));
+  setVars(std::move(NewVars));
 }
 
-void Octagon::addVar(SymbolId Sym) {
-  if (varIndex(Sym) != npos)
+void Octagon::addVars(std::span<const SymbolId> Syms) {
+  if (std::all_of(Syms.begin(), Syms.end(),
+                  [this](SymbolId Sym) { return varIndex(Sym) != npos; }))
     return;
   std::vector<SymbolId> NewVars = varList();
-  NewVars.insert(std::lower_bound(NewVars.begin(), NewVars.end(), Sym), Sym);
+  for (SymbolId Sym : Syms) {
+    auto It = std::lower_bound(NewVars.begin(), NewVars.end(), Sym);
+    if (It == NewVars.end() || *It != Sym)
+      NewVars.insert(It, Sym);
+  }
   std::vector<size_t> OldIdx(NewVars.size());
-  for (size_t K = 0; K < NewVars.size(); ++K)
-    OldIdx[K] = (NewVars[K] == Sym) ? npos : varIndex(NewVars[K]);
-  resizeFor(NewVars.size(), OldIdx);
-  setVars(std::move(NewVars));
-  // A fresh unconstrained dimension keeps closedness.
+  for (size_t K = 0, Old = 0; K < NewVars.size(); ++K)
+    OldIdx[K] = (Old < numVars() && varList()[Old] == NewVars[K]) ? Old++
+                                                                   : npos;
+  resizeFor(std::move(NewVars), OldIdx);
+  // Fresh unconstrained dimensions keep closedness.
 }
 
 void Octagon::forgetAndRemove(SymbolId Sym) {
@@ -157,8 +158,7 @@ void Octagon::forgetAndRemove(SymbolId Sym) {
     NewVars.push_back(varList()[K]);
     OldIdx.push_back(K);
   }
-  resizeFor(NewVars.size(), OldIdx);
-  setVars(std::move(NewVars));
+  resizeFor(std::move(NewVars), OldIdx);
 }
 
 void Octagon::forgetAndRemove(const std::string &Var) {
@@ -195,25 +195,39 @@ void Octagon::forgetInPlace(size_t Idx) {
   // axioms (every bound on the right of them only grows), so Closed holds.
 }
 
-void Octagon::restrictTo(const std::vector<SymbolId> &Keep) {
-  std::vector<SymbolId> NewVars;
-  std::vector<size_t> OldIdx;
-  for (size_t K = 0; K < numVars(); ++K) {
-    if (std::find(Keep.begin(), Keep.end(), varList()[K]) == Keep.end())
-      continue;
-    NewVars.push_back(varList()[K]);
-    OldIdx.push_back(K);
+void Octagon::restrictAndRename(const std::vector<SymbolId> &From,
+                                const std::vector<SymbolId> &To) {
+  assert(From.size() == To.size() && "one target per source");
+  // (new symbol, old index) of every present source, in new-symbol order.
+  std::vector<std::pair<SymbolId, size_t>> Kept;
+  for (size_t K = 0; K < From.size(); ++K)
+    if (size_t Idx = varIndex(From[K]); Idx != npos)
+      Kept.emplace_back(To[K], Idx);
+  std::sort(Kept.begin(), Kept.end());
+  assert(std::adjacent_find(Kept.begin(), Kept.end(),
+                            [](const auto &A, const auto &B) {
+                              return A.first == B.first;
+                            }) == Kept.end() &&
+         "restrictAndRename targets must be distinct");
+  bool Dropped = Kept.size() != numVars();
+  bool Identity = !Dropped;
+  for (size_t K = 0; Identity && K < Kept.size(); ++K)
+    Identity = Kept[K].first == varList()[K] && Kept[K].second == K;
+  if (Identity)
+    return; // nothing dropped or renamed
+  if (Dropped) {
+    // Precision requires propagating the dropped variables' constraints
+    // first. close() never reindexes, so Kept stays valid unless the value
+    // collapses to ⊥ (then there is nothing left to project).
+    close();
+    if (Bottom)
+      return;
   }
-  if (NewVars.size() == numVars())
-    return; // nothing dropped: projection is the identity
-  // Precision requires propagating the dropped variables' constraints first.
-  // close() never reindexes, so the kept-index map stays valid unless the
-  // value collapses to ⊥ (in which case there is nothing left to project).
-  close();
-  if (Bottom)
-    return;
-  resizeFor(NewVars.size(), OldIdx);
-  setVars(std::move(NewVars));
+  std::vector<SymbolId> NewVars(Kept.size());
+  std::vector<size_t> OldIdx(Kept.size());
+  for (size_t K = 0; K < Kept.size(); ++K)
+    std::tie(NewVars[K], OldIdx[K]) = Kept[K];
+  resizeFor(std::move(NewVars), OldIdx);
 }
 
 void Octagon::projectRawTo(const std::vector<SymbolId> &Keep) {
@@ -229,22 +243,7 @@ void Octagon::projectRawTo(const std::vector<SymbolId> &Keep) {
   }
   if (NewVars.size() == numVars())
     return;
-  resizeFor(NewVars.size(), OldIdx);
-  setVars(std::move(NewVars));
-}
-
-void Octagon::rename(SymbolId From, SymbolId To) {
-  size_t FromIdx = varIndex(From);
-  assert(FromIdx != npos && "rename source must exist");
-  assert(varIndex(To) == npos && "rename target must be absent");
-  std::vector<SymbolId> NewVars = varList();
-  NewVars[FromIdx] = To;
-  std::sort(NewVars.begin(), NewVars.end());
-  std::vector<size_t> OldIdx(NewVars.size());
-  for (size_t K = 0; K < NewVars.size(); ++K)
-    OldIdx[K] = (NewVars[K] == To) ? FromIdx : varIndex(NewVars[K]);
-  resizeFor(NewVars.size(), OldIdx);
-  setVars(std::move(NewVars));
+  resizeFor(std::move(NewVars), OldIdx);
 }
 
 void Octagon::set(size_t I, size_t J, int64_t V) {
@@ -271,16 +270,17 @@ void Octagon::addConstraint(size_t XIdx, bool PosX, size_t YIdx, bool PosY,
       Slot = Bound;
   };
   if (YIdx == npos) {
-    // ±x ≤ C  ⟺  (±x) − (∓x) ≤ 2C.
+    // ±x ≤ C  ⟺  (±x) − (∓x) ≤ 2C. A doubled bound at or past the +∞
+    // sentinel is dropped; one below INT64_MIN saturates as bAdd does.
     size_t Pos = 2 * XIdx, Neg = 2 * XIdx + 1;
     if (C >= Inf / 2) {
       Closed = false;
       return;
     }
     if (PosX)
-      tighten(Neg, Pos, 2 * C);
+      tighten(Neg, Pos, bAdd(C, C));
     else
-      tighten(Pos, Neg, 2 * C);
+      tighten(Pos, Neg, bAdd(C, C));
     Closed = false;
     return;
   }
@@ -293,6 +293,55 @@ void Octagon::addConstraint(size_t XIdx, bool PosX, size_t YIdx, bool PosY,
   size_t B = 2 * YIdx + (PosY ? 1 : 0);
   tighten(B, A, C);
   Closed = false;
+}
+
+void Octagon::assignShifted(size_t Idx, bool Negate, int64_t C) {
+  assert(Idx < numVars() && "assignment target out of range");
+  assert(C > -(Inf / 2) && C < Inf / 2 && "shift must keep 2C representable");
+  if (!Negate && C == 0)
+    return; // x := x
+  invalidateDerived();
+  int64_t *M = matMut().data();
+  const size_t P = 2 * Idx, N = P + 1, Dim = 2 * numVars();
+  // The new coordinates are V'_P = ±x + C and V'_N = −V'_P. For −x the two
+  // doubled indices trade places (V'_P starts as V_N); then every stored
+  // cell (I, J) bounding V_J − V_I moves by d(J) − d(I), where d(P) = C,
+  // d(N) = −C and d = 0 elsewhere. The rows of P and N hold x's cells
+  // against lower variables, its unary cells and its self-loops; below
+  // them, x's cells against higher variables sit in columns P and N.
+  bool Exact = true;
+  auto shift = [&Exact](int64_t &Slot, int64_t D) {
+    int64_t R;
+    if (Slot == Inf)
+      return;
+    if (__builtin_add_overflow(Slot, D, &R) || R == Inf) {
+      Exact = false; // saturated: loosened, maybe no longer a shortest path
+      R = bAdd(Slot, D);
+    }
+    Slot = R;
+  };
+  int64_t *RowP = M + matPos(P, 0), *RowN = M + matPos(N, 0);
+  for (size_t J = 0; J < P; ++J) {
+    if (Negate)
+      std::swap(RowP[J], RowN[J]);
+    shift(RowP[J], -C);
+    shift(RowN[J], C);
+  }
+  if (Negate) {
+    std::swap(RowP[N], RowN[P]); // the unary cells 2x ≤ · and −2x ≤ ·
+    std::swap(RowP[P], RowN[N]); // the self-loops
+  }
+  shift(RowP[N], -2 * C);
+  shift(RowN[P], 2 * C);
+  for (size_t I = N + 1; I < Dim; ++I) {
+    int64_t *Row = M + matPos(I, 0);
+    if (Negate)
+      std::swap(Row[P], Row[N]);
+    shift(Row[P], C);
+    shift(Row[N], -C);
+  }
+  if (!Exact)
+    Closed = false;
 }
 
 void Octagon::elementwiseMax(const Octagon &O) {
@@ -624,37 +673,106 @@ uint64_t Octagon::hash() const {
   return H;
 }
 
+size_t Octagon::markConstrained(std::vector<uint8_t> &Mark) const {
+  const size_t N = numVars(), Dim = 2 * N;
+  Mark.assign(N, 0);
+  const int64_t *M = mat().data();
+  size_t Count = 0;
+  // Unary cells first: rows 2k and 2k+1 hold them at columns 2k+1 and 2k.
+  for (size_t K = 0; K < N; ++K)
+    if (M[matPos(2 * K, 2 * K + 1)] != Inf ||
+        M[matPos(2 * K + 1, 2 * K)] != Inf) {
+      Mark[K] = 1;
+      ++Count;
+    }
+  // Binary cells, only for the dimensions still unmarked: a stored cell
+  // relating K to a lower variable sits in rows 2k and 2k+1 below column
+  // 2k, one relating it to a higher variable in columns 2k and 2k+1 of
+  // the rows below. Every logical non-⊤ off-diagonal entry has a stored
+  // representative over the same variable pair, so this sees them all;
+  // the first one found marks both of its variables.
+  for (size_t K = 0; K < N && Count < N; ++K) {
+    if (Mark[K])
+      continue;
+    const size_t P = 2 * K;
+    size_t Other = npos;
+    const int64_t *RowP = M + matPos(P, 0), *RowN = M + matPos(P + 1, 0);
+    for (size_t J = 0; Other == npos && J < P; ++J)
+      if (RowP[J] != Inf || RowN[J] != Inf)
+        Other = J / 2;
+    for (size_t I = P + 2; Other == npos && I < Dim; ++I) {
+      const int64_t *Row = M + matPos(I, 0);
+      if (Row[P] != Inf || Row[P + 1] != Inf)
+        Other = I / 2;
+    }
+    if (Other == npos)
+      continue;
+    Count += 1 + !Mark[Other];
+    Mark[K] = Mark[Other] = 1;
+  }
+  return Count;
+}
+
 uint64_t Octagon::hashNormalized() const {
   assert((Bottom || Closed) && "hashNormalized requires a closed receiver");
   if (Bottom)
     return 0x0c7a60b07700ULL;
-  if (MPtr && MPtr->NormHashValid)
+  if (!MPtr)
+    return hash(); // no dimensions: nothing to drop
+  if (MPtr->NormHashValid)
     return MPtr->NormHash;
-  // Kept = dimensions with at least one constraint (normalize()'s
-  // predicate, shared via constrainedVars so the two can't drift apart).
-  std::vector<bool> Constrained = constrainedVars(*this);
-  std::vector<size_t> Kept;
-  for (size_t K = 0; K < numVars(); ++K)
-    if (Constrained[K])
-      Kept.push_back(K);
-  // Identical traversal order to hash() over the restricted half-matrix
-  // (kept ids ascending, then the restricted storage in row-major order).
-  uint64_t H = 0x8f1bbcdc12345678ULL;
-  for (size_t K : Kept)
-    H = hashCombine(H, static_cast<uint64_t>(varList()[K]));
-  size_t KDim = 2 * Kept.size();
-  for (size_t NI = 0; NI < KDim; ++NI) {
-    size_t OldI = 2 * Kept[NI / 2] + (NI & 1);
-    for (size_t NJ = 0, JMax = NI | 1; NJ <= JMax; ++NJ) {
-      size_t OldJ = 2 * Kept[NJ / 2] + (NJ & 1);
-      H = hashCombine(H, static_cast<uint64_t>(mat()[matPos2(OldI, OldJ)]));
+  static thread_local std::vector<uint8_t> Mark; // see pairPivot's scratch
+  if (!MPtr->AllConstrained && markConstrained(Mark) == numVars())
+    MPtr->AllConstrained = true;
+  uint64_t H;
+  if (MPtr->AllConstrained) {
+    H = hash();
+  } else {
+    // Kept = the constrained dimensions (normalize()'s predicate), hashed
+    // in hash()'s order over the restricted half-matrix: kept ids
+    // ascending, then the restricted storage in row-major order.
+    std::vector<size_t> Kept;
+    for (size_t K = 0; K < numVars(); ++K)
+      if (Mark[K])
+        Kept.push_back(K);
+    H = 0x8f1bbcdc12345678ULL;
+    for (size_t K : Kept)
+      H = hashCombine(H, static_cast<uint64_t>(varList()[K]));
+    size_t KDim = 2 * Kept.size();
+    for (size_t NI = 0; NI < KDim; ++NI) {
+      size_t OldI = 2 * Kept[NI / 2] + (NI & 1);
+      for (size_t NJ = 0, JMax = NI | 1; NJ <= JMax; ++NJ) {
+        size_t OldJ = 2 * Kept[NJ / 2] + (NJ & 1);
+        H = hashCombine(H, static_cast<uint64_t>(mat()[matPos2(OldI, OldJ)]));
+      }
     }
   }
-  if (MPtr) {
-    MPtr->NormHash = H;
-    MPtr->NormHashValid = true;
-  }
+  MPtr->NormHash = H;
+  MPtr->NormHashValid = true;
   return H;
+}
+
+void Octagon::normalize() {
+  close();
+  if (Bottom || !MPtr)
+    return; // ⊥, or no dimensions to drop
+  if (MPtr->AllConstrained)
+    return;
+  static thread_local std::vector<uint8_t> Mark; // see pairPivot's scratch
+  if (markConstrained(Mark) != numVars()) {
+    // The kept dimensions stay constrained: a dropped one has no
+    // constraint, so none of theirs relates them to it. A closed matrix
+    // projects without re-closing.
+    std::vector<SymbolId> NewVars;
+    std::vector<size_t> OldIdx;
+    for (size_t K = 0; K < numVars(); ++K)
+      if (Mark[K]) {
+        NewVars.push_back(varList()[K]);
+        OldIdx.push_back(K);
+      }
+    resizeFor(std::move(NewVars), OldIdx);
+  }
+  MPtr->AllConstrained = true;
 }
 
 std::string Octagon::toString() const {
@@ -715,20 +833,26 @@ IntervalState toIntervalState(const Octagon &O) {
   return S;
 }
 
-/// Drops unconstrained dimensions so structurally distinct but equal values
-/// share a representation (helps memo-table reuse; equality itself is
-/// semantic). Requires closedness for meaningful results.
-void normalize(Octagon &O) {
-  O.close();
-  if (O.isBottom())
-    return;
-  std::vector<bool> Constrained = constrainedVars(O);
-  std::vector<SymbolId> Keep;
-  for (size_t K = 0; K < O.numVars(); ++K)
-    if (Constrained[K])
-      Keep.push_back(O.vars()[K]);
-  if (Keep.size() != O.numVars())
-    O.restrictTo(Keep);
+/// Makes x unconstrained in the closed \p O and returns its index: havocs
+/// a tracked x in place, or adds it. \p Also is added too, in the same
+/// resize, which comes first so that the havoc runs on its fresh buffer.
+size_t havocOrAdd(Octagon &O, SymbolId X, SymbolId Also) {
+  bool Tracked = O.varIndex(X) != npos;
+  O.addVars(std::array<SymbolId, 2>{X, Also});
+  size_t XI = O.varIndex(X);
+  if (Tracked)
+    O.forgetInPlace(XI); // in place: no dimension resize
+  return XI;
+}
+
+/// Binds x to the interval \p I (neither ⊤ nor empty) in the closed \p O.
+void bindToInterval(Octagon &O, SymbolId X, const Interval &I) {
+  size_t XI = havocOrAdd(O, X, X);
+  if (I.hi() != Interval::kPosInf)
+    O.addConstraint(XI, true, npos, true, I.hi());
+  if (I.lo() != Interval::kNegInf)
+    O.addConstraint(XI, false, npos, true, -I.lo());
+  O.closeIncremental(XI);
 }
 
 /// Assigns x := e precisely for octagonal right-hand sides, with an interval
@@ -736,22 +860,14 @@ void normalize(Octagon &O) {
 void evalAssign(Octagon &O, SymbolId X, const ExprPtr &E) {
   LinForm F = linearize(E);
   bool Octagonal = F.Ok && F.Coeffs.size() <= 1 &&
-                   (F.Coeffs.empty() || std::abs(F.Coeffs.begin()->second) == 1);
-  auto havocOrAdd = [&O](SymbolId V) {
-    size_t Idx = O.varIndex(V);
-    if (Idx == npos) {
-      O.addVar(V);
-      return O.varIndex(V);
-    }
-    O.forgetInPlace(Idx); // in place: no dimension resize
-    return Idx;
-  };
+                   (F.Coeffs.empty() || F.Coeffs.begin()->second == 1 ||
+                    F.Coeffs.begin()->second == -1);
   if (Octagonal && F.Coeffs.empty()) {
     // x := c. havoc/addVar keep the value closed, so the two unary
     // constraints on x re-close incrementally.
-    size_t XI = havocOrAdd(X);
+    size_t XI = havocOrAdd(O, X, X);
     O.addConstraint(XI, /*PosX=*/true, npos, true, F.Const);
-    O.addConstraint(XI, /*PosX=*/false, npos, true, -F.Const);
+    O.addConstraint(XI, /*PosX=*/false, npos, true, bNeg(F.Const));
     O.closeIncremental(XI);
     return;
   }
@@ -759,30 +875,22 @@ void evalAssign(Octagon &O, SymbolId X, const ExprPtr &E) {
     SymbolId Y = F.Coeffs.begin()->first;
     bool PosY = F.Coeffs.begin()->second > 0;
     if (Y != X) {
-      if (O.varIndex(Y) == npos)
-        O.addVar(Y);
-      size_t XI = havocOrAdd(X), YI = O.varIndex(Y);
+      size_t XI = havocOrAdd(O, X, Y), YI = O.varIndex(Y);
       // x − (±y) ≤ c and −x + (±y) ≤ −c.
       O.addConstraint(XI, true, YI, !PosY, F.Const);
-      O.addConstraint(XI, false, YI, PosY, -F.Const);
+      O.addConstraint(XI, false, YI, PosY, bNeg(F.Const));
       O.closeIncremental(XI, YI);
       return;
     }
-    // x := ±x + c via a temporary dimension whose symbol is guaranteed not
-    // to collide with a program variable (a variable literally named
-    // "__oct_tmp" must survive this path unscathed).
-    if (O.varIndex(X) == npos)
-      O.addVar(X); // untracked x: npos would read as a UNARY constraint on
-                   // tmp below, pinning x := x + c to the constant c
-    SymbolId Tmp = freshSymbol(O, "__oct_tmp");
-    O.addVar(Tmp);
-    size_t TI = O.varIndex(Tmp), XI = O.varIndex(X);
-    O.addConstraint(TI, true, XI, !PosY, F.Const);
-    O.addConstraint(TI, false, XI, PosY, -F.Const);
-    O.closeIncremental(TI, XI);
-    O.forgetAndRemove(X);
-    O.rename(Tmp, X);
-    return;
+    // x := ±x + c is invertible: it maps the closed value onto a closed
+    // value in place. An untracked x stays unconstrained, so the value is
+    // unchanged. A shift too large for ±2c to fit in int64 takes the
+    // interval fallback below, which saturates.
+    if (F.Const > -(Inf / 2) && F.Const < Inf / 2) {
+      if (size_t XI = O.varIndex(X); XI != npos)
+        O.assignShifted(XI, /*Negate=*/!PosY, F.Const);
+      return;
+    }
   }
   // Interval fallback: bound x by the interval of e.
   Interval I = IntervalDomain::eval(E, toIntervalState(O)).Num;
@@ -793,16 +901,10 @@ void evalAssign(Octagon &O, SymbolId X, const ExprPtr &E) {
     O = Octagon::bottomValue();
     return;
   }
-  if (!I.isTop()) {
-    size_t XI = havocOrAdd(X);
-    if (I.hi() != Interval::kPosInf)
-      O.addConstraint(XI, true, npos, true, I.hi());
-    if (I.lo() != Interval::kNegInf)
-      O.addConstraint(XI, false, npos, true, -I.lo());
-    O.closeIncremental(XI);
-  } else {
+  if (!I.isTop())
+    bindToInterval(O, X, I);
+  else
     O.forgetAndRemove(X); // unconstrained: drop the dimension entirely
-  }
 }
 
 /// Adds the linear inequality F ≤ 0 when it is octagonal; returns false if
@@ -810,21 +912,21 @@ void evalAssign(Octagon &O, SymbolId X, const ExprPtr &E) {
 bool addLinearLeqZero(Octagon &O, const LinForm &F) {
   if (!F.Ok || F.Coeffs.size() > 2)
     return false;
-  for (const auto &[V, C] : F.Coeffs)
+  std::array<SymbolId, 2> Vars{};
+  size_t NVars = 0;
+  for (const auto &[V, C] : F.Coeffs) {
     if (C != 1 && C != -1)
       return false;
-  int64_t Bound = -F.Const; // Σ ±v ≤ −Const.
+    Vars[NVars++] = V;
+  }
+  int64_t Bound = bNeg(F.Const); // Σ ±v ≤ −Const.
   if (F.Coeffs.empty()) {
     if (0 > Bound)
       O = Octagon::bottomValue();
     return true;
   }
-  for (const auto &[V, C] : F.Coeffs) {
-    (void)C;
-    if (O.varIndex(V) == npos)
-      O.addVar(V);
-  }
-  // O is closed on entry (assume() closes its input; addVar preserves
+  O.addVars({Vars.data(), NVars});
+  // O is closed on entry (assume() closes its input; addVars preserves
   // closure), so one incremental re-closure suffices.
   auto It = F.Coeffs.begin();
   if (F.Coeffs.size() == 1) {
@@ -964,16 +1066,16 @@ Octagon OctagonDomain::transfer(const Stmt &S, const Elem &In) {
   case StmtKind::Alloc:
   case StmtKind::Call:
     Out.forgetAndRemove(S.Lhs);
-    normalize(Out);
+    Out.normalize();
     return Out;
   case StmtKind::Assign:
     evalAssign(Out, internSymbol(S.Lhs), S.Rhs);
-    normalize(Out);
+    Out.normalize();
     return Out;
   case StmtKind::Assume:
   case StmtKind::Assert: { // Aborts on failure: the condition holds after.
     Octagon R = assume(Out, S.Rhs);
-    normalize(R);
+    R.normalize();
     return R;
   }
   }
@@ -994,7 +1096,7 @@ Octagon OctagonDomain::join(const Elem &A, const Elem &B) {
   if (CA.vars() == CB.vars()) {
     CA.elementwiseMax(CB);
     CA.Closed = true; // elementwise max of two closed DBMs remains closed
-    normalize(CA);
+    CA.normalize();
     return CA;
   }
   // Join over the common variable set (absent = unconstrained).
@@ -1008,7 +1110,7 @@ Octagon OctagonDomain::join(const Elem &A, const Elem &B) {
   CA.elementwiseMax(CBR);
   // Elementwise max of two closed DBMs remains closed.
   CA.Closed = true;
-  normalize(CA);
+  CA.normalize();
   return CA;
 }
 
@@ -1081,11 +1183,13 @@ Octagon OctagonDomain::enterCall(const Elem &Caller, const Stmt &CallSite,
     if (I < CallSite.Args.size())
       evalAssign(Tmp, TmpSym, CallSite.Args[I]);
   }
-  Tmp.restrictTo(TmpSyms);
-  for (size_t I = 0, E = CalleeParams.size(); I != E; ++I)
-    if (Tmp.varIndex(TmpSyms[I]) != npos)
-      Tmp.rename(TmpSyms[I], internSymbol(CalleeParams[I]));
-  normalize(Tmp);
+  // Project onto the temporaries and rename them to the formals in one
+  // resize.
+  std::vector<SymbolId> Formals;
+  for (const std::string &Param : CalleeParams)
+    Formals.push_back(internSymbol(Param));
+  Tmp.restrictAndRename(TmpSyms, Formals);
+  Tmp.normalize();
   return Tmp;
 }
 
@@ -1101,16 +1205,10 @@ Octagon OctagonDomain::exitCall(const Elem &Caller, const Elem &CalleeExit,
   // Import the return value's interval (relations between callee locals and
   // caller locals are not representable without a combined frame).
   Interval Ret = CE.boundsOf(RetVar);
-  Out.forgetAndRemove(CallSite.Lhs);
-  if (!Ret.isTop() && !Ret.isEmpty()) {
-    Out.addVar(CallSite.Lhs);
-    size_t Idx = Out.varIndex(CallSite.Lhs);
-    if (Ret.hi() != Interval::kPosInf)
-      Out.addConstraint(Idx, true, npos, true, Ret.hi());
-    if (Ret.lo() != Interval::kNegInf)
-      Out.addConstraint(Idx, false, npos, true, -Ret.lo());
-    Out.closeIncremental(Idx);
-  }
-  normalize(Out);
+  if (!Ret.isTop() && !Ret.isEmpty())
+    bindToInterval(Out, internSymbol(CallSite.Lhs), Ret);
+  else
+    Out.forgetAndRemove(CallSite.Lhs);
+  Out.normalize();
   return Out;
 }

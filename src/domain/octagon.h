@@ -46,6 +46,23 @@
 ///    interning (readers) at the boundary.
 ///  - The variable set is dynamic: join/widen/leq unify to the common
 ///    variable set (absent variables are unconstrained).
+///  - One matrix per variable-set change. Every change of the variable set
+///    (adding, dropping, renaming dimensions) is one `resizeFor`: it maps
+///    each new doubled index to its old one once, then gathers every new
+///    row straight from the old row. Only a renaming that reorders
+///    dimensions can place a cell above the old row's stored range; those
+///    cells are read through the coherence involution. `addVars` adds
+///    several dimensions at once, and `restrictAndRename` projects and
+///    renames at once (enterCall binds actuals to formals that way).
+///  - `x := ±x + c` runs IN PLACE (`assignShifted`): the assignment is an
+///    invertible change of coordinates, so on a closed value it only swaps
+///    x's two doubled indices (for −x) and shifts x's rows and columns by
+///    ±c. The result is closed as it stands (unless a bound saturates); no
+///    dimension is added and no closure runs.
+///  - A normalized value is marked all-constrained (see `normalize`):
+///    every dimension carries a constraint, so its normalized hash is the
+///    plain linear `hash()`. The mark lives in the shared buffer with the
+///    other derived caches and is cleared with them.
 ///
 /// Closure discipline (who closes, who may observe unclosed values):
 ///  - Strong closure (pairwise path closure + unary strengthening +
@@ -69,15 +86,17 @@
 ///    implies, and tightening one leaves the rest of the matrix
 ///    unpropagated, which can even hide ⊥ — so `Closed` survives only
 ///    writes that change nothing.
-///  - Structural edits preserve closure: `addVar` adds an unconstrained
-///    (hence neutral) dimension, and `restrictTo`/`forgetAndRemove` close
-///    first and then drop rows/columns of a closed matrix. `projectRawTo`
-///    is the widening-only escape hatch that drops dimensions WITHOUT
-///    closing (closing the previous iterate would defeat convergence).
+///  - Structural edits preserve closure: `addVars` adds unconstrained
+///    (hence neutral) dimensions, `restrictAndRename`/`forgetAndRemove`
+///    close first and then drop rows/columns of a closed matrix, and
+///    `assignShifted` is a change of coordinates. `projectRawTo` is the
+///    widening-only escape hatch that drops dimensions WITHOUT closing
+///    (closing the previous iterate would defeat convergence).
 ///  - Readers that need tight entries (`boundsOf`, `entailsEntrywise` on
-///    the left argument, `normalize`, `toString`) require a closed receiver;
-///    `isClosed()` is the cheap query, and `close()` on an already-closed
-///    value is a counted no-op (see ClosureCounters in support/statistics.h).
+///    the left argument, `hashNormalized`, `toString`) require a closed
+///    receiver; `isClosed()` is the cheap query, and `close()` on an
+///    already-closed value is a counted no-op (see ClosureCounters in
+///    support/statistics.h).
 ///  - An unclosed value caches its closed form on first demand
 ///    (`closedView`): a widening iterate is typically consumed by several
 ///    readers (convergence check, hash, every successor transfer), and the
@@ -96,6 +115,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -116,9 +136,9 @@ namespace dai {
 ///   emptiness check). Every value-changing write clears it; see the
 ///   closure-discipline notes above for who may re-establish it and how.
 /// \invariant COPY-ON-WRITE: the matrix buffer (with its derived caches —
-///   cached closure, normalized hash) is shared across copies until a
-///   mutation un-shares it; the first sharer to close or hash fills the
-///   cache for every other sharer.
+///   cached closure, normalized hash, all-constrained mark) is shared
+///   across copies until a mutation un-shares it; the first sharer to
+///   close, normalize or hash fills the cache for every other sharer.
 class Octagon {
 public:
   static constexpr int64_t kPosInf = INT64_MAX;
@@ -147,8 +167,10 @@ public:
   /// never interned is certainly absent from every octagon).
   size_t varIndex(const std::string &Var) const;
 
-  /// Adds a dimension for \p Sym (unconstrained) if absent.
-  void addVar(SymbolId Sym);
+  /// Adds an unconstrained dimension for every symbol of \p Syms that is
+  /// absent, in one resize.
+  void addVars(std::span<const SymbolId> Syms);
+  void addVar(SymbolId Sym) { addVars({&Sym, 1}); }
   void addVar(const std::string &Var) { addVar(internSymbol(Var)); }
 
   /// Removes every constraint involving \p Sym and drops its dimension.
@@ -164,18 +186,21 @@ public:
 
   /// Projects onto \p Keep (every other dimension is dropped), closing
   /// first for precision. No-op when nothing would be dropped.
-  void restrictTo(const std::vector<SymbolId> &Keep);
+  void restrictTo(const std::vector<SymbolId> &Keep) {
+    restrictAndRename(Keep, Keep);
+  }
+
+  /// Projects onto the present dimensions among \p From and renames each
+  /// From[i] to To[i], in one resize. Closes first when a dimension is
+  /// dropped, as restrictTo does. The targets of present sources must be
+  /// distinct. No-op when nothing is dropped or renamed.
+  void restrictAndRename(const std::vector<SymbolId> &From,
+                         const std::vector<SymbolId> &To);
 
   /// Projects onto \p Keep WITHOUT closing first (sound only where
   /// imprecision is acceptable — widening, which must not close its left
   /// argument). Preserves the Closed flag as-is.
   void projectRawTo(const std::vector<SymbolId> &Keep);
-
-  /// Renames variable \p From to \p To (To must be absent).
-  void rename(SymbolId From, SymbolId To);
-  void rename(const std::string &From, const std::string &To) {
-    rename(internSymbol(From), internSymbol(To));
-  }
 
   /// Half-matrix index algebra. matPos addresses a stored cell and requires
   /// J ≤ (I|1); matPos2 canonicalizes an arbitrary logical pair onto its
@@ -202,6 +227,15 @@ public:
   /// PosY). Pass YIdx == npos for the unary constraint ±x ≤ C.
   void addConstraint(size_t XIdx, bool PosX, size_t YIdx, bool PosY,
                      int64_t C);
+
+  /// The invertible assignment  x := ±x + C  on dimension \p Idx, in place
+  /// (Negate selects −x): swaps x's two doubled indices for −x, then shifts
+  /// x's rows and columns by ±C. A closed value stays closed, because the
+  /// map is a change of coordinates. A shifted bound that leaves int64
+  /// saturates the way closure sums do (dropped to +∞ above, clamped
+  /// below) and clears `Closed`.
+  /// \pre |C| < kPosInf / 2, so that ±2C is representable.
+  void assignShifted(size_t Idx, bool Negate, int64_t C);
 
   /// this[i][j] := max(this[i][j], O[i][j]) over identical variable sets —
   /// the join kernel. One copy-on-write un-share for the whole sweep
@@ -246,6 +280,12 @@ public:
 
   bool isClosed() const { return Closed; }
 
+  /// Closes, then drops every unconstrained dimension, so that structurally
+  /// distinct but equal values share a representation (memo reuse;
+  /// equality itself is semantic). Marks the result all-constrained, so
+  /// that hashNormalized() of it is the linear hash().
+  void normalize();
+
   /// Read-only access to the strongly closed form of this value: returns
   /// *this when already closed (or ⊥), otherwise a closure computed at most
   /// once and cached — copies of this value share the cache, so a widening
@@ -279,7 +319,9 @@ public:
 
   /// Hash of the normalized form (unconstrained dimensions ignored) without
   /// materializing the restriction — equals hash() of the normalize()d
-  /// value. Requires a closed (or ⊥) receiver.
+  /// value. Requires a closed (or ⊥) receiver. A value marked
+  /// all-constrained hashes linearly; any other pays one constrained-
+  /// dimension sweep first. Cached in the shared buffer.
   uint64_t hashNormalized() const;
 
   std::string toString() const;
@@ -307,6 +349,9 @@ private:
     std::shared_ptr<const Octagon> ClosedCache;
     uint64_t NormHash = 0; ///< Cached hashNormalized() of a closed M.
     bool NormHashValid = false;
+    /// Every dimension of the closed M carries a constraint: normalize()
+    /// would drop nothing. Set by normalize() and hashNormalized().
+    bool AllConstrained = false;
   };
   /// Null encodes the empty (zero-variable) matrix.
   std::shared_ptr<MatBuf> MPtr;
@@ -348,9 +393,20 @@ private:
     MatBuf &B = bufMut();
     B.ClosedCache.reset();
     B.NormHashValid = false;
+    B.AllConstrained = false;
   }
 
-  void resizeFor(size_t NewN, const std::vector<size_t> &OldIndexOfNew);
+  /// Installs \p NewVars with a fresh matrix: new dimension K is old
+  /// dimension OldIndexOfNew[K] (npos: a fresh, unconstrained one). The one
+  /// matrix allocation behind every variable-set change.
+  void resizeFor(std::vector<SymbolId> NewVars,
+                 const std::vector<size_t> &OldIndexOfNew);
+
+  /// Sets Mark[K] for every dimension K with at least one constraint and
+  /// returns how many there are. Reads the stored array: every unary cell
+  /// first, then, for each dimension still unmarked, its binary cells up to
+  /// the first finite one; stops once every dimension is marked.
+  size_t markConstrained(std::vector<uint8_t> &Mark) const;
 
   /// One pairwise Floyd–Warshall pivot step on the doubled indices
   /// (2·\p Var, 2·\p Var+1), sweeping all stored cells. Shared by close()

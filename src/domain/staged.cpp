@@ -123,8 +123,7 @@ Octagon dai::seedOctagonFromZone(const Zone &Zv) {
   TraceSpan Sp("staged.seed_octagon");
   const Zone &C = Zv.closedView();
   Octagon O;
-  for (SymbolId V : C.vars())
-    O.addVar(V); // unconstrained dimensions keep the fresh ⊤ closed
+  O.addVars(C.vars()); // unconstrained dimensions keep the fresh ⊤ closed
   std::vector<size_t> Touched;
   auto touch = [&Touched](size_t Idx) {
     Touched.push_back(Idx); // closeIncrementalMulti deduplicates

@@ -37,6 +37,10 @@ int64_t bAdd(int64_t A, int64_t B) {
   return R;
 }
 
+/// −C as a bound. −INT64_MIN is not representable: the bound is dropped
+/// (+∞, which tightenAndClose ignores) instead of wrapping.
+int64_t bNeg(int64_t C) { return C == INT64_MIN ? Inf : -C; }
+
 /// Bounds with magnitude beyond this are unconstraining no-ops: closure
 /// sums up to three stored weights, so Inf/4 of headroom keeps every
 /// candidate finite-arithmetic clean.
@@ -853,8 +857,11 @@ IntervalState toIntervalState(const Zone &Z) {
 /// bounds — the residual-interval evaluator of the zone-native affine
 /// assignment transformers (crab's diffcsts_of_assign). Requires \p Z
 /// closed (boundsOf needs tight unary edges). All arithmetic saturates
-/// through the Interval kernels.
+/// through the Interval kernels; a form whose own arithmetic overflowed
+/// (!F.Ok) is ⊤.
 Interval intervalOfLin(const Zone &Z, const LinForm &F) {
+  if (!F.Ok)
+    return Interval::top();
   Interval Acc = Interval::constant(F.Const);
   for (const auto &[V, C] : F.Coeffs)
     Acc = Acc.add(Z.boundsOf(V).mul(Interval::constant(C)));
@@ -907,7 +914,7 @@ void evalAssign(Zone &Z, SymbolId X, const ExprPtr &E) {
       // x − y ≤ c and y − x ≤ −c.
       Z.addDifference(X, Y, F.Const);
       if (!Z.isBottom())
-        Z.addDifference(Y, X, -F.Const);
+        Z.addDifference(Y, X, bNeg(F.Const));
       return;
     }
     // x := x + c via a temporary dimension (same discipline as the
@@ -920,7 +927,7 @@ void evalAssign(Zone &Z, SymbolId X, const ExprPtr &E) {
     Z.addVar(Tmp);
     Z.addDifference(Tmp, X, F.Const);
     if (!Z.isBottom())
-      Z.addDifference(X, Tmp, -F.Const);
+      Z.addDifference(X, Tmp, bNeg(F.Const));
     if (Z.isBottom())
       return;
     Z.forgetAndRemove(X);
@@ -1015,7 +1022,7 @@ bool addLinearLeqZero(Zone &Z, const LinForm &F) {
   for (const auto &[V, C] : F.Coeffs)
     if (C != 1 && C != -1)
       return false;
-  int64_t Bound = -F.Const; // Σ ±v ≤ −Const.
+  int64_t Bound = bNeg(F.Const); // Σ ±v ≤ −Const.
   if (F.Coeffs.empty()) {
     if (0 > Bound)
       Z = Zone::bottomValue();

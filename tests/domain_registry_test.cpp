@@ -9,11 +9,11 @@
 ///
 ///  - Erasure transparency: an end-to-end InterprocEngine workload (seeded
 ///    edits, per-location queries, checker obligations) run through
-///    AnyDomain bound to "zone" is bit-identical — rendered states, every
-///    deterministic Statistics counter, zone work counters, and checker
-///    verdicts — to the same workload on the direct ZoneDomain template
-///    instantiation. Runtime domain selection must cost zero precision and
-///    zero behavioral drift.
+///    AnyDomain bound to "zone" or "octagon" is bit-identical — rendered
+///    states, every deterministic Statistics counter, the domain's work
+///    counters, and checker verdicts — to the same workload on the direct
+///    template instantiation. Runtime domain selection must cost zero
+///    precision and zero behavioral drift.
 ///
 ///  - Mixed-type safety: operations on values of different concrete
 ///    domains are defined (boxed conversion), never UB; equal() between
@@ -33,6 +33,7 @@
 #include "analysis/checker.h"
 #include "domain/dis_interval.h"
 #include "domain/interval.h"
+#include "domain/octagon.h"
 #include "domain/zone.h"
 #include "interproc/engine.h"
 #include "support/statistics.h"
@@ -47,7 +48,7 @@ using namespace dai::test;
 namespace {
 
 //===----------------------------------------------------------------------===//
-// Erasure transparency: AnyDomain("zone") ≡ ZoneDomain, end to end
+// Erasure transparency: AnyDomain(key) ≡ the key's domain, end to end
 //===----------------------------------------------------------------------===//
 
 /// Every deterministic field of Statistics (all of them are).
@@ -68,25 +69,40 @@ void expectStatsEqual(const Statistics &A, const Statistics &B) {
   EXPECT_EQ(A.AlarmsRaised, B.AlarmsRaised);
 }
 
-class ErasureTransparencySeed : public ::testing::TestWithParam<uint64_t> {};
+/// Zeroes \p Fam's gauges, so that a delta taken over the next region
+/// carries that region's own peak rather than the process-wide one.
+template <typename Fam> void zeroGauges(Fam &F) {
+  Fam::forEachField([&](const CounterInfo &I, uint64_t Fam::*M) {
+    if (I.Kind == CounterKind::Gauge)
+      F.*M = 0;
+  });
+}
 
-TEST_P(ErasureTransparencySeed, ZoneWorkloadBitIdentical) {
-  AnyDomainDefaultScope Bind("zone");
+/// Runs one seeded edit-and-query workload on InterprocEngine<D> and on
+/// InterprocEngine<AnyDomain> bound to \p Key, and checks that the two
+/// agree on every rendered query state, on the per-query delta of the work
+/// counter family \p Counters returns, on every Statistics counter and on
+/// every checker verdict.
+template <typename D, typename CountersFn>
+void expectErasureTransparent(const std::string &Key, uint64_t Seed,
+                              CountersFn Counters) {
+  AnyDomainDefaultScope Bind(Key);
   ASSERT_TRUE(Bind.ok());
 
   // Two identically-seeded generators so both engines see the same edit
   // and query streams on their own program copies.
   WorkloadOptions Opts;
-  Opts.Seed = GetParam();
+  Opts.Seed = Seed;
   WorkloadGenerator GenD(Opts), GenE(Opts);
   Program ProgD = GenD.makeInitialProgram();
   Program ProgE = GenE.makeInitialProgram();
 
-  InterprocEngine<ZoneDomain> Direct(ProgD, "main", /*K=*/1);
+  InterprocEngine<D> Direct(ProgD, "main", /*K=*/1);
   InterprocEngine<AnyDomain> Erased(ProgE, "main", /*K=*/1);
   ASSERT_TRUE(Direct.valid()) << Direct.error();
   ASSERT_TRUE(Erased.valid()) << Erased.error();
 
+  uint64_t Work = 0; // every counter of every query delta, summed
   for (unsigned Edit = 0; Edit < 20; ++Edit) {
     EditRecord RD = GenD.applyRandomEdit(Direct.program());
     EditRecord RE = GenE.applyRandomEdit(Erased.program());
@@ -103,22 +119,28 @@ TEST_P(ErasureTransparencySeed, ZoneWorkloadBitIdentical) {
     std::vector<Loc> QsE = GenE.sampleQueryLocations(Erased.program(), 3);
     ASSERT_EQ(QsD, QsE);
     for (size_t I = 0; I < QsD.size(); ++I) {
-      // The zone work performed per query must be identical op-for-op.
-      ZoneCounters BeforeD = zoneCounters();
-      Zone SD = Direct.queryMain(QsD[I]);
-      ZoneCounters DeltaD = zoneCounters() - BeforeD;
-      ZoneCounters BeforeE = zoneCounters();
+      // The domain work performed per query must be identical op-for-op.
+      zeroGauges(Counters());
+      auto BeforeD = Counters();
+      typename D::Elem SD = Direct.queryMain(QsD[I]);
+      auto DeltaD = Counters() - BeforeD;
+      zeroGauges(Counters());
+      auto BeforeE = Counters();
       AnyVal SE = Erased.queryMain(QsE[I]);
-      ZoneCounters DeltaE = zoneCounters() - BeforeE;
-      EXPECT_EQ(ZoneDomain::toString(SD), AnyDomain::toString(SE))
+      auto DeltaE = Counters() - BeforeE;
+      DeltaD.forEachCounter(
+          [&](const CounterInfo &, uint64_t V) { Work += V; });
+      EXPECT_EQ(D::toString(SD), AnyDomain::toString(SE))
           << "state drift at edit " << Edit << " loc l" << QsD[I];
       std::ostringstream OSD, OSE;
       OSD << DeltaD;
       OSE << DeltaE;
       EXPECT_EQ(OSD.str(), OSE.str())
-          << "zone counter drift at edit " << Edit << " loc l" << QsD[I];
+          << Key << " counter drift at edit " << Edit << " loc l" << QsD[I];
     }
   }
+
+  EXPECT_GT(Work, 0u) << "the workload did no " << Key << " work";
 
   // The engines' deterministic counters (memo hits/misses, dirtied cells,
   // call summaries, ...) must agree exactly: the type-tagged hash remap is
@@ -130,12 +152,25 @@ TEST_P(ErasureTransparencySeed, ZoneWorkloadBitIdentical) {
   std::vector<Obligation> ObsE = collectObligations(*Erased.cfgOf("main"));
   ASSERT_EQ(ObsD.size(), ObsE.size());
   for (size_t I = 0; I < ObsD.size(); ++I) {
-    Verdict VD = evaluateObligation<ZoneDomain>(
-        ObsD[I], Direct.queryMain(ObsD[I].At), false);
+    Verdict VD = evaluateObligation<D>(ObsD[I], Direct.queryMain(ObsD[I].At),
+                                       false);
     Verdict VE = evaluateObligation<AnyDomain>(
         ObsE[I], Erased.queryMain(ObsE[I].At), false);
     EXPECT_EQ(VD, VE) << "verdict drift on " << ObsD[I].Text;
   }
+}
+
+class ErasureTransparencySeed : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ErasureTransparencySeed, ZoneWorkloadBitIdentical) {
+  expectErasureTransparent<ZoneDomain>(
+      "zone", GetParam(), []() -> ZoneCounters & { return zoneCounters(); });
+}
+
+TEST_P(ErasureTransparencySeed, OctagonWorkloadBitIdentical) {
+  expectErasureTransparent<OctagonDomain>(
+      "octagon", GetParam(),
+      []() -> ClosureCounters & { return closureCounters(); });
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ErasureTransparencySeed,

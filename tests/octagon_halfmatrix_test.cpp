@@ -9,17 +9,22 @@
 /// (2n)² reference implementation of the octagon kernels (the pre-refactor
 /// algorithms, verbatim in spirit) is driven through long random sequences
 /// of mutating operations — addConstraint / close / closeIncremental /
-/// elementwiseMax (join kernel) / widenWith / addVar / forgetInPlace /
-/// forgetAndRemove / rename — in lockstep with the half-matrix Octagon,
+/// elementwiseMax (join kernel) / widenWith / addVar / addVars /
+/// forgetInPlace / forgetAndRemove / restrictAndRename (order-preserving
+/// projections, renamings, and enterCall's fused project-and-rename) /
+/// in-place x := ±x + c — in lockstep with the half-matrix Octagon,
 /// asserting after every step that (a) all logical entries agree entrywise
-/// and (b) the logical matrix is coherent: at(i,j) == at(j̄,ī).
+/// and (b) the logical matrix is coherent: at(i,j) == at(j̄,ī). The
+/// reference runs x := ±x + c the way the domain once did, through a
+/// temporary dimension, so the in-place form is pinned to it.
 ///
 /// Also the regression tests for the soundness fixes that shipped with the
 /// representation change:
 ///  - an assignment whose RHS interval is EMPTY collapses to ⊥ (it used to
 ///    havoc the target like a ⊤ RHS),
 ///  - raw set() clears the Closed flag whenever the entry changes,
-///  - the `x := ±x + c` path survives a program variable named "__oct_tmp".
+///  - x := ±x + c leaves a program variable named "__oct_tmp" (the name of
+///    the temporary dimension it once used) alone.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -211,6 +216,42 @@ struct DenseOct {
     resizeFor(NewVars, OldIdx);
   }
 
+  /// Projection onto the present sources, closing first when a dimension
+  /// is dropped, then one rename per source (targets are fresh or equal to
+  /// their source, so the renames cannot collide).
+  void restrictAndRename(const std::vector<SymbolId> &From,
+                         const std::vector<SymbolId> &To) {
+    std::vector<SymbolId> NewVars;
+    std::vector<size_t> OldIdx;
+    for (size_t K = 0; K < n(); ++K)
+      if (std::find(From.begin(), From.end(), Vars[K]) != From.end()) {
+        NewVars.push_back(Vars[K]);
+        OldIdx.push_back(K);
+      }
+    if (NewVars.size() != n()) {
+      close();
+      if (Bottom)
+        return;
+      resizeFor(NewVars, OldIdx);
+    }
+    for (size_t K = 0; K < From.size(); ++K)
+      if (From[K] != To[K] && varIndex(From[K]) != npos)
+        rename(From[K], To[K]);
+  }
+
+  /// x := ±x + c through a temporary dimension: bind Tmp = ±x + c, close,
+  /// forget x, rename Tmp to x.
+  void assignShifted(size_t Idx, bool Negate, int64_t C, SymbolId Tmp) {
+    SymbolId X = Vars[Idx];
+    addVar(Tmp);
+    size_t TI = varIndex(Tmp), XI = varIndex(X);
+    addConstraint(TI, true, XI, Negate, C);
+    addConstraint(TI, false, XI, !Negate, -C);
+    close();
+    forgetAndRemove(X);
+    rename(Tmp, X);
+  }
+
   void elementwiseMax(const DenseOct &O) {
     for (size_t I = 0; I < M.size(); ++I)
       if (O.M[I] > M[I])
@@ -303,13 +344,13 @@ TEST(OctagonHalfMatrix, IndexAlgebra) {
 /// the half-matrix entrywise equal to the dense reference and coherent.
 TEST(OctagonHalfMatrix, RandomOpChainsMatchDenseReference) {
   unsigned VarCounter = 0;
-  for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
+  for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
     Rng R(Seed);
     unsigned NumVars = 2 + static_cast<unsigned>(R.below(5)); // 2..6
     Octagon Oct;
     DenseOct Ref;
     freshPair(NumVars, VarCounter, Oct, Ref);
-    for (unsigned Step = 0; Step < 80; ++Step) {
+    for (unsigned Step = 0; Step < 100; ++Step) {
       unsigned Op = static_cast<unsigned>(R.below(100));
       size_t N = Oct.numVars();
       if (Op < 40 && N >= 1) {
@@ -342,10 +383,42 @@ TEST(OctagonHalfMatrix, RandomOpChainsMatchDenseReference) {
         Oct.forgetAndRemove(S);
         Ref.forgetAndRemove(S);
       } else if (Op < 80 && N >= 1) {
-        SymbolId From = Oct.vars()[R.below(N)];
-        SymbolId To = testSym("r", VarCounter++);
-        Oct.rename(From, To);
-        Ref.rename(From, To);
+        // One resize over a random subset of the variables (in random
+        // order), each kept one renamed to a fresh symbol or left as is:
+        // order-preserving projections, renamings that reorder, and the
+        // fused project-and-rename of enterCall.
+        std::vector<SymbolId> From, To;
+        for (SymbolId V : Oct.vars())
+          if (R.percent(75))
+            From.push_back(V);
+        for (size_t K = From.size(); K > 1; --K)
+          std::swap(From[K - 1], From[R.below(K)]);
+        bool Rename = R.percent(67);
+        for (SymbolId V : From)
+          To.push_back(Rename && R.percent(60) ? testSym("r", VarCounter++)
+                                               : V);
+        Oct.restrictAndRename(From, To);
+        Ref.restrictAndRename(From, To);
+      } else if (Op < 88 && N >= 1) {
+        // In-place x := ±x + c.
+        size_t Idx = R.below(N);
+        bool Negate = R.percent(50);
+        int64_t C = R.range(-12, 25);
+        Oct.assignShifted(Idx, Negate, C);
+        Ref.assignShifted(Idx, Negate, C, testSym("t", 0));
+      } else if (Op < 92) {
+        // Several dimensions in one resize (duplicates and present ones
+        // included).
+        std::vector<SymbolId> Add;
+        for (unsigned K = 0, E = 1 + static_cast<unsigned>(R.below(3)); K < E;
+             ++K)
+          Add.push_back(testSym("v", VarCounter++));
+        if (N >= 1 && R.percent(50))
+          Add.push_back(Oct.vars()[R.below(N)]);
+        Add.push_back(Add.front());
+        Oct.addVars(Add);
+        for (SymbolId S : Add)
+          Ref.addVar(S);
       } else if (N >= 1) {
         // Join / widen kernels against a perturbed copy over the same vars.
         Octagon OctB = Oct;
@@ -382,6 +455,76 @@ TEST(OctagonHalfMatrix, RandomOpChainsMatchDenseReference) {
         freshPair(NumVars, VarCounter, Oct, Ref);
     }
   }
+}
+
+/// hashNormalized() of a closed value equals hash() of its explicitly
+/// normalized copy, with and without unconstrained dimensions; on a
+/// normalized value it is the plain hash(); and a mutation clears the
+/// all-constrained mark along with the cached hash.
+TEST(OctagonHalfMatrix, HashNormalizedEqualsHashOfNormalizedCopy) {
+  auto normalizedHash = [](const Octagon &V) {
+    Octagon C = V;
+    C.normalize();
+    return C.hash();
+  };
+  unsigned VarCounter = 0, WithUnconstrained = 0, AllConstrained = 0;
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
+    Rng R(Seed);
+    size_t N = 1 + R.below(7);
+    Octagon O;
+    for (size_t I = 0; I < N; ++I)
+      O.addVar(testSym("h", VarCounter++));
+    O.close();
+    // Constrain a random slice of the variables; the rest stay ⊤.
+    for (size_t K = 0, E = R.below(2 * N + 1); K < E; ++K) {
+      size_t X = R.below(N), Y = npos;
+      if (N >= 2 && R.percent(50))
+        do {
+          Y = R.below(N);
+        } while (Y == X);
+      O.addConstraint(X, R.percent(50), Y, R.percent(50), R.range(-5, 30));
+    }
+    O.close();
+    if (O.isBottom())
+      continue;
+    Octagon Copy = O; // shares the buffer, and so the hash cache
+    uint64_t Expected = normalizedHash(O);
+    ASSERT_EQ(O.hashNormalized(), Expected) << "seed " << Seed;
+    ASSERT_EQ(Copy.hashNormalized(), Expected) << "seed " << Seed;
+    // normalize() keeps exactly the dimensions with a non-⊤ off-diagonal
+    // entry, read here through the logical matrix (coherence puts every
+    // entry of columns 2k and 2k+1 in rows 2k+1 and 2k as well).
+    std::vector<SymbolId> Constrained;
+    for (size_t K = 0; K < N; ++K) {
+      bool Any = false;
+      for (size_t J = 0; J < 2 * N; ++J)
+        Any |= (J != 2 * K && O.at(2 * K, J) != Inf) ||
+               (J != 2 * K + 1 && O.at(2 * K + 1, J) != Inf);
+      if (Any)
+        Constrained.push_back(O.vars()[K]);
+    }
+    Octagon Norm = O;
+    Norm.normalize();
+    ASSERT_EQ(Norm.vars(), Constrained) << "seed " << Seed;
+    (Norm.numVars() == N ? AllConstrained : WithUnconstrained) += 1;
+    ASSERT_EQ(Norm.hashNormalized(), Norm.hash()) << "seed " << Seed;
+    ASSERT_EQ(Norm.hash(), Expected) << "seed " << Seed;
+    if (Norm.numVars() == 0)
+      continue;
+    // Forgetting a dimension in place leaves it unconstrained. Run it on a
+    // private buffer that carries the mark and a cached hash, so that the
+    // mutation itself (not a copy-on-write clone) must drop both.
+    Octagon Forgot = Norm;
+    Forgot.elementwiseMax(Norm); // un-shares the buffer, contents unchanged
+    Forgot.normalize();
+    ASSERT_EQ(Forgot.hashNormalized(), Expected) << "seed " << Seed;
+    Forgot.forgetInPlace(R.below(Norm.numVars()));
+    ASSERT_EQ(Forgot.hashNormalized(), normalizedHash(Forgot))
+        << "seed " << Seed;
+    ASSERT_NE(Forgot.hashNormalized(), Forgot.hash()) << "seed " << Seed;
+  }
+  EXPECT_GT(WithUnconstrained, 20u);
+  EXPECT_GT(AllConstrained, 20u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -458,8 +601,10 @@ TEST(OctagonBugfix, RawSetClearsClosedFlag) {
 }
 
 TEST(OctagonBugfix, ProgramVariableNamedOctTmpSurvivesSelfAssign) {
-  // A program variable literally named "__oct_tmp" used to be silently
-  // renamed away by the `x := ±x + c` path in release builds.
+  // `x := ±x + c` once went through a temporary dimension named
+  // "__oct_tmp", and a program variable of that name was silently renamed
+  // away in release builds. It now runs in place; a variable of that name
+  // must still be left alone, and must be assignable itself.
   Octagon O;
   Octagon A =
       OctagonDomain::transfer(Stmt::mkAssign("__oct_tmp", Expr::mkInt(7)), O);
@@ -471,8 +616,8 @@ TEST(OctagonBugfix, ProgramVariableNamedOctTmpSurvivesSelfAssign) {
   EXPECT_EQ(C.closedView().boundsOf(std::string("x")), Interval::constant(4));
   EXPECT_EQ(C.closedView().boundsOf(std::string("__oct_tmp")),
             Interval::constant(7));
-  // And the self-assign works when the temporary dimension is occupied too:
-  // __oct_tmp := __oct_tmp + 1 forces a second-generation temporary.
+  // And the self-assignment of that variable itself (which once forced a
+  // second-generation temporary).
   Stmt IncTmp = Stmt::mkAssign(
       "__oct_tmp",
       Expr::mkBinary(BinaryOp::Add, Expr::mkVar("__oct_tmp"), Expr::mkInt(1)));
@@ -485,9 +630,10 @@ TEST(OctagonBugfix, ProgramVariableNamedOctTmpSurvivesSelfAssign) {
 
 TEST(OctagonBugfix, SelfAssignOnUntrackedVariableStaysTop) {
   // `x := x + 1` where x carries no constraints (initial ⊤ state, or after
-  // normalize() dropped its dimension) must leave x unconstrained — npos
-  // leaking into addConstraint used to read as a UNARY constraint on the
-  // temporary, unsoundly pinning x to the constant.
+  // normalize() dropped its dimension) must leave x unconstrained. The old
+  // temporary-dimension path once leaked npos into addConstraint, where it
+  // read as a UNARY constraint on the temporary and unsoundly pinned x to
+  // the constant.
   Octagon O;
   Stmt Inc = Stmt::mkAssign(
       "x", Expr::mkBinary(BinaryOp::Add, Expr::mkVar("x"), Expr::mkInt(1)));
