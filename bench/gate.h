@@ -46,6 +46,7 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -89,6 +90,11 @@ inline constexpr Rule Rules[] = {
     regression("fig10_octagon_workload", "sweep", "dis_interval",
                "dis_interval_partitions_collapsed", 5),
     regression("batch_verify", "recheck", "interval", "checks_rechecked", 5),
+    // Names are for DAIG cells only, and the runs before a sweep row have
+    // named almost all of its cells, so the baseline interns next to
+    // nothing: a value that became a name fails here.
+    regression("fig10_octagon_workload", "sweep", "octagon", "names_interned",
+               5),
     // Cross-checks: staged vs pure-octagon answers, AnyDomain vs the direct
     // template, incremental vs from-scratch and run vs run verdicts, pool vs
     // serial verdicts, buggy corpus programs left without an alarm.
@@ -497,8 +503,9 @@ private:
       double Base = BI->second, Now = FI->second;
       double Limit = Base * (1 + R.MaxRegressionPct / 100);
       char Delta[32];
+      double Inf = std::numeric_limits<double>::infinity();
       std::snprintf(Delta, sizeof Delta, "%+.2f%%",
-                    Base > 0 ? (Now / Base - 1) * 100 : 0.0);
+                    Base > 0 ? (Now / Base - 1) * 100 : Now > 0 ? Inf : 0.0);
       char Wall[64];
       std::snprintf(Wall, sizeof Wall, "; wall %.1f -> %.1f ms", BS.WallMs,
                     FS->WallMs);

@@ -1166,13 +1166,11 @@ private:
       const Stmt S = stmtOf(C.Srcs[0]); // copy: map may rehash during query
       Elem In = queryState(C.Srcs[1]);
       bool IsCall = S.Kind == StmtKind::Call;
-      // Memo keys cost hashing and interning: build one only when a memo
-      // table will read it (never for calls, whose hook is the summary).
-      Name Key;
+      // Memo keys cost hashing: build one only when a memo table will
+      // read it (never for calls, whose hook is the summary).
+      MemoKey Key;
       if (Memo && !IsCall) {
-        Key = Name::pair(
-            Name::fn(FnKind::Transfer),
-            Name::pair(Name::valHash(S.hash()), Name::valHash(D::hash(In))));
+        Key = {FnKind::Transfer, {S.hash(), D::hash(In)}};
         if (auto Hit = Memo->lookup(Key)) {
           provMarkTop(DemandOutcome::MemoHit);
           return *Hit;
@@ -1182,7 +1180,7 @@ private:
         ++Stats->Transfers;
       Elem Out = (IsCall && Hook) ? Hook(S, In) : D::transfer(S, In);
       if (Memo && !IsCall)
-        Memo->store(Key, Out);
+        Memo->store(std::move(Key), Out);
       return Out;
     }
     case FnKind::Join: {
@@ -1190,11 +1188,12 @@ private:
       Ins.reserve(C.Srcs.size());
       for (Name S : C.Srcs)
         Ins.push_back(queryState(S));
-      Name Key;
+      MemoKey Key;
       if (Memo) {
-        Key = Name::fn(FnKind::Join);
+        Key.F = FnKind::Join;
+        Key.Ins.reserve(Ins.size());
         for (const Elem &In : Ins)
-          Key = Name::pair(Key, Name::valHash(D::hash(In)));
+          Key.Ins.push_back(D::hash(In));
         if (auto Hit = Memo->lookup(Key)) {
           provMarkTop(DemandOutcome::MemoHit);
           return *Hit;
@@ -1208,17 +1207,15 @@ private:
         Acc = D::join(Acc, Ins[I]);
       }
       if (Memo)
-        Memo->store(Key, Acc);
+        Memo->store(std::move(Key), Acc);
       return Acc;
     }
     case FnKind::Widen: {
       Elem Prev = queryState(C.Srcs[0]);
       Elem Next = queryState(C.Srcs[1]);
-      Name Key;
+      MemoKey Key;
       if (Memo) {
-        Key = Name::pair(Name::fn(FnKind::Widen),
-                         Name::pair(Name::valHash(D::hash(Prev)),
-                                    Name::valHash(D::hash(Next))));
+        Key = {FnKind::Widen, {D::hash(Prev), D::hash(Next)}};
         if (auto Hit = Memo->lookup(Key)) {
           provMarkTop(DemandOutcome::MemoHit);
           return *Hit;
@@ -1228,7 +1225,7 @@ private:
         ++Stats->Widens;
       Elem Out = D::widen(Prev, Next);
       if (Memo)
-        Memo->store(Key, Out);
+        Memo->store(std::move(Key), Out);
       return Out;
     }
     case FnKind::Fix:

@@ -6,16 +6,17 @@
 ///
 /// \file
 /// The auxiliary memo table M of the Fig. 8 operational semantics: a finite
-/// map from names of the form f·(v1···vk) to abstract states, enabling reuse
-/// of analysis computations *independent of program location* (the paper
-/// realizes this with adapton.ocaml; see docs/architecture.md,
-/// "Substitutions"). Entries are keyed by the function symbol and hashes of
-/// the input values — as the paper puts it, names are "hashes, essentially".
+/// map from keys f·(v1···vk) to abstract states, enabling reuse of analysis
+/// computations *independent of program location* (the paper realizes this
+/// with adapton.ocaml; see docs/architecture.md, "Substitutions"). As the
+/// paper puts it, such keys are "hashes, essentially".
 ///
-/// Names are hash-consed (daig/name.h), so the table keys on the dense
-/// 32-bit NameId directly: probing hashes one integer instead of a name
-/// tree, and the LRU recency list holds plain ids — no back-pointers into
-/// the map's key storage to keep alive across rehashes.
+/// A MemoKey is that tuple by value: the function symbol and the exact
+/// input hashes in order. Keys compare field by field, so two keys alias
+/// one entry exactly when their tuples are equal, and the table owns its
+/// keys: evicting an entry or destroying the table frees them. Nothing is
+/// interned — the name table (daig/name.h) names DAIG cells only, so its
+/// size tracks program shape, not the number of distinct values seen.
 ///
 /// Dropping entries is always sound (Section 2.2): eviction trades reuse for
 /// memory, so the table exposes a size cap with LRU eviction — lookups
@@ -36,14 +37,37 @@
 #include "daig/name.h"
 #include "domain/abstract_domain.h"
 #include "support/fault_injection.h"
+#include "support/hashing.h"
 #include "support/observe.h"
 #include "support/statistics.h"
 
+#include <cstdint>
 #include <list>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 namespace dai {
+
+/// A memo key f·(h1···hk). The inputs, in order, are
+///  - transfer: the statement hash, then the input-state hash;
+///  - join: one hash per input (the arity varies);
+///  - widen: the previous iterate's hash, then the next one's.
+struct MemoKey {
+  FnKind F = FnKind::Transfer;
+  std::vector<uint64_t> Ins;
+
+  bool operator==(const MemoKey &) const = default;
+
+  /// Buckets the key and labels its trace instants. Equality never reads
+  /// it: distinct tuples stay distinct keys even when their hashes collide.
+  uint64_t hash() const {
+    uint64_t H = static_cast<uint64_t>(F);
+    for (uint64_t In : Ins)
+      H = hashCombine(H, In);
+    return H;
+  }
+};
 
 /// Location-independent memoization of analysis function applications.
 template <typename D>
@@ -69,43 +93,44 @@ public:
 
   /// Returns the memoized result for \p Key, if present, marking the entry
   /// most-recently-used.
-  std::optional<Elem> lookup(Name Key) {
+  std::optional<Elem> lookup(const MemoKey &Key) {
     DAI_FAULT_POINT(Memo); // at entry: an aborted lookup mutates nothing
-    auto It = Table.find(Key.id());
+    auto It = Table.find(Key);
     if (It == Table.end()) {
       if (Stats)
         ++Stats->MemoMisses;
-      traceInstant("memo.miss", Key.id());
+      traceInstant("memo.miss", Key.hash());
       return std::nullopt;
     }
     touch(It->second.LruIt);
     if (Stats)
       ++Stats->MemoHits;
-    traceInstant("memo.hit", Key.id());
+    traceInstant("memo.hit", Key.hash());
     return It->second.Value;
   }
 
   /// Records \p Key ↦ \p Value, evicting least-recently-used entries beyond
   /// the cap.
-  void store(Name Key, Elem Value) {
+  void store(MemoKey Key, Elem Value) {
     DAI_FAULT_POINT(Memo); // at entry: an aborted store leaves the LRU and
                            // table untouched (entries are pure, keyed by
                            // value hashes, so skipping a store is sound)
     // Find-then-assign: emplace may consume the moved argument even when
     // insertion fails, which would overwrite with a moved-from value.
-    auto It = Table.find(Key.id());
+    auto It = Table.find(Key);
     if (It != Table.end()) {
       It->second.Value = std::move(Value);
       touch(It->second.LruIt);
       return;
     }
-    It = Table.emplace(Key.id(), Entry{std::move(Value), {}}).first;
-    Lru.push_front(Key.id());
+    It = Table.emplace(std::move(Key), Entry{std::move(Value), {}}).first;
+    Lru.push_front(&It->first);
     It->second.LruIt = Lru.begin();
     while (Table.size() > MaxEntries && !Lru.empty()) {
-      traceInstant("memo.evict", Lru.back());
-      Table.erase(Lru.back());
+      auto Victim = Table.find(*Lru.back());
+      traceInstant("memo.evict", Victim->first.hash());
       Lru.pop_back();
+      Table.erase(Victim);
       if (Stats)
         ++Stats->MemoEvictions;
     }
@@ -119,31 +144,29 @@ public:
   size_t size() const { return Table.size(); }
 
 private:
+  /// The recency list points at the keys the table's nodes own; a node
+  /// never moves, rehashing included, so the pointers stay valid until
+  /// their entry is erased.
+  using LruList = std::list<const MemoKey *>;
+
   struct Entry {
     Elem Value;
-    std::list<NameId>::iterator LruIt;
+    LruList::iterator LruIt;
   };
 
-  /// Spreads the dense, low-entropy ids across buckets (ids are sequential
-  /// intern order; identity hashing would cluster the hot tail).
-  struct IdHash {
-    size_t operator()(NameId Id) const {
-      uint64_t X = Id;
-      X *= 0x9e3779b97f4a7c15ULL;
-      X ^= X >> 32;
-      return static_cast<size_t>(X);
-    }
+  struct KeyHash {
+    size_t operator()(const MemoKey &K) const { return K.hash(); }
   };
 
   /// Moves an entry's recency node to the front (most recently used).
-  void touch(std::list<NameId>::iterator It) {
+  void touch(LruList::iterator It) {
     Lru.splice(Lru.begin(), Lru, It);
   }
 
   size_t MaxEntries;
   Statistics *Stats = nullptr;
-  std::unordered_map<NameId, Entry, IdHash> Table;
-  std::list<NameId> Lru; ///< Front = most recent; back is evicted.
+  std::unordered_map<MemoKey, Entry, KeyHash> Table;
+  LruList Lru; ///< Front = most recent; back is evicted.
 };
 
 } // namespace dai

@@ -143,35 +143,9 @@ Name Name::loc(Loc L) {
               H);
 }
 
-Name Name::fn(FnKind F) {
-  // A handful of values total, each (re)built on every memo-key
-  // construction: worth a one-time cache instead of an intern probe per
-  // call.
-  struct FnNames {
-    Name N[kNumFnKinds];
-    FnNames() {
-      for (uint64_t A = 0; A < kNumFnKinds; ++A) {
-        uint64_t H = leafHash(Kind::Fn, A);
-        N[A] = Name(NameTable::global().intern(Kind::Fn, A, kNoName, kNoName,
-                                               H),
-                    H);
-      }
-    }
-  };
-  static const FnNames Cache;
-  return Cache.N[static_cast<uint64_t>(F)];
-}
-
 Name Name::num(uint64_t V) {
   uint64_t H = leafHash(Kind::Num, V);
   return Name(NameTable::global().intern(Kind::Num, V, kNoName, kNoName, H),
-              H);
-}
-
-Name Name::valHash(uint64_t V) {
-  uint64_t H = leafHash(Kind::ValHash, V);
-  return Name(NameTable::global().intern(Kind::ValHash, V, kNoName, kNoName,
-                                         H),
               H);
 }
 
@@ -208,21 +182,9 @@ Loc Name::locId() const {
   return static_cast<Loc>(N.A);
 }
 
-FnKind Name::fnKind() const {
-  const NameTable::Node &N = nodeOf(Id);
-  assert(N.K == Kind::Fn && "not a function-symbol name");
-  return static_cast<FnKind>(N.A);
-}
-
 uint64_t Name::numValue() const {
   const NameTable::Node &N = nodeOf(Id);
   assert(N.K == Kind::Num && "not a numeric name");
-  return N.A;
-}
-
-uint64_t Name::hashValue() const {
-  const NameTable::Node &N = nodeOf(Id);
-  assert(N.K == Kind::ValHash && "not a value-hash name");
   return N.A;
 }
 
@@ -287,14 +249,8 @@ std::string nodeToString(NameId Id) {
   case Name::Kind::Loc:
     OS << "l" << N.A;
     break;
-  case Name::Kind::Fn:
-    OS << fnKindName(static_cast<FnKind>(N.A));
-    break;
   case Name::Kind::Num:
     OS << N.A;
-    break;
-  case Name::Kind::ValHash:
-    OS << "#" << std::hex << N.A;
     break;
   case Name::Kind::Pair:
     OS << nodeToString(N.L) << "." << nodeToString(N.R);

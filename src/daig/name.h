@@ -5,17 +5,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The name algebra of Fig. 6: names identify DAIG reference cells and
-/// memo-table entries for reuse across edits and queries. Names are
+/// The name algebra of Fig. 6, restricted to the names of DAIG reference
+/// cells, which identify cells for reuse across edits and queries:
 ///
-///   n ::= ℓ | f | i | v | n1·n2 | n^(i)
+///   n ::= ℓ | i | n1·n2 | n^(i)
 ///
-/// i.e. locations, analysis-function symbols, integers, value hashes,
-/// products, and iteration-primed names. We generalize the paper's single
-/// iteration count to *nested* counts (an n^(i) wrapper per enclosing loop,
-/// outermost-first) so that demanded unrolling of nested loops never
-/// collides: the k-th unrolling of an outer loop resets inner loops to their
-/// initial two iterates under the outer count k.
+/// i.e. locations, integers, products, and iteration-primed names. The
+/// paper's memo keys f·(v1···vk) are not names here: daig/memo_table.h
+/// keeps them by value (MemoKey), so no abstract value ever enters the
+/// table below.
+///
+/// We generalize the paper's single iteration count to *nested* counts (an
+/// n^(i) wrapper per enclosing loop, outermost-first) so that demanded
+/// unrolling of nested loops never collides: the k-th unrolling of an outer
+/// loop resets inner loops to their initial two iterates under the outer
+/// count k.
 ///
 /// Names are hash-consed through a process-global NameTable: every
 /// constructor canonicalizes its node in an intern table, so each
@@ -42,8 +46,8 @@
 ///    observes the node fully written, transitively through those
 ///    happens-before edges.
 ///  - The table only grows, bounded by the set of structurally distinct
-///    names an analysis constructs (program shape × loop unrolling depth ×
-///    distinct value hashes); intern statistics are exposed through
+///    cell names an analysis constructs (program shape × loop unrolling
+///    depth); intern statistics are exposed through
 ///    nameTableCounters() in support/statistics.h (an atomic sink, so
 ///    worker-thread interning is counted).
 ///
@@ -70,17 +74,14 @@
 
 namespace dai {
 
-/// Analysis-function symbols labelling computation edges (Fig. 6).
+/// Analysis-function symbols labelling computation edges (Fig. 6) and
+/// heading memo keys.
 enum class FnKind : uint8_t {
   Transfer, ///< ⟦·⟧♯
   Join,     ///< ⊔
   Widen,    ///< ∇
   Fix,      ///< fix — demanded fixed-point marker
 };
-
-/// Number of FnKind enumerators — keep in sync with the enum (sizes the
-/// one-time Name::fn cache; fnKindName's exhaustive switch catches drift).
-inline constexpr unsigned kNumFnKinds = 4;
 
 const char *fnKindName(FnKind F);
 
@@ -96,16 +97,15 @@ public:
   /// Invalid is the documented sentinel returned by kind() on an invalid
   /// (default-constructed) Name — a well-defined query, unlike the other
   /// accessors below, which require a valid receiver of the right kind.
-  /// Keep Invalid LAST: the structural total order compares the pre-existing
-  /// enumerator values.
-  enum class Kind : uint8_t { Loc, Fn, Num, ValHash, Pair, Iter, Invalid };
+  /// The values are fixed: leaf hashes and the structural total order read
+  /// them, so they must not shift. The gaps at 1 and 3 are the retired
+  /// function-symbol and value-hash leaves; keep Invalid last.
+  enum class Kind : uint8_t { Loc = 0, Num = 2, Pair = 4, Iter = 5, Invalid };
 
   Name() = default; ///< Invalid name; valid() is false.
 
   static Name loc(Loc L);
-  static Name fn(FnKind F);
   static Name num(uint64_t N);
-  static Name valHash(uint64_t H);
   static Name pair(const Name &L, const Name &R);
   /// n^(Count): one iteration wrapper (innermost loop is the outermost
   /// wrapper; see mkStateName in the DAIG builder).
@@ -122,9 +122,7 @@ public:
   NameId id() const { return Id; }
 
   Loc locId() const;
-  FnKind fnKind() const;
   uint64_t numValue() const;
-  uint64_t hashValue() const;
   Name left() const;
   Name right() const;
   Name iterBase() const;
@@ -155,7 +153,7 @@ public:
   /// (kNoName when absent); A is the leaf payload / iteration count.
   struct Node {
     Name::Kind K;
-    uint64_t A = 0; ///< Loc id / fn kind / integer / value hash / iter count.
+    uint64_t A = 0; ///< Loc id / integer / iter count.
     NameId L = kNoName, R = kNoName;
     uint64_t Hash = 0; ///< Precomputed structural hash.
   };

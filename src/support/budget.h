@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Resource governance for demanded analyses: step/wall/byte budgets, a
-/// cooperative cancellation token, and hard iteration ceilings, checked at
+/// Resource governance for demanded analyses: step and wall-clock budgets,
+/// a cooperative cancellation token, and hard iteration ceilings, checked at
 /// DAIG cell-evaluation and engine fixpoint boundaries (budgetCheckpoint).
 ///
 /// The contract is degrade-don't-die. Budgets have two thresholds:
@@ -67,9 +67,6 @@ private:
 struct AnalysisBudget {
   uint64_t MaxSteps = 0;    ///< Checkpoint count (≈ cell evaluations).
   double MaxWallMs = 0;     ///< Wall-clock deadline in milliseconds.
-  uint64_t MaxPeakBytes = 0; ///< Ceiling on the tracked allocation gauges
-                             ///< (peak DBM bytes + name-table bytes — the
-                             ///< two dominant, instrumented footprints).
   unsigned SoftPct = 75;    ///< Percent of any limit at which soft
                             ///< degradation starts (see file header).
   CancellationToken *Cancel = nullptr; ///< Optional; not owned.
@@ -166,8 +163,8 @@ inline void recordCancellationHonored() {
 /// The checkpoint: called at DAIG cell evaluation, fix iteration, and
 /// engine quiescence boundaries. Counts a step, honors a pending
 /// cancellation (throws AnalysisCancelled), and latches the soft/hard
-/// thresholds. Wall and byte gauges are polled on a small stride — they
-/// cost a clock read / two thread_local reads, not worth paying per cell.
+/// thresholds. The wall clock is polled on a small stride — a clock read is
+/// not worth paying per cell.
 inline void budgetCheckpoint(const char *Site) {
   BudgetState &S = budgetState();
   if (!S.Active)
@@ -181,17 +178,14 @@ inline void budgetCheckpoint(const char *Site) {
   if (S.Hard)
     return; // already latched; nothing more to learn
   bool SoftNow = false, HardNow = false;
-  auto classify = [&](uint64_t Used, uint64_t Limit) {
-    if (!Limit)
-      return;
-    if (Used > Limit)
+  if (S.B.MaxSteps) {
+    if (S.Steps > S.B.MaxSteps)
       HardNow = true;
-    else if (Used * 100 > Limit * S.B.SoftPct)
+    else if (S.Steps * 100 > S.B.MaxSteps * S.B.SoftPct)
       SoftNow = true;
-  };
-  classify(S.Steps, S.B.MaxSteps);
-  bool PollGauges = S.Steps == 1 || (S.Steps & 15) == 0;
-  if (S.B.MaxWallMs > 0 && PollGauges) {
+  }
+  bool PollClock = S.Steps == 1 || (S.Steps & 15) == 0;
+  if (S.B.MaxWallMs > 0 && PollClock) {
     double Ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - S.Start)
                     .count();
@@ -200,10 +194,6 @@ inline void budgetCheckpoint(const char *Site) {
     else if (Ms * 100 > S.B.MaxWallMs * S.B.SoftPct)
       SoftNow = true;
   }
-  if (S.B.MaxPeakBytes && PollGauges)
-    classify(closureCounters().PeakDbmBytes +
-                 nameTableCounters().NameTableBytes,
-             S.B.MaxPeakBytes);
   if (HardNow) {
     S.Hard = S.Soft = true;
     recordBudgetExhaustion();

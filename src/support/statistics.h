@@ -179,9 +179,9 @@ template <class Fam> struct CounterFamily {
   }
 
   /// Cross-thread merge: counters add; gauges take the max (the
-  /// process-wide peak is the max of the per-thread peaks). The parallel
-  /// engine folds per-instance Statistics sinks with this at its pass
-  /// barrier, in deterministic key order.
+  /// process-wide peak is the max of the per-thread peaks). TaskPool folds
+  /// each task's ThreadCounters delta into the calling thread's block with
+  /// this.
   void mergeFrom(const Fam &O) {
     Fam::forEachField([&](const CounterInfo &I, uint64_t Fam::*M) {
       uint64_t &V = self().*M;

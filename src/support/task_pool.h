@@ -6,9 +6,8 @@
 ///
 /// \file
 /// A small work-stealing thread pool for running batches of independent
-/// analysis tasks — the scheduler behind InterprocEngine's parallel mode
-/// (one task per (function, context) instance within a quiescence pass)
-/// and the batch-verification bench (one task per corpus program).
+/// analysis tasks, such as batch verification (one task per corpus
+/// program, each on its own engine).
 ///
 /// Design:
 ///  - Per-worker deques. run() deals the batch round-robin across all

@@ -177,6 +177,20 @@ TEST(BenchGate, RegressionBeyondTheLimitFails) {
               "OK [fig10_octagon_workload sweep/octagon vars=16"));
 }
 
+TEST(BenchGate, NamesInternedAboveAZeroBaselineFails) {
+  auto withNames = [](const std::string &N) {
+    return edit(Fig10, "\"dbm_cells_touched\": 2000}",
+                "\"dbm_cells_touched\": 2000, \"names_interned\": " + N + "}");
+  };
+  EXPECT_TRUE(verdict(fig10(withNames("0"), withNames("0")), 0,
+                      "OK [fig10_octagon_workload sweep/octagon vars=16 "
+                      "names_interned]"));
+  EXPECT_TRUE(verdict(fig10(withNames("0"), withNames("1")), 1,
+                      "FAIL [fig10_octagon_workload sweep/octagon vars=16 "
+                      "names_interned]: regressed beyond the limit: "
+                      "baseline 0, fresh 1 (+inf%)"));
+}
+
 TEST(BenchGate, NonzeroCrossCheckOrBudgetCounterFails) {
   EXPECT_TRUE(verdict(fig10(Fig10, set(Fig10, "sum_mismatches", "0", "3")), 1,
                       "FAIL [fig10_octagon_workload sum_mismatches]: "

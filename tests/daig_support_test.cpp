@@ -6,7 +6,8 @@
 ///
 /// \file
 /// Remaining public surface: the auxiliary memo table (lookup/store/evict
-/// semantics and its observable effect on Q-Match), statistics accounting,
+/// semantics, MemoKey equality, its observable effect on Q-Match, and the
+/// name table staying flat under fresh values), statistics accounting,
 /// the deterministic RNG, and DAIG introspection APIs (dirtyEverything,
 /// queryAllLocations, exit cell naming).
 ///
@@ -17,6 +18,7 @@
 #include "daig/daig.h"
 #include "domain/constprop.h"
 #include "domain/interval.h"
+#include "support/hashing.h"
 #include "support/rng.h"
 #include "tests/test_util.h"
 
@@ -27,9 +29,12 @@ using namespace dai::test;
 
 namespace {
 
+/// A transfer key over a fixed statement hash; \p H stands for the input.
+MemoKey key(uint64_t H) { return {FnKind::Transfer, {0x5717, H}}; }
+
 TEST(MemoTable, StoreLookupRoundTrip) {
   MemoTable<ConstPropDomain> M;
-  Name K = Name::pair(Name::fn(FnKind::Transfer), Name::valHash(0x1234));
+  MemoKey K = key(0x1234);
   EXPECT_FALSE(M.lookup(K).has_value());
   ConstState V;
   V.setVar("x", 7);
@@ -42,7 +47,7 @@ TEST(MemoTable, StoreLookupRoundTrip) {
 
 TEST(MemoTable, OverwriteKeepsSingleEntry) {
   MemoTable<ConstPropDomain> M;
-  Name K = Name::valHash(9);
+  MemoKey K = key(9);
   ConstState A, B;
   A.setVar("x", 1);
   B.setVar("x", 2);
@@ -55,25 +60,25 @@ TEST(MemoTable, OverwriteKeepsSingleEntry) {
 TEST(MemoTable, EvictsLeastRecentlyUsedBeyondCap) {
   MemoTable<ConstPropDomain> M(/*MaxEntries=*/3);
   for (uint64_t I = 0; I < 5; ++I)
-    M.store(Name::valHash(I), ConstState());
+    M.store(key(I), ConstState());
   EXPECT_EQ(M.size(), 3u);
   // No lookups intervened, so recency order is insertion order.
-  EXPECT_FALSE(M.lookup(Name::valHash(0)).has_value());
-  EXPECT_FALSE(M.lookup(Name::valHash(1)).has_value());
-  EXPECT_TRUE(M.lookup(Name::valHash(4)).has_value());
+  EXPECT_FALSE(M.lookup(key(0)).has_value());
+  EXPECT_FALSE(M.lookup(key(1)).has_value());
+  EXPECT_TRUE(M.lookup(key(4)).has_value());
 }
 
 TEST(MemoTable, LookupRefreshesRecency) {
   MemoTable<ConstPropDomain> M(/*MaxEntries=*/3);
   for (uint64_t I = 0; I < 3; ++I)
-    M.store(Name::valHash(I), ConstState());
-  // Touch the oldest entry; the next insertion must evict valHash(1).
-  EXPECT_TRUE(M.lookup(Name::valHash(0)).has_value());
-  M.store(Name::valHash(3), ConstState());
+    M.store(key(I), ConstState());
+  // Touch the oldest entry; the next insertion must evict key(1).
+  EXPECT_TRUE(M.lookup(key(0)).has_value());
+  M.store(key(3), ConstState());
   EXPECT_EQ(M.size(), 3u);
-  EXPECT_TRUE(M.lookup(Name::valHash(0)).has_value()) << "touched: survives";
-  EXPECT_FALSE(M.lookup(Name::valHash(1)).has_value()) << "LRU: evicted";
-  EXPECT_TRUE(M.lookup(Name::valHash(3)).has_value());
+  EXPECT_TRUE(M.lookup(key(0)).has_value()) << "touched: survives";
+  EXPECT_FALSE(M.lookup(key(1)).has_value()) << "LRU: evicted";
+  EXPECT_TRUE(M.lookup(key(3)).has_value());
 }
 
 TEST(MemoTable, StoreRefreshesRecencyAndCountsEvictions) {
@@ -82,16 +87,125 @@ TEST(MemoTable, StoreRefreshesRecencyAndCountsEvictions) {
   M.attachStatistics(&Stats);
   ConstState A;
   A.setVar("x", 1);
-  M.store(Name::valHash(0), ConstState());
-  M.store(Name::valHash(1), ConstState());
-  M.store(Name::valHash(0), A); // overwrite refreshes recency of 0
-  M.store(Name::valHash(2), ConstState());
+  M.store(key(0), ConstState());
+  M.store(key(1), ConstState());
+  M.store(key(0), A); // overwrite refreshes recency of 0
+  M.store(key(2), ConstState());
   EXPECT_EQ(Stats.MemoEvictions, 1u);
-  EXPECT_FALSE(M.lookup(Name::valHash(1)).has_value()) << "LRU: evicted";
-  ASSERT_TRUE(M.lookup(Name::valHash(0)).has_value());
-  EXPECT_EQ(M.lookup(Name::valHash(0))->get("x"), std::optional<int64_t>(1));
+  EXPECT_FALSE(M.lookup(key(1)).has_value()) << "LRU: evicted";
+  ASSERT_TRUE(M.lookup(key(0)).has_value());
+  EXPECT_EQ(M.lookup(key(0))->get("x"), std::optional<int64_t>(1));
   EXPECT_EQ(Stats.MemoHits, 2u);
   EXPECT_EQ(Stats.MemoMisses, 1u);
+}
+
+TEST(MemoTable, LruEvictionUnderMultiInputKeys) {
+  Statistics Stats;
+  MemoTable<ConstPropDomain> M(/*MaxEntries=*/3);
+  M.attachStatistics(&Stats);
+  // Keys built afresh on every call: equal tuples must alias one entry.
+  auto joinKey = [](uint64_t I) {
+    return MemoKey{FnKind::Join, {I, I % 3, 0x10}};
+  };
+  for (uint64_t I = 0; I < 5; ++I) {
+    ConstState V;
+    V.setVar("x", static_cast<int64_t>(I));
+    M.store(joinKey(I), V);
+  }
+  EXPECT_EQ(M.size(), 3u);
+  // Insertion order was recency order: 0 and 1 were evicted.
+  EXPECT_FALSE(M.lookup(joinKey(0)).has_value());
+  EXPECT_FALSE(M.lookup(joinKey(1)).has_value());
+  ASSERT_TRUE(M.lookup(joinKey(4)).has_value());
+  EXPECT_EQ(M.lookup(joinKey(4))->get("x"), std::optional<int64_t>(4));
+  EXPECT_EQ(Stats.MemoEvictions, 2u);
+
+  // Touch the oldest survivor; the next store must evict joinKey(3).
+  EXPECT_TRUE(M.lookup(joinKey(2)).has_value());
+  ConstState V5;
+  V5.setVar("x", 5);
+  M.store(joinKey(5), V5);
+  EXPECT_TRUE(M.lookup(joinKey(2)).has_value()) << "touched: survives";
+  EXPECT_FALSE(M.lookup(joinKey(3)).has_value()) << "LRU: evicted";
+  EXPECT_EQ(M.lookup(joinKey(5))->get("x"), std::optional<int64_t>(5));
+}
+
+TEST(MemoKey, OnlyEqualTuplesShareAnEntry) {
+  MemoTable<ConstPropDomain> M;
+  ConstState A, B;
+  A.setVar("x", 1);
+  B.setVar("x", 2);
+  M.store(MemoKey{FnKind::Transfer, {11, 22}}, A);
+  M.store(MemoKey{FnKind::Join, {11, 22, 33}}, B);
+  EXPECT_EQ(M.size(), 2u);
+
+  // Separately built equal keys hit the stored entries.
+  MemoKey SameTransfer{FnKind::Transfer, {11, 22}};
+  ASSERT_TRUE(M.lookup(SameTransfer).has_value());
+  EXPECT_EQ(M.lookup(SameTransfer)->get("x"), std::optional<int64_t>(1));
+  MemoKey SameJoin{FnKind::Join, {11, 22, 33}};
+  ASSERT_TRUE(M.lookup(SameJoin).has_value());
+  EXPECT_EQ(M.lookup(SameJoin)->get("x"), std::optional<int64_t>(2));
+
+  // Only the function symbol differs: widen over the transfer's hashes.
+  EXPECT_FALSE(M.lookup(MemoKey{FnKind::Widen, {11, 22}}).has_value());
+  // Only the input order differs.
+  EXPECT_FALSE(M.lookup(MemoKey{FnKind::Transfer, {22, 11}}).has_value());
+  // Only the arity differs: the 3-input join's 2-input prefix.
+  EXPECT_FALSE(M.lookup(MemoKey{FnKind::Join, {11, 22}}).has_value());
+  EXPECT_EQ(M.size(), 2u);
+}
+
+TEST(MemoKey, HashCollisionsDoNotAlias) {
+  // Solve hashCombine(H, Last) == Target for Last, so two distinct tuples
+  // share one hash() — and so one bucket.
+  MemoKey A{FnKind::Transfer, {1, 2}};
+  uint64_t H = hashCombine(static_cast<uint64_t>(FnKind::Transfer), 3);
+  uint64_t Last =
+      (A.hash() ^ H) - 0x9e3779b97f4a7c15ULL - (H << 12) - (H >> 4);
+  MemoKey B{FnKind::Transfer, {3, Last}};
+  ASSERT_EQ(A.hash(), B.hash());
+  ASSERT_FALSE(A == B);
+
+  MemoTable<ConstPropDomain> M;
+  ConstState V;
+  V.setVar("x", 1);
+  M.store(A, V);
+  EXPECT_FALSE(M.lookup(B).has_value()) << "equal hashes, distinct tuples";
+  M.store(B, ConstState());
+  EXPECT_EQ(M.size(), 2u);
+  EXPECT_EQ(M.lookup(A)->get("x"), std::optional<int64_t>(1));
+}
+
+/// Memo keys are values, not names: one program shape analysed under fresh
+/// constants computes fresh values (memo misses) but names no new cell
+/// once the shape's cells are named.
+TEST(MemoTable, FreshValuesInternNoNames) {
+  Statistics Stats;
+  MemoTable<ConstPropDomain> Memo;
+  Memo.attachStatistics(&Stats);
+  uint64_t NamesAfterFirst = 0;
+  for (int C = 1; C <= 48; ++C) {
+    Function F = mustLowerFn("function main(c) {\n"
+                             "  var x = " + std::to_string(C) + ";\n"
+                             "  var y = x * 2;\n"
+                             "  if (c > 0) { y = y + x; } else { y = 1; }\n"
+                             "  var i = 0;\n"
+                             "  while (i < 3) { i = i + 1; }\n"
+                             "  return x + y;\n"
+                             "}",
+                             "main");
+    uint64_t MissesBefore = Stats.MemoMisses;
+    Daig<ConstPropDomain> G(&F.Body, ConstPropDomain::initialEntry(F.Params),
+                            &Stats, &Memo);
+    (void)G.queryLocation(F.Body.exit());
+    EXPECT_GT(Stats.MemoMisses, MissesBefore) << "constant " << C;
+    uint64_t Names = nameTableCounters().NamesInterned;
+    if (C == 1)
+      NamesAfterFirst = Names;
+    else
+      EXPECT_EQ(Names, NamesAfterFirst) << "constant " << C;
+  }
 }
 
 TEST(MemoTable, SharedAcrossDaigsEnablesQMatch) {

@@ -47,7 +47,7 @@ TEST(InternConcurrency, NameTableOneIdPerKeyAcrossThreads) {
   // race on every key) of leaves, pairs, and iters.
   auto buildKey = [](unsigned I) {
     Name A = Name::num(kNamePayloadBase + I);
-    Name B = Name::valHash(kNamePayloadBase + I / 3);
+    Name B = Name::num(kNamePayloadBase + 0x8000 + I / 3);
     switch (I % 4) {
     case 0:
       return A;
@@ -205,7 +205,7 @@ TEST(InternConcurrency, MixedNameAndSymbolTraffic) {
     Threads.emplace_back([T, &Out] {
       for (unsigned I = 0; I < 150; ++I) {
         Name N = Name::pair(Name::num(kNamePayloadBase + 0x30000 + I),
-                            Name::fn(FnKind::Transfer));
+                            Name::loc(1));
         SymbolId S = internSymbol("icon_mixed_" + std::to_string(I));
         Out[T].emplace_back(N.id(), S);
       }

@@ -12,16 +12,13 @@
 /// interleavings). Equality, the total order, toString, and hashes must be
 /// bit-identical to the structural semantics; interning itself must be
 /// sound (structurally equal ⇒ same id) and complete (distinct ⇒ distinct
-/// ids). Plus directed regressions: kind() on an invalid Name is the
-/// well-defined Kind::Invalid sentinel (previously a null dereference), and
-/// MemoTable LRU eviction behaves under the new NameId keys.
+/// ids). Plus a directed regression: kind() on an invalid Name is the
+/// well-defined Kind::Invalid sentinel (previously a null dereference).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "daig/name.h"
 
-#include "daig/memo_table.h"
-#include "domain/constprop.h"
 #include "support/hashing.h"
 #include "support/rng.h"
 #include "support/statistics.h"
@@ -49,11 +46,7 @@ public:
   RefName() = default;
 
   static RefName loc(Loc L) { return leaf(Kind::Loc, L); }
-  static RefName fn(FnKind F) {
-    return leaf(Kind::Fn, static_cast<uint64_t>(F));
-  }
   static RefName num(uint64_t N) { return leaf(Kind::Num, N); }
-  static RefName valHash(uint64_t H) { return leaf(Kind::ValHash, H); }
   static RefName pair(const RefName &L, const RefName &R) {
     auto N = std::make_shared<Node>();
     N->K = Kind::Pair;
@@ -140,14 +133,8 @@ private:
     case Kind::Loc:
       OS << "l" << N->A;
       break;
-    case Kind::Fn:
-      OS << fnKindName(static_cast<FnKind>(N->A));
-      break;
     case Kind::Num:
       OS << N->A;
-      break;
-    case Kind::ValHash:
-      OS << "#" << std::hex << N->A;
       break;
     case Kind::Pair:
       OS << nodeToString(N->L.get()) << "." << nodeToString(N->R.get());
@@ -185,24 +172,12 @@ Pair randomName(Rng &Rng, std::vector<Pair> &Pool) {
     return Pair{Name::iter(B.N, Count), RefName::iter(B.R, Count)};
   }
   // Leaves draw from small pools so collisions (re-interning) are common.
-  switch (Rng.below(4)) {
-  case 0: {
+  if (Rng.below(2) == 0) {
     Loc L = static_cast<Loc>(Rng.below(6));
     return Pair{Name::loc(L), RefName::loc(L)};
   }
-  case 1: {
-    FnKind F = static_cast<FnKind>(Rng.below(4));
-    return Pair{Name::fn(F), RefName::fn(F)};
-  }
-  case 2: {
-    uint64_t V = Rng.below(5);
-    return Pair{Name::num(V), RefName::num(V)};
-  }
-  default: {
-    uint64_t H = Rng.below(7) * 0x9e3779b9ULL;
-    return Pair{Name::valHash(H), RefName::valHash(H)};
-  }
-  }
+  uint64_t V = Rng.below(5);
+  return Pair{Name::num(V), RefName::num(V)};
 }
 
 //===----------------------------------------------------------------------===//
@@ -275,13 +250,8 @@ TEST(NameIntern, AccessorsRoundTrip) {
   Name L = Name::loc(7);
   EXPECT_EQ(L.kind(), Name::Kind::Loc);
   EXPECT_EQ(L.locId(), 7u);
-  Name F = Name::fn(FnKind::Widen);
-  EXPECT_EQ(F.kind(), Name::Kind::Fn);
-  EXPECT_EQ(F.fnKind(), FnKind::Widen);
   Name N = Name::num(42);
   EXPECT_EQ(N.numValue(), 42u);
-  Name V = Name::valHash(0xdead);
-  EXPECT_EQ(V.hashValue(), 0xdeadu);
   Name P = Name::pair(L, N);
   EXPECT_EQ(P.kind(), Name::Kind::Pair);
   EXPECT_EQ(P.left(), L);
@@ -290,6 +260,17 @@ TEST(NameIntern, AccessorsRoundTrip) {
   EXPECT_EQ(I.kind(), Name::Kind::Iter);
   EXPECT_EQ(I.iterBase(), P);
   EXPECT_EQ(I.iterCount(), 3u);
+}
+
+/// Leaf hashes and the structural order read the kind values, so retiring
+/// a kind must not renumber the others: every cell name keeps its hash.
+TEST(NameIntern, KindValuesArePinned) {
+  EXPECT_EQ(static_cast<int>(Name::Kind::Loc), 0);
+  EXPECT_EQ(static_cast<int>(Name::Kind::Num), 2);
+  EXPECT_EQ(static_cast<int>(Name::Kind::Pair), 4);
+  EXPECT_EQ(static_cast<int>(Name::Kind::Iter), 5);
+  EXPECT_EQ(Name::loc(3).hash(), hashValues(0x51ULL, 3));
+  EXPECT_EQ(Name::num(3).hash(), hashValues(0x53ULL, 3));
 }
 
 /// Regression: the pre-interning kind() dereferenced a null node on a
@@ -315,52 +296,15 @@ TEST(NameIntern, CountersTrackHitsAndGrowth) {
   NameTableCounters Before = nameTableCounters();
   // A fresh, never-before-interned leaf (value chosen to be unique to this
   // test) grows the table; re-constructing it is a hit.
-  Name A = Name::valHash(0x5eedf00d12345678ULL);
+  Name A = Name::num(0x5eedf00d12345678ULL);
   NameTableCounters AfterNew = nameTableCounters();
   EXPECT_EQ(AfterNew.NamesInterned, Before.NamesInterned + 1);
-  Name B = Name::valHash(0x5eedf00d12345678ULL);
+  Name B = Name::num(0x5eedf00d12345678ULL);
   NameTableCounters AfterHit = nameTableCounters();
   EXPECT_EQ(AfterHit.NamesInterned, AfterNew.NamesInterned);
   EXPECT_EQ(AfterHit.InternHits, AfterNew.InternHits + 1);
   EXPECT_EQ(A.id(), B.id());
   EXPECT_GT(AfterHit.NameTableBytes, 0u);
-}
-
-//===----------------------------------------------------------------------===//
-// MemoTable under NameId keys
-//===----------------------------------------------------------------------===//
-
-TEST(NameIntern, MemoTableLruEvictionUnderIdKeys) {
-  Statistics Stats;
-  MemoTable<ConstPropDomain> M(/*MaxEntries=*/3);
-  M.attachStatistics(&Stats);
-  // Structurally rich keys (not just leaves): separately constructed but
-  // structurally equal names must alias the same entry via the same id.
-  auto key = [](uint64_t I) {
-    return Name::pair(Name::fn(FnKind::Transfer),
-                      Name::pair(Name::valHash(I), Name::num(I % 3)));
-  };
-  for (uint64_t I = 0; I < 5; ++I) {
-    ConstState V;
-    V.setVar("x", static_cast<int64_t>(I));
-    M.store(key(I), V);
-  }
-  EXPECT_EQ(M.size(), 3u);
-  // Insertion order was recency order: 0 and 1 were evicted.
-  EXPECT_FALSE(M.lookup(key(0)).has_value());
-  EXPECT_FALSE(M.lookup(key(1)).has_value());
-  ASSERT_TRUE(M.lookup(key(4)).has_value());
-  EXPECT_EQ(M.lookup(key(4))->get("x"), std::optional<int64_t>(4));
-  EXPECT_EQ(Stats.MemoEvictions, 2u);
-
-  // Touch the oldest survivor; the next store must evict key(3) instead.
-  EXPECT_TRUE(M.lookup(key(2)).has_value());
-  ConstState V5;
-  V5.setVar("x", 5);
-  M.store(key(5), V5);
-  EXPECT_TRUE(M.lookup(key(2)).has_value()) << "touched: survives";
-  EXPECT_FALSE(M.lookup(key(3)).has_value()) << "LRU under id keys: evicted";
-  EXPECT_EQ(M.lookup(key(5))->get("x"), std::optional<int64_t>(5));
 }
 
 } // namespace
