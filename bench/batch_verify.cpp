@@ -21,7 +21,7 @@
 ///
 ///  2. **Parallel corpus throughput** (`parallel_corpus` rows, `--threads
 ///     N,N,...`) — the same corpus verified as independent (program, round)
-///     tasks on a work-stealing TaskPool per thread count, every task's
+///     tasks on a shared-cursor TaskPool per thread count, every task's
 ///     verdict set cross-checked against the serial reference
 ///     (`parallel_result_mismatches`). `hardware_threads` records how many
 ///     cores the measurement had — on a single-core runner every thread
@@ -271,7 +271,7 @@ template <typename D> Row corpusRow(const Options &Opt, bool &Ok) {
 }
 
 /// The `parallel_corpus` rows: Rounds × NumArrayPrograms independent
-/// verification tasks on a work-stealing pool per thread count, every
+/// verification tasks on a shared-cursor pool per thread count, every
 /// task's verdict set cross-checked against the serial reference, which
 /// runs FIRST so the measured runs see a fully interned name/symbol
 /// vocabulary. Clears \p Ok on a mismatch.
@@ -474,7 +474,7 @@ int main(int Argc, char **Argv) {
   std::vector<Row> Rows;
 
   // Corpus throughput, then parallel corpus throughput: each (program,
-  // round) is one independent task on a work-stealing pool.
+  // round) is one independent task on a shared-cursor pool.
   std::printf("\n## corpus batch verification (k=2, best of %u)\n",
               Opt.Repeats);
   Rows.push_back(corpusRow<IntervalDomain>(Opt, Ok));

@@ -215,7 +215,7 @@ public:
   /// Note: the memo table counts its own hits/misses/evictions into the
   /// Statistics attached to IT (MemoTable::attachStatistics) — attachment
   /// is the table owner's decision, since the sink must outlive the table
-  /// (dirtyEverything builds a short-lived temporary sharing the table).
+  /// (an engine shares one table across all its instances' DAIGs).
   Daig(Cfg *G, Elem EntryValue, Statistics *Stats = nullptr,
        MemoTable<D> *Memo = nullptr)
       : G(G), EntryValue(std::move(EntryValue)), Stats(Stats), Memo(Memo) {
@@ -400,15 +400,6 @@ public:
   /// region and to the cells the edit dirties. See docs/architecture.md,
   /// "DAIG edits".
   void rebuild() { reconcile(/*Everywhere=*/false); }
-
-  /// Empties every abstract-state cell and resets all loops (the
-  /// demand-driven-only configuration: "dirty the full DAIG").
-  void dirtyEverything() {
-    Daig Fresh(G, EntryValue, Stats, Memo);
-    Fresh.Hook = Hook;
-    Fresh.OnCellEmptied = OnCellEmptied;
-    swapWith(Fresh);
-  }
 
   /// Replaces the entry abstract state φ0 (used by the interprocedural
   /// engine when callee entry contributions change) and dirties forward.
@@ -697,19 +688,9 @@ private:
   };
   std::unordered_map<Name, LoopInstance, NameHash> Loops;
 
-  /// stateFills(). Not swapped by swapWith: the count spans rebuilds. A
-  /// rebuilt entry cell is refilled with the unchanged φ0 and not counted.
+  /// stateFills(). The count spans rebuilds: a rebuilt entry cell is
+  /// refilled with the unchanged φ0 and not counted.
   uint64_t Fills = 0;
-
-  void swapWith(Daig &O) {
-    std::swap(Info, O.Info);
-    std::swap(LabelEdits, O.LabelEdits);
-    std::swap(Cells, O.Cells);
-    std::swap(CompOf, O.CompOf);
-    std::swap(Dependents, O.Dependents);
-    std::swap(Loops, O.Loops);
-    std::swap(Degraded, O.Degraded);
-  }
 
   //===--------------------------------------------------------------------===//
   // Naming

@@ -291,66 +291,15 @@ EnvTraceInit EnvTraceInitInstance;
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Histogram / MetricsRegistry
+// MetricsRegistry
 //===----------------------------------------------------------------------===//
-
-const std::vector<uint64_t> &Histogram::defaultLatencyBoundsNs() {
-  // 1us .. 1s in 1-2-5 steps. Fixed forever: changing these would silently
-  // re-bucket every recorded distribution.
-  static const std::vector<uint64_t> Bounds = {
-      1'000,       2'000,       5'000,       10'000,      20'000,
-      50'000,      100'000,     200'000,     500'000,     1'000'000,
-      2'000'000,   5'000'000,   10'000'000,  20'000'000,  50'000'000,
-      100'000'000, 200'000'000, 500'000'000, 1'000'000'000};
-  return Bounds;
-}
-
-void MetricsRegistry::mergeFrom(const MetricsRegistry &O) {
-  for (const auto &[Nm, In] : O.M) {
-    Metric &Mine = slot(Nm, In.K);
-    switch (In.K) {
-    case Kind::Counter:
-      Mine.V += In.V;
-      break;
-    case Kind::Gauge:
-      if (In.V > Mine.V)
-        Mine.V = In.V;
-      break;
-    case Kind::Hist:
-      Mine.H.merge(In.H);
-      break;
-    }
-  }
-}
 
 std::string MetricsRegistry::toJson() const {
   std::string Out = "{";
-  bool First = true;
-  auto appendNum = [&Out](uint64_t V) { Out += std::to_string(V); };
   for (const auto &[Nm, Mt] : M) {
-    if (!First)
+    if (Out.size() > 1)
       Out += ", ";
-    First = false;
-    Out += "\"" + Nm + "\": ";
-    if (Mt.K == Kind::Hist) {
-      Out += "{\"bounds\": [";
-      for (size_t I = 0; I < Mt.H.bounds().size(); ++I) {
-        if (I)
-          Out += ", ";
-        appendNum(Mt.H.bounds()[I]);
-      }
-      Out += "], \"counts\": [";
-      for (size_t I = 0; I < Mt.H.counts().size(); ++I) {
-        if (I)
-          Out += ", ";
-        appendNum(Mt.H.counts()[I]);
-      }
-      Out += "], \"total\": ";
-      appendNum(Mt.H.total());
-      Out += "}";
-    } else {
-      appendNum(Mt.V);
-    }
+    Out += "\"" + Nm + "\": " + std::to_string(Mt.V);
   }
   Out += "}";
   return Out;

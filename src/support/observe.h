@@ -39,15 +39,14 @@
 /// export, so ts is monotone per tid (scripts/check_trace_json.sh checks
 /// this plus the required-key schema).
 ///
-/// Metrics. MetricsRegistry holds named counters (merge: add), gauges
-/// (merge: max) and fixed-bucket histograms (deterministic, explicit
-/// boundaries; merge: bucket-wise add) in a sorted map, so toJson() is
-/// deterministic. Benches fill a local registry on the calling thread. The
-/// exportStatistics/exportDomainCounters bridges walk the counter table of
-/// support/statistics.h, publishing every row under its declared name and
-/// kind: the keys are exactly the fig10 bench JSON field names
-/// (dbm_cells_touched, zone_closure_vertices_visited, ...), so a bench that
-/// emits a registry snapshot cannot drift from the gate schema.
+/// Metrics. MetricsRegistry holds named counters (add) and gauges (max) in
+/// a sorted map, so toJson() is deterministic. Benches fill a local
+/// registry on the calling thread. The exportStatistics/exportDomainCounters
+/// bridges walk the counter table of support/statistics.h, publishing every
+/// row under its declared name and kind: the keys are exactly the fig10
+/// bench JSON field names (dbm_cells_touched,
+/// zone_closure_vertices_visited, ...), so a bench that emits a registry
+/// snapshot cannot drift from the gate schema.
 ///
 /// Demand provenance lives in daig/daig.h (Daig::explainQuery), built on
 /// the same disabled-means-one-branch discipline: a per-DAIG recorder
@@ -223,86 +222,27 @@ bool writeCollapsedStack(const std::string &Path);
 // Metrics registry
 //===----------------------------------------------------------------------===//
 
-/// Fixed-bucket histogram with explicit, deterministic upper bounds: value
-/// v lands in the first bucket with v <= bound, or the overflow bucket.
-/// Two histograms recorded from the same value sequence are bit-identical
-/// regardless of platform or schedule.
-class Histogram {
-public:
-  Histogram() = default;
-  explicit Histogram(std::vector<uint64_t> UpperBounds)
-      : Bounds(std::move(UpperBounds)), Counts(Bounds.size() + 1, 0) {}
-
-  void record(uint64_t V) {
-    size_t I = 0;
-    while (I < Bounds.size() && V > Bounds[I])
-      ++I;
-    ++Counts[I];
-    ++Total;
-  }
-
-  /// Bucket-wise add; bounds must match (they come from the same static
-  /// table in every in-tree use).
-  void merge(const Histogram &O) {
-    if (Counts.size() != O.Counts.size()) {
-      *this = O; // adopting an incompatible (default-empty) side
-      return;
-    }
-    for (size_t I = 0; I < Counts.size(); ++I)
-      Counts[I] += O.Counts[I];
-    Total += O.Total;
-  }
-
-  const std::vector<uint64_t> &bounds() const { return Bounds; }
-  const std::vector<uint64_t> &counts() const { return Counts; }
-  uint64_t total() const { return Total; }
-
-  /// The default latency boundaries (ns): 1us..1s in 1-2-5 steps — fixed
-  /// forever so recorded distributions are comparable across runs.
-  static const std::vector<uint64_t> &defaultLatencyBoundsNs();
-
-private:
-  std::vector<uint64_t> Bounds;
-  std::vector<uint64_t> Counts; ///< Bounds.size() + 1 (overflow last).
-  uint64_t Total = 0;
-};
-
-/// Named counters / gauges / histograms in one sorted map (deterministic
-/// iteration ⇒ deterministic JSON). Not thread-safe.
+/// Named counters and gauges in one sorted map (deterministic iteration ⇒
+/// deterministic JSON). Not thread-safe.
 class MetricsRegistry {
 public:
-  enum class Kind : uint8_t { Counter, Gauge, Hist };
+  enum class Kind : uint8_t { Counter, Gauge };
 
   struct Metric {
     Kind K = Kind::Counter;
     uint64_t V = 0;
-    Histogram H;
   };
 
-  /// Counter: merge adds.
+  /// Counter: adds \p Delta.
   void add(std::string_view Nm, uint64_t Delta = 1) {
     slot(Nm, Kind::Counter).V += Delta;
   }
-  /// Gauge: merge takes the max (peak semantics, like PeakDbmBytes).
+  /// Gauge: keeps the max (peak semantics, like PeakDbmBytes).
   void gaugeMax(std::string_view Nm, uint64_t V) {
     Metric &M = slot(Nm, Kind::Gauge);
     if (V > M.V)
       M.V = V;
   }
-  /// Histogram with explicit bounds; returns the named instance (creating
-  /// it on first use).
-  Histogram &histogram(std::string_view Nm,
-                       const std::vector<uint64_t> &UpperBounds) {
-    Metric &M = slot(Nm, Kind::Hist);
-    if (M.H.counts().empty())
-      M.H = Histogram(UpperBounds);
-    return M.H;
-  }
-  /// Latency convenience: default-bounds histogram of ns values.
-  void recordLatencyNs(std::string_view Nm, uint64_t Ns) {
-    histogram(Nm, Histogram::defaultLatencyBoundsNs()).record(Ns);
-  }
-
   uint64_t value(std::string_view Nm) const {
     auto It = M.find(Nm);
     return It == M.end() ? 0 : It->second.V;
@@ -317,18 +257,14 @@ public:
   bool empty() const { return M.empty(); }
   void clear() { M.clear(); }
 
-  /// Counters add, gauges max, histogram buckets add.
-  void mergeFrom(const MetricsRegistry &O);
-
-  /// Deterministic one-object JSON: counters/gauges as numbers, histograms
-  /// as {"bounds": [...], "counts": [...], "total": N}.
+  /// Deterministic one-object JSON: {"name": value, ...}, sorted by name.
   std::string toJson() const;
 
 private:
   Metric &slot(std::string_view Nm, Kind K) {
     auto It = M.find(Nm);
     if (It == M.end())
-      It = M.emplace(std::string(Nm), Metric{K, 0, {}}).first;
+      It = M.emplace(std::string(Nm), Metric{K, 0}).first;
     return It->second;
   }
 

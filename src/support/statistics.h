@@ -180,8 +180,8 @@ template <class Fam> struct CounterFamily {
 
   /// Cross-thread merge: counters add; gauges take the max (the
   /// process-wide peak is the max of the per-thread peaks). TaskPool folds
-  /// each task's ThreadCounters delta into the calling thread's block with
-  /// this.
+  /// each worker's per-batch ThreadCounters delta into the calling
+  /// thread's block with this.
   void mergeFrom(const Fam &O) {
     Fam::forEachField([&](const CounterInfo &I, uint64_t Fam::*M) {
       uint64_t &V = self().*M;
@@ -334,8 +334,9 @@ inline NameTableCounters nameTableCounters() {
 /// thread); live() is the calling thread's block, and closureCounters(),
 /// zoneCounters(), ... return references into it, so hot-path increments
 /// stay plain non-atomic adds. A TaskPool worker's deltas would land in the
-/// WORKER's block, so the pool snapshots the block around each task and
-/// merges the deltas into the calling thread's block before run() returns.
+/// WORKER's block, so each worker snapshots its block once per batch and
+/// the pool merges the deltas into the calling thread's block before run()
+/// returns.
 ///
 /// NameTableCounters are absent: that sink is process-global and atomic,
 /// so worker-thread interning is counted without any merge step.

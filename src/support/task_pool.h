@@ -1,33 +1,31 @@
-//===-- support/task_pool.h - Work-stealing task pool ----------*- C++ -*-===//
+//===-- support/task_pool.h - Batch task pool ------------------*- C++ -*-===//
 //
 // Part of dai-cpp. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small work-stealing thread pool for running batches of independent
-/// analysis tasks, such as batch verification (one task per corpus
-/// program, each on its own engine).
+/// A small thread pool for running batches of independent analysis tasks,
+/// such as batch verification (one task per corpus program, each on its
+/// own engine).
 ///
 /// Design:
-///  - Per-worker deques. run() deals the batch round-robin across all
-///    workers; each worker pops its own deque from the back (LIFO, cache
-///    warm) and, when empty, steals from a victim's FRONT — taking half of
-///    the victim's queue in one lock acquisition ("steal-half"), which
-///    bounds the number of steal operations at O(P log N) per batch.
-///  - Idle parking. Workers with no local work and no victim to rob park
-///    on a condition variable; run() wakes them by crediting the queued
-///    count under the same mutex (no lost wakeups, no idle spinning).
-///  - Caller participation. The thread calling run() is worker 0: it
-///    executes tasks alongside the spawned threads and only blocks once
-///    the batch has no runnable task left for it.
+///  - One shared cursor. run() publishes the batch under the pool mutex
+///    and bumps an epoch; the caller and every woken worker claim tasks
+///    with fetch_add on one atomic cursor until it passes the end. A task
+///    is a whole program, long next to one atomic increment, so this
+///    balances at task granularity without per-worker queues.
+///  - Caller participation. The thread calling run() claims tasks like any
+///    worker. Once its own drain is done and no worker is inside the batch,
+///    run() withdraws the batch, so a worker that wakes late finds nothing
+///    to run. Idle workers sleep on a condition variable.
 ///  - Counter repatriation. The analysis counters live in one thread_local
-///    block (ThreadCounters); work executed on a spawned worker would be
-///    invisible to the caller's block. The pool snapshots the worker's
-///    block around each task and folds the one ThreadCounters delta into
-///    the CALLING thread's block before run() returns, so bench totals
-///    include worker-thread work (the name-table sink is process-global
-///    and atomic, and needs no repatriation).
+///    block (ThreadCounters); work executed on a worker would be invisible
+///    to the caller's block. Each worker snapshots its block once per
+///    batch and folds the one delta into the batch aggregate, which run()
+///    merges into the CALLING thread's block before it returns, so bench
+///    totals include worker-thread work (the name-table sink is
+///    process-global and atomic, and needs no repatriation).
 ///
 /// Exceptions thrown by tasks are captured; the batch still runs to
 /// completion (every task executes exactly once) and the first captured
@@ -46,10 +44,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -85,37 +82,28 @@ public:
   void run(std::vector<Task> Tasks);
 
 private:
-  struct WorkerDeque {
-    std::mutex M;
-    std::deque<Task> Q;
-  };
-
   void workerLoop(unsigned Id);
-  /// Pops a task for worker \p Id: own deque from the back, else steal
-  /// half of a victim's deque from the front. Returns an empty function
-  /// when no work is available anywhere.
-  Task grabTask(unsigned Id);
-  void recordError();
-  void finishTask();
+  /// Claims and runs tasks of \p Tasks on worker \p Id until the cursor
+  /// passes the end.
+  void drain(const std::vector<Task> &Tasks, unsigned Id);
 
   unsigned NumWorkers;
-  std::vector<std::unique_ptr<WorkerDeque>> Deques; ///< [0] = caller.
-  std::vector<std::thread> Workers;                 ///< NumWorkers - 1.
+  std::atomic<size_t> Next{0}; ///< The cursor: the next unclaimed task.
 
-  std::mutex WakeM;
-  std::condition_variable WakeCv; ///< Parked workers wait here.
-  std::condition_variable DoneCv; ///< run() waits for Remaining == 0 here.
-  bool Stop = false;              ///< Guarded by WakeM.
-  std::atomic<size_t> Remaining{0}; ///< Tasks not yet finished executing.
-  std::atomic<size_t> Queued{0};    ///< Tasks sitting in deques (or in a
-                                    ///< thief's hands, pre-banking) — the
-                                    ///< park/rescan signal.
-
-  std::mutex AggM;
+  /// Guards Batch, Epoch, Active, Stop, Agg and FirstError.
+  std::mutex M;
+  std::condition_variable WakeCv; ///< Workers wait here for a new epoch.
+  std::condition_variable DoneCv; ///< run() waits here for Active == 0.
+  const std::vector<Task> *Batch = nullptr; ///< The published batch.
+  uint64_t Epoch = 0;  ///< Bumped by every run() that publishes a batch.
+  unsigned Active = 0; ///< Workers inside the published batch.
+  bool Stop = false;
   ThreadCounters Agg; ///< Worker-side counter deltas for the batch.
-
-  std::mutex ErrM;
   std::exception_ptr FirstError;
+
+  /// NumWorkers - 1 threads, ids 1.. (the caller is 0). Declared last: the
+  /// threads use every member above.
+  std::vector<std::thread> Workers;
 };
 
 } // namespace dai

@@ -8,8 +8,8 @@
 /// Remaining public surface: the auxiliary memo table (lookup/store/evict
 /// semantics, MemoKey equality, its observable effect on Q-Match, and the
 /// name table staying flat under fresh values), statistics accounting,
-/// the deterministic RNG, and DAIG introspection APIs (dirtyEverything,
-/// queryAllLocations, exit cell naming).
+/// the deterministic RNG, and DAIG introspection APIs (queryAllLocations,
+/// exit cell naming).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -230,25 +230,6 @@ TEST(MemoTable, SharedAcrossDaigsEnablesQMatch) {
   EXPECT_EQ(Stats.Transfers, TransfersAfterFirst)
       << "identical computations must memo-match";
   EXPECT_GT(Stats.MemoHits, 0u);
-}
-
-TEST(DaigIntrospection, DirtyEverythingForcesFullRecompute) {
-  Function F = mustLowerFn(R"(
-    function main(n) {
-      var i = 0;
-      while (i < n) { i = i + 1; }
-      return i;
-    })",
-                           "main");
-  Statistics Stats;
-  Daig<IntervalDomain> G(&F.Body, IntervalDomain::initialEntry(F.Params),
-                         &Stats);
-  IntervalState First = G.queryLocation(F.Body.exit());
-  G.dirtyEverything();
-  EXPECT_EQ(G.checkWellFormed(), "");
-  EXPECT_EQ(G.unrolledLoopCount(), 0u) << "loops reset to initial iterates";
-  IntervalState Second = G.queryLocation(F.Body.exit());
-  EXPECT_TRUE(IntervalDomain::equal(First, Second));
 }
 
 TEST(DaigIntrospection, QueryAllLocationsFillsEverything) {

@@ -5,10 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The observability layer (support/observe.h): histogram bucketing is
-/// deterministic; MetricsRegistry merge follows the counter-add /
-/// gauge-max / bucket-add contract; every row of the counter table reaches
-/// the export bridges under its declared name and kind; the trace ring
+/// The observability layer (support/observe.h): MetricsRegistry's JSON is
+/// deterministic and sorted; every row of the counter table reaches the
+/// export bridges under its declared name and kind; the trace ring
 /// records only when enabled (and counts drops, never wraps); exports are
 /// sorted ts-monotone per tid; and
 /// Daig::explainQuery returns the same demand tree for equal DAIG states —
@@ -34,76 +33,8 @@ using namespace dai;
 namespace {
 
 //===----------------------------------------------------------------------===//
-// Histogram
-//===----------------------------------------------------------------------===//
-
-TEST(Histogram, DeterministicBucketing) {
-  // v lands in the first bucket with v <= bound; above the last bound it
-  // lands in the overflow bucket.
-  Histogram H({10, 100, 1000});
-  H.record(0);
-  H.record(10);   // boundary: still the first bucket
-  H.record(11);   // first value of the second bucket
-  H.record(1000); // boundary of the last bounded bucket
-  H.record(1001); // overflow
-  ASSERT_EQ(H.counts().size(), 4u);
-  EXPECT_EQ(H.counts()[0], 2u);
-  EXPECT_EQ(H.counts()[1], 1u);
-  EXPECT_EQ(H.counts()[2], 1u);
-  EXPECT_EQ(H.counts()[3], 1u);
-  EXPECT_EQ(H.total(), 5u);
-}
-
-TEST(Histogram, SameSequenceSameBuckets) {
-  std::vector<uint64_t> Values;
-  for (uint64_t I = 0; I < 500; ++I)
-    Values.push_back((I * 2654435761u) % 3'000'000'000u);
-  Histogram A(Histogram::defaultLatencyBoundsNs());
-  Histogram B(Histogram::defaultLatencyBoundsNs());
-  for (uint64_t V : Values)
-    A.record(V);
-  for (uint64_t V : Values)
-    B.record(V);
-  EXPECT_EQ(A.counts(), B.counts());
-  EXPECT_EQ(A.total(), B.total());
-}
-
-TEST(Histogram, MergeIsBucketwise) {
-  Histogram A({10, 100});
-  Histogram B({10, 100});
-  A.record(5);
-  A.record(50);
-  B.record(50);
-  B.record(500);
-  Histogram M = A;
-  M.merge(B);
-  EXPECT_EQ(M.total(), 4u);
-  EXPECT_EQ(M.counts()[0], 1u);
-  EXPECT_EQ(M.counts()[1], 2u);
-  EXPECT_EQ(M.counts()[2], 1u);
-}
-
-//===----------------------------------------------------------------------===//
 // MetricsRegistry
 //===----------------------------------------------------------------------===//
-
-TEST(MetricsRegistry, MergeSemantics) {
-  MetricsRegistry A, B;
-  A.add("transfers", 10);
-  B.add("transfers", 5);
-  A.gaugeMax("dbm_peak_bytes", 100);
-  B.gaugeMax("dbm_peak_bytes", 60);
-  A.recordLatencyNs("cell_eval_ns", 1'500);
-  B.recordLatencyNs("cell_eval_ns", 1'500);
-  B.add("joins", 2);
-  A.mergeFrom(B);
-  EXPECT_EQ(A.value("transfers"), 15u); // counters add
-  EXPECT_EQ(A.value("dbm_peak_bytes"), 100u); // gauges take the max
-  EXPECT_EQ(A.value("joins"), 2u); // absent slots adopt the other side
-  const MetricsRegistry::Metric *H = A.find("cell_eval_ns");
-  ASSERT_NE(H, nullptr);
-  EXPECT_EQ(H->H.total(), 2u); // histogram buckets add
-}
 
 TEST(MetricsRegistry, ToJsonIsDeterministicAndSorted) {
   MetricsRegistry A;

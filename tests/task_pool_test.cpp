@@ -1,19 +1,21 @@
-//===-- tests/task_pool_test.cpp - Work-stealing pool tests ---------------===//
+//===-- tests/task_pool_test.cpp - Task pool tests ------------------------===//
 //
 // Part of dai-cpp. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The work-stealing TaskPool (support/task_pool.h): every task runs exactly
-/// once; exceptions propagate to the caller without wedging the pool; and —
-/// the cross-thread counter-aggregation contract — work a task performs
-/// against the thread_local counter sinks on a WORKER thread is folded back
-/// into the CALLING thread's sinks at the run() barrier, so "read the
-/// current thread's counters" stays correct whether or not work was farmed
-/// out. Plus unit coverage of the merge primitives themselves
-/// (Statistics::mergeFrom, the per-subsystem mergeFrom overloads, and the
-/// ThreadCounters snapshot/delta/merge bundle).
+/// The shared-cursor TaskPool (support/task_pool.h): every task runs exactly
+/// once; exceptions propagate to the caller without wedging the pool, on
+/// the threaded path and on the inline one; and — the cross-thread
+/// counter-aggregation contract — work a task performs against the
+/// thread_local counter sinks on a WORKER thread is folded back into the
+/// CALLING thread's sinks at the run() barrier, so "read the current
+/// thread's counters" stays correct whether or not work was farmed out,
+/// and whether or not the task threw. Plus unit coverage of the merge
+/// primitives themselves (Statistics::mergeFrom, the per-subsystem
+/// mergeFrom overloads, and the ThreadCounters snapshot/delta/merge
+/// bundle).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +30,7 @@
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -78,27 +81,39 @@ TEST(TaskPool, ZeroMeansHardwareParallelism) {
 }
 
 TEST(TaskPool, ExceptionPropagatesAndPoolSurvives) {
-  TaskPool Pool(4);
-  std::atomic<int> Others{0};
-  std::vector<TaskPool::Task> Tasks;
-  for (int I = 0; I < 32; ++I) {
-    if (I == 7)
-      Tasks.push_back([] { throw std::runtime_error("task 7 boom"); });
-    else
-      Tasks.push_back([&Others] { Others.fetch_add(1); });
-  }
-  EXPECT_THROW(Pool.run(std::move(Tasks)), std::runtime_error);
-  // A failed task does not cancel its siblings: the barrier still waits for
-  // every task, so all 31 non-throwing tasks ran.
-  EXPECT_EQ(Others.load(), 31);
+  // The threaded path, and the two inline ones: a 1-thread pool and a
+  // one-task batch. Task 7 (or the only task) throws.
+  struct Case {
+    unsigned Threads;
+    int Tasks;
+  };
+  for (Case C : {Case{4, 32}, Case{1, 32}, Case{4, 1}}) {
+    SCOPED_TRACE("threads=" + std::to_string(C.Threads) +
+                 " tasks=" + std::to_string(C.Tasks));
+    TaskPool Pool(C.Threads);
+    int Thrower = C.Tasks == 1 ? 0 : 7;
+    std::atomic<int> Others{0};
+    std::vector<TaskPool::Task> Tasks;
+    for (int I = 0; I < C.Tasks; ++I) {
+      if (I == Thrower)
+        Tasks.push_back([] { throw std::runtime_error("task boom"); });
+      else
+        Tasks.push_back([&Others] { Others.fetch_add(1); });
+    }
+    EXPECT_THROW(Pool.run(std::move(Tasks)), std::runtime_error);
+    // A failed task does not cancel its siblings: the barrier still waits
+    // for every task, so all non-throwing tasks ran.
+    EXPECT_EQ(Others.load(), C.Tasks - 1);
 
-  // The pool stays usable after an exceptional run.
-  std::atomic<int> After{0};
-  std::vector<TaskPool::Task> More;
-  for (int I = 0; I < 16; ++I)
-    More.push_back([&After] { After.fetch_add(1); });
-  Pool.run(std::move(More));
-  EXPECT_EQ(After.load(), 16);
+    // The pool stays usable after an exceptional run, and the stored
+    // exception was cleared: a clean batch does not rethrow it.
+    std::atomic<int> After{0};
+    std::vector<TaskPool::Task> More;
+    for (int I = 0; I < C.Tasks; ++I)
+      More.push_back([&After] { After.fetch_add(1); });
+    EXPECT_NO_THROW(Pool.run(std::move(More)));
+    EXPECT_EQ(After.load(), C.Tasks);
+  }
 }
 
 TEST(TaskPool, MultipleFailuresReportOne) {
@@ -110,8 +125,9 @@ TEST(TaskPool, MultipleFailuresReportOne) {
 }
 
 TEST(TaskPool, RepeatedRoundsStress) {
-  // Exercises the park/wake machinery across many barriers with varying
-  // task counts (catches lost-wakeup and queue-accounting bugs).
+  // Publishes and withdraws many batches of varying size, one-task batches
+  // (the inline path) among them: catches lost wakeups, a worker that wakes
+  // late into a withdrawn batch, and a cursor not reset between batches.
   TaskPool Pool(4);
   for (int Round = 0; Round < 50; ++Round) {
     size_t N = 1 + static_cast<size_t>(Round % 17);
@@ -125,49 +141,77 @@ TEST(TaskPool, RepeatedRoundsStress) {
 }
 
 //===----------------------------------------------------------------------===//
-// Cross-thread counter aggregation: the satellite contract that work done
-// on worker threads is counted on the calling thread.
+// Cross-thread counter aggregation: work done on worker threads is counted
+// on the calling thread.
 //===----------------------------------------------------------------------===//
 
+/// Wraps \p Bodies as tasks whose first \p Threads to start wait for each
+/// other, so on a \p Threads pool every thread runs at least one of them.
+std::vector<TaskPool::Task> onEveryThread(std::atomic<unsigned> &Arrived,
+                                          unsigned Threads,
+                                          std::vector<TaskPool::Task> Bodies) {
+  for (TaskPool::Task &T : Bodies)
+    T = [&Arrived, Threads, Body = std::move(T)] {
+      if (Arrived.fetch_add(1) < Threads)
+        while (Arrived.load() < Threads)
+          std::this_thread::yield();
+      Body();
+    };
+  return Bodies;
+}
+
 TEST(TaskPool, WorkerThreadCountersRepatriateToCaller) {
-  TaskPool Pool(4);
+  constexpr unsigned Threads = 4;
+  TaskPool Pool(Threads);
   ClosureCounters C0 = closureCounters();
   ZoneCounters Z0 = zoneCounters();
   StagedCounters S0 = stagedCounters();
 
+  // Simulated analysis work on every thread of the pool: these sinks are
+  // thread_local, so without repatriation the caller would only observe
+  // the slice it ran itself.
   constexpr uint64_t PerTask = 7;
   constexpr size_t N = 64;
-  std::vector<TaskPool::Task> Tasks;
-  for (size_t I = 0; I < N; ++I)
-    Tasks.push_back([] {
-      // Simulated analysis work against whatever thread runs the task:
-      // these sinks are thread_local, so without repatriation the caller
-      // would only observe the slice it happened to run itself.
-      closureCounters().CellsTouched += PerTask;
-      zoneCounters().ClosureVerticesVisited += PerTask;
-      stagedCounters().EscalatedTransfers += PerTask;
-    });
-  Pool.run(std::move(Tasks));
+  auto Batch = [](bool Throw) {
+    std::vector<TaskPool::Task> Bodies;
+    for (size_t I = 0; I < N; ++I)
+      Bodies.push_back([Throw] {
+        closureCounters().CellsTouched += PerTask;
+        zoneCounters().ClosureVerticesVisited += PerTask;
+        stagedCounters().EscalatedTransfers += PerTask;
+        if (Throw)
+          throw std::runtime_error("counted, then failed");
+      });
+    return Bodies;
+  };
+  std::atomic<unsigned> Arrived{0}, ArrivedThrowing{0};
+  Pool.run(onEveryThread(Arrived, Threads, Batch(false)));
+  // Tasks that count and then throw: their work still reaches the caller.
+  EXPECT_THROW(Pool.run(onEveryThread(ArrivedThrowing, Threads, Batch(true))),
+               std::runtime_error);
 
-  EXPECT_EQ(closureCounters().CellsTouched - C0.CellsTouched, N * PerTask);
+  EXPECT_EQ(closureCounters().CellsTouched - C0.CellsTouched,
+            2 * N * PerTask);
   EXPECT_EQ(zoneCounters().ClosureVerticesVisited - Z0.ClosureVerticesVisited,
-            N * PerTask);
+            2 * N * PerTask);
   EXPECT_EQ(stagedCounters().EscalatedTransfers - S0.EscalatedTransfers,
-            N * PerTask);
+            2 * N * PerTask);
 }
 
 TEST(TaskPool, PeakGaugeMergesViaMax) {
-  TaskPool Pool(4);
+  constexpr unsigned Threads = 4;
+  TaskPool Pool(Threads);
   uint64_t Peak0 = closureCounters().PeakDbmBytes;
   uint64_t Target = Peak0 + 1000;
-  std::vector<TaskPool::Task> Tasks;
+  std::vector<TaskPool::Task> Bodies;
   for (uint64_t I = 1; I <= 8; ++I)
-    Tasks.push_back([Target, I] {
+    Bodies.push_back([Target, I] {
       ClosureCounters &C = closureCounters();
       if (Target + I > C.PeakDbmBytes)
         C.PeakDbmBytes = Target + I;
     });
-  Pool.run(std::move(Tasks));
+  std::atomic<unsigned> Arrived{0};
+  Pool.run(onEveryThread(Arrived, Threads, std::move(Bodies)));
   // The caller sees the max of the per-thread peaks, not their sum.
   EXPECT_EQ(closureCounters().PeakDbmBytes, Target + 8);
 }
