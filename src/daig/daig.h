@@ -184,6 +184,12 @@ template <typename D>
 class Daig {
 public:
   using Elem = typename D::Elem;
+  /// A computed abstract value: built once, by the domain operation that
+  /// produced it, then immutable and shared by every cell and memo entry
+  /// holding that result. Q-Reuse, Q-Match and every store copy this
+  /// handle, not the abstract state; a value is deep-copied only where it
+  /// leaves the DAIG by value (queryLocation).
+  using ElemPtr = typename MemoTable<D>::ElemPtr;
   /// Statement interpretation override used by the interprocedural engine to
   /// resolve Call statements by demanding callee summaries.
   using TransferFn = std::function<Elem(const Stmt &, const Elem &)>;
@@ -199,9 +205,13 @@ public:
 
   struct Cell {
     CellType T;
-    std::optional<std::variant<Stmt, Elem>> V;
+    /// A statement cell's statement or a state cell's (non-null) value;
+    /// empty while a state cell is unfilled.
+    std::optional<std::variant<Stmt, ElemPtr>> V;
 
     bool hasValue() const { return V.has_value(); }
+    const Stmt &stmt() const { return std::get<Stmt>(*V); }
+    const ElemPtr &value() const { return std::get<ElemPtr>(*V); }
   };
 
   /// A computation edge n ← f(n1, ..., nk).
@@ -218,7 +228,8 @@ public:
   /// (an engine shares one table across all its instances' DAIGs).
   Daig(Cfg *G, Elem EntryValue, Statistics *Stats = nullptr,
        MemoTable<D> *Memo = nullptr)
-      : G(G), EntryValue(std::move(EntryValue)), Stats(Stats), Memo(Memo) {
+      : G(G), EntryValue(share(std::move(EntryValue))), Stats(Stats),
+        Memo(Memo) {
     construct();
   }
 
@@ -243,7 +254,9 @@ public:
   //===--------------------------------------------------------------------===//
 
   /// Demands the abstract state at location \p L, computing enclosing loop
-  /// fixed points as needed. Returns ⊥ for unreachable locations.
+  /// fixed points as needed. Returns ⊥ for unreachable locations. The
+  /// answer is a copy of the cell's shared value: the one deep copy a query
+  /// makes.
   Elem queryLocation(Loc L) {
     if (!Info->reachable(L))
       return D::bottom();
@@ -252,20 +265,20 @@ public:
       if (H == L)
         break;
       Name FixDest = fixCellName(H, Ctx);
-      Elem FV = queryState(FixDest);
+      ElemPtr FV = queryState(FixDest);
       if (!Degraded.empty() && Degraded.count(FixDest)) {
         // The enclosing fixpoint was ⊤-degraded by a budget: its iterate
         // cells are intermediate (pre-convergence) states, NOT sound final
         // answers for body locations. The degraded fix value (⊤) is the
         // only sound answer for anything inside the loop.
         budgetState().TaintPending = true;
-        return FV;
+        return *FV;
       }
       Ctx[H] = Loops.at(FixDest).K - 1;
     }
     if (Info->isLoopHead(L))
-      return queryState(fixCellName(L, Ctx));
-    return queryState(stateCellName(L, Ctx));
+      return *queryState(fixCellName(L, Ctx));
+    return *queryState(stateCellName(L, Ctx));
   }
 
   /// Demands every reachable location (the eager, incremental-only mode).
@@ -279,8 +292,8 @@ public:
   /// unit of work, so it checkpoints the budget (which may throw
   /// AnalysisCancelled — before any mutation, so unwinding is clean),
   /// resolves to ⊤ under hard exhaustion, and tracks degraded provenance
-  /// through a per-evaluation taint frame.
-  Elem queryState(Name N) {
+  /// through a per-evaluation taint frame. Returns the cell's shared value.
+  ElemPtr queryState(Name N) {
     auto It = Cells.find(N);
     assert(It != Cells.end() && "query for a name outside the DAIG");
     assert(It->second.T == CellType::StateTy && "queryState on a Stmt cell");
@@ -293,7 +306,7 @@ public:
       if (Prov)
         provEnter(N, Deg ? DemandOutcome::DegradedReuse
                          : DemandOutcome::Reused);
-      return std::get<Elem>(*It->second.V);
+      return It->second.value();
     }
     ProvFrame PF(*this, N);
     TraceSpan Sp("daig.cell_eval", N.id());
@@ -305,7 +318,7 @@ public:
     assert(CompIt != CompOf.end() &&
            "empty cell without a computation (wf condition 5)");
     BudgetTaintScope Taint;
-    Elem Result;
+    ElemPtr Result;
     if (CompIt->second.F == FnKind::Fix) {
       Result = queryFix(N); // stores internally
     } else {
@@ -352,10 +365,10 @@ public:
     Name SC = stmtCellName(Id);
     auto It = Cells.find(SC);
     assert(It != Cells.end() && "statement cell missing for live edge");
-    if (std::get<Stmt>(*It->second.V) == NewStmt)
+    if (It->second.stmt() == NewStmt)
       return true; // no-op edit
     G->replaceStmt(Id, NewStmt);
-    It->second.V = std::variant<Stmt, Elem>(std::move(NewStmt));
+    It->second.V = std::move(NewStmt);
     dirtyDependentsOf(SC);
     return true;
   }
@@ -404,12 +417,12 @@ public:
   /// Replaces the entry abstract state φ0 (used by the interprocedural
   /// engine when callee entry contributions change) and dirties forward.
   void updateEntry(Elem NewEntry) {
-    EntryValue = std::move(NewEntry);
+    EntryValue = share(std::move(NewEntry));
     CountCtx Ctx;
     Name N = stateCellName(G->entry(), Ctx);
     auto It = Cells.find(N);
     assert(It != Cells.end() && "entry cell must exist");
-    It->second.V = std::variant<Stmt, Elem>(EntryValue);
+    It->second.V = EntryValue;
     ++Fills;
     Degraded.erase(N); // a fresh entry value clears entry provenance
     dirtyDependentsOf(N);
@@ -424,7 +437,7 @@ public:
   }
 
   /// Current entry abstract state.
-  const Elem &entryValue() const { return EntryValue; }
+  const Elem &entryValue() const { return *EntryValue; }
 
   /// Dirties every cell computed from edge \p Id's statement (used by the
   /// engine when a callee summary feeding this edge changes).
@@ -661,7 +674,7 @@ private:
 
   Cfg *G;
   std::shared_ptr<const CfgInfo> Info; ///< Pinned snapshot (see Cfg::infoShared).
-  Elem EntryValue;
+  ElemPtr EntryValue; ///< φ0, shared with the entry cell.
   Statistics *Stats;
   MemoTable<D> *Memo;
   TransferFn Hook;
@@ -771,9 +784,9 @@ private:
     auto [It, Inserted] =
         Cells.emplace(N, Cell{CellType::StmtTy, std::nullopt});
     if (Inserted) {
-      It->second.V = std::variant<Stmt, Elem>(S);
-    } else if (!(std::get<Stmt>(*It->second.V) == S)) {
-      It->second.V = std::variant<Stmt, Elem>(S);
+      It->second.V = S;
+    } else if (!(It->second.stmt() == S)) {
+      It->second.V = S;
       if (Log)
         Log->Changed.push_back(N);
     }
@@ -853,7 +866,7 @@ private:
       auto [It, Inserted] =
           Cells.emplace(N, Cell{CellType::StateTy, std::nullopt});
       if (Inserted)
-        It->second.V = std::variant<Stmt, Elem>(EntryValue);
+        It->second.V = EntryValue;
       if (Log)
         Log->Built.push_back(N);
       return;
@@ -1045,10 +1058,16 @@ private:
     ProvRecorder *P;
   };
 
-  void storeValue(Name N, const Elem &V) {
+  /// Wraps a freshly computed value for sharing (a move, not a copy).
+  static ElemPtr share(Elem V) {
+    return std::make_shared<const Elem>(std::move(V));
+  }
+
+  void storeValue(Name N, ElemPtr V) {
+    assert(V && "storing an empty handle");
     auto It = Cells.find(N);
     assert(It != Cells.end() && "storing into a missing cell");
-    It->second.V = std::variant<Stmt, Elem>(V);
+    It->second.V = std::move(V);
     ++Fills;
   }
 
@@ -1064,8 +1083,8 @@ private:
   /// over-approximates every reachable state of every variable, so the
   /// substitution is sound — mark it degraded, and taint the consuming
   /// evaluation. No memo store: the value was never computed.
-  Elem degradeToTop(Name N) {
-    Elem Top = D::initialEntry({});
+  ElemPtr degradeToTop(Name N) {
+    ElemPtr Top = share(D::initialEntry({}));
     storeValue(N, Top);
     markDegraded(N);
     budgetState().TaintPending = true;
@@ -1078,14 +1097,14 @@ private:
     auto It = Cells.find(N);
     assert(It != Cells.end() && It->second.T == CellType::StmtTy &&
            "transfer source 0 must be a statement cell");
-    return std::get<Stmt>(*It->second.V);
+    return It->second.stmt();
   }
 
   /// Q-Loop-Converge / Q-Loop-Unroll, bounded: every iteration checkpoints
   /// the budget, a hard-exhausted budget degrades the fixpoint to ⊤, and
   /// an un-budgeted loop that outruns the iteration ceiling (a widening
   /// that does not stabilize) throws AnalysisDivergence instead of hanging.
-  Elem queryFix(Name N) {
+  ElemPtr queryFix(Name N) {
     const AnalysisLimits &Limits = analysisLimits();
     uint64_t Iter = 0;
     for (;;) {
@@ -1095,12 +1114,12 @@ private:
       if (budgetExhausted())
         return degradeToTop(N);
       Comp C = CompOf.at(N); // copy: unroll rewrites it
-      Elem V1 = queryState(C.Srcs[0]);
-      Elem V2 = queryState(C.Srcs[1]);
+      ElemPtr V1 = queryState(C.Srcs[0]);
+      ElemPtr V2 = queryState(C.Srcs[1]);
       if (Stats)
         ++Stats->FixChecks;
-      if (D::equal(V1, V2)) {
-        storeValue(N, V1);
+      if (D::equal(*V1, *V2)) {
+        storeValue(N, V1); // the fix cell shares its converged iterate
         return V1;
       }
       uint64_t Ceiling = budgetDegraded()
@@ -1131,9 +1150,13 @@ private:
     setFix(FixDest, L, Ctx, K + 1, Its);
   }
 
-  /// Q-Match / Q-Miss evaluation of a non-fix computation.
+  /// Q-Match / Q-Miss evaluation of a non-fix computation. Inputs are read
+  /// through their cells' shared handles; a memo hit returns the stored
+  /// handle, and a miss wraps the one value the domain operation builds and
+  /// hands that handle to both the memo table and the caller (which stores
+  /// it in the destination cell). No path copies an abstract state.
   ///
-  /// Memo keys embed D::hash(In), and a hit returns the stored Elem as-is,
+  /// Memo keys embed D::hash(In), and a hit returns the stored value as-is,
   /// so correctness requires hash() to be a pure function of the value and
   /// equal() to be reflexive on copies (pinned per-domain by the registry
   /// conformance suite). For the type-erased AnyDomain, hash() is
@@ -1141,31 +1164,32 @@ private:
   /// different concrete domains can never collide into one memo key, and
   /// because the tag remap is injective per domain, a mixed-domain run
   /// preserves each domain's Q-Match hit/miss pattern exactly.
-  Elem evaluateComp(const Comp &C) {
+  ElemPtr evaluateComp(const Comp &C) {
     switch (C.F) {
     case FnKind::Transfer: {
       const Stmt S = stmtOf(C.Srcs[0]); // copy: map may rehash during query
-      Elem In = queryState(C.Srcs[1]);
+      ElemPtr In = queryState(C.Srcs[1]);
       bool IsCall = S.Kind == StmtKind::Call;
       // Memo keys cost hashing: build one only when a memo table will
       // read it (never for calls, whose hook is the summary).
       MemoKey Key;
       if (Memo && !IsCall) {
-        Key = {FnKind::Transfer, {S.hash(), D::hash(In)}};
-        if (auto Hit = Memo->lookup(Key)) {
+        Key = {FnKind::Transfer, {S.hash(), D::hash(*In)}};
+        if (ElemPtr Hit = Memo->lookup(Key)) {
           provMarkTop(DemandOutcome::MemoHit);
-          return *Hit;
+          return Hit;
         }
       }
       if (Stats)
         ++Stats->Transfers;
-      Elem Out = (IsCall && Hook) ? Hook(S, In) : D::transfer(S, In);
+      ElemPtr Out =
+          share((IsCall && Hook) ? Hook(S, *In) : D::transfer(S, *In));
       if (Memo && !IsCall)
         Memo->store(std::move(Key), Out);
       return Out;
     }
     case FnKind::Join: {
-      std::vector<Elem> Ins;
+      std::vector<ElemPtr> Ins;
       Ins.reserve(C.Srcs.size());
       for (Name S : C.Srcs)
         Ins.push_back(queryState(S));
@@ -1173,47 +1197,49 @@ private:
       if (Memo) {
         Key.F = FnKind::Join;
         Key.Ins.reserve(Ins.size());
-        for (const Elem &In : Ins)
-          Key.Ins.push_back(D::hash(In));
-        if (auto Hit = Memo->lookup(Key)) {
+        for (const ElemPtr &In : Ins)
+          Key.Ins.push_back(D::hash(*In));
+        if (ElemPtr Hit = Memo->lookup(Key)) {
           provMarkTop(DemandOutcome::MemoHit);
-          return *Hit;
+          return Hit;
         }
       }
       assert(!Ins.empty() && "join with no inputs");
-      Elem Acc = Ins[0];
+      // k inputs, k − 1 joins; the first reads input 0 in place.
+      std::optional<Elem> Acc;
       for (size_t I = 1; I < Ins.size(); ++I) {
         if (Stats)
           ++Stats->Joins;
-        Acc = D::join(Acc, Ins[I]);
+        Acc = D::join(Acc ? *Acc : *Ins[0], *Ins[I]);
       }
+      ElemPtr Out = Acc ? share(std::move(*Acc)) : Ins[0];
       if (Memo)
-        Memo->store(std::move(Key), Acc);
-      return Acc;
+        Memo->store(std::move(Key), Out);
+      return Out;
     }
     case FnKind::Widen: {
-      Elem Prev = queryState(C.Srcs[0]);
-      Elem Next = queryState(C.Srcs[1]);
+      ElemPtr Prev = queryState(C.Srcs[0]);
+      ElemPtr Next = queryState(C.Srcs[1]);
       MemoKey Key;
       if (Memo) {
-        Key = {FnKind::Widen, {D::hash(Prev), D::hash(Next)}};
-        if (auto Hit = Memo->lookup(Key)) {
+        Key = {FnKind::Widen, {D::hash(*Prev), D::hash(*Next)}};
+        if (ElemPtr Hit = Memo->lookup(Key)) {
           provMarkTop(DemandOutcome::MemoHit);
-          return *Hit;
+          return Hit;
         }
       }
       if (Stats)
         ++Stats->Widens;
-      Elem Out = D::widen(Prev, Next);
+      ElemPtr Out = share(D::widen(*Prev, *Next));
       if (Memo)
         Memo->store(std::move(Key), Out);
       return Out;
     }
     case FnKind::Fix:
       assert(false && "fix computations are handled by queryFix");
-      return D::bottom();
+      return share(D::bottom());
     }
-    return D::bottom();
+    return share(D::bottom());
   }
 
   //===--------------------------------------------------------------------===//
@@ -1582,7 +1608,7 @@ private:
       return false;
     auto It = Cells.find(stmtName(S, X, Idx, InDegree));
     return It == Cells.end() ||
-           !(std::get<Stmt>(*It->second.V) == G->findEdge(Id)->Label);
+           !(It->second.stmt() == G->findEdge(Id)->Label);
   }
 
   /// Appends the cells construction gives location \p X at the all-zero
@@ -1689,6 +1715,9 @@ std::string Daig<D>::checkWellFormed() const {
 template <typename D>
   requires AbstractDomain<D>
 std::string Daig<D>::checkAiConsistency() {
+  auto valueOf = [&](Name S) -> const Elem & {
+    return *Cells.at(S).value();
+  };
   for (const auto &[N, C] : Cells) {
     if (C.T != CellType::StateTy || !C.hasValue())
       continue;
@@ -1709,10 +1738,10 @@ std::string Daig<D>::checkAiConsistency() {
     }
     if (!AllFilled)
       return "filled cell " + N.toString() + " depends on an empty cell";
-    const Elem &Stored = std::get<Elem>(*C.V);
+    const Elem &Stored = *C.value();
     if (Comp.F == FnKind::Fix) {
-      const Elem &V1 = std::get<Elem>(*Cells.at(Comp.Srcs[0]).V);
-      const Elem &V2 = std::get<Elem>(*Cells.at(Comp.Srcs[1]).V);
+      const Elem &V1 = valueOf(Comp.Srcs[0]);
+      const Elem &V2 = valueOf(Comp.Srcs[1]);
       if (!D::equal(V1, V2) || !D::equal(Stored, V1))
         return "fix cell " + N.toString() + " inconsistent with its iterates";
       continue;
@@ -1720,20 +1749,19 @@ std::string Daig<D>::checkAiConsistency() {
     Elem Recomputed = [&] {
       switch (Comp.F) {
       case FnKind::Transfer: {
-        const Stmt &S = std::get<Stmt>(*Cells.at(Comp.Srcs[0]).V);
-        const Elem &In = std::get<Elem>(*Cells.at(Comp.Srcs[1]).V);
+        const Stmt &S = Cells.at(Comp.Srcs[0]).stmt();
+        const Elem &In = valueOf(Comp.Srcs[1]);
         return (S.Kind == StmtKind::Call && Hook) ? Hook(S, In)
                                                   : D::transfer(S, In);
       }
       case FnKind::Join: {
-        Elem Acc = std::get<Elem>(*Cells.at(Comp.Srcs[0]).V);
+        Elem Acc = valueOf(Comp.Srcs[0]);
         for (size_t I = 1; I < Comp.Srcs.size(); ++I)
-          Acc = D::join(Acc, std::get<Elem>(*Cells.at(Comp.Srcs[I]).V));
+          Acc = D::join(Acc, valueOf(Comp.Srcs[I]));
         return Acc;
       }
       case FnKind::Widen:
-        return D::widen(std::get<Elem>(*Cells.at(Comp.Srcs[0]).V),
-                        std::get<Elem>(*Cells.at(Comp.Srcs[1]).V));
+        return D::widen(valueOf(Comp.Srcs[0]), valueOf(Comp.Srcs[1]));
       case FnKind::Fix:
         break;
       }

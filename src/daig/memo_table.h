@@ -18,6 +18,14 @@
 /// interned — the name table (daig/name.h) names DAIG cells only, so its
 /// size tracks program shape, not the number of distinct values seen.
 ///
+/// Entries hold their results by shared handle (ElemPtr, a
+/// shared_ptr<const Elem>). A value is built once, by the domain operation
+/// that computed it; storing it and every later hit hand out that one
+/// immutable object, so Q-Match costs a lookup and a reference-count bump,
+/// never a copy of the abstract state. The DAIG cells the result fills
+/// share the same object, and evicting an entry drops only the table's
+/// reference.
+///
 /// Dropping entries is always sound (Section 2.2): eviction trades reuse for
 /// memory, so the table exposes a size cap with LRU eviction — lookups
 /// refresh recency, so hot transfer/join results survive long edit sessions
@@ -41,9 +49,10 @@
 #include "support/observe.h"
 #include "support/statistics.h"
 
+#include <cassert>
 #include <cstdint>
 #include <list>
-#include <optional>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -69,12 +78,16 @@ struct MemoKey {
   }
 };
 
-/// Location-independent memoization of analysis function applications.
+/// Location-independent memoization of analysis function applications,
+/// keyed by value and holding shared results.
 template <typename D>
   requires AbstractDomain<D>
 class MemoTable {
 public:
   using Elem = typename D::Elem;
+  /// A computed value as the table and DAIG cells hold it: immutable, and
+  /// shared by every entry and cell that holds the same result.
+  using ElemPtr = std::shared_ptr<const Elem>;
 
   explicit MemoTable(size_t MaxEntries = 1u << 20) : MaxEntries(MaxEntries) {}
 
@@ -91,16 +104,16 @@ public:
       Stats = nullptr;
   }
 
-  /// Returns the memoized result for \p Key, if present, marking the entry
-  /// most-recently-used.
-  std::optional<Elem> lookup(const MemoKey &Key) {
+  /// Returns the memoized result for \p Key — the stored object itself —
+  /// marking the entry most-recently-used; null when absent.
+  ElemPtr lookup(const MemoKey &Key) {
     DAI_FAULT_POINT(Memo); // at entry: an aborted lookup mutates nothing
     auto It = Table.find(Key);
     if (It == Table.end()) {
       if (Stats)
         ++Stats->MemoMisses;
       traceInstant("memo.miss", Key.hash());
-      return std::nullopt;
+      return nullptr;
     }
     touch(It->second.LruIt);
     if (Stats)
@@ -109,9 +122,10 @@ public:
     return It->second.Value;
   }
 
-  /// Records \p Key ↦ \p Value, evicting least-recently-used entries beyond
-  /// the cap.
-  void store(MemoKey Key, Elem Value) {
+  /// Records \p Key ↦ \p Value (non-null), evicting least-recently-used
+  /// entries beyond the cap.
+  void store(MemoKey Key, ElemPtr Value) {
+    assert(Value && "memoizing an empty handle");
     DAI_FAULT_POINT(Memo); // at entry: an aborted store leaves the LRU and
                            // table untouched (entries are pure, keyed by
                            // value hashes, so skipping a store is sound)
@@ -150,7 +164,7 @@ private:
   using LruList = std::list<const MemoKey *>;
 
   struct Entry {
-    Elem Value;
+    ElemPtr Value;
     LruList::iterator LruIt;
   };
 

@@ -52,13 +52,13 @@ void NameTable::growShard(Shard &S) {
   S.SlotMask = NewCap - 1;
   SlotBytes.fetch_add((NewCap - Old.size()) * sizeof(S.Slots[0]),
                       std::memory_order_relaxed);
-  for (const auto &[H, Id] : Old) {
+  for (const auto &[Probe, Id] : Old) {
     if (Id == kNoName)
       continue;
-    size_t Idx = H & S.SlotMask;
+    size_t Idx = Probe & S.SlotMask;
     while (S.Slots[Idx].second != kNoName)
       Idx = (Idx + 1) & S.SlotMask;
-    S.Slots[Idx] = {H, Id};
+    S.Slots[Idx] = {Probe, Id};
   }
 }
 
@@ -85,27 +85,36 @@ NameTable::Node *NameTable::chunkFor(NameId Id) {
 NameId NameTable::intern(Name::Kind K, uint64_t A, NameId L, NameId R,
                          uint64_t Hash) {
   AtomicNameTableCounters &C = nameTableCountersAtomic();
-  // The structural hash doubles as the probe hash: it is a deterministic
-  // function of (K, A, L, R) because the children are themselves interned.
-  // Equal tuples always land in the same shard and probe chain; hash
-  // collisions between distinct tuples are resolved by the field compare.
-  Shard &S = Shards[(Hash >> 60) & (kNumShards - 1)];
+  // The probe hash is mix64 of the structural hash, a deterministic function
+  // of (K, A, L, R) because the children are themselves interned. Equal
+  // tuples always land in the same shard and probe chain; hash collisions
+  // between distinct tuples are resolved by the field compare. mix64 is a
+  // bijection, so slots keep the probe hash and compare it directly.
+  uint64_t Probe = mix64(Hash);
+  Shard &S = Shards[(Probe >> 60) & (kNumShards - 1)];
   std::lock_guard<std::mutex> G(S.M);
   if (S.Slots.empty())
     growShard(S);
-  size_t Idx = Hash & S.SlotMask;
-  for (;;) {
-    const auto &[SlotHash, SlotId] = S.Slots[Idx];
+  size_t Idx = Probe & S.SlotMask;
+  uint64_t Extra = 0; // slots examined past the first
+  NameId Found = kNoName;
+  for (;; Idx = (Idx + 1) & S.SlotMask, ++Extra) {
+    const auto &[SlotProbe, SlotId] = S.Slots[Idx];
     if (SlotId == kNoName)
       break;
-    if (SlotHash == Hash) {
+    if (SlotProbe == Probe) {
       const Node &N = node(SlotId);
       if (N.K == K && N.A == A && N.L == L && N.R == R) {
-        C.InternHits.fetch_add(1, std::memory_order_relaxed);
-        return SlotId;
+        Found = SlotId;
+        break;
       }
     }
-    Idx = (Idx + 1) & S.SlotMask;
+  }
+  if (Extra)
+    C.InternExtraProbes.fetch_add(Extra, std::memory_order_relaxed);
+  if (Found != kNoName) {
+    C.InternHits.fetch_add(1, std::memory_order_relaxed);
+    return Found;
   }
   // Miss: draw a fresh dense id from the global counter and write the node
   // into its (never-relocating) chunk slot. The id becomes visible to other
@@ -120,7 +129,7 @@ NameId NameTable::intern(Name::Kind K, uint64_t A, NameId L, NameId R,
   N.L = L;
   N.R = R;
   N.Hash = Hash;
-  S.Slots[Idx] = {Hash, Id};
+  S.Slots[Idx] = {Probe, Id};
   ++S.Count;
   C.NamesInterned.fetch_add(1, std::memory_order_relaxed);
   if ((S.Count + 1) * 10 > S.Slots.size() * 7)

@@ -31,6 +31,17 @@
 /// structs — no shared_ptr, no per-node refcounting, no per-name heap
 /// allocation after first intern).
 ///
+/// The dedup index is probed by mix64 of a name's structural hash, not by
+/// the structural hash itself. Structural hashes are hashCombine folds of
+/// small ids and counts, so DAIG-shaped name sets — thousands of locations,
+/// pre-join pairs (i·(ℓ·ℓ')) and nested iteration names — give them
+/// clustered bits: indexed by them directly, most names of a run would share
+/// one of the 16 shards and linear probing would walk dozens to hundreds of
+/// occupied slots per intern. mix64 spreads every input bit over the index bits; the
+/// structural hash itself is unchanged, so ids, equality, the total order
+/// and toString do not depend on the index. The intern_extra_probes counter
+/// (support/statistics.h) watches the probe walk.
+///
 /// NameTable contract (lifetime / thread-safety):
 ///  - The table is a process-global singleton with process lifetime; interned
 ///    nodes are never freed or reused, so a NameId (and hence a Name) stays
@@ -166,8 +177,9 @@ public:
   static constexpr size_t kChunkSize = size_t(1) << kChunkShift;
   static constexpr size_t kChunkMask = kChunkSize - 1;
   static constexpr size_t kMaxChunks = size_t(1) << 14;
-  /// Dedup-index shards, selected by the high bits of the structural hash
-  /// (the low bits drive the in-shard probe sequence).
+  /// Dedup-index shards, selected by the high bits of the probe hash,
+  /// mix64(structural hash) (its low bits drive the in-shard probe
+  /// sequence; see the file comment).
   static constexpr unsigned kNumShards = 16;
 
   static NameTable &global() {
@@ -200,7 +212,7 @@ private:
   ~NameTable();
 
   /// One dedup-index shard: open-addressing (linear probing) over
-  /// (structural hash, id) pairs, power-of-two capacity, ≤ 70% load.
+  /// (probe hash, id) pairs, power-of-two capacity, ≤ 70% load.
   /// Interning sits on the hot path of every query/edit, and a node-based
   /// unordered_map pays two dependent cache misses plus a heap allocation
   /// per unique name where this flat table pays one line per probe and

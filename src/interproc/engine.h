@@ -387,6 +387,10 @@ private:
     bool Seeded = false;       ///< True for the root or once contributed-to.
     bool FullyQueried = false; ///< analyzeAllFromMain bookkeeping.
     unsigned EntryGrowths = 0; ///< Widening-delay counter for entry updates.
+    /// G->exitCellName(), named when the first cell is emptied. The exit has
+    /// no successors, so it is never inside a loop and its cell name never
+    /// changes; naming it once saves a name-table probe per emptied cell.
+    Name ExitCell;
   };
   std::map<InstanceKey, std::unique_ptr<Instance>> Instances;
 
@@ -557,8 +561,11 @@ private:
     auto It = Instances.find(Key);
     if (It == Instances.end())
       return;
-    It->second->FullyQueried = false;
-    if (N == It->second->G->exitCellName())
+    Instance &Inst = *It->second;
+    Inst.FullyQueried = false;
+    if (!Inst.ExitCell.valid())
+      Inst.ExitCell = Inst.G->exitCellName();
+    if (N == Inst.ExitCell)
       PendingDirtyExits.push_back(Key);
   }
 

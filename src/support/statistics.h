@@ -139,9 +139,13 @@
   X(BudgetCounters, CancellationsHonored, "cancellations_honored", Counter)
 
 /// NameTableCounters: the global hash-consed NameTable (daig/name.h).
+/// InternExtraProbes counts the dedup-index slots intern() examines past
+/// the first one: about zero per call while the probe index spreads names
+/// well, and the first figure to climb when it does not.
 #define DAI_NAME_TABLE_COUNTERS(X)                                             \
   X(NameTableCounters, NamesInterned, "names_interned", Counter)               \
   X(NameTableCounters, InternHits, "intern_hits", Counter)                     \
+  X(NameTableCounters, InternExtraProbes, "intern_extra_probes", Counter)      \
   X(NameTableCounters, NameTableBytes, "name_table_bytes", Gauge)
 
 /// The whole table, every family in turn.

@@ -55,10 +55,9 @@ struct DaigTestPeer {
       if (!CA.hasValue())
         continue;
       if (CA.T == Daig<D>::CellType::StmtTy) {
-        if (!(std::get<Stmt>(*CA.V) == std::get<Stmt>(*CB.V)))
+        if (!(CA.stmt() == CB.stmt()))
           return "statement cell " + N.toString() + " differs";
-      } else if (!D::equal(std::get<typename D::Elem>(*CA.V),
-                           std::get<typename D::Elem>(*CB.V))) {
+      } else if (!D::equal(*CA.value(), *CB.value())) {
         return "value of " + N.toString() + " differs";
       }
     }

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Remaining public surface: the auxiliary memo table (lookup/store/evict
-/// semantics, MemoKey equality, its observable effect on Q-Match, and the
-/// name table staying flat under fresh values), statistics accounting,
+/// semantics over shared handles, MemoKey equality, its observable effect
+/// on Q-Match, and the name table staying flat under fresh values), the
+/// DAIG sharing one value object per result, statistics accounting,
 /// the deterministic RNG, and DAIG introspection APIs (queryAllLocations,
 /// exit cell naming).
 ///
@@ -32,16 +33,23 @@ namespace {
 /// A transfer key over a fixed statement hash; \p H stands for the input.
 MemoKey key(uint64_t H) { return {FnKind::Transfer, {0x5717, H}}; }
 
+/// \p V as a shared value, the form the memo table stores.
+MemoTable<ConstPropDomain>::ElemPtr share(ConstState V) {
+  return std::make_shared<const ConstState>(std::move(V));
+}
+
 TEST(MemoTable, StoreLookupRoundTrip) {
   MemoTable<ConstPropDomain> M;
   MemoKey K = key(0x1234);
-  EXPECT_FALSE(M.lookup(K).has_value());
+  EXPECT_EQ(M.lookup(K), nullptr);
   ConstState V;
   V.setVar("x", 7);
-  M.store(K, V);
+  MemoTable<ConstPropDomain>::ElemPtr Stored = share(V);
+  M.store(K, Stored);
   auto Hit = M.lookup(K);
-  ASSERT_TRUE(Hit.has_value());
+  ASSERT_NE(Hit, nullptr);
   EXPECT_EQ(Hit->get("x"), std::optional<int64_t>(7));
+  EXPECT_EQ(Hit, Stored) << "a hit hands out the stored object itself";
   EXPECT_EQ(M.size(), 1u);
 }
 
@@ -51,8 +59,8 @@ TEST(MemoTable, OverwriteKeepsSingleEntry) {
   ConstState A, B;
   A.setVar("x", 1);
   B.setVar("x", 2);
-  M.store(K, A);
-  M.store(K, B);
+  M.store(K, share(A));
+  M.store(K, share(B));
   EXPECT_EQ(M.size(), 1u);
   EXPECT_EQ(M.lookup(K)->get("x"), std::optional<int64_t>(2));
 }
@@ -60,25 +68,25 @@ TEST(MemoTable, OverwriteKeepsSingleEntry) {
 TEST(MemoTable, EvictsLeastRecentlyUsedBeyondCap) {
   MemoTable<ConstPropDomain> M(/*MaxEntries=*/3);
   for (uint64_t I = 0; I < 5; ++I)
-    M.store(key(I), ConstState());
+    M.store(key(I), share(ConstState()));
   EXPECT_EQ(M.size(), 3u);
   // No lookups intervened, so recency order is insertion order.
-  EXPECT_FALSE(M.lookup(key(0)).has_value());
-  EXPECT_FALSE(M.lookup(key(1)).has_value());
-  EXPECT_TRUE(M.lookup(key(4)).has_value());
+  EXPECT_EQ(M.lookup(key(0)), nullptr);
+  EXPECT_EQ(M.lookup(key(1)), nullptr);
+  EXPECT_NE(M.lookup(key(4)), nullptr);
 }
 
 TEST(MemoTable, LookupRefreshesRecency) {
   MemoTable<ConstPropDomain> M(/*MaxEntries=*/3);
   for (uint64_t I = 0; I < 3; ++I)
-    M.store(key(I), ConstState());
+    M.store(key(I), share(ConstState()));
   // Touch the oldest entry; the next insertion must evict key(1).
-  EXPECT_TRUE(M.lookup(key(0)).has_value());
-  M.store(key(3), ConstState());
+  EXPECT_NE(M.lookup(key(0)), nullptr);
+  M.store(key(3), share(ConstState()));
   EXPECT_EQ(M.size(), 3u);
-  EXPECT_TRUE(M.lookup(key(0)).has_value()) << "touched: survives";
-  EXPECT_FALSE(M.lookup(key(1)).has_value()) << "LRU: evicted";
-  EXPECT_TRUE(M.lookup(key(3)).has_value());
+  EXPECT_NE(M.lookup(key(0)), nullptr) << "touched: survives";
+  EXPECT_EQ(M.lookup(key(1)), nullptr) << "LRU: evicted";
+  EXPECT_NE(M.lookup(key(3)), nullptr);
 }
 
 TEST(MemoTable, StoreRefreshesRecencyAndCountsEvictions) {
@@ -87,13 +95,13 @@ TEST(MemoTable, StoreRefreshesRecencyAndCountsEvictions) {
   M.attachStatistics(&Stats);
   ConstState A;
   A.setVar("x", 1);
-  M.store(key(0), ConstState());
-  M.store(key(1), ConstState());
-  M.store(key(0), A); // overwrite refreshes recency of 0
-  M.store(key(2), ConstState());
+  M.store(key(0), share(ConstState()));
+  M.store(key(1), share(ConstState()));
+  M.store(key(0), share(A)); // overwrite refreshes recency of 0
+  M.store(key(2), share(ConstState()));
   EXPECT_EQ(Stats.MemoEvictions, 1u);
-  EXPECT_FALSE(M.lookup(key(1)).has_value()) << "LRU: evicted";
-  ASSERT_TRUE(M.lookup(key(0)).has_value());
+  EXPECT_EQ(M.lookup(key(1)), nullptr) << "LRU: evicted";
+  ASSERT_NE(M.lookup(key(0)), nullptr);
   EXPECT_EQ(M.lookup(key(0))->get("x"), std::optional<int64_t>(1));
   EXPECT_EQ(Stats.MemoHits, 2u);
   EXPECT_EQ(Stats.MemoMisses, 1u);
@@ -110,23 +118,23 @@ TEST(MemoTable, LruEvictionUnderMultiInputKeys) {
   for (uint64_t I = 0; I < 5; ++I) {
     ConstState V;
     V.setVar("x", static_cast<int64_t>(I));
-    M.store(joinKey(I), V);
+    M.store(joinKey(I), share(V));
   }
   EXPECT_EQ(M.size(), 3u);
   // Insertion order was recency order: 0 and 1 were evicted.
-  EXPECT_FALSE(M.lookup(joinKey(0)).has_value());
-  EXPECT_FALSE(M.lookup(joinKey(1)).has_value());
-  ASSERT_TRUE(M.lookup(joinKey(4)).has_value());
+  EXPECT_EQ(M.lookup(joinKey(0)), nullptr);
+  EXPECT_EQ(M.lookup(joinKey(1)), nullptr);
+  ASSERT_NE(M.lookup(joinKey(4)), nullptr);
   EXPECT_EQ(M.lookup(joinKey(4))->get("x"), std::optional<int64_t>(4));
   EXPECT_EQ(Stats.MemoEvictions, 2u);
 
   // Touch the oldest survivor; the next store must evict joinKey(3).
-  EXPECT_TRUE(M.lookup(joinKey(2)).has_value());
+  EXPECT_NE(M.lookup(joinKey(2)), nullptr);
   ConstState V5;
   V5.setVar("x", 5);
-  M.store(joinKey(5), V5);
-  EXPECT_TRUE(M.lookup(joinKey(2)).has_value()) << "touched: survives";
-  EXPECT_FALSE(M.lookup(joinKey(3)).has_value()) << "LRU: evicted";
+  M.store(joinKey(5), share(V5));
+  EXPECT_NE(M.lookup(joinKey(2)), nullptr) << "touched: survives";
+  EXPECT_EQ(M.lookup(joinKey(3)), nullptr) << "LRU: evicted";
   EXPECT_EQ(M.lookup(joinKey(5))->get("x"), std::optional<int64_t>(5));
 }
 
@@ -135,24 +143,24 @@ TEST(MemoKey, OnlyEqualTuplesShareAnEntry) {
   ConstState A, B;
   A.setVar("x", 1);
   B.setVar("x", 2);
-  M.store(MemoKey{FnKind::Transfer, {11, 22}}, A);
-  M.store(MemoKey{FnKind::Join, {11, 22, 33}}, B);
+  M.store(MemoKey{FnKind::Transfer, {11, 22}}, share(A));
+  M.store(MemoKey{FnKind::Join, {11, 22, 33}}, share(B));
   EXPECT_EQ(M.size(), 2u);
 
   // Separately built equal keys hit the stored entries.
   MemoKey SameTransfer{FnKind::Transfer, {11, 22}};
-  ASSERT_TRUE(M.lookup(SameTransfer).has_value());
+  ASSERT_NE(M.lookup(SameTransfer), nullptr);
   EXPECT_EQ(M.lookup(SameTransfer)->get("x"), std::optional<int64_t>(1));
   MemoKey SameJoin{FnKind::Join, {11, 22, 33}};
-  ASSERT_TRUE(M.lookup(SameJoin).has_value());
+  ASSERT_NE(M.lookup(SameJoin), nullptr);
   EXPECT_EQ(M.lookup(SameJoin)->get("x"), std::optional<int64_t>(2));
 
   // Only the function symbol differs: widen over the transfer's hashes.
-  EXPECT_FALSE(M.lookup(MemoKey{FnKind::Widen, {11, 22}}).has_value());
+  EXPECT_EQ(M.lookup(MemoKey{FnKind::Widen, {11, 22}}), nullptr);
   // Only the input order differs.
-  EXPECT_FALSE(M.lookup(MemoKey{FnKind::Transfer, {22, 11}}).has_value());
+  EXPECT_EQ(M.lookup(MemoKey{FnKind::Transfer, {22, 11}}), nullptr);
   // Only the arity differs: the 3-input join's 2-input prefix.
-  EXPECT_FALSE(M.lookup(MemoKey{FnKind::Join, {11, 22}}).has_value());
+  EXPECT_EQ(M.lookup(MemoKey{FnKind::Join, {11, 22}}), nullptr);
   EXPECT_EQ(M.size(), 2u);
 }
 
@@ -170,9 +178,9 @@ TEST(MemoKey, HashCollisionsDoNotAlias) {
   MemoTable<ConstPropDomain> M;
   ConstState V;
   V.setVar("x", 1);
-  M.store(A, V);
-  EXPECT_FALSE(M.lookup(B).has_value()) << "equal hashes, distinct tuples";
-  M.store(B, ConstState());
+  M.store(A, share(V));
+  EXPECT_EQ(M.lookup(B), nullptr) << "equal hashes, distinct tuples";
+  M.store(B, share(ConstState()));
   EXPECT_EQ(M.size(), 2u);
   EXPECT_EQ(M.lookup(A)->get("x"), std::optional<int64_t>(1));
 }
@@ -230,6 +238,139 @@ TEST(MemoTable, SharedAcrossDaigsEnablesQMatch) {
   EXPECT_EQ(Stats.Transfers, TransfersAfterFirst)
       << "identical computations must memo-match";
   EXPECT_GT(Stats.MemoHits, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// One shared value per result
+//===----------------------------------------------------------------------===//
+
+/// A constant-propagation state that counts copy constructions and copy
+/// assignments of itself: the copies the DAIG and the memo table make. The
+/// domain's own copies inside an operation copy the inner ConstState and
+/// are not counted.
+struct CountedState {
+  ConstState S;
+  static inline uint64_t Copies = 0;
+
+  CountedState() = default;
+  CountedState(ConstState S) : S(std::move(S)) {}
+  CountedState(const CountedState &O) : S(O.S) { ++Copies; }
+  CountedState(CountedState &&) = default;
+  CountedState &operator=(const CountedState &O) {
+    S = O.S;
+    ++Copies;
+    return *this;
+  }
+  CountedState &operator=(CountedState &&) = default;
+};
+
+/// ConstPropDomain over CountedState; also counts its join calls.
+struct CopyCountingDomain {
+  using Elem = CountedState;
+  using Base = ConstPropDomain;
+  static inline uint64_t JoinCalls = 0;
+
+  static Elem bottom() { return Base::bottom(); }
+  static Elem initialEntry(const std::vector<std::string> &Params) {
+    return Base::initialEntry(Params);
+  }
+  static Elem transfer(const Stmt &S, const Elem &In) {
+    return Base::transfer(S, In.S);
+  }
+  static Elem join(const Elem &A, const Elem &B) {
+    ++JoinCalls;
+    return Base::join(A.S, B.S);
+  }
+  static Elem widen(const Elem &A, const Elem &B) {
+    return Base::widen(A.S, B.S);
+  }
+  static bool leq(const Elem &A, const Elem &B) { return Base::leq(A.S, B.S); }
+  static bool equal(const Elem &A, const Elem &B) {
+    return Base::equal(A.S, B.S);
+  }
+  static uint64_t hash(const Elem &A) { return Base::hash(A.S); }
+  static std::string toString(const Elem &A) { return Base::toString(A.S); }
+  static const char *name() { return "copy_counting_constprop"; }
+  static bool isBottom(const Elem &A) { return Base::isBottom(A.S); }
+  static Elem enterCall(const Elem &A, const Stmt &S,
+                        const std::vector<std::string> &Params) {
+    return Base::enterCall(A.S, S, Params);
+  }
+  static Elem exitCall(const Elem &A, const Elem &B, const Stmt &S) {
+    return Base::exitCall(A.S, B.S, S);
+  }
+};
+static_assert(AbstractDomain<CopyCountingDomain>);
+
+/// A loop, and a three-way join at the exit (one in-edge per return).
+constexpr const char *SharedValuesSource = R"(
+  function main(c) {
+    var i = 0;
+    var s = 0;
+    while (i < 4) {
+      s = s + 2;
+      i = i + 1;
+    }
+    if (c > 0) { return s; }
+    if (c < 0) { return i; }
+    return 7;
+  })";
+
+TEST(SharedValues, FirstQueryCopiesOnlyItsAnswer) {
+  Function F = mustLowerFn(SharedValuesSource, "main");
+  Statistics Stats;
+  MemoTable<CopyCountingDomain> Memo;
+  Memo.attachStatistics(&Stats);
+  uint64_t CopiesBefore = CountedState::Copies;
+  uint64_t JoinsBefore = CopyCountingDomain::JoinCalls;
+  Daig<CopyCountingDomain> G(
+      &F.Body, CopyCountingDomain::initialEntry(F.Params), &Stats, &Memo);
+  CountedState Exit = G.queryLocation(F.Body.exit());
+  EXPECT_LE(CountedState::Copies - CopiesBefore, 1u)
+      << "cells, memo entries and fix cells share one object per result; "
+         "only the answer leaves by value";
+
+  // The query did the work: transfers, an unrolled loop, the join.
+  EXPECT_GT(Stats.Transfers, 0u);
+  EXPECT_GT(Stats.Widens, 0u);
+  EXPECT_GT(Stats.Unrollings, 0u);
+  // k inputs take k − 1 joins.
+  size_t InDegree = G.info().fwdEdgesTo(F.Body.exit()).size();
+  ASSERT_EQ(InDegree, 3u);
+  EXPECT_EQ(CopyCountingDomain::JoinCalls - JoinsBefore, InDegree - 1);
+  EXPECT_EQ(Stats.Joins, InDegree - 1);
+  EXPECT_EQ(G.checkAiConsistency(), "");
+
+  // Same answer as the plain domain.
+  Daig<ConstPropDomain> Plain(&F.Body, ConstPropDomain::initialEntry(F.Params));
+  EXPECT_TRUE(ConstPropDomain::equal(Exit.S, Plain.queryLocation(F.Body.exit())));
+}
+
+TEST(SharedValues, MemoMatchedQueryCopiesOnlyItsAnswer) {
+  Function F1 = mustLowerFn(SharedValuesSource, "main");
+  Function F2 = mustLowerFn(SharedValuesSource, "main");
+  Statistics Stats;
+  MemoTable<CopyCountingDomain> Memo;
+  Memo.attachStatistics(&Stats);
+  Daig<CopyCountingDomain> G1(
+      &F1.Body, CopyCountingDomain::initialEntry(F1.Params), &Stats, &Memo);
+  CountedState First = G1.queryLocation(F1.Body.exit());
+
+  Statistics AfterFirst = Stats;
+  uint64_t CopiesBefore = CountedState::Copies;
+  Daig<CopyCountingDomain> G2(
+      &F2.Body, CopyCountingDomain::initialEntry(F2.Params), &Stats, &Memo);
+  CountedState Second = G2.queryLocation(F2.Body.exit());
+  EXPECT_LE(CountedState::Copies - CopiesBefore, 1u)
+      << "a memo hit hands the stored object to the cell it fills";
+
+  // Answered entirely by Q-Match: no transfer, join or widen ran.
+  EXPECT_EQ(Stats.Transfers, AfterFirst.Transfers);
+  EXPECT_EQ(Stats.Joins, AfterFirst.Joins);
+  EXPECT_EQ(Stats.Widens, AfterFirst.Widens);
+  EXPECT_GT(Stats.MemoHits, AfterFirst.MemoHits);
+  EXPECT_TRUE(CopyCountingDomain::equal(First, Second));
+  EXPECT_EQ(G2.checkAiConsistency(), "");
 }
 
 TEST(DaigIntrospection, QueryAllLocationsFillsEverything) {

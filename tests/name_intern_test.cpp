@@ -307,4 +307,34 @@ TEST(NameIntern, CountersTrackHitsAndGrowth) {
   EXPECT_GT(AfterHit.NameTableBytes, 0u);
 }
 
+/// The cell names a DAIG builds have small, structured fields — consecutive
+/// locations, join indices 1–3, iteration counts 0–3 — so their structural
+/// hashes cluster. The dedup index must still spread them: over such a set,
+/// each intern call may examine only a few slots past the first (indexed by
+/// the raw structural hash, this set walked about two hundred per call).
+TEST(NameIntern, DaigShapedNamesProbeFewSlots) {
+  constexpr Loc Base = 7000000; // beyond every location the other tests name
+  constexpr Loc NumLocs = 3000;
+  NameTableCounters Before = nameTableCounters();
+  for (unsigned Pass = 0; Pass < 2; ++Pass) // interning, then all hits
+    for (Loc L = Base; L < Base + NumLocs; ++L) {
+      Name Here = Name::loc(L);
+      for (uint64_t Idx = 1; Idx <= 3; ++Idx) {
+        // Statement cell of join in-edge Idx, and its pre-join cell.
+        (void)Name::pair(Name::num(Idx),
+                         Name::pair(Name::loc(L - Idx), Here));
+        (void)Name::pair(Name::num(Idx), Name::iter(Here, 0));
+      }
+      // State cells under two nested loops, iterates 0–3 each.
+      for (uint32_t Outer = 0; Outer < 4; ++Outer)
+        for (uint32_t Inner = 0; Inner < 4; ++Inner)
+          (void)Name::iter(Name::iter(Here, Outer), Inner);
+    }
+  NameTableCounters D = nameTableCounters() - Before;
+  uint64_t Calls = D.NamesInterned + D.InternHits;
+  ASSERT_GT(D.NamesInterned, 50000u);
+  EXPECT_LE(D.InternExtraProbes, 4 * Calls)
+      << D.InternExtraProbes << " extra probes over " << Calls << " calls";
+}
+
 } // namespace
