@@ -80,7 +80,9 @@ constexpr Rule mustBeZero(const char *Counter) {
 
 inline constexpr Rule Rules[] = {
     // Work counters: closure work per relational domain, forced partition
-    // merges, and the incremental checker's re-evaluated slice.
+    // merges, the incremental checker's re-evaluated slice, and the DAIG's
+    // own work on the same edits (cells an edit empties, transfers the
+    // re-demand runs).
     regression("fig10_octagon_workload", "sweep", "octagon",
                "dbm_cells_touched", 5),
     regression("fig10_octagon_workload", "sweep", "zone",
@@ -90,6 +92,8 @@ inline constexpr Rule Rules[] = {
     regression("fig10_octagon_workload", "sweep", "dis_interval",
                "dis_interval_partitions_collapsed", 5),
     regression("batch_verify", "recheck", "interval", "checks_rechecked", 5),
+    regression("batch_verify", "recheck", "interval", "cells_dirtied", 5),
+    regression("batch_verify", "recheck", "interval", "transfers", 5),
     // Names are for DAIG cells only, and the runs before a sweep row have
     // named almost all of its cells, so the baseline interns next to
     // nothing: a value that became a name fails here.

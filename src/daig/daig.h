@@ -13,15 +13,22 @@
 /// Q-Loop-Unroll of Fig. 8); edits dirty minimal state (rules E-Commit /
 /// E-Propagate / E-Loop of Fig. 9).
 ///
+/// The hypergraph is one map from name to cell record (Daig::Cell): the
+/// cell's statement or value, the computation that defines it, and the
+/// destinations of the computations that read it, in Name order. Queries
+/// walk the computations backward; dirtying walks the dependent lists
+/// forward, stamping the cells it visits with a per-DAIG epoch.
+///
 /// Loop handling follows the paper's demanded-unrolling scheme, generalized
 /// to nested loops via per-loop iteration counts in names (daig/name.h):
 /// each loop instance carries a fix edge over its two greatest abstract
 /// iterates; unrolling builds the next abstract iteration of the loop body
 /// (resetting directly nested loops to their initial two iterates) and
-/// slides the fix edge forward; dirtying an iterate rolls the fix edge back
-/// to iterates (0, 1) and deletes the unrolled region (a semantically
-/// equivalent, memory-friendlier variant of E-Loop; see docs/architecture.md,
-/// "DAIG edits").
+/// slides the fix edge forward; dirtying iterate 1 rolls the fix edge back
+/// to iterates (0, 1) and deletes the unrolled region, the cells reachable
+/// forward from iterate 1 short of the fix cell (a semantically equivalent,
+/// memory-friendlier variant of E-Loop; see docs/architecture.md, "DAIG
+/// edits").
 ///
 /// Program edits:
 ///  - applyStatementEdit: in-place statement replacement — surgical dirtying
@@ -56,7 +63,6 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 #include <variant>
@@ -203,23 +209,37 @@ public:
   /// Reference cell types (Fig. 6): τ ∈ {Stmt, Σ♯}.
   enum class CellType : uint8_t { StmtTy, StateTy };
 
-  struct Cell {
-    CellType T;
-    /// A statement cell's statement or a state cell's (non-null) value;
-    /// empty while a state cell is unfilled.
-    std::optional<std::variant<Stmt, ElemPtr>> V;
-
-    bool hasValue() const { return V.has_value(); }
-    const Stmt &stmt() const { return std::get<Stmt>(*V); }
-    const ElemPtr &value() const { return std::get<ElemPtr>(*V); }
-  };
-
-  /// A computation edge n ← f(n1, ..., nk).
+  /// A computation edge n ← f(n1, ..., nk): the function and its sources
+  /// in argument order (a transfer reads its statement cell first).
   struct Comp {
     FnKind F;
     std::vector<Name> Srcs;
 
     bool operator==(const Comp &O) const { return F == O.F && Srcs == O.Srcs; }
+  };
+
+  /// One reference cell and everything the DAIG keeps about it: its
+  /// contents, the computation that defines it (at most one, Definition
+  /// 4.1) and the computations that read it. An edit changes one record;
+  /// auditInvariants checks that each cell's computation and its sources'
+  /// dependent lists agree.
+  struct Cell {
+    CellType T = CellType::StateTy;
+    /// A statement cell's statement or a state cell's (non-null) value;
+    /// empty while a state cell is unfilled.
+    std::optional<std::variant<Stmt, ElemPtr>> V;
+    /// The defining computation; none for statement cells and the entry
+    /// cell.
+    std::optional<Comp> Def;
+    /// Destinations of the computations reading this cell, in Name order
+    /// and without repeats: the order dirtying visits them in.
+    std::vector<Name> Deps;
+    /// The epoch of the last dirtying or rollback walk that visited it.
+    uint64_t Seen = 0;
+
+    bool hasValue() const { return V.has_value(); }
+    const Stmt &stmt() const { return std::get<Stmt>(*V); }
+    const ElemPtr &value() const { return std::get<ElemPtr>(*V); }
   };
 
   /// Note: the memo table counts its own hits/misses/evictions into the
@@ -293,38 +313,40 @@ public:
   /// AnalysisCancelled — before any mutation, so unwinding is clean),
   /// resolves to ⊤ under hard exhaustion, and tracks degraded provenance
   /// through a per-evaluation taint frame. Returns the cell's shared value.
+  ///
+  /// The cell's record is read in place throughout: a query adds cells
+  /// (unrolling) but removes none, and a node-based map keeps references
+  /// across rehashing.
   ElemPtr queryState(Name N) {
     auto It = Cells.find(N);
     assert(It != Cells.end() && "query for a name outside the DAIG");
-    assert(It->second.T == CellType::StateTy && "queryState on a Stmt cell");
-    if (It->second.hasValue()) {
+    Cell &C = It->second;
+    assert(C.T == CellType::StateTy && "queryState on a Stmt cell");
+    if (C.hasValue()) {
       if (Stats)
         ++Stats->CellReuses; // Q-Reuse
       bool Deg = !Degraded.empty() && Degraded.count(N);
       if (Deg)
         budgetState().TaintPending = true; // consumer inherits the flag
       if (Prov)
-        provEnter(N, Deg ? DemandOutcome::DegradedReuse
-                         : DemandOutcome::Reused);
-      return It->second.value();
+        provEnter(N, C, Deg ? DemandOutcome::DegradedReuse
+                            : DemandOutcome::Reused);
+      return C.value();
     }
-    ProvFrame PF(*this, N);
+    ProvFrame PF(*this, N, C);
     TraceSpan Sp("daig.cell_eval", N.id());
     budgetCheckpoint("DAIG cell evaluation");
     DAI_FAULT_POINT(CellEval);
     if (budgetExhausted())
-      return degradeToTop(N);
-    auto CompIt = CompOf.find(N);
-    assert(CompIt != CompOf.end() &&
-           "empty cell without a computation (wf condition 5)");
+      return degradeToTop(N, C);
+    assert(C.Def && "empty cell without a computation (wf condition 5)");
     BudgetTaintScope Taint;
     ElemPtr Result;
-    if (CompIt->second.F == FnKind::Fix) {
-      Result = queryFix(N); // stores internally
+    if (C.Def->F == FnKind::Fix) {
+      Result = queryFix(N, C); // stores internally
     } else {
-      Comp C = CompIt->second; // copy: recursive queries may rehash maps
-      Result = evaluateComp(C);
-      storeValue(N, Result);
+      Result = evaluateComp(*C.Def);
+      store(C, Result);
     }
     if (Taint.consumed())
       markDegraded(N);
@@ -443,23 +465,16 @@ public:
   /// engine when a callee summary feeding this edge changes).
   void invalidateEdgeOutputs(EdgeId Id) { dirtyDependentsOf(stmtCellName(Id)); }
 
-  /// Externally-driven invalidation (interprocedural engine): empties the
-  /// cell named \p N (if present and non-empty) and dirties forward.
-  void invalidateCell(Name N) {
-    auto It = Cells.find(N);
-    if (It == Cells.end() || It->second.T != CellType::StateTy)
-      return;
-    std::set<Name> Visited;
-    std::vector<Name> Work = {N};
-    propagateDirty(Work, Visited);
-  }
-
   //===--------------------------------------------------------------------===//
   // Introspection (tests, statistics, debugging)
   //===--------------------------------------------------------------------===//
 
   size_t cellCount() const { return Cells.size(); }
-  size_t compCount() const { return CompOf.size(); }
+  /// The cells that have a defining computation.
+  size_t compCount() const {
+    return std::ranges::count_if(
+        Cells, [](const auto &NC) { return NC.second.Def.has_value(); });
+  }
   size_t unrolledLoopCount() const {
     size_t N = 0;
     for (const auto &[Dest, Inst] : Loops)
@@ -559,62 +574,66 @@ public:
       if (N == Entry) {
         // The entry cell always holds φ0 and has no computation; dirty its
         // consumers instead (the engine re-refreshes coarsened entries).
-        auto DIt = Dependents.find(N);
-        if (DIt != Dependents.end())
-          Work.insert(Work.end(), DIt->second.begin(), DIt->second.end());
+        const std::vector<Name> &Deps = Cells.at(N).Deps;
+        Work.insert(Work.end(), Deps.begin(), Deps.end());
         continue;
       }
       Work.push_back(N);
     }
-    std::set<Name> Visited;
-    propagateDirty(Work, Visited); // also erases each emptied cell's mark
-    Degraded.clear();              // incl. the (unemptied) entry mark
+    propagateDirty(Work); // also erases each emptied cell's mark
+    Degraded.clear();     // incl. the (unemptied) entry mark
     return Count;
   }
 
   /// Structural self-audit beyond Definition 4.1: checkWellFormed plus
-  /// Dependents↔CompOf index consistency, loop-instance metadata sanity,
-  /// names that fit the pinned snapshot, and degraded-set honesty. Cheap
-  /// (no domain operations) — safe to run on a mid-cancelled DAIG.
+  /// agreement of computations and dependent lists, loop-instance metadata
+  /// sanity, names that fit the pinned snapshot, and degraded-set honesty.
+  /// Cheap (no domain operations) — safe to run on a mid-cancelled DAIG.
   /// Returns "" when clean.
   std::string auditInvariants() const {
     std::string W = checkWellFormed();
     if (!W.empty())
       return W;
-    // Dependents must be exactly the inverse of CompOf's source lists.
-    for (const auto &[Dest, C] : CompOf)
-      for (const Name &S : C.Srcs) {
-        auto DIt = Dependents.find(S);
-        if (DIt == Dependents.end() || !DIt->second.count(Dest))
-          return "missing dependent edge " + S.toString() + " → " +
-                 Dest.toString();
-      }
-    for (const auto &[S, Deps] : Dependents) {
-      if (Deps.empty())
-        return "empty dependent set retained for " + S.toString();
-      for (const Name &Dest : Deps) {
-        auto CIt = CompOf.find(Dest);
-        if (CIt == CompOf.end())
+    // Each computation's sources list it as a dependent; each dependent's
+    // computation lists its source; dependent lists are in Name order
+    // without repeats. (checkWellFormed has found every source.)
+    for (const auto &[N, C] : Cells) {
+      if (C.Def)
+        for (const Name &S : C.Def->Srcs) {
+          const std::vector<Name> &SDeps = Cells.at(S).Deps;
+          if (!std::binary_search(SDeps.begin(), SDeps.end(), N))
+            return "missing dependent edge " + S.toString() + " → " +
+                   N.toString();
+        }
+      for (size_t I = 0; I < C.Deps.size(); ++I) {
+        const Name &Dest = C.Deps[I];
+        if (I > 0 && !(C.Deps[I - 1] < Dest))
+          return "dependents of " + N.toString() +
+                 " out of Name order or repeated";
+        auto DIt = Cells.find(Dest);
+        if (DIt == Cells.end() || !DIt->second.Def)
           return "dangling dependent " + Dest.toString() + " of " +
-                 S.toString();
-        if (std::find(CIt->second.Srcs.begin(), CIt->second.Srcs.end(), S) ==
-            CIt->second.Srcs.end())
+                 N.toString();
+        const std::vector<Name> &Srcs = DIt->second.Def->Srcs;
+        if (std::find(Srcs.begin(), Srcs.end(), N) == Srcs.end())
           return "dependent " + Dest.toString() +
-                 " does not list source " + S.toString();
+                 " does not list source " + N.toString();
       }
     }
     // Loop metadata: every instance's fix edge exists with two iterate
     // sources of its head at counts (K−1, K).
     for (const auto &[FixDest, Inst] : Loops) {
-      auto CIt = CompOf.find(FixDest);
-      if (CIt == CompOf.end() || CIt->second.F != FnKind::Fix)
+      auto CIt = Cells.find(FixDest);
+      if (CIt == Cells.end() || !CIt->second.Def ||
+          CIt->second.Def->F != FnKind::Fix)
         return "loop instance without a fix edge: " + FixDest.toString();
-      if (CIt->second.Srcs.size() != 2)
+      const std::vector<Name> &Srcs = CIt->second.Def->Srcs;
+      if (Srcs.size() != 2)
         return "fix edge arity violated: " + FixDest.toString();
       Loc L;
       std::vector<uint32_t> Counts;
       for (unsigned I = 0; I < 2; ++I) {
-        if (!decodeState(CIt->second.Srcs[I], L, Counts) || L != Inst.Head ||
+        if (!decodeState(Srcs[I], L, Counts) || L != Inst.Head ||
             Counts.empty() || Counts.back() != Inst.K - 1 + I)
           return "fix sources disagree with instance metadata: " +
                  FixDest.toString();
@@ -651,11 +670,8 @@ public:
   Name stmtCellName(EdgeId Id) const {
     const CfgEdge *E = G->findEdge(Id);
     assert(E && "no such edge");
-    Name Plain = Name::pair(Name::loc(E->Src), Name::loc(E->Dst));
-    unsigned Idx = Info->fwdIndexOf(*G, Id);
-    if (Idx == 0 || Info->fwdEdgesTo(E->Dst).size() < 2)
-      return Plain; // back edge or unique forward edge
-    return Name::pair(Name::num(Idx), Plain);
+    return stmtName(E->Src, E->Dst, Info->fwdIndexOf(*G, Id),
+                    Info->fwdEdgesTo(E->Dst).size());
   }
 
   /// Checks Definition 4.1 well-formedness plus internal index consistency.
@@ -680,10 +696,9 @@ private:
   TransferFn Hook;
   EmptiedFn OnCellEmptied;
 
+  /// Every cell, by name. Node-based: a reference to a record stays valid
+  /// until that record is erased, across any insertions.
   std::unordered_map<Name, Cell, NameHash> Cells;
-  std::unordered_map<Name, Comp, NameHash> CompOf; ///< Keyed by destination.
-  /// Source name → set of computation destinations depending on it.
-  std::unordered_map<Name, std::set<Name>, NameHash> Dependents;
   /// Cells holding budget-degraded values (support/budget.h): ⊤-substituted
   /// on hard exhaustion, or computed from a degraded input (taint). Marks
   /// are erased whenever the cell is emptied or removed — a mark always
@@ -705,6 +720,10 @@ private:
   /// refilled with the unchanged φ0 and not counted.
   uint64_t Fills = 0;
 
+  /// The last walk's epoch (Cell::Seen): each dirtying and each rollback
+  /// walk takes the next one, so no walk clears another's marks.
+  uint64_t Epoch = 0;
+
   //===--------------------------------------------------------------------===//
   // Naming
   //===--------------------------------------------------------------------===//
@@ -722,7 +741,8 @@ private:
   }
 
   /// Fix-cell (fixed point) name for head \p H: the location wrapped by the
-  /// counts of strictly enclosing loops only.
+  /// counts of strictly enclosing loops only, so that the instance's
+  /// iterate k is Name::iter(fix cell, k).
   Name fixCellName(Loc H, const CountCtx &Ctx) const {
     Name N = Name::loc(H);
     std::span<const Loc> Nest = Info->loopNest(H);
@@ -774,19 +794,22 @@ private:
   // Structure mutation helpers
   //===--------------------------------------------------------------------===//
 
+  /// Builds state cell \p N, or keeps it (and its value) when it exists.
   void addStateCell(Name N) {
-    Cells.emplace(N, Cell{CellType::StateTy, std::nullopt});
+    Cells.try_emplace(N);
     if (Log)
       Log->Built.push_back(N);
   }
 
+  /// Builds statement cell \p N holding \p S; an existing cell with another
+  /// statement takes \p S and is logged as changed.
   void addStmtCell(Name N, const Stmt &S) {
-    auto [It, Inserted] =
-        Cells.emplace(N, Cell{CellType::StmtTy, std::nullopt});
-    if (Inserted) {
-      It->second.V = S;
-    } else if (!(It->second.stmt() == S)) {
-      It->second.V = S;
+    Cell &C = Cells[N];
+    if (!C.hasValue()) {
+      C.T = CellType::StmtTy;
+      C.V = S;
+    } else if (!(C.stmt() == S)) {
+      C.V = S;
       if (Log)
         Log->Changed.push_back(N);
     }
@@ -794,43 +817,53 @@ private:
       Log->Built.push_back(N);
   }
 
-  /// Sets Dest's computation; a no-op when it is already exactly that.
+  /// Sets the computation of the built cell \p Dest; a no-op when it is
+  /// already exactly that. Construction links a location's sources built
+  /// or not, so linking creates a missing source's record, which
+  /// addStateCell then finds.
   void addComp(Name Dest, FnKind F, std::vector<Name> Srcs) {
-    auto [It, Inserted] = CompOf.try_emplace(Dest);
-    if (!Inserted) {
-      if (It->second.F == F && It->second.Srcs == Srcs)
+    auto It = Cells.find(Dest);
+    assert(It != Cells.end() && "computation into a missing cell");
+    std::optional<Comp> &Def = It->second.Def;
+    if (Def) {
+      if (Def->F == F && Def->Srcs == Srcs)
         return;
-      unlinkSources(Dest, It->second.Srcs);
+      unlinkSources(Dest, Def->Srcs);
     }
     if (Log)
       Log->Changed.push_back(Dest);
-    for (Name S : Srcs)
-      Dependents[S].insert(Dest);
-    It->second = Comp{F, std::move(Srcs)};
+    for (Name S : Srcs) {
+      std::vector<Name> &Deps = Cells[S].Deps;
+      auto P = std::lower_bound(Deps.begin(), Deps.end(), Dest);
+      if (P == Deps.end() || !(*P == Dest))
+        Deps.insert(P, Dest);
+    }
+    Def = Comp{F, std::move(Srcs)};
   }
 
+  /// Drops \p Dest from the dependent lists of those of \p Srcs that still
+  /// exist.
   void unlinkSources(Name Dest, const std::vector<Name> &Srcs) {
     for (Name S : Srcs) {
-      auto DIt = Dependents.find(S);
-      if (DIt != Dependents.end()) {
-        DIt->second.erase(Dest);
-        if (DIt->second.empty())
-          Dependents.erase(DIt);
-      }
+      auto SIt = Cells.find(S);
+      if (SIt == Cells.end())
+        continue;
+      std::vector<Name> &Deps = SIt->second.Deps;
+      auto P = std::lower_bound(Deps.begin(), Deps.end(), Dest);
+      if (P != Deps.end() && *P == Dest)
+        Deps.erase(P);
     }
   }
 
-  void removeComp(Name Dest) {
-    auto It = CompOf.find(Dest);
-    if (It == CompOf.end())
-      return;
-    unlinkSources(Dest, It->second.Srcs);
-    CompOf.erase(It);
-  }
-
+  /// Removes cell \p N with its computation. Its dependents must go too, or
+  /// be re-linked, as rollback and reconcile do.
   void removeCell(Name N) {
-    removeComp(N);
-    Cells.erase(N);
+    auto It = Cells.find(N);
+    if (It == Cells.end())
+      return;
+    if (It->second.Def)
+      unlinkSources(N, It->second.Def->Srcs);
+    Cells.erase(It);
     Loops.erase(N);
     if (!Degraded.empty())
       Degraded.erase(N);
@@ -842,8 +875,6 @@ private:
 
   void construct() {
     Cells.clear();
-    CompOf.clear();
-    Dependents.clear();
     Loops.clear();
     Info = G->infoShared();
     LabelEdits = labelEditCount();
@@ -863,10 +894,9 @@ private:
       assert(Info->fwdEdgesTo(L).empty() &&
              "the entry location cannot be a forward-edge target");
       Name N = stateCellName(L, Ctx);
-      auto [It, Inserted] =
-          Cells.emplace(N, Cell{CellType::StateTy, std::nullopt});
-      if (Inserted)
-        It->second.V = EntryValue;
+      Cell &C = Cells[N];
+      if (!C.hasValue())
+        C.V = EntryValue;
       if (Log)
         Log->Built.push_back(N);
       return;
@@ -881,12 +911,12 @@ private:
     }
   }
 
-  /// Statement-cell name of the edge Src→Dst: plain for a back edge or a
-  /// destination's only forward edge, else wrapped by its 1-based
-  /// fwd-edges-to index \p Idx among \p InDegree forward in-edges.
+  /// Statement-cell name of the edge Src→Dst: plain for a back edge (\p Idx
+  /// 0) or a destination's only forward edge, else i·(ℓ·ℓ′) for its 1-based
+  /// fwd-edges-to index i = \p Idx among \p InDegree forward in-edges.
   static Name stmtName(Loc Src, Loc Dst, unsigned Idx, size_t InDegree) {
     Name Plain = Name::pair(Name::loc(Src), Name::loc(Dst));
-    return InDegree < 2 ? Plain : Name::pair(Name::num(Idx), Plain);
+    return Idx == 0 || InDegree < 2 ? Plain : Name::pair(Name::num(Idx), Plain);
   }
 
   /// Builds the state cell for \p L under \p Ctx plus the transfer (and, at
@@ -1014,13 +1044,12 @@ private:
 
   /// Records a node for \p N under the current frame (or as a root) and
   /// returns its index. Caller has checked Prov.
-  size_t provEnter(Name N, DemandOutcome O) {
+  size_t provEnter(Name N, const Cell &C, DemandOutcome O) {
     size_t Idx = Prov->T.Nodes.size();
     typename DemandTree::Node Nd;
     Nd.N = N;
     Nd.O = O;
-    auto CIt = CompOf.find(N);
-    Nd.FK = CIt == CompOf.end() ? DemandTree::kNoFn : uint8_t(CIt->second.F);
+    Nd.FK = C.Def ? uint8_t(C.Def->F) : DemandTree::kNoFn;
     Prov->T.Nodes.push_back(std::move(Nd));
     if (Prov->Stack.empty())
       Prov->T.Roots.push_back(Idx);
@@ -1042,10 +1071,10 @@ private:
   /// tree.
   class ProvFrame {
   public:
-    ProvFrame(Daig &G, Name N) : P(G.Prov) {
+    ProvFrame(Daig &G, Name N, const Cell &C) : P(G.Prov) {
       if (!P)
         return;
-      P->Stack.push_back(G.provEnter(N, DemandOutcome::Evaluated));
+      P->Stack.push_back(G.provEnter(N, C, DemandOutcome::Evaluated));
     }
     ~ProvFrame() {
       if (P)
@@ -1063,11 +1092,9 @@ private:
     return std::make_shared<const Elem>(std::move(V));
   }
 
-  void storeValue(Name N, ElemPtr V) {
+  void store(Cell &C, ElemPtr V) {
     assert(V && "storing an empty handle");
-    auto It = Cells.find(N);
-    assert(It != Cells.end() && "storing into a missing cell");
-    It->second.V = std::move(V);
+    C.V = std::move(V);
     ++Fills;
   }
 
@@ -1083,9 +1110,9 @@ private:
   /// over-approximates every reachable state of every variable, so the
   /// substitution is sound — mark it degraded, and taint the consuming
   /// evaluation. No memo store: the value was never computed.
-  ElemPtr degradeToTop(Name N) {
+  ElemPtr degradeToTop(Name N, Cell &C) {
     ElemPtr Top = share(D::initialEntry({}));
-    storeValue(N, Top);
+    store(C, Top);
     markDegraded(N);
     budgetState().TaintPending = true;
     provMarkTop(DemandOutcome::TopBudget);
@@ -1104,7 +1131,7 @@ private:
   /// the budget, a hard-exhausted budget degrades the fixpoint to ⊤, and
   /// an un-budgeted loop that outruns the iteration ceiling (a widening
   /// that does not stabilize) throws AnalysisDivergence instead of hanging.
-  ElemPtr queryFix(Name N) {
+  ElemPtr queryFix(Name N, Cell &C) {
     const AnalysisLimits &Limits = analysisLimits();
     uint64_t Iter = 0;
     for (;;) {
@@ -1112,14 +1139,15 @@ private:
       budgetCheckpoint("DAIG fix iteration");
       DAI_FAULT_POINT(Fix);
       if (budgetExhausted())
-        return degradeToTop(N);
-      Comp C = CompOf.at(N); // copy: unroll rewrites it
-      ElemPtr V1 = queryState(C.Srcs[0]);
-      ElemPtr V2 = queryState(C.Srcs[1]);
+        return degradeToTop(N, C);
+      // Unrolling rewrites the fix edge: read its iterates first.
+      Name Prev = C.Def->Srcs[0], Next = C.Def->Srcs[1];
+      ElemPtr V1 = queryState(Prev);
+      ElemPtr V2 = queryState(Next);
       if (Stats)
         ++Stats->FixChecks;
       if (D::equal(*V1, *V2)) {
-        storeValue(N, V1); // the fix cell shares its converged iterate
+        store(C, V1); // the fix cell shares its converged iterate
         return V1;
       }
       uint64_t Ceiling = budgetDegraded()
@@ -1128,7 +1156,7 @@ private:
                              : Limits.MaxFixUnrollings;
       if (++Iter >= Ceiling) {
         if (budgetActive())
-          return degradeToTop(N); // budgeted: degrade, don't diagnose
+          return degradeToTop(N, C); // budgeted: degrade, don't diagnose
         throw AnalysisDivergence("fix cell " + N.toString(), Iter);
       }
       if (Stats)
@@ -1144,8 +1172,7 @@ private:
     Loc L = Inst.Head;
     uint32_t K = Inst.K;
     CountCtx Ctx(Inst.Ctx.begin(), Inst.Ctx.end());
-    // buildIteration may add nested instances (rehashing Loops): Inst is
-    // not used past this point.
+    // setFix overwrites the instance: Inst is not used past this point.
     std::pair<Name, Name> Its = buildIteration(L, Ctx, K);
     setFix(FixDest, L, Ctx, K + 1, Its);
   }
@@ -1154,7 +1181,10 @@ private:
   /// through their cells' shared handles; a memo hit returns the stored
   /// handle, and a miss wraps the one value the domain operation builds and
   /// hands that handle to both the memo table and the caller (which stores
-  /// it in the destination cell). No path copies an abstract state.
+  /// it in the destination cell). No path copies an abstract state, and
+  /// \p C and the statement it reads are read in place: no edit runs during
+  /// a query, and the call hook never re-enters this DAIG (the call graph
+  /// rejects recursion).
   ///
   /// Memo keys embed D::hash(In), and a hit returns the stored value as-is,
   /// so correctness requires hash() to be a pure function of the value and
@@ -1167,7 +1197,7 @@ private:
   ElemPtr evaluateComp(const Comp &C) {
     switch (C.F) {
     case FnKind::Transfer: {
-      const Stmt S = stmtOf(C.Srcs[0]); // copy: map may rehash during query
+      const Stmt &S = stmtOf(C.Srcs[0]);
       ElemPtr In = queryState(C.Srcs[1]);
       bool IsCall = S.Kind == StmtKind::Call;
       // Memo keys cost hashing: build one only when a memo table will
@@ -1247,31 +1277,33 @@ private:
   //===--------------------------------------------------------------------===//
 
   void dirtyDependentsOf(Name N) {
-    std::set<Name> Visited;
-    std::vector<Name> Work;
-    auto DIt = Dependents.find(N);
-    if (DIt != Dependents.end())
-      Work.assign(DIt->second.begin(), DIt->second.end());
-    propagateDirty(Work, Visited);
+    auto It = Cells.find(N);
+    if (It == Cells.end())
+      return;
+    std::vector<Name> Work = It->second.Deps;
+    propagateDirty(Work);
   }
 
-  /// E-Propagate with the E-Loop special case: before emptying a loop
-  /// head's first iterate, roll its loop back to the initial fix sources.
-  void propagateDirty(std::vector<Name> &Work, std::set<Name> &Visited) {
+  /// E-Propagate with the E-Loop special case: empties the state cells in
+  /// \p Work and every cell reachable forward from them, rolling a loop back
+  /// before emptying its first iterate. A cell reached along several paths
+  /// is visited once: the walk stamps the cells it visits with a fresh
+  /// epoch.
+  void propagateDirty(std::vector<Name> &Work) {
+    uint64_t Walk = ++Epoch;
     while (!Work.empty()) {
       Name N = Work.back();
       Work.pop_back();
-      if (!Visited.insert(N).second)
-        continue;
       auto It = Cells.find(N);
       if (It == Cells.end())
         continue; // deleted by a rollback while enqueued
-      if (It->second.T == CellType::StmtTy)
+      Cell &C = It->second;
+      if (C.Seen == Walk || C.T == CellType::StmtTy)
         continue; // statements are never dirtied by propagation
-      maybeRollbackAt(N);
-      It = Cells.find(N); // rollback may rehash
-      if (It != Cells.end() && It->second.hasValue()) {
-        It->second.V.reset();
+      C.Seen = Walk;
+      maybeRollbackAt(N); // deletes other cells only
+      if (C.hasValue()) {
+        C.V.reset();
         if (!Degraded.empty())
           Degraded.erase(N); // an emptied cell carries no provenance
         if (Stats)
@@ -1279,107 +1311,51 @@ private:
         if (OnCellEmptied)
           OnCellEmptied(N);
       }
-      auto DIt = Dependents.find(N);
-      if (DIt != Dependents.end())
-        for (Name Dep : DIt->second)
-          Work.push_back(Dep);
+      Work.insert(Work.end(), C.Deps.begin(), C.Deps.end());
     }
   }
 
   /// If \p N is the first iterate of an unrolled loop instance, deletes the
   /// unrolled iterations (≥ 1) and resets the fix edge to (0, 1).
   void maybeRollbackAt(Name N) {
-    Loc L;
-    std::vector<uint32_t> Counts;
-    if (!decodeState(N, L, Counts))
+    // Iterate k of a head is its fix-cell name wrapped by the count k.
+    if (N.kind() != Name::Kind::Iter || N.iterCount() != 1)
       return;
-    if (!Info->isLoopHead(L))
-      return;
-    std::span<const Loc> Nest = Info->loopNest(L);
-    if (Counts.size() != Nest.size() || Counts.empty() || Counts.back() != 1)
-      return;
-    // Reconstruct the fix-cell name from the enclosing counts.
-    CountCtx Ctx;
-    for (size_t I = 0; I + 1 < Nest.size(); ++I)
-      Ctx[Nest[I]] = Counts[I];
-    Name FixDest = fixCellName(L, Ctx);
-    auto LIt = Loops.find(FixDest);
+    auto LIt = Loops.find(N.iterBase());
     if (LIt == Loops.end() || LIt->second.K <= 1)
       return;
-    rollbackLoop(FixDest, LIt->second);
+    rollbackLoop(LIt->first, LIt->second, N);
   }
 
-  /// Deletes every cell belonging to iterations ≥ 1 of the given instance
-  /// (except the first iterate itself, which is kept empty) and resets the
-  /// fix computation to the initial iterates.
-  void rollbackLoop(Name FixDest, LoopInstance &Inst) {
-    Loc L = Inst.Head;
-    std::span<const Loc> HeadNest = Info->loopNest(L);
-    size_t Pos = HeadNest.size() - 1; // L's index within its own nest
-    CountCtx Ctx;
-    for (const auto &[H, C] : Inst.Ctx)
-      Ctx[H] = C;
-
-    Name It0 = [&] {
-      CountCtx C2 = Ctx;
-      C2[L] = 0;
-      return stateCellName(L, C2);
-    }();
-    Name It1 = [&] {
-      CountCtx C2 = Ctx;
-      C2[L] = 1;
-      return stateCellName(L, C2);
-    }();
-    Name PreWiden01 = Name::pair(It0, It1);
-
-    std::vector<Name> ToDelete;
-    for (const auto &[N, CellV] : Cells) {
-      (void)CellV;
-      if (N == It1 || N == PreWiden01)
+  /// Deletes the unrolled region of the instance with fix cell \p FixDest
+  /// and resets its fix computation to iterates (0, 1). The region is every
+  /// cell reachable forward from iterate 1 (\p It1) short of the fix cell:
+  /// the later iterates and their pre-widen cells, and the body cells of
+  /// iterations ≥ 1 with the nested instances among them. Cells after the
+  /// loop read its fix cell, not an iterate, so nothing else is reached.
+  /// Iterate 1 survives; the caller empties it. The walk has its own epoch
+  /// because the enclosing propagation may have stamped region cells.
+  void rollbackLoop(Name FixDest, LoopInstance &Inst, Name It1) {
+    const Cell &First = Cells.at(It1);
+    Name It0 = First.Def->Srcs[0]; // iterate 1 ← ∇(iterate 0, pre-widen)
+    uint64_t Walk = ++Epoch;
+    std::vector<Name> Work = First.Deps, Region;
+    while (!Work.empty()) {
+      Name N = Work.back();
+      Work.pop_back();
+      if (N == FixDest)
         continue;
-      Loc CL;
-      std::vector<uint32_t> Counts;
-      if (!decodeCellState(N, CL, Counts))
-        continue; // statement cells survive rollback
-      std::span<const Loc> CNest = Info->loopNest(CL);
-      // Find L's position within this cell's nest; fix cells have one fewer
-      // count than their head's nest, which the position check tolerates.
-      size_t P = 0;
-      for (; P < CNest.size(); ++P)
-        if (CNest[P] == L)
-          break;
-      if (P >= CNest.size() || P >= Counts.size())
-        continue; // not inside this loop (or a shallower fix cell)
-      if (Counts[P] < 1)
+      Cell &C = Cells.at(N);
+      if (C.Seen == Walk)
         continue;
-      // Enclosing counts must match this instance's context.
-      bool CtxMatch = true;
-      for (size_t Q = 0; Q < P && CtxMatch; ++Q)
-        CtxMatch = Q < Counts.size() && Counts[Q] == (Ctx.count(CNest[Q])
-                                                          ? Ctx.at(CNest[Q])
-                                                          : 0u);
-      if (!CtxMatch)
-        continue;
-      ToDelete.push_back(N);
+      C.Seen = Walk;
+      Region.push_back(N);
+      Work.insert(Work.end(), C.Deps.begin(), C.Deps.end());
     }
-    (void)Pos;
-    for (Name N : ToDelete)
+    for (Name N : Region)
       removeCell(N);
-
     addComp(FixDest, FnKind::Fix, {It0, It1});
     Inst.K = 1;
-    // The first iterate survives but its value is stale: E-Loop empties it
-    // (the caller's propagation continues from it).
-    auto It = Cells.find(It1);
-    if (It != Cells.end() && It->second.hasValue()) {
-      It->second.V.reset();
-      if (!Degraded.empty())
-        Degraded.erase(It1);
-      if (Stats)
-        ++Stats->CellsDirtied;
-      if (OnCellEmptied)
-        OnCellEmptied(It1);
-    }
   }
 
   //===--------------------------------------------------------------------===//
@@ -1427,8 +1403,7 @@ private:
       for (const auto &[N, C] : Cells)
         if (C.T == CellType::StateTy && C.hasValue())
           Work.push_back(N);
-      std::set<Name> Visited;
-      propagateDirty(Work, Visited);
+      propagateDirty(Work);
       construct();
       return;
     }
@@ -1496,16 +1471,12 @@ private:
       if (!RollBack[Inst.Head])
         continue;
       Retired.push_back(FixDest);
-      if (Inst.K > 1) {
-        CountCtx Ctx(Inst.Ctx.begin(), Inst.Ctx.end());
-        Ctx[Inst.Head] = 1;
-        Seeds.push_back(stateCellName(Inst.Head, Ctx));
-      }
+      if (Inst.K > 1)
+        Seeds.push_back(Name::iter(FixDest, 1)); // iterate 1
     }
     if (!Seeds.empty()) {
       std::sort(Seeds.begin(), Seeds.end()); // Loops' order is incidental
-      std::set<Name> Visited;
-      propagateDirty(Seeds, Visited);
+      propagateDirty(Seeds);
     }
     for (Name FixDest : Retired)
       Loops.erase(FixDest);
@@ -1543,9 +1514,8 @@ private:
         Dirty.push_back(N);
         continue;
       }
-      auto DIt = Dependents.find(N); // a new statement: dirty its readers
-      if (DIt != Dependents.end())
-        Dirty.insert(Dirty.end(), DIt->second.begin(), DIt->second.end());
+      // A new statement: dirty its readers.
+      Dirty.insert(Dirty.end(), It->second.Deps.begin(), It->second.Deps.end());
     }
     for (Name N : OldCells)
       if (!std::binary_search(Rec.Built.begin(), Rec.Built.end(), N, ById) &&
@@ -1553,8 +1523,7 @@ private:
         Gone.push_back(N);
         Dirty.push_back(N);
       }
-    std::set<Name> Visited;
-    propagateDirty(Dirty, Visited);
+    propagateDirty(Dirty);
     for (Name N : Gone)
       removeCell(N);
   }
@@ -1648,13 +1617,19 @@ private:
 template <typename D>
   requires AbstractDomain<D>
 std::string Daig<D>::checkWellFormed() const {
-  // (2) unique destinations and (1) unique names hold by container keys;
-  // validate the remaining conditions.
-  for (const auto &[Dest, C] : CompOf) {
-    auto DIt = Cells.find(Dest);
-    if (DIt == Cells.end())
-      return "computation destination missing: " + Dest.toString();
-    if (DIt->second.T != CellType::StateTy)
+  // (1) unique names and (2) unique destinations hold by construction: one
+  // record per name, one computation per record. Validate the rest.
+  for (const auto &[Dest, R] : Cells) {
+    if (!R.Def) {
+      // (5) empty references have dependencies.
+      if (R.T == CellType::StateTy && !R.hasValue())
+        return "empty cell without a computation: " + Dest.toString();
+      if (R.T == CellType::StmtTy && !R.hasValue())
+        return "statement cell without content: " + Dest.toString();
+      continue;
+    }
+    const Comp &C = *R.Def;
+    if (R.T != CellType::StateTy)
       return "computation writes a statement cell: " + Dest.toString();
     for (size_t I = 0; I < C.Srcs.size(); ++I) {
       auto SIt = Cells.find(C.Srcs[I]);
@@ -1675,29 +1650,20 @@ std::string Daig<D>::checkWellFormed() const {
     if (C.F == FnKind::Widen && C.Srcs.size() != 2)
       return "widen edge without exactly two sources: " + Dest.toString();
   }
-  // (5) empty references have dependencies.
-  for (const auto &[N, C] : Cells) {
-    if (C.T == CellType::StateTy && !C.hasValue() && !CompOf.count(N))
-      return "empty cell without a computation: " + N.toString();
-    if (C.T == CellType::StmtTy && !C.hasValue())
-      return "statement cell without content: " + N.toString();
-  }
   // (3) acyclicity via Kahn's algorithm over computation edges.
   std::unordered_map<Name, unsigned, NameHash> InDeg;
-  for (const auto &[Dest, C] : CompOf)
-    InDeg[Dest] = static_cast<unsigned>(C.Srcs.size());
   std::vector<Name> Ready;
-  for (const auto &[N, C] : Cells)
-    if (!InDeg.count(N))
+  for (const auto &[N, R] : Cells) {
+    if (R.Def)
+      InDeg[N] = static_cast<unsigned>(R.Def->Srcs.size());
+    else
       Ready.push_back(N);
+  }
   size_t Processed = Ready.size();
   while (!Ready.empty()) {
     Name N = Ready.back();
     Ready.pop_back();
-    auto DIt = Dependents.find(N);
-    if (DIt == Dependents.end())
-      continue;
-    for (Name Dep : DIt->second) {
+    for (Name Dep : Cells.at(N).Deps) {
       auto IIt = InDeg.find(Dep);
       if (IIt == InDeg.end())
         continue;
@@ -1724,10 +1690,9 @@ std::string Daig<D>::checkAiConsistency() {
     if (!Degraded.empty() && Degraded.count(N))
       continue; // ⊤-substituted/tainted by a budget: deliberately not the
                 // value its computation produces (sound by construction)
-    auto CIt = CompOf.find(N);
-    if (CIt == CompOf.end())
+    if (!C.Def)
       continue; // φ0 cell
-    const Comp &Comp = CIt->second;
+    const Comp &Comp = *C.Def;
     bool AllFilled = true;
     for (Name S : Comp.Srcs) {
       auto SIt = Cells.find(S);

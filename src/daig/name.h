@@ -119,7 +119,7 @@ public:
   static Name num(uint64_t N);
   static Name pair(const Name &L, const Name &R);
   /// n^(Count): one iteration wrapper (innermost loop is the outermost
-  /// wrapper; see mkStateName in the DAIG builder).
+  /// wrapper; see stateCellName in the DAIG builder).
   static Name iter(const Name &Base, uint32_t Count);
 
   bool valid() const { return Id != kNoName; }

@@ -37,8 +37,8 @@ const std::string Fig10 = R"({"bench": "fig10_octagon_workload",
 const std::string Verify = R"({"bench": "batch_verify",
   "rows": [
     {"phase": "parallel_corpus", "domain": "interval", "threads": 2, "wall_ms": 30.0, "counters": {"parallel_result_mismatches": 0}},
-    {"phase": "recheck", "domain": "interval", "vars": 8, "wall_ms": 12.0, "counters": {"checks_rechecked": 1500, "verdict_mismatches": 0}},
-    {"phase": "recheck", "domain": "interval", "vars": 16, "wall_ms": 40.0, "counters": {"checks_rechecked": 2000, "verdict_mismatches": 0}},
+    {"phase": "recheck", "domain": "interval", "vars": 8, "wall_ms": 12.0, "counters": {"transfers": 14300, "cells_dirtied": 15500, "checks_rechecked": 1500, "verdict_mismatches": 0}},
+    {"phase": "recheck", "domain": "interval", "vars": 16, "wall_ms": 40.0, "counters": {"transfers": 14100, "cells_dirtied": 15600, "checks_rechecked": 2000, "verdict_mismatches": 0}},
     {"phase": "corpus", "domain": "arr_interval", "threads": 1, "wall_ms": 4.0, "counters": {"unsafe_expected": 3, "unsafe_missed": 0}}
   ]})";
 
@@ -214,6 +214,17 @@ TEST(BenchGate, CheckerRegressionFails) {
   EXPECT_TRUE(
       verdict(both(Verify, set(Verify, "checks_rechecked", "2000", "2200")), 1,
               "FAIL [batch_verify recheck/interval vars=16"));
+}
+
+TEST(BenchGate, DaigWorkRegressionFails) {
+  EXPECT_TRUE(
+      verdict(both(Verify, set(Verify, "cells_dirtied", "15600", "16500")), 1,
+              "FAIL [batch_verify recheck/interval vars=16 cells_dirtied]: "
+              "regressed"));
+  EXPECT_TRUE(
+      verdict(both(Verify, set(Verify, "transfers", "14300", "15100")), 1,
+              "FAIL [batch_verify recheck/interval vars=8 transfers]: "
+              "regressed"));
 }
 
 TEST(BenchGate, CheckerVerdictMismatchFails) {

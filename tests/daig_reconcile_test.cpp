@@ -12,7 +12,9 @@
 /// on the production entry points and the other on the full rebuild, and
 /// require identical cells, computations, values, loop counts and degraded
 /// marks after every edit and every query batch. They also pin that a
-/// structural edit's rebuilt cell count does not grow with program size.
+/// structural edit's rebuilt cell count does not grow with program size,
+/// and check E-Loop rollback's forward walk against the whole-DAIG scan it
+/// replaced (DaigRollback).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,7 +29,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <set>
 
 namespace dai {
 
@@ -52,6 +58,8 @@ struct DaigTestPeer {
       const auto &CB = It->second;
       if (CA.T != CB.T || CA.hasValue() != CB.hasValue())
         return "cell " + N.toString() + " differs in type or fill";
+      if (CA.Def != CB.Def)
+        return "computation of " + N.toString() + " differs";
       if (!CA.hasValue())
         continue;
       if (CA.T == Daig<D>::CellType::StmtTy) {
@@ -60,13 +68,6 @@ struct DaigTestPeer {
       } else if (!D::equal(*CA.value(), *CB.value())) {
         return "value of " + N.toString() + " differs";
       }
-    }
-    if (A.CompOf.size() != B.CompOf.size())
-      return "computation counts differ";
-    for (const auto &[N, C] : A.CompOf) {
-      auto It = B.CompOf.find(N);
-      if (It == B.CompOf.end() || !(It->second == C))
-        return "computation of " + N.toString() + " differs";
     }
     if (A.Loops.size() != B.Loops.size())
       return "loop instance counts differ";
@@ -79,6 +80,29 @@ struct DaigTestPeer {
     if (A.Degraded != B.Degraded)
       return "degraded marks differ";
     return "";
+  }
+
+  /// The names of \p G's cells.
+  template <typename D> static std::set<Name> cellNames(const Daig<D> &G) {
+    std::set<Name> Out;
+    for (const auto &[N, C] : G.Cells)
+      Out.insert(N);
+    return Out;
+  }
+
+  /// One loop instance as a DAIG records it.
+  struct LoopRecord {
+    Name Fix;
+    Loc Head;
+    std::vector<std::pair<Loc, uint32_t>> Ctx; ///< Enclosing counts.
+    uint32_t K;
+  };
+  template <typename D>
+  static std::vector<LoopRecord> loops(const Daig<D> &G) {
+    std::vector<LoopRecord> Out;
+    for (const auto &[Fix, I] : G.Loops)
+      Out.push_back({Fix, I.Head, I.Ctx, I.K});
+    return Out;
   }
 };
 
@@ -451,6 +475,228 @@ TEST(DaigReconcile, RebuiltCellsDoNotGrowWithProgramSize) {
   uint64_t Small = rebuiltCells(50), Large = rebuiltCells(500);
   EXPECT_GT(Small, 0u);
   EXPECT_EQ(Small, Large);
+}
+
+//===----------------------------------------------------------------------===//
+// E-Loop rollback against the whole-DAIG scan it replaced
+//===----------------------------------------------------------------------===//
+
+/// Decodes a state name ℓ^(c1)…^(ck) into its location and counts,
+/// outermost loop first.
+bool decodeState(Name N, Loc &L, std::vector<uint32_t> &Counts) {
+  Counts.clear();
+  for (; N.kind() == Name::Kind::Iter; N = N.iterBase())
+    Counts.insert(Counts.begin(), N.iterCount());
+  if (N.kind() != Name::Kind::Loc)
+    return false;
+  L = N.locId();
+  return true;
+}
+
+/// The selection rule of the scan over every cell that E-Loop rollback
+/// once ran, kept as the reference for the forward walk that replaced it.
+/// A cell belongs to instance \p I's unrolled region when its state part (a
+/// pre-join cell's state, a pre-widen cell's first iterate) lies in I's
+/// loop at a count ≥ 1 under I's enclosing counts — except iterate 1 and
+/// the pre-widen cell (0, 1), which the rollback keeps.
+bool inUnrolledRegion(Name N, const DaigTestPeer::LoopRecord &I,
+                      const CfgInfo &Info) {
+  auto countOf = [&](Loc H, uint32_t AtHead) -> uint32_t {
+    if (H == I.Head)
+      return AtHead;
+    for (const auto &[CH, C] : I.Ctx)
+      if (CH == H)
+        return C;
+    return 0;
+  };
+  auto iterate = [&](uint32_t C) {
+    Name It = Name::loc(I.Head);
+    for (Loc H : Info.loopNest(I.Head))
+      It = Name::iter(It, countOf(H, C));
+    return It;
+  };
+  if (N == iterate(1) || N == Name::pair(iterate(0), iterate(1)))
+    return false;
+  Name State = N;
+  if (N.kind() == Name::Kind::Pair) {
+    Name Left = N.left();
+    if (Left.kind() == Name::Kind::Num)
+      State = N.right();
+    else if (Left.kind() == Name::Kind::Iter)
+      State = Left;
+    else
+      return false; // a statement cell
+  }
+  Loc L;
+  std::vector<uint32_t> Counts;
+  if (!decodeState(State, L, Counts))
+    return false;
+  std::span<const Loc> Nest = Info.loopNest(L);
+  size_t P = std::find(Nest.begin(), Nest.end(), I.Head) - Nest.begin();
+  if (P >= Nest.size() || P >= Counts.size() || Counts[P] < 1)
+    return false;
+  for (size_t Q = 0; Q < P; ++Q)
+    if (Counts[Q] != countOf(Nest[Q], 0))
+      return false;
+  return true;
+}
+
+/// \p Names as text, for failure messages.
+std::string listed(const std::set<Name> &Names) {
+  std::string Out;
+  for (Name N : Names)
+    Out += N.toString() + " ";
+  return Out;
+}
+
+/// Replaces the statement on edge \p Id of \p G's graph by \p New and checks
+/// that the edit removes exactly the cells the reference rule selects for
+/// the instances it rolls back and leaves \p G audit-clean. Returns the
+/// unrolled instances the edit leaves unrolled.
+size_t checkRollbackEdit(Daig<IntervalDomain> &G, EdgeId Id, Stmt New) {
+  std::set<Name> Before = DaigTestPeer::cellNames(G);
+  std::vector<DaigTestPeer::LoopRecord> LoopsBefore = DaigTestPeer::loops(G);
+  EXPECT_TRUE(G.applyStatementEdit(Id, std::move(New)));
+  std::set<Name> After = DaigTestPeer::cellNames(G);
+  std::map<Name, uint32_t> KAfter;
+  for (const DaigTestPeer::LoopRecord &I : DaigTestPeer::loops(G))
+    KAfter[I.Fix] = I.K;
+
+  std::set<Name> Expected;
+  size_t Kept = 0;
+  for (const DaigTestPeer::LoopRecord &I : LoopsBefore) {
+    if (I.K <= 1)
+      continue;
+    auto It = KAfter.find(I.Fix);
+    if (It != KAfter.end() && It->second == I.K) {
+      ++Kept;
+      continue;
+    }
+    for (Name N : Before)
+      if (inUnrolledRegion(N, I, G.info()))
+        Expected.insert(N);
+  }
+  std::set<Name> Removed;
+  std::set_difference(Before.begin(), Before.end(), After.begin(),
+                      After.end(), std::inserter(Removed, Removed.end()));
+  EXPECT_TRUE(std::includes(Before.begin(), Before.end(), After.begin(),
+                            After.end()))
+      << "the edit built cells";
+  EXPECT_EQ(listed(Removed), listed(Expected));
+  EXPECT_EQ(G.auditInvariants(), "");
+  return Kept;
+}
+
+/// One statement edit and what it must cost. The counters are the ones the
+/// scan-based rollback gave, so a change in the order dirtying visits
+/// dependents (which decides how many region cells are emptied before
+/// their rollback deletes them) fails here.
+struct RollbackEdit {
+  const char *Label; ///< The statement replaced.
+  Stmt New;
+  uint64_t Dirtied;   ///< Statistics::CellsDirtied of the edit.
+  uint64_t Transfers; ///< Statistics::Transfers of the re-query after it.
+  size_t Kept;        ///< Unrolled instances the edit leaves unrolled.
+};
+
+/// Applies \p Edits in turn to a fully queried DAIG of \p Source: each must
+/// pass checkRollbackEdit, cost the pinned counters and re-answer every
+/// location as a from-scratch run does.
+void checkRollbacks(const char *Source,
+                    const std::vector<RollbackEdit> &Edits) {
+  Function F = mustLowerFn(Source, "main");
+  Statistics Stats;
+  Daig<IntervalDomain> G(&F.Body, IntervalDomain::initialEntry(F.Params),
+                         &Stats);
+  G.queryAllLocations();
+  for (const RollbackEdit &E : Edits) {
+    SCOPED_TRACE(E.Label);
+    uint64_t Dirtied = Stats.CellsDirtied, Transfers = Stats.Transfers;
+    EXPECT_EQ(checkRollbackEdit(G, edgeOf(F.Body, E.Label), E.New), E.Kept);
+    EXPECT_EQ(Stats.CellsDirtied - Dirtied, E.Dirtied);
+    expectFromScratchConsistent<IntervalDomain>(F, G, E.Label);
+    EXPECT_EQ(Stats.Transfers - Transfers, E.Transfers);
+  }
+}
+
+/// NestedSource with a third loop in the inner body; the inner loop's bound
+/// leaves it unrolled at outer count 0 too.
+constexpr const char *TripleNestedSource = R"(
+  function main(n) {
+    var i = 0;
+    var s = 0;
+    while (i < 10) {
+      var j = 0;
+      while (j < i + 2) {
+        s = s + j;
+        var k = 0;
+        while (k < j) {
+          k = k + 1;
+        }
+        j = j + 1;
+      }
+      i = i + 1;
+    }
+    var t = s + 1;
+    return t;
+  })";
+
+// Each program takes an edit in the inner body, one at the outer latch after
+// the inner loop, and one before the outer loop.
+TEST(DaigRollback, NestedLoopsDeleteWhatTheScanSelected) {
+  checkRollbacks(NestedSource,
+                 {{"s = s + j", bump("s", 2), 13, 35, 0},
+                  {"i = i + 1", bump("i", 2), 7, 31, 0},
+                  {"s = 0", Stmt::mkAssign("s", Expr::mkInt(1)), 17, 39, 0}});
+}
+
+// At the outer latch, the two unrolled instances at outer count 0 keep
+// their unrollings.
+TEST(DaigRollback, TripleNestedLoopsDeleteWhatTheScanSelected) {
+  checkRollbacks(TripleNestedSource,
+                 {{"s = s + j", bump("s", 2), 43, 52, 0},
+                  {"i = i + 1", bump("i", 2), 7, 31, 2},
+                  {"s = 0", Stmt::mkAssign("s", Expr::mkInt(1)), 24, 56, 0}});
+}
+
+/// Generated programs with nested loops (random while and if insertions),
+/// fully queried, then statement edits inside loops: every rollback deletes
+/// what the reference rule selects.
+TEST(DaigRollback, GeneratedProgramsDeleteWhatTheScanSelected) {
+  size_t RolledBackEdits = 0;
+  for (uint64_t Seed : {3u, 17u, 42u}) {
+    WorkloadOptions WO;
+    WO.Seed = Seed;
+    WO.NumVars = 6;
+    WO.PctStmt = 50;
+    WO.PctIf = 20;
+    WO.PctWhile = 30;
+    WorkloadGenerator Gen(WO);
+    Program P = Gen.makeInitialProgram();
+    for (int I = 0; I < 40; ++I)
+      Gen.applyRandomEdit(P);
+    Function &F = *P.find("main");
+    Daig<IntervalDomain> G(&F.Body, IntervalDomain::initialEntry(F.Params));
+    Rng R(Seed);
+    for (int I = 0; I < 40; ++I) {
+      G.queryAllLocations();
+      std::vector<EdgeId> InLoops;
+      for (const auto &[Id, E] : F.Body.edges())
+        if (E.Label.Kind == StmtKind::Assign && G.info().reachable(E.Dst) &&
+            G.info().inAnyLoop(E.Dst))
+          InLoops.push_back(Id);
+      ASSERT_FALSE(InLoops.empty()) << "seed " << Seed;
+      EdgeId Id = InLoops[R.below(InLoops.size())];
+      std::string Var = F.Body.findEdge(Id)->Label.Lhs;
+      size_t Unrolled = G.unrolledLoopCount();
+      SCOPED_TRACE("seed " + std::to_string(Seed) + " edit " +
+                   std::to_string(I));
+      checkRollbackEdit(G, Id, bump(Var.c_str(), R.range(-3, 3)));
+      RolledBackEdits += G.unrolledLoopCount() < Unrolled;
+    }
+    expectFromScratchConsistent<IntervalDomain>(F, G, "generated");
+  }
+  EXPECT_GT(RolledBackEdits, 20u);
 }
 
 } // namespace
