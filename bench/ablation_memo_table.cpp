@@ -13,15 +13,14 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "bench/rows.h"
 #include "daig/daig.h"
 #include "domain/octagon.h"
 #include "interproc/engine.h"
-#include "support/observe.h"
 #include "workload/generator.h"
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 
 using namespace dai;
 
@@ -64,11 +63,14 @@ double runTrial(bool UseMemo, unsigned Edits, uint64_t Seed,
 int main(int argc, char **argv) {
   unsigned Edits = 250;
   uint64_t Seed = 7;
-  for (int I = 1; I < argc; ++I) {
-    if (!std::strcmp(argv[I], "--edits") && I + 1 < argc)
-      Edits = static_cast<unsigned>(std::strtol(argv[++I], nullptr, 10));
-    else if (!std::strcmp(argv[I], "--seed") && I + 1 < argc)
-      Seed = static_cast<uint64_t>(std::strtol(argv[++I], nullptr, 10));
+  bench::Flags F(argc, argv, "[--edits N] [--seed S]");
+  while (F.next()) {
+    if (F.is("--edits"))
+      Edits = F.number();
+    else if (F.is("--seed"))
+      Seed = F.number<uint64_t>();
+    else
+      F.unknown();
   }
 
   std::printf("# Ablation A1: auxiliary memo table on/off, demand-driven-"
@@ -77,9 +79,15 @@ int main(int argc, char **argv) {
   std::printf("%-12s %12s %14s %12s %12s %12s\n", "Memo", "total(ms)",
               "transfers", "memo hits", "memo misses", "evictions");
 
+  // Each configuration's work: its Statistics plus the thread's counter
+  // families (closure work, ...) over its own run.
   Statistics WithStats, WithoutStats;
+  ThreadCounters Start = ThreadCounters::snapshot();
   double With = runTrial(true, Edits, Seed, WithStats);
+  ThreadCounters Mid = ThreadCounters::snapshot();
   double Without = runTrial(false, Edits, Seed, WithoutStats);
+  ThreadCounters WithDomain = Mid.deltaSince(Start);
+  ThreadCounters WithoutDomain = ThreadCounters::snapshot().deltaSince(Mid);
 
   std::printf("%-12s %12.1f %14llu %12llu %12llu %12llu\n", "enabled", With,
               (unsigned long long)WithStats.Transfers,
@@ -100,15 +108,24 @@ int main(int argc, char **argv) {
                                         ? WithoutStats.Transfers
                                         : 1)));
 
-  // Machine-readable tail: both configurations' Statistics published
-  // through the MetricsRegistry export bridge, so the emitted field names
-  // are exactly the bench-gate schema (memo_hits, memo_misses, ...) and
-  // cannot drift from it.
-  MetricsRegistry Reg;
-  exportStatistics(WithStats, Reg, "memo_on_");
-  exportStatistics(WithoutStats, Reg, "memo_off_");
-  exportDomainCounters(Reg);
-  exportTraceStats(Reg);
-  std::printf("\nJSON: %s\n", Reg.toJson().c_str());
+  // Machine-readable tail: one row per configuration, counters under their
+  // table names.
+  std::printf("\n");
+  bench::Row On("memo_on", "octagon", "edits", Edits, With);
+  On.addFamily(WithStats);
+  On.addThreadCounters(WithDomain);
+  bench::Row Off("memo_off", "octagon", "edits", Edits, Without);
+  Off.addFamily(WithoutStats);
+  Off.addThreadCounters(WithoutDomain);
+  std::printf("JSON: %s\nJSON: %s\n", On.json().c_str(), Off.json().c_str());
+
+  // The claim the ablation makes: the memo table saves transfers.
+  if (WithStats.Transfers >= WithoutStats.Transfers) {
+    std::printf("# memo-on did %llu transfers, memo-off %llu: expected "
+                "fewer with the memo table\n",
+                (unsigned long long)WithStats.Transfers,
+                (unsigned long long)WithoutStats.Transfers);
+    return 1;
+  }
   return 0;
 }

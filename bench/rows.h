@@ -5,19 +5,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// What bench_fig10_octagon_workload and bench_batch_verify share: the JSON
-/// they write, which bench/gate.h reads, and their command-line parser.
+/// What the benches share: the JSON row they report a result in, the file
+/// bench_fig10_octagon_workload and bench_batch_verify write (which
+/// bench/gate.h reads), and the command-line parser.
 ///
-/// A bench JSON is a header (`bench` plus the run parameters), the
-/// process-wide `counters` of the run (the trace audit), and a `rows` array
-/// holding every result, one per line:
+/// A row is one line:
 ///
-///   {"phase": P, "domain": D, "vars"|"threads": N, "wall_ms": T,
+///   {"phase": P, "domain": D, "vars"|"threads"|...: N, "wall_ms": T,
 ///    "counters": {"name": value, ...}}
 ///
 /// (phase, domain, axis) identifies a row. Counters carry the counter
 /// table's export names (support/statistics.h) or the bench's own tallies;
-/// nothing prefixes them, since the row already names its domain.
+/// nothing prefixes them, since the row already names its domain. A bench
+/// JSON is a header (`bench` plus the run parameters), the process-wide
+/// `counters` of the run (the trace audit), and a `rows` array holding
+/// every result; the report benches print their rows as `JSON:` lines.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,7 +50,9 @@ struct Row {
 
   std::string Phase;
   std::string Domain;
-  const char *Axis; ///< "vars" or "threads".
+  /// "vars" or "threads" in a bench JSON, the only axes the gate reads; a
+  /// report bench's `JSON:` row may name its own ("k", "edits", ...).
+  const char *Axis;
   unsigned At;
   double WallMs;
   std::string Counters; ///< `"name": value` pairs, comma-separated.
@@ -68,6 +72,15 @@ struct Row {
   }
   void addThreadCounters(const ThreadCounters &T) {
     ThreadCounters::forEachFamily([&](auto M) { addFamily(T.*M); });
+  }
+
+  /// The row as one JSON object.
+  std::string json() const {
+    char Axes[96];
+    std::snprintf(Axes, sizeof Axes, "\"%s\": %u, \"wall_ms\": %.3f", Axis, At,
+                  WallMs);
+    return "{\"phase\": \"" + Phase + "\", \"domain\": \"" + Domain + "\", " +
+           Axes + ", \"counters\": {" + Counters + "}}";
   }
 
 private:
@@ -93,19 +106,16 @@ inline bool writeRows(const std::string &Path, const char *Bench,
   }
   // The benches run un-traced, so the gate requires both trace counters to
   // be zero: a nonzero one means a hook recorded on the measured paths.
-  MetricsRegistry Trace;
-  exportTraceStats(Trace);
-  std::fprintf(F, "{\n  \"bench\": \"%s\",\n%s  \"counters\": %s,\n"
-                  "  \"rows\": [\n",
-               Bench, Header.c_str(), Trace.toJson().c_str());
-  for (size_t I = 0; I < Rows.size(); ++I) {
-    const Row &R = Rows[I];
-    std::fprintf(F,
-                 "    {\"phase\": \"%s\", \"domain\": \"%s\", \"%s\": %u, "
-                 "\"wall_ms\": %.3f, \"counters\": {%s}}%s\n",
-                 R.Phase.c_str(), R.Domain.c_str(), R.Axis, R.At, R.WallMs,
-                 R.Counters.c_str(), I + 1 < Rows.size() ? "," : "");
-  }
+  TraceStats Trace = traceStats();
+  std::fprintf(F,
+               "{\n  \"bench\": \"%s\",\n%s  \"counters\": "
+               "{\"dai_trace_events_dropped\": %llu, "
+               "\"dai_trace_events_recorded\": %llu},\n  \"rows\": [\n",
+               Bench, Header.c_str(), (unsigned long long)Trace.EventsDropped,
+               (unsigned long long)Trace.EventsRecorded);
+  for (size_t I = 0; I < Rows.size(); ++I)
+    std::fprintf(F, "    %s%s\n", Rows[I].json().c_str(),
+                 I + 1 < Rows.size() ? "," : "");
   std::fprintf(F, "  ]\n}\n");
   bool Ok = std::fclose(F) == 0;
   if (!Ok)

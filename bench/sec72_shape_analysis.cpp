@@ -14,10 +14,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "bench/rows.h"
 #include "cfg/lowering.h"
 #include "daig/daig.h"
 #include "domain/shape.h"
-#include "support/observe.h"
 
 #include <chrono>
 #include <cstdio>
@@ -120,7 +120,8 @@ int main() {
               "wf-result?", "unrolls", "transfers", "time(us)");
 
   int Failures = 0;
-  MetricsRegistry Reg;
+  Statistics Total;
+  double TotalUs = 0;
   for (const ListProgram &P : ListPrograms) {
     LowerResult LR = frontend(P.Source);
     if (!LR.ok()) {
@@ -145,18 +146,19 @@ int main() {
     if (Safe != P.ExpectSafe ||
         (P.ExpectWellFormedResult && !WellFormed))
       ++Failures;
-    // Counters add, so the registry accumulates the corpus-wide totals
-    // under the established bench field names.
-    exportStatistics(Stats, Reg);
+    Total.mergeFrom(Stats);
+    TotalUs += Us;
   }
   std::printf("\n# Paper: all utilities verify; append converges in one "
               "demanded unrolling.\n");
 
-  Reg.add("shape_programs", static_cast<uint64_t>(
-                                sizeof(ListPrograms) / sizeof(ListPrograms[0])));
-  Reg.add("shape_failures", static_cast<uint64_t>(Failures));
-  exportTraceStats(Reg);
-  std::printf("\nJSON: %s\n", Reg.toJson().c_str());
+  // Machine-readable tail: the corpus-wide totals in one row.
+  bench::Row Row("sec72_shape", "shape", "programs",
+                 sizeof(ListPrograms) / sizeof(ListPrograms[0]),
+                 TotalUs / 1000);
+  Row.add("failures", static_cast<uint64_t>(Failures));
+  Row.addFamily(Total);
+  std::printf("\nJSON: %s\n", Row.json().c_str());
   if (Failures) {
     std::printf("# %d UNEXPECTED verification outcomes\n", Failures);
     return 1;

@@ -14,6 +14,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "analysis/checker.h"
 #include "cfg/lowering.h"
 #include "domain/interval.h"
 #include "interproc/engine.h"
@@ -24,26 +25,31 @@ using namespace dai;
 
 namespace {
 
-/// Checks every array access of every analyzed instance.
-void verify(InterprocEngine<IntervalDomain> &Engine, const char *Label) {
+/// Checks every array access of every analyzed instance: an access is
+/// verified when the checker answers SAFE (or UNREACHABLE) in its pre-state.
+/// Returns true when every access is verified.
+bool verify(InterprocEngine<IntervalDomain> &Engine, const char *Label) {
   Engine.analyzeAllFromMain();
   unsigned Total = 0, Verified = 0;
   Engine.forEachInstance([&](const auto &Key, Daig<IntervalDomain> &G) {
-    const Cfg *C = Engine.cfgOf(Key.Fn);
-    for (const auto &[Id, E] : C->edges()) {
-      if (!G.info().reachable(E.Src))
+    for (const Obligation &Ob : collectObligations(
+             *Engine.cfgOf(Key.Fn), checkMask(CheckKind::ArrayBounds))) {
+      if (!G.info().reachable(Ob.At))
         continue;
-      IntervalState Pre = G.queryLocation(E.Src);
-      ObligationSummary Sum = checkArrayObligations(Pre, E.Label);
-      Total += Sum.Total;
-      Verified += Sum.Verified;
-      if (Sum.Verified < Sum.Total)
-        std::printf("  UNPROVEN: %s in %s, pre-state %s\n",
-                    E.Label.toString().c_str(), Key.toString().c_str(),
+      IntervalState Pre = G.queryLocation(Ob.At);
+      Verdict V = evaluateObligation<IntervalDomain>(Ob, Pre,
+                                                     G.locationDegraded(Ob.At));
+      ++Total;
+      if (V == Verdict::Safe || V == Verdict::Unreachable)
+        ++Verified;
+      else
+        std::printf("  UNPROVEN: %s in %s, pre-state %s\n", Ob.Text.c_str(),
+                    Key.toString().c_str(),
                     IntervalDomain::toString(Pre).c_str());
     }
   });
   std::printf("%s: %u/%u accesses verified\n", Label, Verified, Total);
+  return Verified == Total;
 }
 
 } // namespace
@@ -89,7 +95,7 @@ int main() {
   {
     LowerResult LR = frontend(Source);
     InterprocEngine<IntervalDomain> Engine(std::move(LR.Prog), "main", 2);
-    verify(Engine, "k=2 before edit");
+    bool Before = verify(Engine, "k=2 before edit");
 
     // The developer changes the prefix length to an out-of-bounds 7 — the
     // incremental re-verification must catch it.
@@ -102,14 +108,20 @@ int main() {
         Stmt::mkCall("r", "sumPrefix",
                      {Expr::mkVar("data"), Expr::mkInt(7)}));
     std::printf("\nedit: sumPrefix(data, 6) -> sumPrefix(data, 7)\n");
-    verify(Engine, "k=2 after bad edit");
+    bool AfterBadEdit = verify(Engine, "k=2 after bad edit");
 
     Engine.applyStatementEdit(
         "main", CallEdge,
         Stmt::mkCall("r", "sumPrefix",
                      {Expr::mkVar("data"), Expr::mkInt(5)}));
     std::printf("\nedit: sumPrefix(data, 7) -> sumPrefix(data, 5)\n");
-    verify(Engine, "k=2 after fix");
+    bool AfterFix = verify(Engine, "k=2 after fix");
+
+    if (!Before || AfterBadEdit || !AfterFix) {
+      std::fprintf(stderr, "expected every access verified before the edit "
+                           "and after the fix, and one unproven between\n");
+      return 1;
+    }
   }
   return 0;
 }

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Observability walkthrough: trace a demanded analysis, explain a query's
-/// demand provenance, and snapshot the metrics registry.
+/// demand provenance, and print the run's counters.
 ///
 ///  1. Enable structured tracing, run interval queries over a small
 ///     program, and export both Chrome trace_event JSON (load it in
@@ -16,8 +16,8 @@
 ///     demand tree — which cells the query traversed and whether each was
 ///     reused, evaluated fresh, answered by the memo table, or
 ///     ⊤-substituted by the budget — as text and Graphviz DOT.
-///  3. Publish the run's counters onto the MetricsRegistry under the bench
-///     JSON field names and print the deterministic snapshot.
+///  3. Print every counter family of the run (support/statistics.h) under
+///     its bench JSON field names.
 ///
 /// Build & run:  ./build/example_trace_explain
 /// The DAI_TRACE=<file> environment variable (honored by every dai-cpp
@@ -32,6 +32,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <iostream>
 
 using namespace dai;
 
@@ -107,11 +108,11 @@ int main() {
   std::fclose(Dot);
   std::printf("wrote trace_explain.demand.dot (render with `dot -Tsvg`)\n\n");
 
-  // 3. Metrics snapshot under the established bench field names.
-  MetricsRegistry Reg;
-  exportStatistics(Stats, Reg);
-  exportDomainCounters(Reg);
-  exportTraceStats(Reg);
-  std::printf("== metrics snapshot ==\n%s\n", Reg.toJson().c_str());
+  // 3. The run's counters, one family per line, under the bench field
+  //    names.
+  std::cout << "== counters ==\n" << Stats << '\n';
+  ThreadCounters::forEachFamily(
+      [](auto M) { std::cout << ThreadCounters::live().*M << '\n'; });
+  std::cout << nameTableCounters() << '\n';
   return 0;
 }

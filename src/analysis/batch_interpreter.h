@@ -172,16 +172,6 @@ private:
   }
 };
 
-/// Convenience wrapper: analyze \p F from its domain-defined entry state.
-template <typename D>
-  requires AbstractDomain<D>
-std::map<Loc, typename D::Elem>
-batchAnalyze(const Function &F, const CfgInfo &Info,
-             Statistics *Stats = nullptr) {
-  BatchInterpreter<D> Interp(F.Body, Info, Stats);
-  return Interp.run(D::initialEntry(F.Params));
-}
-
 } // namespace dai
 
 #endif // DAI_ANALYSIS_BATCH_INTERPRETER_H

@@ -87,17 +87,3 @@ std::string Cfg::toString() const {
        << "}--> l" << E.Dst << "\n";
   return OS.str();
 }
-
-std::string Cfg::toDot(const std::string &Title) const {
-  std::ostringstream OS;
-  OS << "digraph \"" << Title << "\" {\n";
-  OS << "  l" << Entry << " [shape=doublecircle];\n";
-  OS << "  l" << Exit << " [shape=doubleoctagon];\n";
-  for (const auto &[Id, E] : edges()) {
-    (void)Id;
-    OS << "  l" << E.Src << " -> l" << E.Dst << " [label=\""
-       << E.Label.toString() << "\"];\n";
-  }
-  OS << "}\n";
-  return OS.str();
-}

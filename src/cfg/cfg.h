@@ -189,9 +189,6 @@ public:
   /// Renders the CFG as readable text (one edge per line).
   std::string toString() const;
 
-  /// Renders the CFG in Graphviz dot format.
-  std::string toDot(const std::string &Title = "cfg") const;
-
 private:
   Loc Entry;
   Loc Exit;

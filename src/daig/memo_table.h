@@ -96,14 +96,6 @@ public:
   /// to a shared table, the last attach wins.
   void attachStatistics(Statistics *S) { Stats = S; }
 
-  /// Detaches \p S if it is the current sink (no-op otherwise) — callers
-  /// whose Statistics dies before a shared table MUST call this, or the
-  /// table would keep counting into freed memory.
-  void detachStatistics(Statistics *S) {
-    if (Stats == S)
-      Stats = nullptr;
-  }
-
   /// Returns the memoized result for \p Key — the stored object itself —
   /// marking the entry most-recently-used; null when absent.
   ElemPtr lookup(const MemoKey &Key) {

@@ -650,65 +650,3 @@ IntervalState IntervalDomain::exitCall(const IntervalState &Caller,
   Out.set(CallSite.Lhs, CalleeExit.get(RetVar));
   return Out;
 }
-
-//===----------------------------------------------------------------------===//
-// Array-bounds verification client
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-void checkExprAccesses(const ExprPtr &E, const IntervalState &Pre,
-                       ObligationSummary &Sum) {
-  if (!E)
-    return;
-  if (E->Kind == ExprKind::Index) {
-    ++Sum.Total;
-    Interval Idx = evalImpl(E->Rhs, Pre).Num;
-    Interval Len = evalImpl(E->Lhs, Pre).Len;
-    bool InBounds = !Idx.isEmpty() && Idx.lo() >= 0 &&
-                    Len.lo() != Interval::kNegInf && Len.lo() >= 1 &&
-                    Idx.hi() != Interval::kPosInf && Idx.hi() <= Len.lo() - 1;
-    if (InBounds)
-      ++Sum.Verified;
-  }
-  checkExprAccesses(E->Lhs, Pre, Sum);
-  checkExprAccesses(E->Rhs, Pre, Sum);
-  for (const auto &Elem : E->Elems)
-    checkExprAccesses(Elem, Pre, Sum);
-}
-
-} // namespace
-
-ObligationSummary dai::checkArrayObligations(const IntervalState &Pre,
-                                             const Stmt &S) {
-  ObligationSummary Sum;
-  if (Pre.Bottom) {
-    // Unreachable code: obligations hold vacuously. Count accesses so totals
-    // are stable across context policies.
-    IntervalState Top;
-    ObligationSummary Counted;
-    checkExprAccesses(S.Index, Top, Counted);
-    checkExprAccesses(S.Rhs, Top, Counted);
-    for (const auto &A : S.Args)
-      checkExprAccesses(A, Top, Counted);
-    if (S.Kind == StmtKind::ArrayWrite)
-      ++Counted.Total;
-    Counted.Verified = Counted.Total;
-    return Counted;
-  }
-  checkExprAccesses(S.Index, Pre, Sum);
-  checkExprAccesses(S.Rhs, Pre, Sum);
-  for (const auto &A : S.Args)
-    checkExprAccesses(A, Pre, Sum);
-  if (S.Kind == StmtKind::ArrayWrite) {
-    ++Sum.Total;
-    Interval Idx = IntervalDomain::eval(S.Index, Pre).Num;
-    Interval Len = Pre.get(S.Lhs).Len;
-    bool InBounds = !Idx.isEmpty() && Idx.lo() >= 0 &&
-                    Len.lo() != Interval::kNegInf && Len.lo() >= 1 &&
-                    Idx.hi() != Interval::kPosInf && Idx.hi() <= Len.lo() - 1;
-    if (InBounds)
-      ++Sum.Verified;
-  }
-  return Sum;
-}

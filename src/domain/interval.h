@@ -13,8 +13,9 @@
 ///
 /// Abstract states map variables to a per-variable abstraction carrying a
 /// numeric interval plus, for arrays, a length interval and an element
-/// summary interval — enough to discharge the paper's array-bounds
-/// verification client (`0 <= i < a.length`).
+/// summary interval — enough for the checker's ⊥-probes
+/// (analysis/checker.h) to discharge the paper's array-bounds obligations
+/// (`0 <= i < a.length`).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -207,17 +208,6 @@ struct IntervalDomain {
   /// Refines \p State under the assumption that \p Cond holds.
   static Elem assume(const Elem &State, const ExprPtr &Cond);
 };
-
-/// Array-bounds verification client (the paper's Section 7.2 study).
-struct ObligationSummary {
-  unsigned Total = 0;    ///< Array accesses in the statement.
-  unsigned Verified = 0; ///< Accesses proven in-bounds in the given state.
-};
-
-/// Counts and discharges `0 <= i < a.length` obligations for every array
-/// access in \p S, evaluated against the abstract pre-state \p Pre.
-ObligationSummary checkArrayObligations(const IntervalState &Pre,
-                                        const Stmt &S);
 
 } // namespace dai
 

@@ -100,7 +100,6 @@ public:
   const std::string &error() const { return CG.Error; }
   Program &program() { return Prog; }
   Statistics &statistics() { return Stats; }
-  MemoTable<D> &memoTable() { return Memo; }
 
   /// Records the number of threads a caller grants analyzeAllFromMain (0 =
   /// hardware concurrency). Every pass runs on the calling thread at any
@@ -119,37 +118,11 @@ public:
   /// call site contributing), which invalidates consumers of its summary;
   /// passes repeat until no summary is invalidated. Entry growth is widened,
   /// so the pass count is finite even in infinite-height domains.
-  Elem queryMain(Loc L) {
-    budgetState().TaintPending = false; // top-level query: fresh frame
-    Instance &Root = instanceFor(rootKey(), /*Seed=*/true);
-    uint64_t Passes = 0;
-    for (;;) {
-      TraceSpan Sp("interproc.quiescence_pass", Passes);
-      Elem V = Root.G->queryLocation(L);
-      if (!drainDirtyExits())
-        return V;
-      budgetCheckpoint("interprocedural quiescence pass");
-      if (++Passes >= analysisLimits().MaxQuiescencePasses)
-        throw AnalysisDivergence("interprocedural quiescence (queryMain)",
-                                 Passes);
-    }
-  }
+  Elem queryMain(Loc L) { return queryToQuiescence(rootKey(), L); }
 
   /// Demands the exit summary of instance \p Key (⊥ if never called).
   Elem querySummary(const InstanceKey &Key) {
-    budgetState().TaintPending = false; // top-level query: fresh frame
-    Instance &I = instanceFor(Key, Key == rootKey());
-    uint64_t Passes = 0;
-    for (;;) {
-      TraceSpan Sp("interproc.quiescence_pass", Passes);
-      Elem V = I.G->queryLocation(cfgOf(Key.Fn)->exit());
-      if (!drainDirtyExits())
-        return V;
-      budgetCheckpoint("interprocedural quiescence pass");
-      if (++Passes >= analysisLimits().MaxQuiescencePasses)
-        throw AnalysisDivergence("interprocedural quiescence (querySummary)",
-                                 Passes);
-    }
+    return queryToQuiescence(Key, cfgOf(Key.Fn)->exit());
   }
 
   /// Demands every location of every instance reachable from main. Returns
@@ -207,12 +180,17 @@ public:
       Inst->G->applyStatementEdit(Id, NewStmt);
       Inst->FullyQueried = false;
     }
-    if (Instances.empty() || !anyInstanceOf(FnId))
+    if (!anyInstanceOf(FnId))
       F->Body.replaceStmt(Id, NewStmt); // no instance carried the CFG update
     if (StructureRelevant)
       CG = buildCallGraph(Prog); // the call graph may have changed
-    if (OldStmt.Kind == StmtKind::Call)
-      dropContributionsForSite(FnId, OldStmt.hash());
+    if (OldStmt.Kind == StmtKind::Call) {
+      // The site key dies with the statement.
+      uint64_t Site = OldStmt.hash();
+      dropContributions([&](const Contributor &C) {
+        return C.first.Fn == FnId && C.second == Site;
+      });
+    }
     drainDirtyExits();
     return true;
   }
@@ -381,10 +359,14 @@ private:
   Statistics Stats;
   MemoTable<D> Memo{};
 
+  /// Where an entry contribution comes from: (caller instance, call-site
+  /// hash).
+  using Contributor = std::pair<InstanceKey, uint64_t>;
+
   struct Instance {
     std::unique_ptr<Daig<D>> G;
-    /// Entry contributions: (caller instance, call-site hash) → entry state.
-    std::map<std::pair<InstanceKey, uint64_t>, Elem> Contributions;
+    /// Entry contributions: contributor → entry state.
+    std::map<Contributor, Elem> Contributions;
     bool Seeded = false;       ///< True for the root or once contributed-to.
     bool FullyQueried = false; ///< analyzeAllFromMain bookkeeping.
     unsigned EntryGrowths = 0; ///< Widening-delay counter for entry updates.
@@ -441,6 +423,23 @@ private:
       It->second->G->updateEntry(initialEntryOf(Key, *F));
     }
     return *It->second;
+  }
+
+  /// Demands \p L in instance \p Key, one pass at a time until a pass
+  /// invalidates no summary (queryMain's comment gives why this ends).
+  Elem queryToQuiescence(const InstanceKey &Key, Loc L) {
+    budgetState().TaintPending = false; // top-level query: fresh frame
+    Instance &I = instanceFor(Key, /*Seed=*/Key == rootKey());
+    uint64_t Passes = 0;
+    for (;;) {
+      TraceSpan Sp("interproc.quiescence_pass", Passes);
+      Elem V = I.G->queryLocation(L);
+      if (!drainDirtyExits())
+        return V;
+      budgetCheckpoint("interprocedural quiescence pass");
+      if (++Passes >= analysisLimits().MaxQuiescencePasses)
+        throw AnalysisDivergence("interprocedural quiescence (query)", Passes);
+    }
   }
 
   /// The transfer hook: demanded callee summaries (Section 2.3).
@@ -534,28 +533,19 @@ private:
       // A dead instance (entry ⊥ after an edit) can no longer vouch for its
       // own outgoing contributions: cascade the drop down the call DAG.
       if (AllowShrink && NowBottom)
-        dropAllOutgoingOf(Key);
+        dropContributions([&](const Contributor &C) { return C.first == Key; });
     }
   }
 
-  /// Removes every contribution made by \p Caller (any call site),
-  /// re-seeding affected callee entries; recursion bottoms out on the
+  /// Removes every contribution whose (caller instance, call site) \p Drop
+  /// selects, re-seeding the affected callee entries; a callee left dead
+  /// drops its own outgoing contributions in turn, which bottoms out on the
   /// acyclic call graph.
-  void dropAllOutgoingOf(const InstanceKey &Caller) {
-    for (auto &[CalleeKey, CalleeInst] : Instances) {
-      bool Removed = false;
-      for (auto It = CalleeInst->Contributions.begin();
-           It != CalleeInst->Contributions.end();) {
-        if (It->first.first == Caller) {
-          It = CalleeInst->Contributions.erase(It);
-          Removed = true;
-        } else {
-          ++It;
-        }
-      }
-      if (Removed)
+  template <typename Pred> void dropContributions(Pred &&Drop) {
+    auto Dropped = [&](const auto &Entry) { return Drop(Entry.first); };
+    for (auto &[CalleeKey, CalleeInst] : Instances)
+      if (std::erase_if(CalleeInst->Contributions, Dropped))
         refreshEntry(CalleeKey, *CalleeInst, /*AllowShrink=*/true);
-    }
   }
 
   void onCellEmptied(const InstanceKey &Key, Name N) {
@@ -603,25 +593,6 @@ private:
     }
     InDirtyDrain = false;
     return AnyWork;
-  }
-
-  /// Drops contributions recorded for call site \p SiteHash inside \p Fn
-  /// (used when the call statement itself is replaced: the site key dies).
-  void dropContributionsForSite(SymbolId Fn, uint64_t SiteHash) {
-    for (auto &[CalleeKey, CalleeInst] : Instances) {
-      bool Removed = false;
-      for (auto It = CalleeInst->Contributions.begin();
-           It != CalleeInst->Contributions.end();) {
-        if (It->first.first.Fn == Fn && It->first.second == SiteHash) {
-          It = CalleeInst->Contributions.erase(It);
-          Removed = true;
-        } else {
-          ++It;
-        }
-      }
-      if (Removed)
-        refreshEntry(CalleeKey, *CalleeInst, /*AllowShrink=*/true);
-    }
   }
 
   bool anyInstanceOf(SymbolId Fn) const {

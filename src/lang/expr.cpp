@@ -287,17 +287,6 @@ std::string dai::exprToString(const ExprPtr &E) {
   return OS.str();
 }
 
-void dai::collectVars(const ExprPtr &E, std::set<std::string> &Out) {
-  if (!E)
-    return;
-  if (E->Kind == ExprKind::Var)
-    Out.insert(E->Name);
-  collectVars(E->Lhs, Out);
-  collectVars(E->Rhs, Out);
-  for (const auto &Elem : E->Elems)
-    collectVars(Elem, Out);
-}
-
 ExprPtr dai::negate(const ExprPtr &E) {
   assert(E && "cannot negate a missing expression");
   if (E->Kind == ExprKind::BoolLit)

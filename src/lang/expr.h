@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -93,9 +92,6 @@ uint64_t exprHash(const ExprPtr &E);
 
 /// Renders \p E as source text.
 std::string exprToString(const ExprPtr &E);
-
-/// Inserts every variable referenced by \p E into \p Out.
-void collectVars(const ExprPtr &E, std::set<std::string> &Out);
 
 /// Builds the logical negation of a boolean expression, pushing the negation
 /// through comparisons (e.g. `!(x < y)` becomes `x >= y`) so that abstract

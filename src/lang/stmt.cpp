@@ -145,12 +145,3 @@ std::string Stmt::toString() const {
   return OS.str();
 }
 
-void Stmt::collectUses(std::set<std::string> &Out) const {
-  collectVars(Index, Out);
-  collectVars(Rhs, Out);
-  for (const auto &A : Args)
-    collectVars(A, Out);
-  // Partial updates read the written object as well.
-  if (Kind == StmtKind::ArrayWrite || Kind == StmtKind::FieldWrite)
-    Out.insert(Lhs);
-}

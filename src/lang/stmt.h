@@ -70,11 +70,6 @@ struct Stmt {
   /// Renders this statement as source text.
   std::string toString() const;
 
-  /// Inserts every variable read by this statement into \p Out. For
-  /// ArrayWrite/FieldWrite the written base variable is also a read (the
-  /// heap/array object is consulted).
-  void collectUses(std::set<std::string> &Out) const;
-
   /// Returns the variable written by this statement, or empty if none.
   const std::string &def() const { return Lhs; }
 };

@@ -19,9 +19,8 @@
 ///    before any mutation of shared copy-on-write state, so the unwind
 ///    cannot leave a half-closed DBM or half-inserted memo entry behind.
 ///
-/// Compiled in under the DAI_FAULT_INJECTION CMake option (default ON: a
-/// disarmed trigger is one thread_local load and compare, off the measured
-/// counter paths). With the option OFF the macro expands to nothing.
+/// Always compiled in: a disarmed trigger is one thread_local load and
+/// compare, off the measured counter paths.
 ///
 /// Everything is deterministic: the Nth-trigger schedule depends only on
 /// (Stride, Offset) and the analysis's own evaluation order — no clocks, no
@@ -31,8 +30,6 @@
 
 #ifndef DAI_SUPPORT_FAULT_INJECTION_H
 #define DAI_SUPPORT_FAULT_INJECTION_H
-
-#ifdef DAI_FAULT_INJECTION
 
 #include "support/budget.h"
 
@@ -101,11 +98,5 @@ inline void triggerPoint(Site S) {
 } // namespace dai::fi
 
 #define DAI_FAULT_POINT(site) ::dai::fi::triggerPoint(::dai::fi::Site::site)
-
-#else // !DAI_FAULT_INJECTION
-
-#define DAI_FAULT_POINT(site) ((void)0)
-
-#endif // DAI_FAULT_INJECTION
 
 #endif // DAI_SUPPORT_FAULT_INJECTION_H

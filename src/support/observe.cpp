@@ -1,4 +1,4 @@
-//===-- support/observe.cpp - Tracing, metrics & provenance ---------------===//
+//===-- support/observe.cpp - Tracing & provenance ------------------------===//
 //
 // Part of dai-cpp. MIT license.
 //
@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <mutex>
 
 namespace dai {
@@ -119,10 +120,6 @@ void setTracingEnabled(bool Enable) {
   G.Enabled.store(Enable, std::memory_order_relaxed);
   for (TraceRing *R : G.Rings)
     TraceRegistryAccess::setOn(*R, Enable);
-}
-
-bool tracingEnabled() {
-  return traceGlobals().Enabled.load(std::memory_order_relaxed);
 }
 
 void resetTrace() {
@@ -289,61 +286,5 @@ struct EnvTraceInit {
 EnvTraceInit EnvTraceInitInstance;
 
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// MetricsRegistry
-//===----------------------------------------------------------------------===//
-
-std::string MetricsRegistry::toJson() const {
-  std::string Out = "{";
-  for (const auto &[Nm, Mt] : M) {
-    if (Out.size() > 1)
-      Out += ", ";
-    Out += "\"" + Nm + "\": " + std::to_string(Mt.V);
-  }
-  Out += "}";
-  return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// Export bridges
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Publishes every counter of \p C under its table name and kind,
-/// prefixed; zero values are skipped when \p SkipZero is set.
-template <class Fam>
-void exportFamily(const Fam &C, MetricsRegistry &R, const std::string &Prefix,
-                  bool SkipZero) {
-  C.forEachCounter([&](const CounterInfo &I, uint64_t V) {
-    if (SkipZero && V == 0)
-      return;
-    if (I.Kind == CounterKind::Gauge)
-      R.gaugeMax(Prefix + I.Name, V);
-    else
-      R.add(Prefix + I.Name, V);
-  });
-}
-
-} // namespace
-
-void exportStatistics(const Statistics &S, MetricsRegistry &R,
-                      const char *Prefix) {
-  exportFamily(S, R, Prefix, /*SkipZero=*/true);
-}
-
-void exportDomainCounters(MetricsRegistry &R) {
-  const ThreadCounters &T = ThreadCounters::live();
-  ThreadCounters::forEachFamily(
-      [&](auto M) { exportFamily(T.*M, R, "", /*SkipZero=*/false); });
-  exportFamily(nameTableCounters(), R, "", /*SkipZero=*/false);
-}
-
-void exportTraceStats(MetricsRegistry &R) {
-  TraceStats T = traceStats();
-  R.add("dai_trace_events_recorded", T.EventsRecorded);
-  R.add("dai_trace_events_dropped", T.EventsDropped);
-}
 
 } // namespace dai

@@ -1,13 +1,15 @@
-//===-- support/observe.h - Tracing, metrics & provenance -------*- C++ -*-===//
+//===-- support/observe.h - Tracing & provenance ----------------*- C++ -*-===//
 //
 // Part of dai-cpp. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The unified observability layer: structured tracing, a metrics registry,
-/// and the export bridges that publish the ad-hoc counter families of
-/// support/statistics.h under their established (bench JSON) names.
+/// The observability layer: structured tracing and its exporters. Counters
+/// are not here: every counter is a row of the counter table in
+/// support/statistics.h, and each family leaves a process through its
+/// forEachCounter walk (benches write them as bench/rows.h rows under their
+/// table names).
 ///
 /// Tracing. Every interesting boundary of the stack — DAIG cell evaluation
 /// and fix iterations, memo hit/miss/eviction, octagon/zone closure
@@ -39,15 +41,6 @@
 /// export, so ts is monotone per tid (scripts/check_trace_json.sh checks
 /// this plus the required-key schema).
 ///
-/// Metrics. MetricsRegistry holds named counters (add) and gauges (max) in
-/// a sorted map, so toJson() is deterministic. Benches fill a local
-/// registry on the calling thread. The exportStatistics/exportDomainCounters
-/// bridges walk the counter table of support/statistics.h, publishing every
-/// row under its declared name and kind: the keys are exactly the fig10
-/// bench JSON field names (dbm_cells_touched,
-/// zone_closure_vertices_visited, ...), so a bench that emits a registry
-/// snapshot cannot drift from the gate schema.
-///
 /// Demand provenance lives in daig/daig.h (Daig::explainQuery), built on
 /// the same disabled-means-one-branch discipline: a per-DAIG recorder
 /// pointer is null except inside explainQuery.
@@ -57,13 +50,9 @@
 #ifndef DAI_SUPPORT_OBSERVE_H
 #define DAI_SUPPORT_OBSERVE_H
 
-#include "support/statistics.h"
-
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace dai {
@@ -183,7 +172,6 @@ inline void traceInstant(const char *Nm, uint64_t A0 = 0, uint64_t A1 = 0) {
 /// thread is mid-workload — which every in-tree caller (tests, examples,
 /// env-var init, TaskPool barriers) satisfies.
 void setTracingEnabled(bool Enable);
-bool tracingEnabled();
 
 /// Drops all recorded events and zeroes traceStats(). Quiescent points
 /// only (same contract as setTracingEnabled).
@@ -217,79 +205,6 @@ bool writeChromeTrace(const std::string &Path);
 /// for flamegraph.pl. Deterministically sorted. Returns false when the
 /// file cannot be opened.
 bool writeCollapsedStack(const std::string &Path);
-
-//===----------------------------------------------------------------------===//
-// Metrics registry
-//===----------------------------------------------------------------------===//
-
-/// Named counters and gauges in one sorted map (deterministic iteration ⇒
-/// deterministic JSON). Not thread-safe.
-class MetricsRegistry {
-public:
-  enum class Kind : uint8_t { Counter, Gauge };
-
-  struct Metric {
-    Kind K = Kind::Counter;
-    uint64_t V = 0;
-  };
-
-  /// Counter: adds \p Delta.
-  void add(std::string_view Nm, uint64_t Delta = 1) {
-    slot(Nm, Kind::Counter).V += Delta;
-  }
-  /// Gauge: keeps the max (peak semantics, like PeakDbmBytes).
-  void gaugeMax(std::string_view Nm, uint64_t V) {
-    Metric &M = slot(Nm, Kind::Gauge);
-    if (V > M.V)
-      M.V = V;
-  }
-  uint64_t value(std::string_view Nm) const {
-    auto It = M.find(Nm);
-    return It == M.end() ? 0 : It->second.V;
-  }
-  const Metric *find(std::string_view Nm) const {
-    auto It = M.find(Nm);
-    return It == M.end() ? nullptr : &It->second;
-  }
-  const std::map<std::string, Metric, std::less<>> &metrics() const {
-    return M;
-  }
-  bool empty() const { return M.empty(); }
-  void clear() { M.clear(); }
-
-  /// Deterministic one-object JSON: {"name": value, ...}, sorted by name.
-  std::string toJson() const;
-
-private:
-  Metric &slot(std::string_view Nm, Kind K) {
-    auto It = M.find(Nm);
-    if (It == M.end())
-      It = M.emplace(std::string(Nm), Metric{K, 0}).first;
-    return It->second;
-  }
-
-  std::map<std::string, Metric, std::less<>> M;
-};
-
-//===----------------------------------------------------------------------===//
-// Export bridges: the counter table → registry names
-//===----------------------------------------------------------------------===//
-
-/// Publishes the nonzero counters of \p S onto \p R under their table
-/// names (transfers, joins, ..., alarms_raised), optionally prefixed.
-void exportStatistics(const Statistics &S, MetricsRegistry &R,
-                      const char *Prefix = "");
-
-/// Publishes every ThreadCounters family of the calling thread and the
-/// name-table family under their table names. Zero values still create
-/// their slots; gauges publish as gauges (merge: max), the rest as
-/// counters.
-void exportDomainCounters(MetricsRegistry &R);
-
-/// Publishes traceStats() as dai_trace_events_recorded /
-/// dai_trace_events_dropped — the *_trace_* fields the bench gate asserts
-/// are zero in un-traced runs.
-void exportTraceStats(MetricsRegistry &R);
 
 } // namespace dai
 

@@ -16,8 +16,9 @@
 /// merge adds, a delta subtracts) or Gauge (a high-water mark: merge takes
 /// the max, a delta carries the later value). The table generates each
 /// family's fields, reset/mergeFrom/operator-/operator<<, the ThreadCounters
-/// bundle the TaskPool repatriates, and the MetricsRegistry export bridges
-/// (support/observe.h). Adding a counter is one table row.
+/// bundle the TaskPool repatriates, and the forEachCounter walk through
+/// which benches export every counter (bench/rows.h). Adding a counter is
+/// one table row.
 ///
 //===----------------------------------------------------------------------===//
 

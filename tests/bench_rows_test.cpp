@@ -6,8 +6,9 @@
 ///
 /// \file
 /// bench/rows.h: the JSON the row writer emits is what bench/gate.h reads,
-/// and the shared flag parser rejects every malformed value with exit
-/// status 1 instead of running with a silently parsed 0 or empty list.
+/// every row of the counter table reaches a row under its table name, and
+/// the shared flag parser rejects every malformed value with exit status 1
+/// instead of running with a silently parsed 0 or empty list.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -81,6 +82,15 @@ TEST(BenchFlags, RejectsUnknownFlagsAndChoicesWithStatus1) {
               "--domain: 'c' is not one of a\\|b");
 }
 
+/// Writes \p Rows through writeRows and returns the file's text.
+std::string written(const char *Bench, const std::string &Header,
+                    const std::vector<Row> &Rows) {
+  std::string Path = ::testing::TempDir() + "bench_rows_test.json";
+  EXPECT_TRUE(writeRows(Path, Bench, Header, Rows));
+  std::ifstream In(Path);
+  return {std::istreambuf_iterator<char>(In), std::istreambuf_iterator<char>()};
+}
+
 TEST(BenchRows, TheGateReadsWhatTheWriterWrites) {
   ClosureCounters C;
   C.CellsTouched = 26611;
@@ -89,14 +99,9 @@ TEST(BenchRows, TheGateReadsWhatTheWriterWrites) {
   R.addFamily(C);
   R.add("sum_mismatches", 0);
   R.addReal("avg_recheck_pct", 7.171349);
-  std::string Path = ::testing::TempDir() + "bench_rows_test.json";
-  ASSERT_TRUE(writeRows(Path, "fig10_octagon_workload",
-                        "  \"seed\": 42,\n", {R, Row("erasure_any", "zone",
-                                                     "threads", 2)}));
-
-  std::ifstream In(Path);
-  std::string Text{std::istreambuf_iterator<char>(In),
-                   std::istreambuf_iterator<char>()};
+  std::string Text =
+      written("fig10_octagon_workload", "  \"seed\": 42,\n",
+              {R, Row("erasure_any", "zone", "threads", 2)});
   gate::BenchFile File;
   std::string Error;
   ASSERT_TRUE(gate::loadBenchFile(Text, File, Error)) << Error << "\n" << Text;
@@ -113,6 +118,67 @@ TEST(BenchRows, TheGateReadsWhatTheWriterWrites) {
   EXPECT_EQ(S->Counters.at("sum_mismatches"), 0);
   EXPECT_DOUBLE_EQ(S->Counters.at("avg_recheck_pct"), 7.17135);
   EXPECT_NE(File.find("erasure_any/zone threads=2"), nullptr) << Text;
+}
+
+/// The live sink of each table family. A family added to the table without
+/// an entry here fails to compile.
+struct LiveSinks {
+  Statistics Stats;
+  ThreadCounters &Thread = ThreadCounters::live();
+  Statistics &of(Statistics *) { return Stats; }
+  ClosureCounters &of(ClosureCounters *) { return Thread.Closure; }
+  ZoneCounters &of(ZoneCounters *) { return Thread.Zone; }
+  StagedCounters &of(StagedCounters *) { return Thread.Staged; }
+  DisIntervalCounters &of(DisIntervalCounters *) { return Thread.DisInterval; }
+  BudgetCounters &of(BudgetCounters *) { return Thread.Budget; }
+  AtomicNameTableCounters &of(NameTableCounters *) {
+    return nameTableCountersAtomic();
+  }
+};
+
+/// Walks every row of DAI_COUNTER_TABLE: each counter, given a distinct
+/// value in its live sink, must reach a bench row under its table name with
+/// that value, and the row must hold nothing else. (Gauges merge by max:
+/// CounterMerge.* and TaskPool.PeakGaugeMergesViaMax.)
+TEST(CounterTable, EveryRowReachesTheExportUnderItsNameAndKind) {
+  const ThreadCounters SavedThread = ThreadCounters::snapshot();
+  const NameTableCounters SavedNames = nameTableCounters();
+  LiveSinks Src;
+  uint64_t Next = 1000;
+#define DAI_TEST_SET(Fam, Field, Name, Kind)                                   \
+  Src.of(static_cast<Fam *>(nullptr)).Field = ++Next;
+  DAI_COUNTER_TABLE(DAI_TEST_SET)
+#undef DAI_TEST_SET
+
+  Row R("export", "none", "vars", 0);
+  R.addFamily(Src.Stats);
+  R.addThreadCounters(ThreadCounters::live());
+  R.addFamily(nameTableCounters());
+  std::string Text = written("counter_table", "", {R});
+  gate::BenchFile File;
+  std::string Error;
+  ASSERT_TRUE(gate::loadBenchFile(Text, File, Error)) << Error << "\n" << Text;
+  const gate::Scope *S = File.find("export/none vars=0");
+  ASSERT_NE(S, nullptr) << Text;
+
+  size_t Rows = 0;
+#define DAI_TEST_EXPECT(Fam, Field, Name, Kind)                                \
+  ++Rows;                                                                      \
+  if (!S->Counters.count(Name))                                                \
+    ADD_FAILURE() << #Fam "::" #Field " is not exported as " Name;             \
+  else                                                                         \
+    EXPECT_EQ(S->Counters.at(Name),                                            \
+              double(Src.of(static_cast<Fam *>(nullptr)).Field))               \
+        << #Fam "::" #Field;
+  DAI_COUNTER_TABLE(DAI_TEST_EXPECT)
+#undef DAI_TEST_EXPECT
+  EXPECT_EQ(S->Counters.size(), Rows) << Text;
+
+  ThreadCounters::live() = SavedThread;
+#define DAI_TEST_RESTORE(Fam, Field, Name, Kind)                               \
+  nameTableCountersAtomic().Field = SavedNames.Field;
+  DAI_NAME_TABLE_COUNTERS(DAI_TEST_RESTORE)
+#undef DAI_TEST_RESTORE
 }
 
 } // namespace

@@ -11,9 +11,8 @@
 /// across a matrix of seeds and trigger strides — must leave the engine
 /// audit-clean (Daig/engine structural invariants hold) and RESUMABLE: a
 /// re-demand after disarming yields results bit-identical to a clean,
-/// never-faulted run over the same seeded workload program.
-///
-/// Only built when the DAI_FAULT_INJECTION CMake option is ON (default).
+/// never-faulted run over the same seeded workload program. The trigger
+/// points are compiled into every build.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -8,15 +8,20 @@
 /// Directed unit tests for the interval domain beyond the randomized lattice
 /// properties: assume-refinement (comparisons, conjunction, disjunction,
 /// negation, length guards), array abstraction (literals, reads, weak
-/// writes), the bounds-obligation client, and the interprocedural hooks.
+/// writes), the checker's array-bounds verdicts on interval pre-states, and
+/// the interprocedural hooks.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "domain/interval.h"
 
+#include "analysis/checker.h"
 #include "cfg/program.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 using namespace dai;
 
@@ -130,6 +135,22 @@ TEST(IntervalArrays, LiteralTracksLengthAndElements) {
   EXPECT_EQ(R3.get("a").Len, Interval::constant(3)) << "length is immutable";
 }
 
+/// The checker's verdicts on \p S's array-bounds obligations in pre-state
+/// \p Pre, space-separated in collection order.
+std::string boundsVerdicts(const IntervalState &Pre, const Stmt &S) {
+  std::vector<Obligation> Obs;
+  collectObligations(S, /*Edge=*/0, /*At=*/0, Obs,
+                     checkMask(CheckKind::ArrayBounds));
+  std::string Out;
+  for (const Obligation &Ob : Obs) {
+    if (!Out.empty())
+      Out += ' ';
+    Out += verdictName(
+        evaluateObligation<IntervalDomain>(Ob, Pre, /*DegradedPre=*/false));
+  }
+  return Out;
+}
+
 TEST(IntervalObligations, GuardedAccessDischarges) {
   IntervalState S;
   VarAbs A;
@@ -137,22 +158,17 @@ TEST(IntervalObligations, GuardedAccessDischarges) {
   S.set("a", A);
   S.set("i", VarAbs::numeric(Interval::range(0, 3)));
   Stmt Read = Stmt::mkAssign("x", Expr::mkIndex(var("a"), var("i")));
-  ObligationSummary Sum = checkArrayObligations(S, Read);
-  EXPECT_EQ(Sum.Total, 1u);
-  EXPECT_EQ(Sum.Verified, 1u);
-  // One off the end: unverified.
+  EXPECT_EQ(boundsVerdicts(S, Read), "SAFE");
+  // One off the end: unproven.
   S.set("i", VarAbs::numeric(Interval::range(0, 4)));
-  Sum = checkArrayObligations(S, Read);
-  EXPECT_EQ(Sum.Verified, 0u);
-  // Possibly negative: unverified.
+  EXPECT_EQ(boundsVerdicts(S, Read), "WARNING");
+  // Possibly negative: unproven.
   S.set("i", VarAbs::numeric(Interval::range(-1, 3)));
-  Sum = checkArrayObligations(S, Read);
-  EXPECT_EQ(Sum.Verified, 0u);
-  // Unknown length: unverified.
+  EXPECT_EQ(boundsVerdicts(S, Read), "WARNING");
+  // Unknown length: unproven.
   S.set("a", VarAbs::top());
   S.set("i", VarAbs::numeric(Interval::constant(0)));
-  Sum = checkArrayObligations(S, Read);
-  EXPECT_EQ(Sum.Verified, 0u);
+  EXPECT_EQ(boundsVerdicts(S, Read), "WARNING");
 }
 
 TEST(IntervalObligations, NestedAccessesAllCounted) {
@@ -164,17 +180,12 @@ TEST(IntervalObligations, NestedAccessesAllCounted) {
   // a[a[0]] — two obligations, both dischargeable.
   Stmt Read = Stmt::mkAssign(
       "x", Expr::mkIndex(var("a"), Expr::mkIndex(var("a"), lit(0))));
-  ObligationSummary Sum = checkArrayObligations(S, Read);
-  EXPECT_EQ(Sum.Total, 2u);
-  EXPECT_EQ(Sum.Verified, 2u);
+  EXPECT_EQ(boundsVerdicts(S, Read), "SAFE SAFE");
 }
 
 TEST(IntervalObligations, UnreachableIsVacuouslySafe) {
   Stmt Read = Stmt::mkAssign("x", Expr::mkIndex(var("a"), lit(999)));
-  ObligationSummary Sum =
-      checkArrayObligations(IntervalDomain::bottom(), Read);
-  EXPECT_EQ(Sum.Total, Sum.Verified);
-  EXPECT_EQ(Sum.Total, 1u) << "totals stay stable across policies";
+  EXPECT_EQ(boundsVerdicts(IntervalDomain::bottom(), Read), "UNREACHABLE");
 }
 
 TEST(IntervalInterproc, EnterCallBindsActualsIncludingArrays) {

@@ -5,13 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The observability layer (support/observe.h): MetricsRegistry's JSON is
-/// deterministic and sorted; every row of the counter table reaches the
-/// export bridges under its declared name and kind; the trace ring
-/// records only when enabled (and counts drops, never wraps); exports are
-/// sorted ts-monotone per tid; and
-/// Daig::explainQuery returns the same demand tree for equal DAIG states —
-/// with the outcome tags actually tracking Q-Reuse / Q-Match / Q-Miss.
+/// The observability layer (support/observe.h): the trace ring records
+/// only when enabled (and counts drops, never wraps); exports are sorted
+/// ts-monotone per tid; and Daig::explainQuery returns the same demand
+/// tree for equal DAIG states — with the outcome tags actually tracking
+/// Q-Reuse / Q-Match / Q-Miss.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,116 +29,6 @@
 using namespace dai;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// MetricsRegistry
-//===----------------------------------------------------------------------===//
-
-TEST(MetricsRegistry, ToJsonIsDeterministicAndSorted) {
-  MetricsRegistry A;
-  A.add("zeta", 1);
-  A.add("alpha", 2);
-  A.gaugeMax("mid", 3);
-  MetricsRegistry B;
-  B.gaugeMax("mid", 3);
-  B.add("alpha", 2);
-  B.add("zeta", 1);
-  EXPECT_EQ(A.toJson(), B.toJson()); // insertion order is irrelevant
-  EXPECT_EQ(A.toJson(), "{\"alpha\": 2, \"mid\": 3, \"zeta\": 1}");
-}
-
-/// The bench-facing bridge emits the fig10 schema names (so a bench that
-/// snapshots the registry cannot drift from the gate's field list).
-TEST(MetricsRegistry, ExportBridgesUseEstablishedNames) {
-  Statistics S;
-  S.Transfers = 3;
-  S.ChecksRechecked = 2;
-  MetricsRegistry R;
-  exportStatistics(S, R);
-  EXPECT_EQ(R.value("transfers"), 3u);
-  EXPECT_EQ(R.value("checks_rechecked"), 2u);
-  EXPECT_EQ(R.find("joins"), nullptr); // zero fields stay un-emitted
-
-  MetricsRegistry P;
-  exportStatistics(S, P, "verify_");
-  EXPECT_EQ(P.value("verify_transfers"), 3u);
-
-  MetricsRegistry Dom;
-  exportDomainCounters(Dom);
-  // The zero-assertable budget fields must exist even when zero.
-  EXPECT_NE(Dom.find("budget_exhaustions"), nullptr);
-  EXPECT_NE(Dom.find("degraded_cells"), nullptr);
-  EXPECT_NE(Dom.find("dbm_cells_touched"), nullptr);
-
-  MetricsRegistry T;
-  exportTraceStats(T);
-  EXPECT_NE(T.find("dai_trace_events_recorded"), nullptr);
-  EXPECT_NE(T.find("dai_trace_events_dropped"), nullptr);
-}
-
-//===----------------------------------------------------------------------===//
-// The counter table
-//===----------------------------------------------------------------------===//
-
-/// The sink each table family's export bridge reads. A family added to the
-/// table without an entry here fails to compile.
-struct ExportSources {
-  Statistics Stats;
-  ThreadCounters &Thread = ThreadCounters::live();
-  Statistics &of(Statistics *) { return Stats; }
-  ClosureCounters &of(ClosureCounters *) { return Thread.Closure; }
-  ZoneCounters &of(ZoneCounters *) { return Thread.Zone; }
-  StagedCounters &of(StagedCounters *) { return Thread.Staged; }
-  DisIntervalCounters &of(DisIntervalCounters *) { return Thread.DisInterval; }
-  BudgetCounters &of(BudgetCounters *) { return Thread.Budget; }
-  AtomicNameTableCounters &of(NameTableCounters *) {
-    return nameTableCountersAtomic();
-  }
-};
-
-/// Walks every row of DAI_COUNTER_TABLE: each counter, given a distinct
-/// value in its live sink, must reach exportStatistics/exportDomainCounters
-/// under its declared name, with its declared kind and that value — and
-/// the bridges must publish nothing else.
-TEST(CounterTable, EveryRowReachesTheExportUnderItsNameAndKind) {
-  const ThreadCounters SavedThread = ThreadCounters::snapshot();
-  const NameTableCounters SavedNames = nameTableCounters();
-  ExportSources Src;
-  uint64_t Next = 1000;
-#define DAI_TEST_SET(Fam, Field, Name, Kind)                                   \
-  Src.of(static_cast<Fam *>(nullptr)).Field = ++Next;
-  DAI_COUNTER_TABLE(DAI_TEST_SET)
-#undef DAI_TEST_SET
-
-  MetricsRegistry R;
-  exportStatistics(Src.Stats, R);
-  exportDomainCounters(R);
-
-  size_t Rows = 0;
-  auto expectRow = [&](const char *Row, const char *Name, CounterKind Kind,
-                       uint64_t Value) {
-    ++Rows;
-    const MetricsRegistry::Metric *M = R.find(Name);
-    ASSERT_NE(M, nullptr) << Row << " is not exported as " << Name;
-    EXPECT_EQ(M->K, Kind == CounterKind::Gauge
-                        ? MetricsRegistry::Kind::Gauge
-                        : MetricsRegistry::Kind::Counter)
-        << Row;
-    EXPECT_EQ(M->V, Value) << Row;
-  };
-#define DAI_TEST_EXPECT(Fam, Field, Name, Kind)                                \
-  expectRow(#Fam "::" #Field, Name, CounterKind::Kind,                         \
-            Src.of(static_cast<Fam *>(nullptr)).Field);
-  DAI_COUNTER_TABLE(DAI_TEST_EXPECT)
-#undef DAI_TEST_EXPECT
-  EXPECT_EQ(R.metrics().size(), Rows) << R.toJson();
-
-  ThreadCounters::live() = SavedThread;
-#define DAI_TEST_RESTORE(Fam, Field, Name, Kind)                               \
-  nameTableCountersAtomic().Field = SavedNames.Field;
-  DAI_NAME_TABLE_COUNTERS(DAI_TEST_RESTORE)
-#undef DAI_TEST_RESTORE
-}
 
 //===----------------------------------------------------------------------===//
 // Trace ring
