@@ -20,15 +20,20 @@
 /// forward, stamping the cells it visits with a per-DAIG epoch.
 ///
 /// Loop handling follows the paper's demanded-unrolling scheme, generalized
-/// to nested loops via per-loop iteration counts in names (daig/name.h):
-/// each loop instance carries a fix edge over its two greatest abstract
-/// iterates; unrolling builds the next abstract iteration of the loop body
-/// (resetting directly nested loops to their initial two iterates) and
-/// slides the fix edge forward; dirtying iterate 1 rolls the fix edge back
-/// to iterates (0, 1) and deletes the unrolled region, the cells reachable
-/// forward from iterate 1 short of the fix cell (a semantically equivalent,
-/// memory-friendlier variant of E-Loop; see docs/architecture.md, "DAIG
-/// edits").
+/// to nested loops. A state cell's name is its location wrapped by one
+/// iteration count per enclosing loop, outermost first (daig/name.h); the
+/// builder keeps those counts in one flat vector. A loop instance is its
+/// fix cell, the head under the enclosing counts, whose iterate k is
+/// Name::iter(fix cell, k); the DAIG records only its count K, and the fix
+/// edge reads iterates (K−1, K). Unrolling builds the next abstract
+/// iteration of the loop body (resetting directly nested loops to their
+/// initial two iterates) and slides the fix edge forward; dirtying iterate 1
+/// rolls the fix edge back to iterates (0, 1) and deletes the unrolled
+/// region, the cells reachable forward from iterate 1 short of the fix cell
+/// (a semantically equivalent, memory-friendlier variant of E-Loop). One
+/// walk over a location's loop nest finds the cell holding its answer for
+/// queryLocation and the location readers. See docs/architecture.md, "Cell
+/// names" and "DAIG edits".
 ///
 /// Program edits:
 ///  - applyStatementEdit: in-place statement replacement — surgical dirtying
@@ -61,7 +66,6 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
-#include <map>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -263,11 +267,11 @@ public:
   // Names of interest
   //===--------------------------------------------------------------------===//
 
-  /// The cell holding the final (post-fixed-point) abstract state at \p L.
-  /// For loop heads this is the fix cell; for loop-body locations it is the
-  /// body cell of the *converged* iteration, so it requires the enclosing
-  /// fixed points to have been computed (queryLocation does this).
-  Name exitCellName() const { return resultNameFor(G->exit()); }
+  /// The cell holding queryLocation(exit)'s answer. No loop encloses the
+  /// exit, so the name needs no enclosing fixed point.
+  Name exitCellName() const {
+    return answerCellName(G->exit(), [](Name) { return false; });
+  }
 
   //===--------------------------------------------------------------------===//
   // Queries (Fig. 8)
@@ -280,25 +284,20 @@ public:
   Elem queryLocation(Loc L) {
     if (!Info->reachable(L))
       return D::bottom();
-    CountCtx Ctx;
-    for (Loc H : Info->loopNest(L)) {
-      if (H == L)
-        break;
-      Name FixDest = fixCellName(H, Ctx);
-      ElemPtr FV = queryState(FixDest);
-      if (!Degraded.empty() && Degraded.count(FixDest)) {
-        // The enclosing fixpoint was ⊤-degraded by a budget: its iterate
-        // cells are intermediate (pre-convergence) states, NOT sound final
-        // answers for body locations. The degraded fix value (⊤) is the
-        // only sound answer for anything inside the loop.
-        budgetState().TaintPending = true;
-        return *FV;
-      }
-      Ctx[H] = Loops.at(FixDest).K - 1;
-    }
-    if (Info->isLoopHead(L))
-      return *queryState(fixCellName(L, Ctx));
-    return *queryState(stateCellName(L, Ctx));
+    ElemPtr DegradedFix;
+    Name N = answerCellName(L, [&](Name Fix) {
+      ElemPtr FV = queryState(Fix);
+      if (!cellDegraded(Fix))
+        return false;
+      // The enclosing fixpoint was ⊤-degraded by a budget: its iterate
+      // cells are intermediate (pre-convergence) states, NOT sound final
+      // answers for body locations. The degraded fix value (⊤) is the
+      // only sound answer for anything inside the loop.
+      budgetState().TaintPending = true;
+      DegradedFix = std::move(FV);
+      return true;
+    });
+    return DegradedFix ? *DegradedFix : *queryState(N);
   }
 
   /// Demands every reachable location (the eager, incremental-only mode).
@@ -440,8 +439,7 @@ public:
   /// engine when callee entry contributions change) and dirties forward.
   void updateEntry(Elem NewEntry) {
     EntryValue = share(std::move(NewEntry));
-    CountCtx Ctx;
-    Name N = stateCellName(G->entry(), Ctx);
+    Name N = stateCellName(G->entry(), {});
     auto It = Cells.find(N);
     assert(It != Cells.end() && "entry cell must exist");
     It->second.V = EntryValue;
@@ -453,10 +451,7 @@ public:
   /// Marks the entry cell degraded (interprocedural engine: the entry was
   /// coarsened by a budget-tightened widening, so everything computed from
   /// it carries degraded provenance via the taint frames).
-  void markEntryDegraded() {
-    CountCtx Ctx;
-    markDegraded(stateCellName(G->entry(), Ctx));
-  }
+  void markEntryDegraded() { markDegraded(stateCellName(G->entry(), {})); }
 
   /// Current entry abstract state.
   const Elem &entryValue() const { return *EntryValue; }
@@ -477,8 +472,8 @@ public:
   }
   size_t unrolledLoopCount() const {
     size_t N = 0;
-    for (const auto &[Dest, Inst] : Loops)
-      if (Inst.K > 1)
+    for (const auto &[Fix, K] : Loops)
+      if (K > 1)
         ++N;
     return N;
   }
@@ -501,21 +496,10 @@ public:
   bool locationValueReady(Loc L) const {
     if (!Info->reachable(L))
       return false;
-    CountCtx Ctx;
-    for (Loc H : Info->loopNest(L)) {
-      if (H == L)
-        break;
-      Name FixDest = fixCellName(H, Ctx);
-      if (!cellHasValue(FixDest))
-        return false;
-      if (!Degraded.empty() && Degraded.count(FixDest))
-        return true; // queryLocation answers with the (filled) fix value
-      auto LIt = Loops.find(FixDest);
-      Ctx[H] = LIt == Loops.end() ? 0u : LIt->second.K - 1;
-    }
-    Name N = Info->isLoopHead(L) ? fixCellName(L, Ctx)
-                                 : stateCellName(L, Ctx);
-    return cellHasValue(N);
+    // A degraded fix cell is filled, and queryLocation answers with it.
+    return cellHasValue(answerCellName(L, [&](Name Fix) {
+      return !cellHasValue(Fix) || cellDegraded(Fix);
+    }));
   }
 
   /// Abstract-state cells filled so far: evaluations, memo hits and ⊤
@@ -538,23 +522,11 @@ public:
   /// provenance. Meaningful once \p L has been demanded: the flags are
   /// recorded during evaluation.
   bool locationDegraded(Loc L) const {
-    if (Degraded.empty())
+    if (Degraded.empty() || !Info->reachable(L))
       return false;
-    if (!Info->reachable(L))
-      return false;
-    CountCtx Ctx;
-    for (Loc H : Info->loopNest(L)) {
-      if (H == L)
-        break;
-      Name FixDest = fixCellName(H, Ctx);
-      if (Degraded.count(FixDest))
-        return true; // queryLocation answers with the degraded fix value
-      auto LIt = Loops.find(FixDest);
-      Ctx[H] = LIt == Loops.end() ? 0u : LIt->second.K - 1;
-    }
-    Name N = Info->isLoopHead(L) ? fixCellName(L, Ctx)
-                                 : stateCellName(L, Ctx);
-    return Degraded.count(N) != 0;
+    // queryLocation answers with the first degraded enclosing fix value.
+    return cellDegraded(
+        answerCellName(L, [&](Name Fix) { return cellDegraded(Fix); }));
   }
 
   size_t degradedCellCount() const { return Degraded.size(); }
@@ -567,8 +539,7 @@ public:
     if (Degraded.empty())
       return 0;
     size_t Count = Degraded.size();
-    CountCtx Ctx;
-    Name Entry = stateCellName(G->entry(), Ctx);
+    Name Entry = stateCellName(G->entry(), {});
     std::vector<Name> Work;
     for (const Name &N : Degraded) {
       if (N == Entry) {
@@ -620,24 +591,17 @@ public:
                  " does not list source " + N.toString();
       }
     }
-    // Loop metadata: every instance's fix edge exists with two iterate
-    // sources of its head at counts (K−1, K).
-    for (const auto &[FixDest, Inst] : Loops) {
+    // Loop instances: each fix cell's computation is the fix edge over its
+    // own iterates K−1 and K.
+    for (const auto &[FixDest, K] : Loops) {
       auto CIt = Cells.find(FixDest);
       if (CIt == Cells.end() || !CIt->second.Def ||
           CIt->second.Def->F != FnKind::Fix)
         return "loop instance without a fix edge: " + FixDest.toString();
-      const std::vector<Name> &Srcs = CIt->second.Def->Srcs;
-      if (Srcs.size() != 2)
-        return "fix edge arity violated: " + FixDest.toString();
-      Loc L;
-      std::vector<uint32_t> Counts;
-      for (unsigned I = 0; I < 2; ++I) {
-        if (!decodeState(Srcs[I], L, Counts) || L != Inst.Head ||
-            Counts.empty() || Counts.back() != Inst.K - 1 + I)
-          return "fix sources disagree with instance metadata: " +
-                 FixDest.toString();
-      }
+      if (CIt->second.Def->Srcs != std::vector<Name>{Name::iter(FixDest, K - 1),
+                                                     Name::iter(FixDest, K)})
+        return "fix sources disagree with the instance's count: " +
+               FixDest.toString();
     }
     // Names fit the snapshot: a state-like cell names a reachable location
     // with one count per enclosing loop (one fewer for a head's fix cell),
@@ -705,16 +669,10 @@ private:
   /// describes the value currently stored.
   std::unordered_set<Name, NameHash> Degraded;
 
-  /// Iteration-count context: loop head → current iteration index.
-  using CountCtx = std::map<Loc, uint32_t>;
-
-  /// Live metadata per loop instance, keyed by fix-cell name.
-  struct LoopInstance {
-    Loc Head;
-    std::vector<std::pair<Loc, uint32_t>> Ctx; ///< Enclosing counts, outer-first.
-    uint32_t K; ///< Fix sources are iterates (K−1, K); K = 1 initially.
-  };
-  std::unordered_map<Name, LoopInstance, NameHash> Loops;
+  /// Every loop instance: its fix cell, whose name is the head under the
+  /// enclosing counts, and K, the instance's fix edge reading iterates
+  /// (K−1, K); K = 1 initially.
+  std::unordered_map<Name, uint32_t, NameHash> Loops;
 
   /// stateFills(). The count spans rebuilds: a rebuilt entry cell is
   /// refilled with the unchanged φ0 and not counted.
@@ -728,34 +686,56 @@ private:
   // Naming
   //===--------------------------------------------------------------------===//
 
-  /// State-cell name for \p L under iteration context \p Ctx: the location
-  /// wrapped by one iteration count per enclosing loop, outermost first
-  /// (for a loop head, the final count is its own iterate index).
-  Name stateCellName(Loc L, const CountCtx &Ctx) const {
+  // An iteration context is one count per enclosing loop, outermost first
+  // in CfgInfo::loopNest order; a count the context lacks reads as 0.
+
+  /// \p L wrapped by the first \p Depth counts of \p Ctx, outermost
+  /// first: the n^(i) of Fig. 6.
+  static Name countedName(Loc L, size_t Depth, std::span<const uint32_t> Ctx) {
     Name N = Name::loc(L);
-    for (Loc H : Info->loopNest(L)) {
-      auto It = Ctx.find(H);
-      N = Name::iter(N, It == Ctx.end() ? 0u : It->second);
-    }
+    for (size_t I = 0; I < Depth; ++I)
+      N = Name::iter(N, I < Ctx.size() ? Ctx[I] : 0u);
     return N;
   }
 
-  /// Fix-cell (fixed point) name for head \p H: the location wrapped by the
-  /// counts of strictly enclosing loops only, so that the instance's
-  /// iterate k is Name::iter(fix cell, k).
-  Name fixCellName(Loc H, const CountCtx &Ctx) const {
-    Name N = Name::loc(H);
-    std::span<const Loc> Nest = Info->loopNest(H);
-    for (size_t I = 0; I + 1 < Nest.size(); ++I) {
-      auto It = Ctx.find(Nest[I]);
-      N = Name::iter(N, It == Ctx.end() ? 0u : It->second);
-    }
-    return N;
+  /// State-cell name for \p L under context \p Ctx: one count per loop in
+  /// its nest (for a loop head, the last is its own iterate index).
+  Name stateCellName(Loc L, std::span<const uint32_t> Ctx) const {
+    return countedName(L, Info->loopDepth(L), Ctx);
+  }
+
+  /// Fix-cell (fixed point) name for head \p H: the counts of strictly
+  /// enclosing loops only, so that the instance's iterate k is
+  /// Name::iter(fix cell, k).
+  Name fixCellName(Loc H, std::span<const uint32_t> Ctx) const {
+    return countedName(H, Info->loopDepth(H) - 1, Ctx);
   }
 
   /// Pre-join cell i·n for join input \p Idx at \p L.
-  Name preJoinCellName(Loc L, const CountCtx &Ctx, unsigned Idx) const {
+  Name preJoinCellName(Loc L, std::span<const uint32_t> Ctx,
+                       unsigned Idx) const {
     return Name::pair(Name::num(Idx), stateCellName(L, Ctx));
+  }
+
+  /// The one walk over \p L's loop nest, behind queryLocation,
+  /// locationValueReady, locationDegraded and exitCellName. Outermost first,
+  /// it names each enclosing loop's fix cell under the counts gathered so
+  /// far and asks \p Stop whether to stop there; if not, it enters that
+  /// instance's converged iteration, count K − 1. Returns the fix cell it
+  /// stopped at, else the cell holding L's answer: a head's fix cell or L's
+  /// state cell.
+  template <typename StopFn>
+  Name answerCellName(Loc L, StopFn &&Stop) const {
+    std::span<const Loc> Nest = Info->loopNest(L);
+    bool Head = Info->isLoopHead(L); // then its own loop ends the nest
+    std::vector<uint32_t> Ctx;
+    for (Loc H : Nest.first(Nest.size() - Head)) {
+      Name Fix = fixCellName(H, Ctx);
+      if (Stop(Fix))
+        return Fix;
+      Ctx.push_back(Loops.at(Fix) - 1);
+    }
+    return Head ? fixCellName(L, Ctx) : stateCellName(L, Ctx);
   }
 
   /// Decodes a state-like name into (location, counts). Returns false for
@@ -888,7 +868,7 @@ private:
   /// cell, a loop-free location's cells, or an outermost loop with all it
   /// contains. Locations inside loops are built by their outermost loop.
   void buildTopLevel(Loc L) {
-    CountCtx Ctx;
+    std::vector<uint32_t> Ctx;
     if (L == G->entry()) {
       // The entry cell holds φ0 and must have no forward in-edges.
       assert(Info->fwdEdgesTo(L).empty() &&
@@ -921,7 +901,7 @@ private:
 
   /// Builds the state cell for \p L under \p Ctx plus the transfer (and, at
   /// join points, pre-join and join) computations over its forward in-edges.
-  void buildEdgesInto(Loc L, const CountCtx &Ctx) {
+  void buildEdgesInto(Loc L, std::span<const uint32_t> Ctx) {
     Name Dest = stateCellName(L, Ctx);
     addStateCell(Dest);
     std::span<const EdgeId> Ids = Info->fwdEdgesTo(L);
@@ -950,58 +930,56 @@ private:
   /// Source cell for the edge Src→DstLoc: a loop head's *fixed point* when
   /// the edge leaves its loop, else the head's current iterate / the plain
   /// state cell (footnote 5 of the paper).
-  Name srcStateName(Loc Src, Loc DstLoc, const CountCtx &Ctx) const {
+  Name srcStateName(Loc Src, Loc DstLoc,
+                    std::span<const uint32_t> Ctx) const {
     if (Info->isLoopHead(Src) && !Info->inLoop(Src, DstLoc))
       return fixCellName(Src, Ctx);
     return stateCellName(Src, Ctx);
   }
 
-  /// Builds the loop headed at \p L under the enclosing counts \p Ctx:
-  /// iterations 0 … K−1 and the fix edge over iterates (K−1, K), where K is
-  /// the live instance's count (1 for a new instance). Rebuilding a live
-  /// instance therefore reproduces its unrollings cell for cell.
-  void buildLoop(Loc L, const CountCtx &Ctx) {
+  /// Builds the loop headed at \p L under the enclosing counts \p Ctx (one
+  /// per enclosing loop): iterations 0 … K−1 and the fix edge over iterates
+  /// (K−1, K), where K is the live instance's count (1 for a new instance).
+  /// Rebuilding a live instance therefore reproduces its unrollings cell
+  /// for cell.
+  void buildLoop(Loc L, std::vector<uint32_t> &Ctx) {
     Name FixDest = fixCellName(L, Ctx);
     auto LIt = Loops.find(FixDest);
-    uint32_t K = LIt == Loops.end() ? 1u : LIt->second.K;
+    uint32_t K = LIt == Loops.end() ? 1u : LIt->second;
     std::pair<Name, Name> Its;
     for (uint32_t I = 0; I < K; ++I)
-      Its = buildIteration(L, Ctx, I);
-    setFix(FixDest, L, Ctx, K, Its);
+      Its = buildIteration(L, FixDest, Ctx, I);
+    setFix(FixDest, K, Its);
   }
 
-  /// Points the fix edge of the loop at \p L (enclosing counts \p Ctx) at
-  /// iterates \p Its = (K−1, K) and records the instance.
-  void setFix(Name FixDest, Loc L, const CountCtx &Ctx, uint32_t K,
-              const std::pair<Name, Name> &Its) {
+  /// Points the fix edge of the instance with fix cell \p FixDest at its
+  /// iterates \p Its = (K−1, K) and records K.
+  void setFix(Name FixDest, uint32_t K, const std::pair<Name, Name> &Its) {
     addStateCell(FixDest);
     addComp(FixDest, FnKind::Fix, {Its.first, Its.second});
-    std::vector<std::pair<Loc, uint32_t>> EnclosingCtx;
-    for (Loc H : Info->loopNest(L))
-      if (H != L)
-        EnclosingCtx.emplace_back(H, Ctx.count(H) ? Ctx.at(H) : 0u);
-    Loops[FixDest] = LoopInstance{L, std::move(EnclosingCtx), K};
+    Loops[FixDest] = K;
   }
 
-  /// Builds abstract iteration \p I of the loop headed at \p L: the body
-  /// cells under count I (nested loops through buildLoop), the back-edge
-  /// transfer into the pre-widen cell and the widen into iterate I+1.
-  /// Returns iterates (I, I+1); the caller points the fix edge. Idempotent
-  /// per (L, Ctx, I).
-  std::pair<Name, Name> buildIteration(Loc L, CountCtx Ctx, uint32_t I) {
-    Ctx[L] = I;
-    Name ItI = stateCellName(L, Ctx);
+  /// Builds abstract iteration \p I of the instance with fix cell \p Fix,
+  /// headed at \p L under the enclosing counts \p Ctx: the body cells under
+  /// count I (nested loops through buildLoop), the back-edge transfer into
+  /// the pre-widen cell and the widen into iterate I+1. Returns iterates
+  /// (I, I+1); the caller points the fix edge. Idempotent per (Fix, I).
+  std::pair<Name, Name> buildIteration(Loc L, Name Fix,
+                                       std::vector<uint32_t> &Ctx,
+                                       uint32_t I) {
+    assert(Ctx.size() + 1 == Info->loopDepth(L) && "one count per loop");
+    Name ItI = Name::iter(Fix, I);
     addStateCell(ItI);
-    Ctx[L] = I + 1;
-    Name ItNext = stateCellName(L, Ctx);
+    Name ItNext = Name::iter(Fix, I + 1);
     addStateCell(ItNext);
-    Ctx[L] = I;
     Name PreWiden = Name::pair(ItI, ItNext);
     addStateCell(PreWiden);
     addComp(ItNext, FnKind::Widen, {ItI, PreWiden});
 
     // Body cells and computations under count I (in any order: each
     // location's cells name their sources, built or not).
+    Ctx.push_back(I);
     for (Loc B : Info->loopBody(L)) {
       if (B == L)
         continue;
@@ -1023,6 +1001,7 @@ private:
     Name SC = stmtName(Back->Src, L, 0, 1);
     addStmtCell(SC, Back->Label);
     addComp(PreWiden, FnKind::Transfer, {SC, stateCellName(Back->Src, Ctx)});
+    Ctx.pop_back();
     return {ItI, ItNext};
   }
 
@@ -1168,13 +1147,12 @@ private:
   /// Demanded unrolling: builds the next abstract iteration and slides the
   /// fix edge forward (the unroll helper of Section 5.2).
   void unrollLoop(Name FixDest) {
-    const LoopInstance &Inst = Loops.at(FixDest);
-    Loc L = Inst.Head;
-    uint32_t K = Inst.K;
-    CountCtx Ctx(Inst.Ctx.begin(), Inst.Ctx.end());
-    // setFix overwrites the instance: Inst is not used past this point.
-    std::pair<Name, Name> Its = buildIteration(L, Ctx, K);
-    setFix(FixDest, L, Ctx, K + 1, Its);
+    uint32_t K = Loops.at(FixDest);
+    Loc L = InvalidLoc;
+    std::vector<uint32_t> Ctx; // the fix cell's name: head, enclosing counts
+    decodeState(FixDest, L, Ctx);
+    std::pair<Name, Name> Its = buildIteration(L, FixDest, Ctx, K);
+    setFix(FixDest, K + 1, Its);
   }
 
   /// Q-Match / Q-Miss evaluation of a non-fix computation. Inputs are read
@@ -1322,7 +1300,7 @@ private:
     if (N.kind() != Name::Kind::Iter || N.iterCount() != 1)
       return;
     auto LIt = Loops.find(N.iterBase());
-    if (LIt == Loops.end() || LIt->second.K <= 1)
+    if (LIt == Loops.end() || LIt->second <= 1)
       return;
     rollbackLoop(LIt->first, LIt->second, N);
   }
@@ -1335,7 +1313,7 @@ private:
   /// loop read its fix cell, not an iterate, so nothing else is reached.
   /// Iterate 1 survives; the caller empties it. The walk has its own epoch
   /// because the enclosing propagation may have stamped region cells.
-  void rollbackLoop(Name FixDest, LoopInstance &Inst, Name It1) {
+  void rollbackLoop(Name FixDest, uint32_t &K, Name It1) {
     const Cell &First = Cells.at(It1);
     Name It0 = First.Def->Srcs[0]; // iterate 1 ← ∇(iterate 0, pre-widen)
     uint64_t Walk = ++Epoch;
@@ -1355,22 +1333,12 @@ private:
     for (Name N : Region)
       removeCell(N);
     addComp(FixDest, FnKind::Fix, {It0, It1});
-    Inst.K = 1;
+    K = 1;
   }
 
   //===--------------------------------------------------------------------===//
   // Reconciling with structural CFG edits (rebuild)
   //===--------------------------------------------------------------------===//
-
-  /// The "result" cell name for \p L assuming all enclosing loops are at
-  /// their initial iterates (used only for exitCellName where the exit is
-  /// never inside a loop).
-  Name resultNameFor(Loc L) const {
-    CountCtx Ctx;
-    if (Info->isLoopHead(L))
-      return fixCellName(L, Ctx);
-    return stateCellName(L, Ctx);
-  }
 
   /// What the builder records while rebuild() runs it (Log is null
   /// otherwise): every cell name it builds, and the cells whose computation
@@ -1467,11 +1435,14 @@ private:
     //    instances: the rebuild re-creates the ones that still exist. Other
     //    loops in the region keep their unrollings; buildLoop replays them.
     std::vector<Name> Seeds, Retired;
-    for (const auto &[FixDest, Inst] : Loops) {
-      if (!RollBack[Inst.Head])
+    Loc H = InvalidLoc;
+    std::vector<uint32_t> Counts;
+    for (const auto &[FixDest, K] : Loops) {
+      decodeState(FixDest, H, Counts); // the fix cell names its head
+      if (!RollBack[H])
         continue;
       Retired.push_back(FixDest);
-      if (Inst.K > 1)
+      if (K > 1)
         Seeds.push_back(Name::iter(FixDest, 1)); // iterate 1
     }
     if (!Seeds.empty()) {
@@ -1590,21 +1561,20 @@ private:
   void zeroContextCellsOf(Loc X, std::vector<Name> &Out) const {
     if (!Info->reachable(X))
       return;
-    CountCtx Ctx;
-    Name S = stateCellName(X, Ctx);
+    Name S = stateCellName(X, {});
     Out.push_back(S);
     std::span<const EdgeId> Ids = Info->fwdEdgesTo(X);
     for (unsigned I = 0; I < Ids.size(); ++I) {
       Out.push_back(stmtName(Info->edgeSrc(Ids[I]), X, I + 1, Ids.size()));
       if (Ids.size() >= 2)
-        Out.push_back(preJoinCellName(X, Ctx, I + 1));
+        Out.push_back(preJoinCellName(X, {}, I + 1));
     }
     if (Info->isLoopHead(X)) {
-      Ctx[X] = 1;
-      Name It1 = stateCellName(X, Ctx);
+      Name Fix = S.iterBase(); // a head's state cell is its iterate 0
+      Name It1 = Name::iter(Fix, 1);
       Out.push_back(It1);
       Out.push_back(Name::pair(S, It1));
-      Out.push_back(fixCellName(X, CountCtx{}));
+      Out.push_back(Fix);
       Out.push_back(stmtName(Info->edgeSrc(Info->backEdgeOf(X)), X, 0, 1));
     }
   }

@@ -49,6 +49,8 @@ private:
   /// diagnostic without this bound.
   static constexpr unsigned MaxDepth = 400;
   unsigned Depth = 0;
+  /// Enclosing 'while' bodies of the statement being parsed.
+  unsigned LoopDepth = 0;
 
   struct DepthGuard {
     unsigned &D;
@@ -142,6 +144,12 @@ private:
       return S;
     }
     case TokenKind::KwReturn: {
+      // A return inside a loop leaves it without passing its head, and the
+      // DAIG reads every loop exit from the loop's fixed point at the head.
+      if (LoopDepth > 0) {
+        error("'return' inside a 'while' loop is not supported");
+        return nullptr;
+      }
       consume();
       ExprPtr Value;
       if (!at(TokenKind::Semi))
@@ -173,7 +181,9 @@ private:
       expect(TokenKind::LParen, "after 'while'");
       ExprPtr Cond = parseExpr();
       expect(TokenKind::RParen, "after the while condition");
+      ++LoopDepth;
       AstStmtPtr Body = parseBlock();
+      --LoopDepth;
       return AstStmt::mkWhile(std::move(Cond), std::move(Body));
     }
     case TokenKind::KwPrint: {

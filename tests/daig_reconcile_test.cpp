@@ -13,8 +13,9 @@
 /// require identical cells, computations, values, loop counts and degraded
 /// marks after every edit and every query batch. They also pin that a
 /// structural edit's rebuilt cell count does not grow with program size,
-/// and check E-Loop rollback's forward walk against the whole-DAIG scan it
-/// replaced (DaigRollback).
+/// check E-Loop rollback's forward walk against the whole-DAIG scan it
+/// replaced (DaigRollback), and check the location readers three loops deep
+/// across a query, an edit and a budget (DaigLocationReaders).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,10 +72,9 @@ struct DaigTestPeer {
     }
     if (A.Loops.size() != B.Loops.size())
       return "loop instance counts differ";
-    for (const auto &[N, L] : A.Loops) {
+    for (const auto &[N, K] : A.Loops) {
       auto It = B.Loops.find(N);
-      if (It == B.Loops.end() || It->second.Head != L.Head ||
-          It->second.Ctx != L.Ctx || It->second.K != L.K)
+      if (It == B.Loops.end() || It->second != K)
         return "loop instance " + N.toString() + " differs";
     }
     if (A.Degraded != B.Degraded)
@@ -97,11 +97,19 @@ struct DaigTestPeer {
     std::vector<std::pair<Loc, uint32_t>> Ctx; ///< Enclosing counts.
     uint32_t K;
   };
+  /// Head and enclosing counts are read from the fix cell's name.
   template <typename D>
   static std::vector<LoopRecord> loops(const Daig<D> &G) {
     std::vector<LoopRecord> Out;
-    for (const auto &[Fix, I] : G.Loops)
-      Out.push_back({Fix, I.Head, I.Ctx, I.K});
+    for (const auto &[Fix, K] : G.Loops) {
+      LoopRecord R{Fix, InvalidLoc, {}, K};
+      std::vector<uint32_t> Counts;
+      Daig<D>::decodeState(Fix, R.Head, Counts);
+      std::span<const Loc> Nest = G.info().loopNest(R.Head);
+      for (size_t I = 0; I < Counts.size(); ++I)
+        R.Ctx.emplace_back(Nest[I], Counts[I]);
+      Out.push_back(std::move(R));
+    }
     return Out;
   }
 };
@@ -697,6 +705,112 @@ TEST(DaigRollback, GeneratedProgramsDeleteWhatTheScanSelected) {
     expectFromScratchConsistent<IntervalDomain>(F, G, "generated");
   }
   EXPECT_GT(RolledBackEdits, 20u);
+}
+
+//===----------------------------------------------------------------------===//
+// The location readers three loops deep
+//===----------------------------------------------------------------------===//
+
+/// TripleNestedSource's main with its CFG facts, the head of its outermost
+/// loop and the from-scratch answers.
+struct TripleNested {
+  Function F = mustLowerFn(TripleNestedSource, "main");
+  CfgInfo Info = analyzeCfg(F.Body);
+  Loc Outer = destOf(F.Body, "s = 0");
+  std::map<Loc, IntervalState> Batch =
+      BatchInterpreter<IntervalDomain>(F.Body, Info)
+          .run(IntervalDomain::initialEntry(F.Params));
+
+  /// True when \p L precedes the outermost loop (its head excluded).
+  bool beforeLoop(Loc L) const {
+    return std::find(Info.Rpo.begin(), Info.Rpo.end(), L) <
+           std::find(Info.Rpo.begin(), Info.Rpo.end(), Outer);
+  }
+};
+
+// A query makes its location ready, at every depth, and a ready
+// location re-queries without filling a cell.
+TEST(DaigLocationReaders, QueryMakesItsLocationReady) {
+  TripleNested T;
+  ASSERT_TRUE(T.Info.valid()) << T.Info.Error;
+  ASSERT_TRUE(T.Info.isLoopHead(T.Outer));
+  ASSERT_EQ(T.Info.loopDepth(destOf(T.F.Body, "k = k + 1")), 3u);
+  for (Loc L : T.Info.Rpo) {
+    SCOPED_TRACE("location l" + std::to_string(L) + ", depth " +
+                 std::to_string(T.Info.loopDepth(L)));
+    Daig<IntervalDomain> G(&T.F.Body,
+                           IntervalDomain::initialEntry(T.F.Params));
+    for (Loc X : T.Info.Rpo) // the entry cell holds φ0 from the start
+      EXPECT_EQ(G.locationValueReady(X), X == T.F.Body.entry())
+          << "l" << X << " before a query";
+    IntervalState Got = G.queryLocation(L);
+    EXPECT_TRUE(G.locationValueReady(L));
+    EXPECT_FALSE(G.locationDegraded(L));
+    EXPECT_TRUE(IntervalDomain::equal(Got, T.Batch.at(L)))
+        << "demanded=" << IntervalDomain::toString(Got)
+        << " batch=" << IntervalDomain::toString(T.Batch.at(L));
+    uint64_t Fills = G.stateFills();
+    EXPECT_TRUE(IntervalDomain::equal(G.queryLocation(L), Got));
+    EXPECT_EQ(G.stateFills(), Fills);
+  }
+}
+
+// An edit in the innermost body unreadies every location in the outermost
+// loop and after it; the locations before the loop keep their answers.
+TEST(DaigLocationReaders, EditUnreadiesWhatItDirtied) {
+  TripleNested T;
+  Daig<IntervalDomain> G(&T.F.Body, IntervalDomain::initialEntry(T.F.Params));
+  G.queryAllLocations();
+  for (Loc L : T.Info.Rpo)
+    EXPECT_TRUE(G.locationValueReady(L)) << "l" << L << " after every query";
+  ASSERT_TRUE(G.applyStatementEdit(edgeOf(T.F.Body, "k = k + 1"),
+                                   bump("k", 2)));
+  size_t Before = 0;
+  for (Loc L : T.Info.Rpo) {
+    bool Kept = T.beforeLoop(L);
+    Before += Kept;
+    EXPECT_EQ(G.locationValueReady(L), Kept) << "l" << L;
+  }
+  EXPECT_EQ(Before, 2u); // the entry and the location after i = 0
+  uint64_t Fills = G.stateFills();
+  for (Loc L : T.Info.Rpo)
+    if (T.beforeLoop(L))
+      (void)G.queryLocation(L);
+  EXPECT_EQ(G.stateFills(), Fills) << "a ready location filled a cell";
+  expectFromScratchConsistent<IntervalDomain>(T.F, G, "after the edit");
+}
+
+// A step budget that degrades the outermost fix cell makes every location
+// in that loop read degraded and ready, answered by the fix value.
+TEST(DaigLocationReaders, DegradedFixAnswersForItsLoop) {
+  TripleNested T;
+  Loc Inner = destOf(T.F.Body, "k = k + 1");
+  size_t Degraded = 0;
+  for (uint64_t Steps = 1; Steps <= 40; ++Steps) {
+    SCOPED_TRACE("MaxSteps " + std::to_string(Steps));
+    Daig<IntervalDomain> G(&T.F.Body,
+                           IntervalDomain::initialEntry(T.F.Params));
+    {
+      AnalysisBudget B;
+      B.MaxSteps = Steps;
+      BudgetScope Scope(B);
+      (void)G.queryLocation(Inner);
+    }
+    // The outermost loop's fix cell is its head's name: no enclosing count.
+    if (!G.cellDegraded(Name::loc(T.Outer)))
+      continue;
+    ++Degraded;
+    IntervalState Fix = G.queryLocation(T.Outer);
+    for (Loc L : T.Info.loopBody(T.Outer)) {
+      EXPECT_TRUE(G.locationDegraded(L)) << "l" << L;
+      EXPECT_TRUE(G.locationValueReady(L)) << "l" << L;
+      uint64_t Fills = G.stateFills();
+      EXPECT_TRUE(IntervalDomain::equal(G.queryLocation(L), Fix)) << "l" << L;
+      EXPECT_EQ(G.stateFills(), Fills) << "l" << L;
+    }
+    EXPECT_EQ(G.auditInvariants(), "");
+  }
+  EXPECT_GT(Degraded, 0u);
 }
 
 } // namespace

@@ -152,6 +152,65 @@ TEST(FrontendErrors, MalformedProgramsReturnDiagnostics) {
   }
 }
 
+TEST(FrontendErrors, ReturnInsideLoopIsRejected) {
+  // A return in a loop body leaves the loop without passing its head, and
+  // the DAIG reads every loop exit from the fixed point at the head: such a
+  // program must be a located parse error, not an unsound analysis.
+  struct Case {
+    const char *Src;
+    const char *Line; ///< Where the diagnostic points: the 'return'.
+  };
+  const Case Rejected[] = {
+      {"function f(n) {\n"
+       "  var i = 0;\n"
+       "  while (i < n) {\n"
+       "    return i;\n"
+       "  }\n"
+       "  return 0;\n"
+       "}\n",
+       "line 4,"},
+      {"function find(n) {\n"
+       "  var i = 0;\n"
+       "  while (i < n) {\n"
+       "    if (i == 5) {\n"
+       "      return i;\n"
+       "    }\n"
+       "    i = i + 1;\n"
+       "  }\n"
+       "  return 0 - 1;\n"
+       "}\n",
+       "line 5,"},
+      {"function f(n) {\n"
+       "  while (n > 0) {\n"
+       "    while (n > 1) { n = n - 1; }\n"
+       "    if (n == 1) { n = 0; } else { return n; }\n"
+       "  }\n"
+       "  return n;\n"
+       "}\n",
+       "line 4,"},
+  };
+  for (const Case &C : Rejected) {
+    ParseResult P = parseProgram(C.Src);
+    ASSERT_FALSE(P.ok()) << "expected a parse error for:\n" << C.Src;
+    EXPECT_NE(P.Error.find(C.Line), std::string::npos) << P.Error;
+    EXPECT_NE(P.Error.find("'return' inside a 'while' loop"),
+              std::string::npos)
+        << P.Error;
+    EXPECT_FALSE(frontend(C.Src).ok());
+  }
+  // A return after the loop, or in a branch outside any loop, still parses.
+  LowerResult After = frontend(R"(
+    function f(n) {
+      var i = 0;
+      while (i < n) {
+        i = i + 1;
+      }
+      if (i > 3) { return i; }
+      return 0;
+    })");
+  EXPECT_TRUE(After.ok()) << After.Error;
+}
+
 TEST(FrontendErrors, LoweringRejectsDuplicateFunctions) {
   LowerResult R = frontend(R"(
     function f() { return 1; }
