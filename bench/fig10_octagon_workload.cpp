@@ -245,12 +245,10 @@ std::vector<Sample> runTrial(Config C, const Options &Opt, uint64_t Seed) {
 struct SweepResult {
   double AnalysisMs = 0;   ///< Sum of per-edit analysis latencies.
   ThreadCounters Counters; ///< Per-thread counter deltas of the region.
-  NameTableCounters Names;
 
   Row row(const char *Phase, const char *Domain, unsigned Vars) const {
     Row R{Phase, Domain, "vars", Vars, AnalysisMs};
     R.addThreadCounters(Counters);
-    R.addFamily(Names);
     return R;
   }
 };
@@ -259,20 +257,20 @@ struct SweepResult {
 /// boilerplate of runSweepPoint and the staged sweep.
 struct CounterSnapshot {
   ThreadCounters Thread;
-  NameTableCounters Names;
 
   static CounterSnapshot take() {
-    // PeakDbmBytes is a gauge; zero it so the region reports its own peak
-    // rather than the largest matrix any earlier phase ever allocated.
+    // PeakDbmBytes and NameTableBytes are gauges; zero them so the region
+    // reports its own peaks rather than the largest matrix or key index any
+    // earlier phase ever allocated.
     closureCounters().PeakDbmBytes = 0;
-    return {ThreadCounters::snapshot(), nameTableCounters()};
+    nameTableCounters().NameTableBytes = 0;
+    return {ThreadCounters::snapshot()};
   }
   /// Writes (now − snapshot) into \p R. Call at the END of the measured
   /// region — anything that runs afterwards (e.g. the staged point's
   /// pure-octagon verification engine) stays out of the reported deltas.
   void deltaInto(SweepResult &R) const {
     R.Counters = ThreadCounters::snapshot().deltaSince(Thread);
-    R.Names = nameTableCounters() - Names;
   }
 };
 

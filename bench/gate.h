@@ -94,13 +94,14 @@ inline constexpr Rule Rules[] = {
     regression("batch_verify", "recheck", "interval", "checks_rechecked", 5),
     regression("batch_verify", "recheck", "interval", "cells_dirtied", 5),
     regression("batch_verify", "recheck", "interval", "transfers", 5),
-    // Names are for DAIG cells only, and the runs before a sweep row have
-    // named almost all of its cells, so the baseline interns next to
-    // nothing: a value that became a name fails here.
+    // Cell keys are per DAIG, and a sweep row builds its own DAIGs, so the
+    // baseline counts one key inserted per cell built, unrolled or rebuilt:
+    // anything else becoming a key (a value, a memo key) fails here.
     regression("fig10_octagon_workload", "sweep", "octagon", "names_interned",
                5),
-    // The name table's probe walk: a dedup index that stops spreading the
-    // DAIG's clustered structural hashes multiplies it.
+    // The key index's probe walk, slots examined past the first: an index
+    // that stops spreading the DAIG's clustered structural hashes
+    // multiplies it.
     regression("fig10_octagon_workload", "sweep", "octagon",
                "intern_extra_probes", 5),
     // Cross-checks: staged vs pure-octagon answers, AnyDomain vs the direct

@@ -198,11 +198,28 @@ Function sampleFunction(int Loops) {
 }
 
 void BM_NameConstruction(benchmark::State &State) {
+  // The key shapes queries and unrollings build — a pre-join cell inside a
+  // loop and a loop iterate — each probed in the DAIG's index.
+  LowerResult LR = frontend("function main(n) {\n  var a = 0;\n"
+                            "  while (a < n) {\n    if (a < 5) { a = a + 1; }"
+                            " else { a = a + 2; }\n  }\n  return a;\n}\n");
+  assert(LR.ok());
+  Function F = std::move(*LR.Prog.find("main"));
+  Daig<IntervalDomain> G(&F.Body, IntervalDomain::initialEntry(F.Params));
+  const CfgInfo &Info = G.info();
+  Loc Head = InvalidLoc, Join = InvalidLoc;
+  for (Loc L : Info.Rpo) {
+    if (Head == InvalidLoc && Info.isLoopHead(L))
+      Head = L;
+    if (Join == InvalidLoc && !Info.isLoopHead(L) &&
+        Info.fwdEdgesTo(L).size() >= 2)
+      Join = L;
+  }
+  const std::vector<uint32_t> Ctx = {0};
   for (auto _ : State) {
-    Name N = Name::iter(
-        Name::pair(Name::num(3), Name::pair(Name::loc(17), Name::loc(18))),
-        2);
-    benchmark::DoNotOptimize(N.hash());
+    CellKey PreJoin = CellKey::state(Join, Ctx).preJoin(2);
+    CellKey Iterate = CellKey::state(Head).iterate(1);
+    benchmark::DoNotOptimize(G.hasCell(PreJoin) && G.hasCell(Iterate));
   }
 }
 BENCHMARK(BM_NameConstruction);

@@ -113,6 +113,5 @@ int main() {
   std::cout << "== counters ==\n" << Stats << '\n';
   ThreadCounters::forEachFamily(
       [](auto M) { std::cout << ThreadCounters::live().*M << '\n'; });
-  std::cout << nameTableCounters() << '\n';
   return 0;
 }

@@ -13,25 +13,34 @@
 /// Q-Loop-Unroll of Fig. 8); edits dirty minimal state (rules E-Commit /
 /// E-Propagate / E-Loop of Fig. 9).
 ///
-/// The hypergraph is one map from name to cell record (Daig::Cell): the
-/// cell's statement or value, the computation that defines it, and the
-/// destinations of the computations that read it, in Name order. Queries
-/// walk the computations backward; dirtying walks the dependent lists
-/// forward, stamping the cells it visits with a per-DAIG epoch.
+/// The hypergraph is one store of cell records (Daig::Cell), addressed by
+/// dense CellIds: the cell's key (its name), statement or value, the
+/// computation that defines it, and the destinations of the computations
+/// that read it, in key order. Computations and dependent lists hold ids, so
+/// queries (walking computations backward) and dirtying (walking dependent
+/// lists forward, stamping visited cells with a per-DAIG epoch) index the
+/// store and never hash a key. The DAIG's key index (daig/cell_key.h) is
+/// probed only where a key is built from a location or an edge:
+/// construction, reconcile, the walk over a location's loop nest, and the
+/// entry points naming one edge or the entry. The store is a vector, so a
+/// cell may move whenever cells are added: no reference to a cell is held
+/// across a call that can add cells (evaluation, which may unroll, or
+/// building).
 ///
 /// Loop handling follows the paper's demanded-unrolling scheme, generalized
-/// to nested loops. A state cell's name is its location wrapped by one
-/// iteration count per enclosing loop, outermost first (daig/name.h); the
-/// builder keeps those counts in one flat vector. A loop instance is its
-/// fix cell, the head under the enclosing counts, whose iterate k is
-/// Name::iter(fix cell, k); the DAIG records only its count K, and the fix
+/// to nested loops. A state cell's key is its location wrapped by one
+/// iteration count per enclosing loop, outermost first; the builder keeps
+/// those counts in one flat vector. A loop instance is its fix cell, the
+/// head under the enclosing counts, whose iterate k is the fix cell's key
+/// wrapped by k; the fix cell records the instance's count K, and the fix
 /// edge reads iterates (K−1, K). Unrolling builds the next abstract
 /// iteration of the loop body (resetting directly nested loops to their
 /// initial two iterates) and slides the fix edge forward; dirtying iterate 1
 /// rolls the fix edge back to iterates (0, 1) and deletes the unrolled
 /// region, the cells reachable forward from iterate 1 short of the fix cell
-/// (a semantically equivalent, memory-friendlier variant of E-Loop). One
-/// walk over a location's loop nest finds the cell holding its answer for
+/// (a semantically equivalent, memory-friendlier variant of E-Loop); each
+/// iterate links to its fix cell, so the check is an array read. One walk
+/// over a location's loop nest finds the cell holding its answer for
 /// queryLocation and the location readers. See docs/architecture.md, "Cell
 /// names" and "DAIG edits".
 ///
@@ -41,7 +50,7 @@
 ///  - rebuild(): after arbitrary structural CFG edits — reconciles the DAIG
 ///    with the CFG in place. Only the locations whose construction inputs
 ///    changed, widened to the outermost loops around them, are rebuilt;
-///    every other cell keeps its name, value and degraded mark, and loops
+///    every other cell keeps its key, value and degraded mark, and loops
 ///    without a changed location keep their unrollings. Cells whose
 ///    computation changed or that disappeared are emptied by the Fig. 9
 ///    dirtying rules;
@@ -55,8 +64,8 @@
 
 #include "cfg/cfg_analysis.h"
 #include "cfg/edits.h"
+#include "daig/cell_key.h"
 #include "daig/memo_table.h"
-#include "daig/name.h"
 #include "domain/abstract_domain.h"
 #include "support/budget.h"
 #include "support/fault_injection.h"
@@ -67,8 +76,6 @@
 #include <cassert>
 #include <functional>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <variant>
 
 namespace dai {
@@ -110,7 +117,7 @@ struct DemandTree {
   static constexpr uint8_t kNoFn = 0xff;
 
   struct Node {
-    Name N;
+    CellKey N;
     DemandOutcome O = DemandOutcome::Evaluated;
     uint8_t FK = kNoFn; ///< FnKind of the defining computation; kNoFn = none
                         ///< (e.g. the entry cell).
@@ -203,9 +210,9 @@ public:
   /// Statement interpretation override used by the interprocedural engine to
   /// resolve Call statements by demanding callee summaries.
   using TransferFn = std::function<Elem(const Stmt &, const Elem &)>;
-  /// Invalidation callback: fired for every cell emptied by an edit, letting
-  /// the engine propagate dirtying across function DAIGs.
-  using EmptiedFn = std::function<void(Name)>;
+  /// Invalidation callback: fired with the key of every cell emptied by an
+  /// edit, letting the engine propagate dirtying across function DAIGs.
+  using EmptiedFn = std::function<void(const CellKey &)>;
 
   /// Test access to internals (tests/daig_reconcile_test.cpp).
   friend struct DaigTestPeer;
@@ -217,27 +224,43 @@ public:
   /// in argument order (a transfer reads its statement cell first).
   struct Comp {
     FnKind F;
-    std::vector<Name> Srcs;
+    std::vector<CellId> Srcs;
 
     bool operator==(const Comp &O) const { return F == O.F && Srcs == O.Srcs; }
   };
 
-  /// One reference cell and everything the DAIG keeps about it: its
+  /// One reference cell and everything the DAIG keeps about it: its key,
   /// contents, the computation that defines it (at most one, Definition
-  /// 4.1) and the computations that read it. An edit changes one record;
-  /// auditInvariants checks that each cell's computation and its sources'
-  /// dependent lists agree.
+  /// 4.1) and the computations that read it, plus its loop-instance and
+  /// degraded bookkeeping. An edit changes one record; auditInvariants
+  /// checks that each cell's computation and its sources' dependent lists
+  /// agree.
   struct Cell {
+    /// The cell's name; invalid while the slot is free.
+    CellKey Key;
     CellType T = CellType::StateTy;
+    /// Holds a budget-degraded value (support/budget.h): ⊤-substituted on
+    /// hard exhaustion, or computed from a degraded input (taint). Cleared
+    /// whenever the cell is emptied: the mark describes the value stored.
+    bool Degraded = false;
+    /// A loop instance's fix cell: the instance's count K, its fix edge
+    /// reading iterates (K−1, K); K = 1 initially. 0 for every other cell.
+    uint32_t K = 0;
+    /// A loop iterate: its instance's fix cell, as buildIteration last set
+    /// it (E-Loop rollback checks it against the keys before use).
+    CellId Fix = kNoCell;
+    /// A statement cell: its statement's Stmt::hash(), the first half of
+    /// its transfers' memo keys.
+    uint64_t StmtHash = 0;
     /// A statement cell's statement or a state cell's (non-null) value;
     /// empty while a state cell is unfilled.
     std::optional<std::variant<Stmt, ElemPtr>> V;
     /// The defining computation; none for statement cells and the entry
     /// cell.
     std::optional<Comp> Def;
-    /// Destinations of the computations reading this cell, in Name order
-    /// and without repeats: the order dirtying visits them in.
-    std::vector<Name> Deps;
+    /// Destinations of the computations reading this cell, in key order and
+    /// without repeats: the order dirtying visits them in.
+    std::vector<CellId> Deps;
     /// The epoch of the last dirtying or rollback walk that visited it.
     uint64_t Seen = 0;
 
@@ -264,14 +287,12 @@ public:
   bool valid() const { return Info->valid(); }
 
   //===--------------------------------------------------------------------===//
-  // Names of interest
+  // Keys of interest
   //===--------------------------------------------------------------------===//
 
-  /// The cell holding queryLocation(exit)'s answer. No loop encloses the
-  /// exit, so the name needs no enclosing fixed point.
-  Name exitCellName() const {
-    return answerCellName(G->exit(), [](Name) { return false; });
-  }
+  /// The key of the cell holding queryLocation(exit)'s answer. No loop
+  /// encloses the exit, so its key carries no count.
+  CellKey exitCellKey() const { return CellKey::state(G->exit()); }
 
   //===--------------------------------------------------------------------===//
   // Queries (Fig. 8)
@@ -285,9 +306,9 @@ public:
     if (!Info->reachable(L))
       return D::bottom();
     ElemPtr DegradedFix;
-    Name N = answerCellName(L, [&](Name Fix) {
-      ElemPtr FV = queryState(Fix);
-      if (!cellDegraded(Fix))
+    CellId Id = answerCell(L, [&](CellId Fix) {
+      ElemPtr FV = queryCell(Fix);
+      if (!Cells[Fix].Degraded)
         return false;
       // The enclosing fixpoint was ⊤-degraded by a budget: its iterate
       // cells are intermediate (pre-convergence) states, NOT sound final
@@ -297,7 +318,8 @@ public:
       DegradedFix = std::move(FV);
       return true;
     });
-    return DegradedFix ? *DegradedFix : *queryState(N);
+    assert(Id != kNoCell && "a reachable location has an answer cell");
+    return DegradedFix ? *DegradedFix : *queryCell(Id);
   }
 
   /// Demands every reachable location (the eager, incremental-only mode).
@@ -306,50 +328,11 @@ public:
       (void)queryLocation(L);
   }
 
-  /// Low-level query by cell name (Fig. 8 semantics), plus the resource
-  /// governance of support/budget.h: the demand-miss path is the analysis's
-  /// unit of work, so it checkpoints the budget (which may throw
-  /// AnalysisCancelled — before any mutation, so unwinding is clean),
-  /// resolves to ⊤ under hard exhaustion, and tracks degraded provenance
-  /// through a per-evaluation taint frame. Returns the cell's shared value.
-  ///
-  /// The cell's record is read in place throughout: a query adds cells
-  /// (unrolling) but removes none, and a node-based map keeps references
-  /// across rehashing.
-  ElemPtr queryState(Name N) {
-    auto It = Cells.find(N);
-    assert(It != Cells.end() && "query for a name outside the DAIG");
-    Cell &C = It->second;
-    assert(C.T == CellType::StateTy && "queryState on a Stmt cell");
-    if (C.hasValue()) {
-      if (Stats)
-        ++Stats->CellReuses; // Q-Reuse
-      bool Deg = !Degraded.empty() && Degraded.count(N);
-      if (Deg)
-        budgetState().TaintPending = true; // consumer inherits the flag
-      if (Prov)
-        provEnter(N, C, Deg ? DemandOutcome::DegradedReuse
-                            : DemandOutcome::Reused);
-      return C.value();
-    }
-    ProvFrame PF(*this, N, C);
-    TraceSpan Sp("daig.cell_eval", N.id());
-    budgetCheckpoint("DAIG cell evaluation");
-    DAI_FAULT_POINT(CellEval);
-    if (budgetExhausted())
-      return degradeToTop(N, C);
-    assert(C.Def && "empty cell without a computation (wf condition 5)");
-    BudgetTaintScope Taint;
-    ElemPtr Result;
-    if (C.Def->F == FnKind::Fix) {
-      Result = queryFix(N, C); // stores internally
-    } else {
-      Result = evaluateComp(*C.Def);
-      store(C, Result);
-    }
-    if (Taint.consumed())
-      markDegraded(N);
-    return Result;
+  /// Low-level query by cell key (Fig. 8 semantics; see queryCell).
+  ElemPtr queryState(const CellKey &K) {
+    CellId Id = find(K);
+    assert(Id != kNoCell && "query for a key outside the DAIG");
+    return queryCell(Id);
   }
 
   /// Runs queryLocation(\p L) with demand-provenance recording enabled and
@@ -383,13 +366,12 @@ public:
     const CfgEdge *E = G->findEdge(Id);
     if (!E)
       return false;
-    Name SC = stmtCellName(Id);
-    auto It = Cells.find(SC);
-    assert(It != Cells.end() && "statement cell missing for live edge");
-    if (It->second.stmt() == NewStmt)
+    CellId SC = find(stmtCellKey(Id));
+    assert(SC != kNoCell && "statement cell missing for live edge");
+    if (Cells[SC].stmt() == NewStmt)
       return true; // no-op edit
     G->replaceStmt(Id, NewStmt);
-    It->second.V = std::move(NewStmt);
+    setStmt(Cells[SC], std::move(NewStmt));
     dirtyDependentsOf(SC);
     return true;
   }
@@ -425,7 +407,7 @@ public:
   /// outermost loop, old or new, around one. Loops around a changed
   /// location roll back to iteration 0 first (E-Loop); then the region
   /// alone is rebuilt. Cells outside it are not touched, loops without a
-  /// changed location keep their unrollings, and a rebuilt cell whose name
+  /// changed location keep their unrollings, and a rebuilt cell whose key
   /// and computation are unchanged keeps its value and its degraded mark.
   /// A filled cell whose computation changed, or which disappears, is
   /// emptied through propagateDirty, so OnCellEmptied, forward dirtying and
@@ -439,49 +421,46 @@ public:
   /// engine when callee entry contributions change) and dirties forward.
   void updateEntry(Elem NewEntry) {
     EntryValue = share(std::move(NewEntry));
-    Name N = stateCellName(G->entry(), {});
-    auto It = Cells.find(N);
-    assert(It != Cells.end() && "entry cell must exist");
-    It->second.V = EntryValue;
+    CellId N = entryCell();
+    assert(N != kNoCell && "entry cell must exist");
+    Cells[N].V = EntryValue;
     ++Fills;
-    Degraded.erase(N); // a fresh entry value clears entry provenance
+    clearDegraded(Cells[N]); // a fresh entry value clears entry provenance
     dirtyDependentsOf(N);
   }
 
   /// Marks the entry cell degraded (interprocedural engine: the entry was
   /// coarsened by a budget-tightened widening, so everything computed from
   /// it carries degraded provenance via the taint frames).
-  void markEntryDegraded() { markDegraded(stateCellName(G->entry(), {})); }
+  void markEntryDegraded() { markDegraded(entryCell()); }
 
   /// Current entry abstract state.
   const Elem &entryValue() const { return *EntryValue; }
 
   /// Dirties every cell computed from edge \p Id's statement (used by the
   /// engine when a callee summary feeding this edge changes).
-  void invalidateEdgeOutputs(EdgeId Id) { dirtyDependentsOf(stmtCellName(Id)); }
+  void invalidateEdgeOutputs(EdgeId Id) {
+    dirtyDependentsOf(find(stmtCellKey(Id)));
+  }
 
   //===--------------------------------------------------------------------===//
   // Introspection (tests, statistics, debugging)
   //===--------------------------------------------------------------------===//
 
-  size_t cellCount() const { return Cells.size(); }
+  size_t cellCount() const { return Cells.size() - Free.size(); }
   /// The cells that have a defining computation.
   size_t compCount() const {
     return std::ranges::count_if(
-        Cells, [](const auto &NC) { return NC.second.Def.has_value(); });
+        Cells, [](const Cell &C) { return C.Def.has_value(); });
   }
   size_t unrolledLoopCount() const {
-    size_t N = 0;
-    for (const auto &[Fix, K] : Loops)
-      if (K > 1)
-        ++N;
-    return N;
+    return std::ranges::count_if(Cells, [](const Cell &C) { return C.K > 1; });
   }
 
-  bool hasCell(Name N) const { return Cells.count(N) != 0; }
-  bool cellHasValue(Name N) const {
-    auto It = Cells.find(N);
-    return It != Cells.end() && It->second.hasValue();
+  bool hasCell(const CellKey &K) const { return find(K) != kNoCell; }
+  bool cellHasValue(const CellKey &K) const {
+    CellId Id = find(K);
+    return Id != kNoCell && Cells[Id].hasValue();
   }
 
   /// True when queryLocation(\p L) would be answered entirely from filled
@@ -497,9 +476,10 @@ public:
     if (!Info->reachable(L))
       return false;
     // A degraded fix cell is filled, and queryLocation answers with it.
-    return cellHasValue(answerCellName(L, [&](Name Fix) {
-      return !cellHasValue(Fix) || cellDegraded(Fix);
-    }));
+    CellId Id = answerCell(L, [&](CellId Fix) {
+      return !Cells[Fix].hasValue() || Cells[Fix].Degraded;
+    });
+    return Id != kNoCell && Cells[Id].hasValue();
   }
 
   /// Abstract-state cells filled so far: evaluations, memo hits and ⊤
@@ -512,130 +492,138 @@ public:
   // Degraded provenance (support/budget.h)
   //===--------------------------------------------------------------------===//
 
-  /// True when cell \p N holds a budget-degraded value (⊤-substituted, or
+  /// True when cell \p K holds a budget-degraded value (⊤-substituted, or
   /// computed from a degraded input).
-  bool cellDegraded(Name N) const {
-    return !Degraded.empty() && Degraded.count(N) != 0;
+  bool cellDegraded(const CellKey &K) const {
+    CellId Id = DegradedCount ? find(K) : kNoCell;
+    return Id != kNoCell && Cells[Id].Degraded;
   }
 
   /// True when the answer queryLocation(\p L) returns carries degraded
   /// provenance. Meaningful once \p L has been demanded: the flags are
   /// recorded during evaluation.
   bool locationDegraded(Loc L) const {
-    if (Degraded.empty() || !Info->reachable(L))
+    if (!DegradedCount || !Info->reachable(L))
       return false;
     // queryLocation answers with the first degraded enclosing fix value.
-    return cellDegraded(
-        answerCellName(L, [&](Name Fix) { return cellDegraded(Fix); }));
+    CellId Id =
+        answerCell(L, [&](CellId Fix) { return Cells[Fix].Degraded; });
+    return Id != kNoCell && Cells[Id].Degraded;
   }
 
-  size_t degradedCellCount() const { return Degraded.size(); }
+  size_t degradedCellCount() const { return DegradedCount; }
 
   /// Empties every degraded cell (and its transitive dependents), clearing
   /// all provenance marks — re-demanding afterwards, outside the exhausted
   /// budget, restores full precision. Returns the number of cells that
   /// carried marks.
   size_t invalidateDegraded() {
-    if (Degraded.empty())
+    if (!DegradedCount)
       return 0;
-    size_t Count = Degraded.size();
-    Name Entry = stateCellName(G->entry(), {});
-    std::vector<Name> Work;
-    for (const Name &N : Degraded) {
+    size_t Count = DegradedCount;
+    CellId Entry = entryCell();
+    std::vector<CellId> Marked, Work;
+    for (CellId N = 0; N < Cells.size(); ++N)
+      if (Cells[N].Degraded)
+        Marked.push_back(N);
+    std::ranges::sort(Marked, keyLess());
+    for (CellId N : Marked) {
       if (N == Entry) {
         // The entry cell always holds φ0 and has no computation; dirty its
         // consumers instead (the engine re-refreshes coarsened entries).
-        const std::vector<Name> &Deps = Cells.at(N).Deps;
+        const std::vector<CellId> &Deps = Cells[N].Deps;
         Work.insert(Work.end(), Deps.begin(), Deps.end());
         continue;
       }
       Work.push_back(N);
     }
-    propagateDirty(Work); // also erases each emptied cell's mark
-    Degraded.clear();     // incl. the (unemptied) entry mark
+    propagateDirty(Work); // also clears each emptied cell's mark
+    for (CellId N : Marked) // incl. the (unemptied) entry's
+      if (live(N))
+        clearDegraded(Cells[N]);
     return Count;
   }
 
   /// Structural self-audit beyond Definition 4.1: checkWellFormed plus
-  /// agreement of computations and dependent lists, loop-instance metadata
-  /// sanity, names that fit the pinned snapshot, and degraded-set honesty.
-  /// Cheap (no domain operations) — safe to run on a mid-cancelled DAIG.
-  /// Returns "" when clean.
+  /// agreement of computations and dependent lists, of the store and the
+  /// key index, loop-instance metadata sanity, keys that fit the pinned
+  /// snapshot, and degraded-mark honesty. Cheap (no domain operations) —
+  /// safe to run on a mid-cancelled DAIG. Returns "" when clean.
   std::string auditInvariants() const {
     std::string W = checkWellFormed();
     if (!W.empty())
       return W;
-    // Each computation's sources list it as a dependent; each dependent's
-    // computation lists its source; dependent lists are in Name order
-    // without repeats. (checkWellFormed has found every source.)
-    for (const auto &[N, C] : Cells) {
+    if (Index.size() != cellCount())
+      return "the key index and the cell store disagree on the cell count";
+    size_t Marks = 0;
+    for (CellId N = 0; N < Cells.size(); ++N) {
+      const Cell &C = Cells[N];
+      if (!C.Key.valid())
+        continue;
+      auto Name = [&] { return C.Key.toString(); };
+      if (find(C.Key) != N)
+        return "cell " + Name() + " is not indexed under its key";
+      // Each computation's sources list it as a dependent; each
+      // dependent's computation lists its source; dependent lists are in
+      // key order without repeats. (checkWellFormed found every source.)
       if (C.Def)
-        for (const Name &S : C.Def->Srcs) {
-          const std::vector<Name> &SDeps = Cells.at(S).Deps;
-          if (!std::binary_search(SDeps.begin(), SDeps.end(), N))
-            return "missing dependent edge " + S.toString() + " → " +
-                   N.toString();
-        }
+        for (CellId S : C.Def->Srcs)
+          if (!std::ranges::binary_search(Cells[S].Deps, N, keyLess()))
+            return "missing dependent edge " + Cells[S].Key.toString() +
+                   " → " + Name();
       for (size_t I = 0; I < C.Deps.size(); ++I) {
-        const Name &Dest = C.Deps[I];
-        if (I > 0 && !(C.Deps[I - 1] < Dest))
-          return "dependents of " + N.toString() +
-                 " out of Name order or repeated";
-        auto DIt = Cells.find(Dest);
-        if (DIt == Cells.end() || !DIt->second.Def)
-          return "dangling dependent " + Dest.toString() + " of " +
-                 N.toString();
-        const std::vector<Name> &Srcs = DIt->second.Def->Srcs;
-        if (std::find(Srcs.begin(), Srcs.end(), N) == Srcs.end())
-          return "dependent " + Dest.toString() +
-                 " does not list source " + N.toString();
+        CellId Dest = C.Deps[I];
+        if (I > 0 && !keyLess()(C.Deps[I - 1], Dest))
+          return "dependents of " + Name() + " out of key order or repeated";
+        if (!live(Dest) || !Cells[Dest].Def)
+          return "dangling dependent of " + Name();
+        if (std::ranges::find(Cells[Dest].Def->Srcs, N) ==
+            Cells[Dest].Def->Srcs.end())
+          return "dependent " + Cells[Dest].Key.toString() +
+                 " does not list source " + Name();
+      }
+      // Loop instances: each fix cell's computation is the fix edge over
+      // its own iterates K−1 and K, which link back to it.
+      if (C.K) {
+        CellId Prev = find(C.Key.iterate(C.K - 1)),
+               Next = find(C.Key.iterate(C.K));
+        if (!C.Def || C.Def->F != FnKind::Fix)
+          return "loop instance without a fix edge: " + Name();
+        if (C.Def->Srcs != std::vector<CellId>{Prev, Next})
+          return "fix sources disagree with the instance's count: " + Name();
+        if (Cells[Prev].Fix != N || Cells[Next].Fix != N)
+          return "iterates of " + Name() + " do not link to their fix cell";
+      }
+      // Keys fit the snapshot: a state-like cell names a reachable
+      // location with one count per enclosing loop (one fewer for a head's
+      // fix cell), so no cell a structural edit should have removed
+      // survives it.
+      if (C.Key.shape() != CellKey::Shape::Stmt) {
+        Loc L = C.Key.loc();
+        if (!Info->reachable(L))
+          return "cell of an unreachable location: " + Name();
+        size_t Depth = Info->loopDepth(L), Counts = C.Key.counts().size();
+        if (Counts != Depth && !(Info->isLoopHead(L) && Counts + 1 == Depth))
+          return "cell key disagrees with its loop nest: " + Name();
+      }
+      // Degraded honesty: a mark sits on a filled state cell.
+      if (C.Degraded) {
+        ++Marks;
+        if (C.T != CellType::StateTy || !C.hasValue())
+          return "degraded mark on an empty/statement cell: " + Name();
       }
     }
-    // Loop instances: each fix cell's computation is the fix edge over its
-    // own iterates K−1 and K.
-    for (const auto &[FixDest, K] : Loops) {
-      auto CIt = Cells.find(FixDest);
-      if (CIt == Cells.end() || !CIt->second.Def ||
-          CIt->second.Def->F != FnKind::Fix)
-        return "loop instance without a fix edge: " + FixDest.toString();
-      if (CIt->second.Def->Srcs != std::vector<Name>{Name::iter(FixDest, K - 1),
-                                                     Name::iter(FixDest, K)})
-        return "fix sources disagree with the instance's count: " +
-               FixDest.toString();
-    }
-    // Names fit the snapshot: a state-like cell names a reachable location
-    // with one count per enclosing loop (one fewer for a head's fix cell),
-    // so no cell a structural edit should have removed survives it.
-    for (const auto &[N, C] : Cells) {
-      Loc L;
-      std::vector<uint32_t> Counts;
-      if (!decodeCellState(N, L, Counts))
-        continue;
-      if (!Info->reachable(L))
-        return "cell of an unreachable location: " + N.toString();
-      size_t Depth = Info->loopDepth(L);
-      if (Counts.size() != Depth &&
-          !(Info->isLoopHead(L) && Counts.size() + 1 == Depth))
-        return "cell name disagrees with its loop nest: " + N.toString();
-    }
-    // Degraded honesty: every mark names a live, filled state cell (marks
-    // are erased whenever a cell is emptied or removed).
-    for (const Name &N : Degraded) {
-      auto It = Cells.find(N);
-      if (It == Cells.end())
-        return "degraded mark on a missing cell: " + N.toString();
-      if (It->second.T != CellType::StateTy || !It->second.hasValue())
-        return "degraded mark on an empty/statement cell: " + N.toString();
-    }
+    if (Marks != DegradedCount)
+      return "degraded marks disagree with their count";
     return "";
   }
 
-  /// Name of the statement cell for edge \p Id (depends on join indexing).
-  Name stmtCellName(EdgeId Id) const {
+  /// Key of the statement cell for edge \p Id (depends on join indexing).
+  CellKey stmtCellKey(EdgeId Id) const {
     const CfgEdge *E = G->findEdge(Id);
     assert(E && "no such edge");
-    return stmtName(E->Src, E->Dst, Info->fwdIndexOf(*G, Id),
-                    Info->fwdEdgesTo(E->Dst).size());
+    return stmtKey(E->Src, E->Dst, Info->fwdIndexOf(*G, Id),
+                   Info->fwdEdgesTo(E->Dst).size());
   }
 
   /// Checks Definition 4.1 well-formedness plus internal index consistency.
@@ -660,19 +648,14 @@ private:
   TransferFn Hook;
   EmptiedFn OnCellEmptied;
 
-  /// Every cell, by name. Node-based: a reference to a record stays valid
-  /// until that record is erased, across any insertions.
-  std::unordered_map<Name, Cell, NameHash> Cells;
-  /// Cells holding budget-degraded values (support/budget.h): ⊤-substituted
-  /// on hard exhaustion, or computed from a degraded input (taint). Marks
-  /// are erased whenever the cell is emptied or removed — a mark always
-  /// describes the value currently stored.
-  std::unordered_set<Name, NameHash> Degraded;
-
-  /// Every loop instance: its fix cell, whose name is the head under the
-  /// enclosing counts, and K, the instance's fix edge reading iterates
-  /// (K−1, K); K = 1 initially.
-  std::unordered_map<Name, uint32_t, NameHash> Loops;
+  /// Every cell, by id. A removed cell's slot is free (its key invalid)
+  /// until a later cell reuses it; Free lists those slots.
+  std::vector<Cell> Cells;
+  std::vector<CellId> Free;
+  /// Each live cell's id under its key.
+  CellKeyIndex Index;
+  /// Cells with Cell::Degraded set.
+  size_t DegradedCount = 0;
 
   /// stateFills(). The count spans rebuilds: a rebuilt entry cell is
   /// refilled with the unchanged φ0 and not counted.
@@ -683,170 +666,167 @@ private:
   uint64_t Epoch = 0;
 
   //===--------------------------------------------------------------------===//
-  // Naming
+  // Keys and the store
   //===--------------------------------------------------------------------===//
+
+  bool live(CellId Id) const { return Cells[Id].Key.valid(); }
+
+  /// How the index reads a cell's key back.
+  auto keyOf() const {
+    return [this](CellId Id) -> const CellKey & { return Cells[Id].Key; };
+  }
+
+  /// The id of the cell keyed \p K, or kNoCell.
+  CellId find(const CellKey &K) const { return Index.find(K, keyOf()); }
+
+  /// The id of the cell keyed \p K, creating an empty record when absent.
+  CellId cellFor(const CellKey &K) {
+    return Index.findOrAdd(K, keyOf(), [&] {
+      CellId Id = static_cast<CellId>(Cells.size());
+      if (Free.empty()) {
+        Cells.emplace_back();
+      } else {
+        Id = Free.back();
+        Free.pop_back();
+      }
+      Cells[Id].Key = K;
+      return Id;
+    });
+  }
+
+  /// Orders ids by their cells' keys: the order of every dependent list.
+  auto keyLess() const {
+    return [this](CellId A, CellId B) {
+      return A != B && Cells[A].Key < Cells[B].Key;
+    };
+  }
 
   // An iteration context is one count per enclosing loop, outermost first
   // in CfgInfo::loopNest order; a count the context lacks reads as 0.
 
-  /// \p L wrapped by the first \p Depth counts of \p Ctx, outermost
-  /// first: the n^(i) of Fig. 6.
-  static Name countedName(Loc L, size_t Depth, std::span<const uint32_t> Ctx) {
-    Name N = Name::loc(L);
-    for (size_t I = 0; I < Depth; ++I)
-      N = Name::iter(N, I < Ctx.size() ? Ctx[I] : 0u);
-    return N;
-  }
-
-  /// State-cell name for \p L under context \p Ctx: one count per loop in
+  /// State-cell key for \p L under context \p Ctx: one count per loop in
   /// its nest (for a loop head, the last is its own iterate index).
-  Name stateCellName(Loc L, std::span<const uint32_t> Ctx) const {
-    return countedName(L, Info->loopDepth(L), Ctx);
+  CellKey stateKey(Loc L, std::span<const uint32_t> Ctx) const {
+    return CellKey::state(L, Ctx, Info->loopDepth(L));
   }
 
-  /// Fix-cell (fixed point) name for head \p H: the counts of strictly
-  /// enclosing loops only, so that the instance's iterate k is
-  /// Name::iter(fix cell, k).
-  Name fixCellName(Loc H, std::span<const uint32_t> Ctx) const {
-    return countedName(H, Info->loopDepth(H) - 1, Ctx);
+  /// Fix-cell key for head \p H: the counts of strictly enclosing loops
+  /// only, so that the instance's iterate k is the fix key's iterate(k).
+  CellKey fixKey(Loc H, std::span<const uint32_t> Ctx) const {
+    return CellKey::state(H, Ctx, Info->loopDepth(H) - 1);
   }
 
-  /// Pre-join cell i·n for join input \p Idx at \p L.
-  Name preJoinCellName(Loc L, std::span<const uint32_t> Ctx,
-                       unsigned Idx) const {
-    return Name::pair(Name::num(Idx), stateCellName(L, Ctx));
+  /// Statement-cell key of the edge Src→Dst: plain for a back edge (\p Idx
+  /// 0) or a destination's only forward edge, else i·(ℓ·ℓ′) for its 1-based
+  /// fwd-edges-to index i = \p Idx among \p InDegree forward in-edges.
+  static CellKey stmtKey(Loc Src, Loc Dst, unsigned Idx, size_t InDegree) {
+    return CellKey::stmt(Src, Dst, InDegree < 2 ? 0 : Idx);
   }
+
+  CellId entryCell() const { return find(stateKey(G->entry(), {})); }
 
   /// The one walk over \p L's loop nest, behind queryLocation,
-  /// locationValueReady, locationDegraded and exitCellName. Outermost first,
-  /// it names each enclosing loop's fix cell under the counts gathered so
-  /// far and asks \p Stop whether to stop there; if not, it enters that
-  /// instance's converged iteration, count K − 1. Returns the fix cell it
-  /// stopped at, else the cell holding L's answer: a head's fix cell or L's
-  /// state cell.
+  /// locationValueReady and locationDegraded. Outermost first, it finds
+  /// each enclosing loop's fix cell under the counts gathered so far and
+  /// asks \p Stop whether to stop there; if not, it enters that instance's
+  /// converged iteration, count K − 1. Returns the fix cell it stopped at,
+  /// else the cell holding L's answer: a head's fix cell or L's state cell
+  /// (kNoCell if the DAIG lacks it). \p Stop may add cells.
   template <typename StopFn>
-  Name answerCellName(Loc L, StopFn &&Stop) const {
+  CellId answerCell(Loc L, StopFn &&Stop) const {
     std::span<const Loc> Nest = Info->loopNest(L);
     bool Head = Info->isLoopHead(L); // then its own loop ends the nest
-    std::vector<uint32_t> Ctx;
+    CellKey At = CellKey::state(L);  // L under the counts entered so far
     for (Loc H : Nest.first(Nest.size() - Head)) {
-      Name Fix = fixCellName(H, Ctx);
-      if (Stop(Fix))
+      CellId Fix = find(CellKey::state(H, At.counts()));
+      if (Fix == kNoCell || Stop(Fix))
         return Fix;
-      Ctx.push_back(Loops.at(Fix) - 1);
+      At = At.iterate(Cells[Fix].K - 1);
     }
-    return Head ? fixCellName(L, Ctx) : stateCellName(L, Ctx);
-  }
-
-  /// Decodes a state-like name into (location, counts). Returns false for
-  /// product/statement names.
-  static bool decodeState(Name N, Loc &L, std::vector<uint32_t> &Counts) {
-    Counts.clear();
-    Name Cur = N;
-    while (Cur.valid() && Cur.kind() == Name::Kind::Iter) {
-      Counts.push_back(Cur.iterCount());
-      Cur = Cur.iterBase();
-    }
-    if (!Cur.valid() || Cur.kind() != Name::Kind::Loc)
-      return false;
-    std::reverse(Counts.begin(), Counts.end()); // outermost first
-    L = Cur.locId();
-    return true;
-  }
-
-  /// Extracts the "state part" of any cell name (pre-join and pre-widen
-  /// names wrap state names). Returns false for statement cells.
-  static bool decodeCellState(Name N, Loc &L,
-                              std::vector<uint32_t> &Counts) {
-    if (decodeState(N, L, Counts))
-      return true;
-    if (N.kind() == Name::Kind::Pair) {
-      Name Left = N.left();
-      if (Left.kind() == Name::Kind::Num)
-        return decodeState(N.right(), L, Counts); // pre-join i·n
-      if (Left.kind() == Name::Kind::Iter)
-        return decodeState(Left, L, Counts); // pre-widen (it_k, it_{k+1})
-    }
-    return false;
+    return find(At);
   }
 
   //===--------------------------------------------------------------------===//
   // Structure mutation helpers
   //===--------------------------------------------------------------------===//
 
-  /// Builds state cell \p N, or keeps it (and its value) when it exists.
-  void addStateCell(Name N) {
-    Cells.try_emplace(N);
+  /// Builds state cell \p K, or keeps it (and its value) when it exists.
+  CellId addStateCell(const CellKey &K) {
+    CellId Id = cellFor(K);
     if (Log)
-      Log->Built.push_back(N);
+      Log->Built.push_back(Id);
+    return Id;
   }
 
-  /// Builds statement cell \p N holding \p S; an existing cell with another
+  static void setStmt(Cell &C, Stmt S) {
+    C.StmtHash = S.hash();
+    C.V = std::move(S);
+  }
+
+  /// Builds statement cell \p K holding \p S; an existing cell with another
   /// statement takes \p S and is logged as changed.
-  void addStmtCell(Name N, const Stmt &S) {
-    Cell &C = Cells[N];
+  CellId addStmtCell(const CellKey &K, const Stmt &S) {
+    CellId Id = cellFor(K);
+    Cell &C = Cells[Id];
     if (!C.hasValue()) {
       C.T = CellType::StmtTy;
-      C.V = S;
+      setStmt(C, S);
     } else if (!(C.stmt() == S)) {
-      C.V = S;
+      setStmt(C, S);
       if (Log)
-        Log->Changed.push_back(N);
+        Log->Changed.push_back(Id);
     }
     if (Log)
-      Log->Built.push_back(N);
+      Log->Built.push_back(Id);
+    return Id;
   }
 
   /// Sets the computation of the built cell \p Dest; a no-op when it is
   /// already exactly that. Construction links a location's sources built
-  /// or not, so linking creates a missing source's record, which
-  /// addStateCell then finds.
-  void addComp(Name Dest, FnKind F, std::vector<Name> Srcs) {
-    auto It = Cells.find(Dest);
-    assert(It != Cells.end() && "computation into a missing cell");
-    std::optional<Comp> &Def = It->second.Def;
-    if (Def) {
+  /// or not (cellFor creates a missing source's record, which addStateCell
+  /// then finds).
+  void addComp(CellId Dest, FnKind F, std::vector<CellId> Srcs) {
+    if (const std::optional<Comp> &Def = Cells[Dest].Def) {
       if (Def->F == F && Def->Srcs == Srcs)
         return;
       unlinkSources(Dest, Def->Srcs);
     }
     if (Log)
       Log->Changed.push_back(Dest);
-    for (Name S : Srcs) {
-      std::vector<Name> &Deps = Cells[S].Deps;
-      auto P = std::lower_bound(Deps.begin(), Deps.end(), Dest);
-      if (P == Deps.end() || !(*P == Dest))
+    for (CellId S : Srcs) {
+      std::vector<CellId> &Deps = Cells[S].Deps;
+      auto P = std::lower_bound(Deps.begin(), Deps.end(), Dest, keyLess());
+      if (P == Deps.end() || *P != Dest)
         Deps.insert(P, Dest);
     }
-    Def = Comp{F, std::move(Srcs)};
+    Cells[Dest].Def = Comp{F, std::move(Srcs)};
   }
 
   /// Drops \p Dest from the dependent lists of those of \p Srcs that still
   /// exist.
-  void unlinkSources(Name Dest, const std::vector<Name> &Srcs) {
-    for (Name S : Srcs) {
-      auto SIt = Cells.find(S);
-      if (SIt == Cells.end())
+  void unlinkSources(CellId Dest, const std::vector<CellId> &Srcs) {
+    for (CellId S : Srcs) {
+      if (!live(S))
         continue;
-      std::vector<Name> &Deps = SIt->second.Deps;
-      auto P = std::lower_bound(Deps.begin(), Deps.end(), Dest);
+      std::vector<CellId> &Deps = Cells[S].Deps;
+      auto P = std::lower_bound(Deps.begin(), Deps.end(), Dest, keyLess());
       if (P != Deps.end() && *P == Dest)
         Deps.erase(P);
     }
   }
 
-  /// Removes cell \p N with its computation. Its dependents must go too, or
-  /// be re-linked, as rollback and reconcile do.
-  void removeCell(Name N) {
-    auto It = Cells.find(N);
-    if (It == Cells.end())
+  /// Removes cell \p N with its computation and frees its slot. Its
+  /// dependents must go too, or be re-linked, as rollback and reconcile do.
+  void removeCell(CellId N) {
+    Cell &C = Cells[N];
+    if (!C.Key.valid())
       return;
-    if (It->second.Def)
-      unlinkSources(N, It->second.Def->Srcs);
-    Cells.erase(It);
-    Loops.erase(N);
-    if (!Degraded.empty())
-      Degraded.erase(N);
+    if (C.Def)
+      unlinkSources(N, C.Def->Srcs);
+    Index.erase(C.Key, keyOf());
+    clearDegraded(C);
+    C = Cell();
+    Free.push_back(N);
   }
 
   //===--------------------------------------------------------------------===//
@@ -855,7 +835,9 @@ private:
 
   void construct() {
     Cells.clear();
-    Loops.clear();
+    Free.clear();
+    Index.clear();
+    DegradedCount = 0;
     Info = G->infoShared();
     LabelEdits = labelEditCount();
     if (!Info->valid())
@@ -873,12 +855,9 @@ private:
       // The entry cell holds φ0 and must have no forward in-edges.
       assert(Info->fwdEdgesTo(L).empty() &&
              "the entry location cannot be a forward-edge target");
-      Name N = stateCellName(L, Ctx);
-      Cell &C = Cells[N];
+      Cell &C = Cells[addStateCell(stateKey(L, Ctx))];
       if (!C.hasValue())
         C.V = EntryValue;
-      if (Log)
-        Log->Built.push_back(N);
       return;
     }
     std::span<const Loc> Nest = Info->loopNest(L);
@@ -891,37 +870,27 @@ private:
     }
   }
 
-  /// Statement-cell name of the edge Src→Dst: plain for a back edge (\p Idx
-  /// 0) or a destination's only forward edge, else i·(ℓ·ℓ′) for its 1-based
-  /// fwd-edges-to index i = \p Idx among \p InDegree forward in-edges.
-  static Name stmtName(Loc Src, Loc Dst, unsigned Idx, size_t InDegree) {
-    Name Plain = Name::pair(Name::loc(Src), Name::loc(Dst));
-    return Idx == 0 || InDegree < 2 ? Plain : Name::pair(Name::num(Idx), Plain);
-  }
-
   /// Builds the state cell for \p L under \p Ctx plus the transfer (and, at
   /// join points, pre-join and join) computations over its forward in-edges.
   void buildEdgesInto(Loc L, std::span<const uint32_t> Ctx) {
-    Name Dest = stateCellName(L, Ctx);
-    addStateCell(Dest);
+    CellKey DestKey = stateKey(L, Ctx);
+    CellId Dest = addStateCell(DestKey);
     std::span<const EdgeId> Ids = Info->fwdEdgesTo(L);
     if (Ids.empty())
       return; // head reachable only through its back edge: entry via loop
     if (Ids.size() == 1) {
       const CfgEdge *E = G->findEdge(Ids[0]);
-      Name SC = stmtName(E->Src, L, 1, 1);
-      addStmtCell(SC, E->Label);
-      addComp(Dest, FnKind::Transfer, {SC, srcStateName(E->Src, L, Ctx)});
+      CellId SC = addStmtCell(stmtKey(E->Src, L, 1, 1), E->Label);
+      addComp(Dest, FnKind::Transfer,
+              {SC, cellFor(srcStateKey(E->Src, L, Ctx))});
       return;
     }
-    std::vector<Name> PreJoins;
+    std::vector<CellId> PreJoins;
     for (unsigned I = 0; I < Ids.size(); ++I) {
       const CfgEdge *E = G->findEdge(Ids[I]);
-      Name SC = stmtName(E->Src, L, I + 1, Ids.size());
-      addStmtCell(SC, E->Label);
-      Name PJ = preJoinCellName(L, Ctx, I + 1);
-      addStateCell(PJ);
-      addComp(PJ, FnKind::Transfer, {SC, srcStateName(E->Src, L, Ctx)});
+      CellId SC = addStmtCell(stmtKey(E->Src, L, I + 1, Ids.size()), E->Label);
+      CellId PJ = addStateCell(DestKey.preJoin(I + 1));
+      addComp(PJ, FnKind::Transfer, {SC, cellFor(srcStateKey(E->Src, L, Ctx))});
       PreJoins.push_back(PJ);
     }
     addComp(Dest, FnKind::Join, std::move(PreJoins));
@@ -930,11 +899,11 @@ private:
   /// Source cell for the edge Src→DstLoc: a loop head's *fixed point* when
   /// the edge leaves its loop, else the head's current iterate / the plain
   /// state cell (footnote 5 of the paper).
-  Name srcStateName(Loc Src, Loc DstLoc,
-                    std::span<const uint32_t> Ctx) const {
+  CellKey srcStateKey(Loc Src, Loc DstLoc,
+                      std::span<const uint32_t> Ctx) const {
     if (Info->isLoopHead(Src) && !Info->inLoop(Src, DstLoc))
-      return fixCellName(Src, Ctx);
-    return stateCellName(Src, Ctx);
+      return fixKey(Src, Ctx);
+    return stateKey(Src, Ctx);
   }
 
   /// Builds the loop headed at \p L under the enclosing counts \p Ctx (one
@@ -943,21 +912,19 @@ private:
   /// Rebuilding a live instance therefore reproduces its unrollings cell
   /// for cell.
   void buildLoop(Loc L, std::vector<uint32_t> &Ctx) {
-    Name FixDest = fixCellName(L, Ctx);
-    auto LIt = Loops.find(FixDest);
-    uint32_t K = LIt == Loops.end() ? 1u : LIt->second;
-    std::pair<Name, Name> Its;
+    CellId Fix = addStateCell(fixKey(L, Ctx));
+    uint32_t K = std::max(Cells[Fix].K, 1u);
+    std::pair<CellId, CellId> Its;
     for (uint32_t I = 0; I < K; ++I)
-      Its = buildIteration(L, FixDest, Ctx, I);
-    setFix(FixDest, K, Its);
+      Its = buildIteration(L, Fix, Ctx, I);
+    setFix(Fix, K, Its);
   }
 
-  /// Points the fix edge of the instance with fix cell \p FixDest at its
+  /// Points the fix edge of the instance with fix cell \p Fix at its
   /// iterates \p Its = (K−1, K) and records K.
-  void setFix(Name FixDest, uint32_t K, const std::pair<Name, Name> &Its) {
-    addStateCell(FixDest);
-    addComp(FixDest, FnKind::Fix, {Its.first, Its.second});
-    Loops[FixDest] = K;
+  void setFix(CellId Fix, uint32_t K, const std::pair<CellId, CellId> &Its) {
+    addComp(Fix, FnKind::Fix, {Its.first, Its.second});
+    Cells[Fix].K = K;
   }
 
   /// Builds abstract iteration \p I of the instance with fix cell \p Fix,
@@ -965,16 +932,15 @@ private:
   /// count I (nested loops through buildLoop), the back-edge transfer into
   /// the pre-widen cell and the widen into iterate I+1. Returns iterates
   /// (I, I+1); the caller points the fix edge. Idempotent per (Fix, I).
-  std::pair<Name, Name> buildIteration(Loc L, Name Fix,
-                                       std::vector<uint32_t> &Ctx,
-                                       uint32_t I) {
+  std::pair<CellId, CellId> buildIteration(Loc L, CellId Fix,
+                                           std::vector<uint32_t> &Ctx,
+                                           uint32_t I) {
     assert(Ctx.size() + 1 == Info->loopDepth(L) && "one count per loop");
-    Name ItI = Name::iter(Fix, I);
-    addStateCell(ItI);
-    Name ItNext = Name::iter(Fix, I + 1);
-    addStateCell(ItNext);
-    Name PreWiden = Name::pair(ItI, ItNext);
-    addStateCell(PreWiden);
+    CellKey FixKey = Cells[Fix].Key; // a copy: building moves cells
+    CellId ItI = addStateCell(FixKey.iterate(I));
+    CellId ItNext = addStateCell(FixKey.iterate(I + 1));
+    CellId PreWiden = addStateCell(FixKey.preWiden(I));
+    Cells[ItI].Fix = Cells[ItNext].Fix = Fix;
     addComp(ItNext, FnKind::Widen, {ItI, PreWiden});
 
     // Body cells and computations under count I (in any order: each
@@ -998,16 +964,12 @@ private:
 
     // Back edge: transfer from the latch state into the pre-widen cell.
     const CfgEdge *Back = G->findEdge(Info->backEdgeOf(L));
-    Name SC = stmtName(Back->Src, L, 0, 1);
-    addStmtCell(SC, Back->Label);
-    addComp(PreWiden, FnKind::Transfer, {SC, stateCellName(Back->Src, Ctx)});
+    CellId SC = addStmtCell(stmtKey(Back->Src, L, 0, 1), Back->Label);
+    addComp(PreWiden, FnKind::Transfer,
+            {SC, cellFor(stateKey(Back->Src, Ctx))});
     Ctx.pop_back();
     return {ItI, ItNext};
   }
-
-  //===--------------------------------------------------------------------===//
-  // Query evaluation
-  //===--------------------------------------------------------------------===//
 
   //===--------------------------------------------------------------------===//
   // Demand-provenance recording (explainQuery)
@@ -1021,12 +983,13 @@ private:
   };
   ProvRecorder *Prov = nullptr;
 
-  /// Records a node for \p N under the current frame (or as a root) and
-  /// returns its index. Caller has checked Prov.
-  size_t provEnter(Name N, const Cell &C, DemandOutcome O) {
+  /// Records a node for cell \p N under the current frame (or as a root)
+  /// and returns its index. Caller has checked Prov.
+  size_t provEnter(CellId N, DemandOutcome O) {
+    const Cell &C = Cells[N];
     size_t Idx = Prov->T.Nodes.size();
     typename DemandTree::Node Nd;
-    Nd.N = N;
+    Nd.N = C.Key;
     Nd.O = O;
     Nd.FK = C.Def ? uint8_t(C.Def->F) : DemandTree::kNoFn;
     Prov->T.Nodes.push_back(std::move(Nd));
@@ -1050,10 +1013,10 @@ private:
   /// tree.
   class ProvFrame {
   public:
-    ProvFrame(Daig &G, Name N, const Cell &C) : P(G.Prov) {
+    ProvFrame(Daig &G, CellId N) : P(G.Prov) {
       if (!P)
         return;
-      P->Stack.push_back(G.provEnter(N, C, DemandOutcome::Evaluated));
+      P->Stack.push_back(G.provEnter(N, DemandOutcome::Evaluated));
     }
     ~ProvFrame() {
       if (P)
@@ -1066,67 +1029,119 @@ private:
     ProvRecorder *P;
   };
 
+  //===--------------------------------------------------------------------===//
+  // Query evaluation
+  //===--------------------------------------------------------------------===//
+
   /// Wraps a freshly computed value for sharing (a move, not a copy).
   static ElemPtr share(Elem V) {
     return std::make_shared<const Elem>(std::move(V));
   }
 
-  void store(Cell &C, ElemPtr V) {
+  void store(CellId N, ElemPtr V) {
     assert(V && "storing an empty handle");
-    C.V = std::move(V);
+    Cells[N].V = std::move(V);
     ++Fills;
   }
 
-  void markDegraded(Name N) {
-    if (Degraded.insert(N).second) {
-      recordDegradedCell();
-      if (Stats)
-        ++Stats->CellsDegraded;
+  void markDegraded(CellId N) {
+    if (Cells[N].Degraded)
+      return;
+    Cells[N].Degraded = true;
+    ++DegradedCount;
+    recordDegradedCell();
+    if (Stats)
+      ++Stats->CellsDegraded;
+  }
+
+  void clearDegraded(Cell &C) {
+    if (C.Degraded) {
+      C.Degraded = false;
+      --DegradedCount;
     }
+  }
+
+  /// Query by cell id (Fig. 8 semantics), plus the resource governance of
+  /// support/budget.h: the demand-miss path is the analysis's unit of work,
+  /// so it checkpoints the budget (which may throw AnalysisCancelled —
+  /// before any mutation, so unwinding is clean), resolves to ⊤ under hard
+  /// exhaustion, and tracks degraded provenance through a per-evaluation
+  /// taint frame. Returns the cell's shared value. Evaluation may unroll a
+  /// loop, adding cells, so the record is re-read by id after it.
+  ElemPtr queryCell(CellId N) {
+    const Cell &C = Cells[N];
+    assert(C.T == CellType::StateTy && "queryCell on a Stmt cell");
+    if (C.hasValue()) {
+      if (Stats)
+        ++Stats->CellReuses; // Q-Reuse
+      if (C.Degraded)
+        budgetState().TaintPending = true; // consumer inherits the flag
+      if (Prov)
+        provEnter(N, C.Degraded ? DemandOutcome::DegradedReuse
+                                : DemandOutcome::Reused);
+      return C.value();
+    }
+    ProvFrame PF(*this, N);
+    TraceSpan Sp("daig.cell_eval", N);
+    budgetCheckpoint("DAIG cell evaluation");
+    DAI_FAULT_POINT(CellEval);
+    if (budgetExhausted())
+      return degradeToTop(N);
+    assert(C.Def && "empty cell without a computation (wf condition 5)");
+    BudgetTaintScope Taint;
+    ElemPtr Result;
+    if (C.Def->F == FnKind::Fix) {
+      Result = queryFix(N); // stores internally
+    } else {
+      Result = evaluateComp(N);
+      store(N, Result);
+    }
+    if (Taint.consumed())
+      markDegraded(N);
+    return Result;
   }
 
   /// Hard budget exhaustion: resolve cell \p N to ⊤ — D::initialEntry({})
   /// over-approximates every reachable state of every variable, so the
   /// substitution is sound — mark it degraded, and taint the consuming
   /// evaluation. No memo store: the value was never computed.
-  ElemPtr degradeToTop(Name N, Cell &C) {
+  ElemPtr degradeToTop(CellId N) {
     ElemPtr Top = share(D::initialEntry({}));
-    store(C, Top);
+    store(N, Top);
     markDegraded(N);
     budgetState().TaintPending = true;
     provMarkTop(DemandOutcome::TopBudget);
-    traceInstant("daig.degrade_top", N.id());
+    traceInstant("daig.degrade_top", N);
     return Top;
   }
 
-  const Stmt &stmtOf(Name N) const {
-    auto It = Cells.find(N);
-    assert(It != Cells.end() && It->second.T == CellType::StmtTy &&
+  const Cell &stmtCell(CellId N) const {
+    assert(Cells[N].T == CellType::StmtTy &&
            "transfer source 0 must be a statement cell");
-    return It->second.stmt();
+    return Cells[N];
   }
 
   /// Q-Loop-Converge / Q-Loop-Unroll, bounded: every iteration checkpoints
   /// the budget, a hard-exhausted budget degrades the fixpoint to ⊤, and
   /// an un-budgeted loop that outruns the iteration ceiling (a widening
   /// that does not stabilize) throws AnalysisDivergence instead of hanging.
-  ElemPtr queryFix(Name N, Cell &C) {
+  ElemPtr queryFix(CellId N) {
     const AnalysisLimits &Limits = analysisLimits();
     uint64_t Iter = 0;
     for (;;) {
-      TraceSpan Sp("daig.fix_iter", N.id(), Iter);
+      TraceSpan Sp("daig.fix_iter", N, Iter);
       budgetCheckpoint("DAIG fix iteration");
       DAI_FAULT_POINT(Fix);
       if (budgetExhausted())
-        return degradeToTop(N, C);
+        return degradeToTop(N);
       // Unrolling rewrites the fix edge: read its iterates first.
-      Name Prev = C.Def->Srcs[0], Next = C.Def->Srcs[1];
-      ElemPtr V1 = queryState(Prev);
-      ElemPtr V2 = queryState(Next);
+      CellId Prev = Cells[N].Def->Srcs[0], Next = Cells[N].Def->Srcs[1];
+      ElemPtr V1 = queryCell(Prev);
+      ElemPtr V2 = queryCell(Next);
       if (Stats)
         ++Stats->FixChecks;
       if (D::equal(*V1, *V2)) {
-        store(C, V1); // the fix cell shares its converged iterate
+        store(N, V1); // the fix cell shares its converged iterate
         return V1;
       }
       uint64_t Ceiling = budgetDegraded()
@@ -1135,8 +1150,8 @@ private:
                              : Limits.MaxFixUnrollings;
       if (++Iter >= Ceiling) {
         if (budgetActive())
-          return degradeToTop(N, C); // budgeted: degrade, don't diagnose
-        throw AnalysisDivergence("fix cell " + N.toString(), Iter);
+          return degradeToTop(N); // budgeted: degrade, don't diagnose
+        throw AnalysisDivergence("fix cell " + Cells[N].Key.toString(), Iter);
       }
       if (Stats)
         ++Stats->Unrollings;
@@ -1146,23 +1161,24 @@ private:
 
   /// Demanded unrolling: builds the next abstract iteration and slides the
   /// fix edge forward (the unroll helper of Section 5.2).
-  void unrollLoop(Name FixDest) {
-    uint32_t K = Loops.at(FixDest);
-    Loc L = InvalidLoc;
-    std::vector<uint32_t> Ctx; // the fix cell's name: head, enclosing counts
-    decodeState(FixDest, L, Ctx);
-    std::pair<Name, Name> Its = buildIteration(L, FixDest, Ctx, K);
-    setFix(FixDest, K + 1, Its);
+  void unrollLoop(CellId Fix) {
+    uint32_t K = Cells[Fix].K;
+    // The fix cell's key: its head under the enclosing counts.
+    std::span<const uint32_t> Counts = Cells[Fix].Key.counts();
+    std::vector<uint32_t> Ctx(Counts.begin(), Counts.end());
+    std::pair<CellId, CellId> Its =
+        buildIteration(Cells[Fix].Key.loc(), Fix, Ctx, K);
+    setFix(Fix, K + 1, Its);
   }
 
-  /// Q-Match / Q-Miss evaluation of a non-fix computation. Inputs are read
-  /// through their cells' shared handles; a memo hit returns the stored
-  /// handle, and a miss wraps the one value the domain operation builds and
-  /// hands that handle to both the memo table and the caller (which stores
-  /// it in the destination cell). No path copies an abstract state, and
-  /// \p C and the statement it reads are read in place: no edit runs during
-  /// a query, and the call hook never re-enters this DAIG (the call graph
-  /// rejects recursion).
+  /// Q-Match / Q-Miss evaluation of cell \p N's (non-fix) computation.
+  /// Inputs are read through their cells' shared handles; a memo hit
+  /// returns the stored handle, and a miss wraps the one value the domain
+  /// operation builds and hands that handle to both the memo table and the
+  /// caller (which stores it in the destination cell). No path copies an
+  /// abstract state. Demanding an input may add cells, so sources are read
+  /// by index and a transfer reads its statement after its input; the call
+  /// hook never re-enters this DAIG (the call graph rejects recursion).
   ///
   /// Memo keys embed D::hash(In), and a hit returns the stored value as-is,
   /// so correctness requires hash() to be a pure function of the value and
@@ -1172,17 +1188,19 @@ private:
   /// different concrete domains can never collide into one memo key, and
   /// because the tag remap is injective per domain, a mixed-domain run
   /// preserves each domain's Q-Match hit/miss pattern exactly.
-  ElemPtr evaluateComp(const Comp &C) {
-    switch (C.F) {
+  ElemPtr evaluateComp(CellId N) {
+    auto src = [&](size_t I) { return Cells[N].Def->Srcs[I]; };
+    switch (Cells[N].Def->F) {
     case FnKind::Transfer: {
-      const Stmt &S = stmtOf(C.Srcs[0]);
-      ElemPtr In = queryState(C.Srcs[1]);
+      ElemPtr In = queryCell(src(1));
+      const Cell &SC = stmtCell(src(0));
+      const Stmt &S = SC.stmt();
       bool IsCall = S.Kind == StmtKind::Call;
       // Memo keys cost hashing: build one only when a memo table will
       // read it (never for calls, whose hook is the summary).
       MemoKey Key;
       if (Memo && !IsCall) {
-        Key = {FnKind::Transfer, {S.hash(), D::hash(*In)}};
+        Key = {FnKind::Transfer, {SC.StmtHash, D::hash(*In)}};
         if (ElemPtr Hit = Memo->lookup(Key)) {
           provMarkTop(DemandOutcome::MemoHit);
           return Hit;
@@ -1198,9 +1216,10 @@ private:
     }
     case FnKind::Join: {
       std::vector<ElemPtr> Ins;
-      Ins.reserve(C.Srcs.size());
-      for (Name S : C.Srcs)
-        Ins.push_back(queryState(S));
+      size_t Arity = Cells[N].Def->Srcs.size();
+      Ins.reserve(Arity);
+      for (size_t I = 0; I < Arity; ++I)
+        Ins.push_back(queryCell(src(I)));
       MemoKey Key;
       if (Memo) {
         Key.F = FnKind::Join;
@@ -1226,8 +1245,8 @@ private:
       return Out;
     }
     case FnKind::Widen: {
-      ElemPtr Prev = queryState(C.Srcs[0]);
-      ElemPtr Next = queryState(C.Srcs[1]);
+      ElemPtr Prev = queryCell(src(0));
+      ElemPtr Next = queryCell(src(1));
       MemoKey Key;
       if (Memo) {
         Key = {FnKind::Widen, {D::hash(*Prev), D::hash(*Next)}};
@@ -1254,11 +1273,10 @@ private:
   // Dirtying (Fig. 9) and loop rollback
   //===--------------------------------------------------------------------===//
 
-  void dirtyDependentsOf(Name N) {
-    auto It = Cells.find(N);
-    if (It == Cells.end())
+  void dirtyDependentsOf(CellId N) {
+    if (N == kNoCell)
       return;
-    std::vector<Name> Work = It->second.Deps;
+    std::vector<CellId> Work = Cells[N].Deps;
     propagateDirty(Work);
   }
 
@@ -1266,28 +1284,27 @@ private:
   /// \p Work and every cell reachable forward from them, rolling a loop back
   /// before emptying its first iterate. A cell reached along several paths
   /// is visited once: the walk stamps the cells it visits with a fresh
-  /// epoch.
-  void propagateDirty(std::vector<Name> &Work) {
+  /// epoch. The walk removes cells but adds none, so no slot is reused
+  /// while ids of removed cells wait in \p Work.
+  void propagateDirty(std::vector<CellId> &Work) {
     uint64_t Walk = ++Epoch;
     while (!Work.empty()) {
-      Name N = Work.back();
+      CellId N = Work.back();
       Work.pop_back();
-      auto It = Cells.find(N);
-      if (It == Cells.end())
+      Cell &C = Cells[N];
+      if (!C.Key.valid())
         continue; // deleted by a rollback while enqueued
-      Cell &C = It->second;
       if (C.Seen == Walk || C.T == CellType::StmtTy)
         continue; // statements are never dirtied by propagation
       C.Seen = Walk;
       maybeRollbackAt(N); // deletes other cells only
       if (C.hasValue()) {
         C.V.reset();
-        if (!Degraded.empty())
-          Degraded.erase(N); // an emptied cell carries no provenance
+        clearDegraded(C); // an emptied cell carries no provenance
         if (Stats)
           ++Stats->CellsDirtied;
         if (OnCellEmptied)
-          OnCellEmptied(N);
+          OnCellEmptied(C.Key);
       }
       Work.insert(Work.end(), C.Deps.begin(), C.Deps.end());
     }
@@ -1295,45 +1312,42 @@ private:
 
   /// If \p N is the first iterate of an unrolled loop instance, deletes the
   /// unrolled iterations (≥ 1) and resets the fix edge to (0, 1).
-  void maybeRollbackAt(Name N) {
-    // Iterate k of a head is its fix-cell name wrapped by the count k.
-    if (N.kind() != Name::Kind::Iter || N.iterCount() != 1)
+  void maybeRollbackAt(CellId N) {
+    CellId Fix = Cells[N].Fix;
+    if (Fix == kNoCell || Cells[Fix].K <= 1 ||
+        Cells[N].Key != Cells[Fix].Key.iterate(1))
       return;
-    auto LIt = Loops.find(N.iterBase());
-    if (LIt == Loops.end() || LIt->second <= 1)
-      return;
-    rollbackLoop(LIt->first, LIt->second, N);
+    rollbackLoop(Fix, N);
   }
 
-  /// Deletes the unrolled region of the instance with fix cell \p FixDest
-  /// and resets its fix computation to iterates (0, 1). The region is every
+  /// Deletes the unrolled region of the instance with fix cell \p Fix and
+  /// resets its fix computation to iterates (0, 1). The region is every
   /// cell reachable forward from iterate 1 (\p It1) short of the fix cell:
   /// the later iterates and their pre-widen cells, and the body cells of
   /// iterations ≥ 1 with the nested instances among them. Cells after the
   /// loop read its fix cell, not an iterate, so nothing else is reached.
   /// Iterate 1 survives; the caller empties it. The walk has its own epoch
   /// because the enclosing propagation may have stamped region cells.
-  void rollbackLoop(Name FixDest, uint32_t &K, Name It1) {
-    const Cell &First = Cells.at(It1);
-    Name It0 = First.Def->Srcs[0]; // iterate 1 ← ∇(iterate 0, pre-widen)
+  void rollbackLoop(CellId Fix, CellId It1) {
+    // Iterate 1 ← ∇(iterate 0, pre-widen).
+    CellId It0 = Cells[It1].Def->Srcs[0];
     uint64_t Walk = ++Epoch;
-    std::vector<Name> Work = First.Deps, Region;
+    std::vector<CellId> Work = Cells[It1].Deps, Region;
     while (!Work.empty()) {
-      Name N = Work.back();
+      CellId N = Work.back();
       Work.pop_back();
-      if (N == FixDest)
+      if (N == Fix)
         continue;
-      Cell &C = Cells.at(N);
+      Cell &C = Cells[N];
       if (C.Seen == Walk)
         continue;
       C.Seen = Walk;
       Region.push_back(N);
       Work.insert(Work.end(), C.Deps.begin(), C.Deps.end());
     }
-    for (Name N : Region)
+    for (CellId N : Region)
       removeCell(N);
-    addComp(FixDest, FnKind::Fix, {It0, It1});
-    K = 1;
+    setFix(Fix, 1, {It0, It1});
   }
 
   //===--------------------------------------------------------------------===//
@@ -1341,11 +1355,11 @@ private:
   //===--------------------------------------------------------------------===//
 
   /// What the builder records while rebuild() runs it (Log is null
-  /// otherwise): every cell name it builds, and the cells whose computation
-  /// or statement it changed.
+  /// otherwise): every cell it builds, and the cells whose computation or
+  /// statement it changed.
   struct ReconcileLog {
-    std::vector<Name> Built; ///< In build order; may repeat a name.
-    std::vector<Name> Changed;
+    std::vector<CellId> Built; ///< In build order; may repeat a cell.
+    std::vector<CellId> Changed;
   };
   ReconcileLog *Log = nullptr;
 
@@ -1367,9 +1381,9 @@ private:
     if (!Info->valid() || !New->valid()) {
       // Ill-formed graphs get no cells (construct): empty what is filled,
       // then start over.
-      std::vector<Name> Work;
-      for (const auto &[N, C] : Cells)
-        if (C.T == CellType::StateTy && C.hasValue())
+      std::vector<CellId> Work;
+      for (CellId N = 0; N < Cells.size(); ++N)
+        if (Cells[N].T == CellType::StateTy && Cells[N].hasValue())
           Work.push_back(N);
       propagateDirty(Work);
       construct();
@@ -1395,13 +1409,14 @@ private:
       }
     };
     std::vector<Loc> Changed;
+    bool AnyRollBack = false;
     auto Check = [&](Loc X) {
       if (InRegion[X] || !locationChanged(*New, X, Labels))
         return;
       Changed.push_back(X);
       Add(X);
       for (Loc H : Old.loopNest(X))
-        RollBack[H] = 1; // this loop's old body holds a changed location
+        RollBack[H] = AnyRollBack = true; // its old body holds X
     };
     if (Only && !Labels) {
       for (Loc X : *Only)
@@ -1434,27 +1449,25 @@ private:
     //    iteration 0 (E-Loop, under the old snapshot), then retire those
     //    instances: the rebuild re-creates the ones that still exist. Other
     //    loops in the region keep their unrollings; buildLoop replays them.
-    std::vector<Name> Seeds, Retired;
-    Loc H = InvalidLoc;
-    std::vector<uint32_t> Counts;
-    for (const auto &[FixDest, K] : Loops) {
-      decodeState(FixDest, H, Counts); // the fix cell names its head
-      if (!RollBack[H])
+    std::vector<CellId> Seeds, Retired;
+    for (CellId Fix = 0; AnyRollBack && Fix < Cells.size(); ++Fix) {
+      const Cell &C = Cells[Fix];
+      if (!C.K || !RollBack[C.Key.loc()]) // the fix cell names its head
         continue;
-      Retired.push_back(FixDest);
-      if (K > 1)
-        Seeds.push_back(Name::iter(FixDest, 1)); // iterate 1
+      Retired.push_back(Fix);
+      if (C.K > 1)
+        Seeds.push_back(find(C.Key.iterate(1)));
     }
     if (!Seeds.empty()) {
-      std::sort(Seeds.begin(), Seeds.end()); // Loops' order is incidental
+      std::ranges::sort(Seeds, keyLess()); // the store's order is incidental
       propagateDirty(Seeds);
     }
-    for (Name FixDest : Retired)
-      Loops.erase(FixDest);
+    for (CellId Fix : Retired)
+      Cells[Fix].K = 0;
 
     // 3. The changed locations' cells under the old snapshot: candidates
-    //    for removal (an unchanged location keeps every name it had).
-    std::vector<Name> OldCells;
+    //    for removal (an unchanged location keeps every key it had).
+    std::vector<CellKey> OldCells;
     for (Loc X : Everywhere ? Region : Changed)
       zeroContextCellsOf(X, OldCells);
 
@@ -1467,8 +1480,7 @@ private:
       if (InRegion[X])
         buildTopLevel(X);
     Log = nullptr;
-    auto ById = [](Name A, Name B) { return A.id() < B.id(); };
-    std::sort(Rec.Built.begin(), Rec.Built.end(), ById);
+    std::ranges::sort(Rec.Built);
     Rec.Built.erase(std::unique(Rec.Built.begin(), Rec.Built.end()),
                     Rec.Built.end());
     if (Stats)
@@ -1476,26 +1488,27 @@ private:
 
     // 5. Empty what changed or disappeared, dirtying forward, then drop the
     //    cells the new graph no longer has.
-    std::vector<Name> Dirty, Gone;
-    for (Name N : Rec.Changed) {
-      auto It = Cells.find(N);
-      if (It == Cells.end() || !It->second.hasValue())
+    std::vector<CellId> Dirty, Gone;
+    for (CellId N : Rec.Changed) {
+      const Cell &C = Cells[N];
+      if (!C.hasValue())
         continue; // an empty cell has no filled dependents to dirty
-      if (It->second.T == CellType::StateTy) {
+      if (C.T == CellType::StateTy) {
         Dirty.push_back(N);
         continue;
       }
       // A new statement: dirty its readers.
-      Dirty.insert(Dirty.end(), It->second.Deps.begin(), It->second.Deps.end());
+      Dirty.insert(Dirty.end(), C.Deps.begin(), C.Deps.end());
     }
-    for (Name N : OldCells)
-      if (!std::binary_search(Rec.Built.begin(), Rec.Built.end(), N, ById) &&
-          Cells.count(N)) {
+    for (const CellKey &K : OldCells) {
+      CellId N = find(K);
+      if (N != kNoCell && !std::ranges::binary_search(Rec.Built, N)) {
         Gone.push_back(N);
         Dirty.push_back(N);
       }
+    }
     propagateDirty(Dirty);
-    for (Name N : Gone)
+    for (CellId N : Gone)
       removeCell(N);
   }
 
@@ -1533,9 +1546,9 @@ private:
 
   /// True when edge \p Id into \p X (fwd-edges-to index \p Idx of
   /// \p InDegree) reads other cells under \p New: another source, a source
-  /// whose cells are named differently (its loop nest), or, when \p Labels,
+  /// whose cells are keyed differently (its loop nest), or, when \p Labels,
   /// a statement other than the one in this DAIG's statement cell. Whether
-  /// the edge leaves its source's loop (srcStateName's choice) can change
+  /// the edge leaves its source's loop (srcStateKey's choice) can change
   /// only with X's nest, which the caller has compared.
   bool edgeChanged(const CfgInfo &New, EdgeId Id, Loc X, unsigned Idx,
                    size_t InDegree, bool Labels) const {
@@ -1546,36 +1559,34 @@ private:
       return true;
     if (!Labels)
       return false;
-    auto It = Cells.find(stmtName(S, X, Idx, InDegree));
-    return It == Cells.end() ||
-           !(It->second.stmt() == G->findEdge(Id)->Label);
+    CellId SC = find(stmtKey(S, X, Idx, InDegree));
+    return SC == kNoCell || !(Cells[SC].stmt() == G->findEdge(Id)->Label);
   }
 
-  /// Appends the cells construction gives location \p X at the all-zero
+  /// Appends the keys construction gives location \p X at the all-zero
   /// context of the pinned snapshot: its state cell (a head's entry
   /// iterate), the statement and pre-join cells of its forward in-edges,
   /// and for a head iterate 1, the pre-widen cell, the fix cell and the
   /// back-edge statement cell. After the rollback in reconcile these are
   /// all the cells a changed location has; a location that did not change
-  /// keeps its names, so none of its cells can disappear.
-  void zeroContextCellsOf(Loc X, std::vector<Name> &Out) const {
+  /// keeps its keys, so none of its cells can disappear.
+  void zeroContextCellsOf(Loc X, std::vector<CellKey> &Out) const {
     if (!Info->reachable(X))
       return;
-    Name S = stateCellName(X, {});
+    CellKey S = stateKey(X, {});
     Out.push_back(S);
     std::span<const EdgeId> Ids = Info->fwdEdgesTo(X);
     for (unsigned I = 0; I < Ids.size(); ++I) {
-      Out.push_back(stmtName(Info->edgeSrc(Ids[I]), X, I + 1, Ids.size()));
+      Out.push_back(stmtKey(Info->edgeSrc(Ids[I]), X, I + 1, Ids.size()));
       if (Ids.size() >= 2)
-        Out.push_back(preJoinCellName(X, {}, I + 1));
+        Out.push_back(S.preJoin(I + 1));
     }
     if (Info->isLoopHead(X)) {
-      Name Fix = S.iterBase(); // a head's state cell is its iterate 0
-      Name It1 = Name::iter(Fix, 1);
-      Out.push_back(It1);
-      Out.push_back(Name::pair(S, It1));
+      CellKey Fix = fixKey(X, {}); // a head's state cell is its iterate 0
+      Out.push_back(Fix.iterate(1));
+      Out.push_back(Fix.preWiden(0));
       Out.push_back(Fix);
-      Out.push_back(stmtName(Info->edgeSrc(Info->backEdgeOf(X)), X, 0, 1));
+      Out.push_back(stmtKey(Info->edgeSrc(Info->backEdgeOf(X)), X, 0, 1));
     }
   }
 };
@@ -1588,62 +1599,63 @@ template <typename D>
   requires AbstractDomain<D>
 std::string Daig<D>::checkWellFormed() const {
   // (1) unique names and (2) unique destinations hold by construction: one
-  // record per name, one computation per record. Validate the rest.
-  for (const auto &[Dest, R] : Cells) {
+  // record per key, one computation per record. Validate the rest.
+  for (CellId Dest = 0; Dest < Cells.size(); ++Dest) {
+    const Cell &R = Cells[Dest];
+    if (!R.Key.valid())
+      continue;
+    auto Name = [&] { return R.Key.toString(); };
     if (!R.Def) {
       // (5) empty references have dependencies.
       if (R.T == CellType::StateTy && !R.hasValue())
-        return "empty cell without a computation: " + Dest.toString();
+        return "empty cell without a computation: " + Name();
       if (R.T == CellType::StmtTy && !R.hasValue())
-        return "statement cell without content: " + Dest.toString();
+        return "statement cell without content: " + Name();
       continue;
     }
     const Comp &C = *R.Def;
     if (R.T != CellType::StateTy)
-      return "computation writes a statement cell: " + Dest.toString();
+      return "computation writes a statement cell: " + Name();
     for (size_t I = 0; I < C.Srcs.size(); ++I) {
-      auto SIt = Cells.find(C.Srcs[I]);
-      if (SIt == Cells.end())
-        return "computation source missing: " + C.Srcs[I].toString() +
-               " (dest " + Dest.toString() + ")";
+      CellId S = C.Srcs[I];
+      if (S >= Cells.size() || !live(S))
+        return "computation source missing (dest " + Name() + ")";
       // (4) typing: transfer source 0 is a statement; all others are states.
       bool ExpectStmt = (C.F == FnKind::Transfer && I == 0);
-      if (ExpectStmt && SIt->second.T != CellType::StmtTy)
-        return "transfer source 0 is not a statement: " + Dest.toString();
-      if (!ExpectStmt && SIt->second.T != CellType::StateTy)
-        return "state source is not a state cell: " + C.Srcs[I].toString();
-      if (ExpectStmt && !SIt->second.hasValue())
-        return "statement cell is empty: " + C.Srcs[I].toString();
+      if (ExpectStmt && Cells[S].T != CellType::StmtTy)
+        return "transfer source 0 is not a statement: " + Name();
+      if (!ExpectStmt && Cells[S].T != CellType::StateTy)
+        return "state source is not a state cell: " + Cells[S].Key.toString();
+      if (ExpectStmt && !Cells[S].hasValue())
+        return "statement cell is empty: " + Cells[S].Key.toString();
     }
     if (C.F == FnKind::Fix && C.Srcs.size() != 2)
-      return "fix edge without exactly two sources: " + Dest.toString();
+      return "fix edge without exactly two sources: " + Name();
     if (C.F == FnKind::Widen && C.Srcs.size() != 2)
-      return "widen edge without exactly two sources: " + Dest.toString();
+      return "widen edge without exactly two sources: " + Name();
   }
   // (3) acyclicity via Kahn's algorithm over computation edges.
-  std::unordered_map<Name, unsigned, NameHash> InDeg;
-  std::vector<Name> Ready;
-  for (const auto &[N, R] : Cells) {
-    if (R.Def)
-      InDeg[N] = static_cast<unsigned>(R.Def->Srcs.size());
+  std::vector<unsigned> InDeg(Cells.size(), 0);
+  std::vector<CellId> Ready;
+  for (CellId N = 0; N < Cells.size(); ++N) {
+    if (!live(N))
+      continue;
+    if (Cells[N].Def)
+      InDeg[N] = static_cast<unsigned>(Cells[N].Def->Srcs.size());
     else
       Ready.push_back(N);
   }
   size_t Processed = Ready.size();
   while (!Ready.empty()) {
-    Name N = Ready.back();
+    CellId N = Ready.back();
     Ready.pop_back();
-    for (Name Dep : Cells.at(N).Deps) {
-      auto IIt = InDeg.find(Dep);
-      if (IIt == InDeg.end())
-        continue;
-      if (--IIt->second == 0) {
+    for (CellId Dep : Cells[N].Deps)
+      if (Cells[Dep].Def && --InDeg[Dep] == 0) {
         Ready.push_back(Dep);
         ++Processed;
       }
-    }
   }
-  if (Processed != Cells.size())
+  if (Processed != cellCount())
     return "dependency cycle detected (acyclicity violated)";
   return "";
 }
@@ -1651,40 +1663,33 @@ std::string Daig<D>::checkWellFormed() const {
 template <typename D>
   requires AbstractDomain<D>
 std::string Daig<D>::checkAiConsistency() {
-  auto valueOf = [&](Name S) -> const Elem & {
-    return *Cells.at(S).value();
-  };
-  for (const auto &[N, C] : Cells) {
+  auto valueOf = [&](CellId S) -> const Elem & { return *Cells[S].value(); };
+  for (CellId N = 0; N < Cells.size(); ++N) {
+    const Cell &C = Cells[N];
     if (C.T != CellType::StateTy || !C.hasValue())
       continue;
-    if (!Degraded.empty() && Degraded.count(N))
+    if (C.Degraded)
       continue; // ⊤-substituted/tainted by a budget: deliberately not the
                 // value its computation produces (sound by construction)
     if (!C.Def)
       continue; // φ0 cell
     const Comp &Comp = *C.Def;
-    bool AllFilled = true;
-    for (Name S : Comp.Srcs) {
-      auto SIt = Cells.find(S);
-      if (SIt == Cells.end() || !SIt->second.hasValue()) {
-        AllFilled = false;
-        break;
-      }
-    }
-    if (!AllFilled)
-      return "filled cell " + N.toString() + " depends on an empty cell";
+    if (!std::ranges::all_of(Comp.Srcs,
+                             [&](CellId S) { return Cells[S].hasValue(); }))
+      return "filled cell " + C.Key.toString() + " depends on an empty cell";
     const Elem &Stored = *C.value();
     if (Comp.F == FnKind::Fix) {
       const Elem &V1 = valueOf(Comp.Srcs[0]);
       const Elem &V2 = valueOf(Comp.Srcs[1]);
       if (!D::equal(V1, V2) || !D::equal(Stored, V1))
-        return "fix cell " + N.toString() + " inconsistent with its iterates";
+        return "fix cell " + C.Key.toString() +
+               " inconsistent with its iterates";
       continue;
     }
     Elem Recomputed = [&] {
       switch (Comp.F) {
       case FnKind::Transfer: {
-        const Stmt &S = Cells.at(Comp.Srcs[0]).stmt();
+        const Stmt &S = Cells[Comp.Srcs[0]].stmt();
         const Elem &In = valueOf(Comp.Srcs[1]);
         return (S.Kind == StmtKind::Call && Hook) ? Hook(S, In)
                                                   : D::transfer(S, In);
@@ -1703,7 +1708,7 @@ std::string Daig<D>::checkAiConsistency() {
       return D::bottom();
     }();
     if (!D::equal(Stored, Recomputed))
-      return "cell " + N.toString() + " disagrees with its computation";
+      return "cell " + C.Key.toString() + " disagrees with its computation";
   }
   return "";
 }

@@ -15,8 +15,8 @@
 /// input hashes in order. Keys compare field by field, so two keys alias
 /// one entry exactly when their tuples are equal, and the table owns its
 /// keys: evicting an entry or destroying the table frees them. Nothing is
-/// interned — the name table (daig/name.h) names DAIG cells only, so its
-/// size tracks program shape, not the number of distinct values seen.
+/// interned, and no value becomes a cell key (daig/cell_key.h): a DAIG's
+/// keys track program shape, not the number of distinct values seen.
 ///
 /// Entries hold their results by shared handle (ElemPtr, a
 /// shared_ptr<const Elem>). A value is built once, by the domain operation
@@ -42,7 +42,7 @@
 #ifndef DAI_DAIG_MEMO_TABLE_H
 #define DAI_DAIG_MEMO_TABLE_H
 
-#include "daig/name.h"
+#include "daig/cell_key.h"
 #include "domain/abstract_domain.h"
 #include "support/fault_injection.h"
 #include "support/hashing.h"

@@ -18,11 +18,11 @@
 /// growth would indicate a bug upstream (e.g., gensym'd names leaking into
 /// states; see freshSymbol's contract in octagon.cpp).
 ///
-/// Thread-safety (mirrors NameTable in daig/name.h): the table accepts
-/// CONCURRENT interning. The dedup side is sharded by string hash — a
-/// per-shard mutex guards that shard's map and spelling storage, and equal
-/// strings always land in the same shard, so each distinct spelling gets
-/// exactly one id (drawn from a global atomic counter, keeping ids dense).
+/// Thread-safety: the table accepts CONCURRENT interning. The dedup side is
+/// sharded by string hash — a per-shard mutex guards that shard's map and
+/// spelling storage, and equal strings always land in the same shard, so
+/// each distinct spelling gets exactly one id (drawn from a global atomic
+/// counter, keeping ids dense).
 /// The id → spelling direction is a chunked array of atomic pointers,
 /// release-published and never relocated, so name() is lock-free. lookup()
 /// keeps the probe-without-interning contract: a query for a never-assigned

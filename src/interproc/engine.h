@@ -370,10 +370,10 @@ private:
     bool Seeded = false;       ///< True for the root or once contributed-to.
     bool FullyQueried = false; ///< analyzeAllFromMain bookkeeping.
     unsigned EntryGrowths = 0; ///< Widening-delay counter for entry updates.
-    /// G->exitCellName(), named when the first cell is emptied. The exit has
-    /// no successors, so it is never inside a loop and its cell name never
-    /// changes; naming it once saves a name-table probe per emptied cell.
-    Name ExitCell;
+    /// G->exitCellKey(), cached when the instance is created: the exit has
+    /// no successors, so it is never inside a loop and its key never
+    /// changes. Each emptied cell is compared with it.
+    CellKey ExitKey;
   };
   std::map<InstanceKey, std::unique_ptr<Instance>> Instances;
 
@@ -410,12 +410,19 @@ private:
       Inst->G = std::make_unique<Daig<D>>(&F->Body, std::move(Entry), &Stats,
                                           &Memo);
       Inst->Seeded = Seed;
+      Inst->ExitKey = Inst->G->exitCellKey();
       InstanceKey KeyCopy = Key;
       Inst->G->setTransferHook([this, KeyCopy](const Stmt &S, const Elem &In) {
         return resolveCall(KeyCopy, S, In);
       });
+      // The instance is heap-allocated and owns its DAIG, so the callback
+      // never outlives it.
       Inst->G->setOnCellEmptied(
-          [this, KeyCopy](Name N) { onCellEmptied(KeyCopy, N); });
+          [this, KeyCopy, I = Inst.get()](const CellKey &N) {
+            I->FullyQueried = false;
+            if (N == I->ExitKey)
+              PendingDirtyExits.push_back(KeyCopy);
+          });
       It = Instances.emplace(Key, std::move(Inst)).first;
     } else if (Seed && !It->second->Seeded) {
       It->second->Seeded = true;
@@ -451,13 +458,14 @@ private:
     Function *Callee = Prog.find(S.Callee);
     if (!Callee) // undefined callee: havoc via the domain's default
       return D::transfer(S, In);
+    uint64_t SiteHash = S.hash();
     InstanceKey CalleeKey{internSymbol(S.Callee),
-                          Caller.Ctx.extend(CallSite{Caller.Fn, S.hash()}, K)};
+                          Caller.Ctx.extend(CallSite{Caller.Fn, SiteHash}, K)};
     Instance &CalleeInst = instanceFor(CalleeKey, /*Seed=*/false);
 
     // Record/update this call site's entry contribution.
     Elem Contribution = D::enterCall(In, S, Callee->Params);
-    auto SiteKey = std::make_pair(Caller, S.hash());
+    auto SiteKey = std::make_pair(Caller, SiteHash);
     auto CIt = CalleeInst.Contributions.find(SiteKey);
     bool ContributionChanged =
         CIt == CalleeInst.Contributions.end() ||
@@ -481,8 +489,7 @@ private:
     }
 
     SummaryConsumers[CalleeKey].insert(Caller);
-    Elem Summary =
-        CalleeInst.G->queryLocation(Prog.find(S.Callee)->Body.exit());
+    Elem Summary = CalleeInst.G->queryLocation(Callee->Body.exit());
     return D::exitCall(In, Summary, S);
   }
 
@@ -546,18 +553,6 @@ private:
     for (auto &[CalleeKey, CalleeInst] : Instances)
       if (std::erase_if(CalleeInst->Contributions, Dropped))
         refreshEntry(CalleeKey, *CalleeInst, /*AllowShrink=*/true);
-  }
-
-  void onCellEmptied(const InstanceKey &Key, Name N) {
-    auto It = Instances.find(Key);
-    if (It == Instances.end())
-      return;
-    Instance &Inst = *It->second;
-    Inst.FullyQueried = false;
-    if (!Inst.ExitCell.valid())
-      Inst.ExitCell = Inst.G->exitCellName();
-    if (N == Inst.ExitCell)
-      PendingDirtyExits.push_back(Key);
   }
 
   /// Processes summary invalidations until quiescent. Returns true if any

@@ -23,7 +23,7 @@
 /// tsan lane. A full ring DROPS further events (counted in traceStats())
 /// rather than wrapping — overwriting a slot a concurrent exporter may be
 /// reading would be a race. Rings have process lifetime (like the
-/// NameTable), so events recorded by TaskPool workers survive thread exit.
+/// SymbolTable), so events recorded by TaskPool workers survive thread exit.
 ///
 /// Overhead contract: with tracing disabled every hook costs one
 /// thread_local pointer load + branch plus a relaxed load of the ring's

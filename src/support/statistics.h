@@ -26,7 +26,6 @@
 #define DAI_SUPPORT_STATISTICS_H
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <ostream>
@@ -139,10 +138,12 @@
   X(BudgetCounters, DegradedCells, "degraded_cells", Counter)                  \
   X(BudgetCounters, CancellationsHonored, "cancellations_honored", Counter)
 
-/// NameTableCounters: the global hash-consed NameTable (daig/name.h).
-/// InternExtraProbes counts the dedup-index slots intern() examines past
-/// the first one: about zero per call while the probe index spreads names
-/// well, and the first figure to climb when it does not.
+/// NameTableCounters: the per-DAIG cell-key indices (daig/cell_key.h).
+/// NamesInterned counts keys inserted (one per cell a DAIG creates),
+/// InternHits the probes that found their key, and InternExtraProbes the
+/// index slots examined past the first: about zero per probe while the
+/// index spreads keys well, and the first figure to climb when it does not.
+/// NameTableBytes is the largest slot array one index has held.
 #define DAI_NAME_TABLE_COUNTERS(X)                                             \
   X(NameTableCounters, NamesInterned, "names_interned", Counter)               \
   X(NameTableCounters, InternHits, "intern_hits", Counter)                     \
@@ -282,45 +283,12 @@ struct BudgetCounters : CounterFamily<BudgetCounters> {
   DAI_COUNTER_FAMILY(DAI_BUDGET_COUNTERS)
 };
 
-/// Name construction sits on the hot path of every edit and query, so
-/// benches report these alongside wall time: a healthy interned name layer
-/// shows InternHits ≫ NamesInterned. The table is a process-global
-/// singleton accepting concurrent interning, so the live sink is the
-/// atomic twin below; this struct is the plain snapshot nameTableCounters()
-/// returns, preserving the snapshot-and-subtract idiom.
+/// Cell keys are built on every edit and query, so benches report these
+/// alongside wall time. A DAIG's index lives on the thread that builds the
+/// DAIG, so the family is per thread like the ones above.
 struct NameTableCounters : CounterFamily<NameTableCounters> {
   DAI_COUNTER_FAMILY(DAI_NAME_TABLE_COUNTERS)
 };
-
-/// The live, concurrently-updated name-table sink. All updates use relaxed
-/// ordering: these are monotone statistics, not synchronization.
-struct AtomicNameTableCounters {
-#define DAI_ATOMIC_FIELD(Fam, Field, Name, Kind) std::atomic<uint64_t> Field{0};
-  DAI_NAME_TABLE_COUNTERS(DAI_ATOMIC_FIELD)
-#undef DAI_ATOMIC_FIELD
-
-  /// A plain snapshot (relaxed loads).
-  NameTableCounters load() const {
-    NameTableCounters S;
-#define DAI_ATOMIC_LOAD(Fam, Field, Name, Kind)                                \
-  S.Field = Field.load(std::memory_order_relaxed);
-    DAI_NAME_TABLE_COUNTERS(DAI_ATOMIC_LOAD)
-#undef DAI_ATOMIC_LOAD
-    return S;
-  }
-};
-
-/// The process's name-table counter sink (see AtomicNameTableCounters).
-inline AtomicNameTableCounters &nameTableCountersAtomic() {
-  static AtomicNameTableCounters Counters;
-  return Counters;
-}
-
-/// A point-in-time snapshot of the process-global name-table counters,
-/// returned BY VALUE: the live sink is atomic.
-inline NameTableCounters nameTableCounters() {
-  return nameTableCountersAtomic().load();
-}
 
 //===----------------------------------------------------------------------===//
 // The per-thread block
@@ -332,7 +300,8 @@ inline NameTableCounters nameTableCounters() {
   X(ZoneCounters, Zone, zoneCounters)                                          \
   X(StagedCounters, Staged, stagedCounters)                                    \
   X(DisIntervalCounters, DisInterval, disIntervalCounters)                     \
-  X(BudgetCounters, Budget, budgetCounters)
+  X(BudgetCounters, Budget, budgetCounters)                                    \
+  X(NameTableCounters, Names, nameTableCounters)
 
 /// Every thread_local counter family in one block. Domain values carry no
 /// engine pointer, so these sinks are per thread (one analysis engine per
@@ -342,9 +311,6 @@ inline NameTableCounters nameTableCounters() {
 /// WORKER's block, so each worker snapshots its block once per batch and
 /// the pool merges the deltas into the calling thread's block before run()
 /// returns.
-///
-/// NameTableCounters are absent: that sink is process-global and atomic,
-/// so worker-thread interning is counted without any merge step.
 struct ThreadCounters {
 #define DAI_THREAD_MEMBER(Type, Member, Accessor) Type Member;
 #define DAI_THREAD_VISIT(Type, Member, Accessor) F(&ThreadCounters::Member);

@@ -131,9 +131,7 @@ struct LiveSinks {
   StagedCounters &of(StagedCounters *) { return Thread.Staged; }
   DisIntervalCounters &of(DisIntervalCounters *) { return Thread.DisInterval; }
   BudgetCounters &of(BudgetCounters *) { return Thread.Budget; }
-  AtomicNameTableCounters &of(NameTableCounters *) {
-    return nameTableCountersAtomic();
-  }
+  NameTableCounters &of(NameTableCounters *) { return Thread.Names; }
 };
 
 /// Walks every row of DAI_COUNTER_TABLE: each counter, given a distinct
@@ -142,7 +140,6 @@ struct LiveSinks {
 /// CounterMerge.* and TaskPool.PeakGaugeMergesViaMax.)
 TEST(CounterTable, EveryRowReachesTheExportUnderItsNameAndKind) {
   const ThreadCounters SavedThread = ThreadCounters::snapshot();
-  const NameTableCounters SavedNames = nameTableCounters();
   LiveSinks Src;
   uint64_t Next = 1000;
 #define DAI_TEST_SET(Fam, Field, Name, Kind)                                   \
@@ -153,7 +150,6 @@ TEST(CounterTable, EveryRowReachesTheExportUnderItsNameAndKind) {
   Row R("export", "none", "vars", 0);
   R.addFamily(Src.Stats);
   R.addThreadCounters(ThreadCounters::live());
-  R.addFamily(nameTableCounters());
   std::string Text = written("counter_table", "", {R});
   gate::BenchFile File;
   std::string Error;
@@ -175,10 +171,6 @@ TEST(CounterTable, EveryRowReachesTheExportUnderItsNameAndKind) {
   EXPECT_EQ(S->Counters.size(), Rows) << Text;
 
   ThreadCounters::live() = SavedThread;
-#define DAI_TEST_RESTORE(Fam, Field, Name, Kind)                               \
-  nameTableCountersAtomic().Field = SavedNames.Field;
-  DAI_NAME_TABLE_COUNTERS(DAI_TEST_RESTORE)
-#undef DAI_TEST_RESTORE
 }
 
 } // namespace

@@ -45,67 +45,79 @@ struct DaigTestPeer {
     G.reconcile(/*Everywhere=*/true);
   }
 
+  /// A computation with its sources as keys: comparable across DAIGs.
+  template <typename D>
+  static std::optional<std::pair<FnKind, std::vector<CellKey>>>
+  compOf(const Daig<D> &G, const typename Daig<D>::Cell &C) {
+    if (!C.Def)
+      return std::nullopt;
+    std::vector<CellKey> Srcs;
+    for (CellId S : C.Def->Srcs)
+      Srcs.push_back(G.Cells[S].Key);
+    return std::make_pair(C.Def->F, std::move(Srcs));
+  }
+
   /// "" when \p A and \p B hold the same cells, computations, values, loop
   /// instances and degraded marks; else the first difference.
   template <typename D>
   static std::string diff(const Daig<D> &A, const Daig<D> &B) {
-    for (const auto &[N, CB] : B.Cells)
-      if (!A.Cells.count(N))
-        return "cell " + N.toString() + " only on the second side";
-    for (const auto &[N, CA] : A.Cells) {
-      auto It = B.Cells.find(N);
-      if (It == B.Cells.end())
-        return "cell " + N.toString() + " only on the first side";
-      const auto &CB = It->second;
+    for (const auto &CB : B.Cells)
+      if (CB.Key.valid() && A.find(CB.Key) == kNoCell)
+        return "cell " + CB.Key.toString() + " only on the second side";
+    for (const auto &CA : A.Cells) {
+      if (!CA.Key.valid())
+        continue;
+      std::string N = CA.Key.toString();
+      CellId IB = B.find(CA.Key);
+      if (IB == kNoCell)
+        return "cell " + N + " only on the first side";
+      const auto &CB = B.Cells[IB];
       if (CA.T != CB.T || CA.hasValue() != CB.hasValue())
-        return "cell " + N.toString() + " differs in type or fill";
-      if (CA.Def != CB.Def)
-        return "computation of " + N.toString() + " differs";
+        return "cell " + N + " differs in type or fill";
+      if (compOf(A, CA) != compOf(B, CB))
+        return "computation of " + N + " differs";
+      if (CA.K != CB.K)
+        return "loop instance " + N + " differs";
+      if (CA.Degraded != CB.Degraded)
+        return "degraded marks differ at " + N;
       if (!CA.hasValue())
         continue;
       if (CA.T == Daig<D>::CellType::StmtTy) {
         if (!(CA.stmt() == CB.stmt()))
-          return "statement cell " + N.toString() + " differs";
+          return "statement cell " + N + " differs";
       } else if (!D::equal(*CA.value(), *CB.value())) {
-        return "value of " + N.toString() + " differs";
+        return "value of " + N + " differs";
       }
     }
-    if (A.Loops.size() != B.Loops.size())
-      return "loop instance counts differ";
-    for (const auto &[N, K] : A.Loops) {
-      auto It = B.Loops.find(N);
-      if (It == B.Loops.end() || It->second != K)
-        return "loop instance " + N.toString() + " differs";
-    }
-    if (A.Degraded != B.Degraded)
-      return "degraded marks differ";
     return "";
   }
 
-  /// The names of \p G's cells.
-  template <typename D> static std::set<Name> cellNames(const Daig<D> &G) {
-    std::set<Name> Out;
-    for (const auto &[N, C] : G.Cells)
-      Out.insert(N);
+  /// The keys of \p G's cells.
+  template <typename D> static std::set<CellKey> cellKeys(const Daig<D> &G) {
+    std::set<CellKey> Out;
+    for (const auto &C : G.Cells)
+      if (C.Key.valid())
+        Out.insert(C.Key);
     return Out;
   }
 
   /// One loop instance as a DAIG records it.
   struct LoopRecord {
-    Name Fix;
+    CellKey Fix;
     Loc Head;
     std::vector<std::pair<Loc, uint32_t>> Ctx; ///< Enclosing counts.
     uint32_t K;
   };
-  /// Head and enclosing counts are read from the fix cell's name.
+  /// Head and enclosing counts are read from the fix cell's key.
   template <typename D>
   static std::vector<LoopRecord> loops(const Daig<D> &G) {
     std::vector<LoopRecord> Out;
-    for (const auto &[Fix, K] : G.Loops) {
-      LoopRecord R{Fix, InvalidLoc, {}, K};
-      std::vector<uint32_t> Counts;
-      Daig<D>::decodeState(Fix, R.Head, Counts);
+    for (const auto &C : G.Cells) {
+      if (!C.K)
+        continue;
+      LoopRecord R{C.Key, C.Key.loc(), {}, C.K};
       std::span<const Loc> Nest = G.info().loopNest(R.Head);
+      std::span<const uint32_t> Counts = C.Key.counts();
       for (size_t I = 0; I < Counts.size(); ++I)
         R.Ctx.emplace_back(Nest[I], Counts[I]);
       Out.push_back(std::move(R));
@@ -184,6 +196,43 @@ constexpr const char *NestedSource = R"(
     var t = s + 1;
     return t;
   })";
+
+/// A main whose loops nest \p Depth deep, each running twice.
+std::string deepNestSource(unsigned Depth) {
+  std::string Src = "function main(n) {\n  var s = 0;\n";
+  for (unsigned I = 0; I < Depth; ++I) {
+    std::string V = "i" + std::to_string(I);
+    Src += "var " + V + " = 0;\nwhile (" + V + " < 2) {\n";
+  }
+  Src += "s = s + 1;\n";
+  for (unsigned I = Depth; I-- > 0;)
+    Src += "i" + std::to_string(I) + " = i" + std::to_string(I) + " + 1;\n}\n";
+  return Src + "  return s;\n}\n";
+}
+
+// Seven nested loops: the innermost cells' keys hold more counts than a key
+// keeps inline (CellKey::kInlineCounts), so they spill to the heap, move
+// with their cells and are copied into the reconcile log. Queries, an edit
+// in the innermost body and one after the loops agree with the full
+// rebuild and with a from-scratch run.
+TEST(DaigReconcile, KeysDeeperThanInlineCountsMatchFullRebuild) {
+  constexpr unsigned Depth = CellKey::kInlineCounts + 1;
+  TwinDaigs<IntervalDomain> T(mustLowerFn(deepNestSource(Depth), "main"));
+  T.queryAll("initial");
+  ASSERT_GT(T.A->unrolledLoopCount(), 0u);
+  expectFromScratchConsistent<IntervalDomain>(*T.FA, *T.A, "initial");
+
+  T.edit([](Cfg &G) { insertIfAt(G, destOf(G, "s = s + 1"), lt("s", 3),
+                                 bump("s", 1), bump("s", 2)); },
+         "if in the innermost body");
+  T.queryAll("if in the innermost body");
+  expectFromScratchConsistent<IntervalDomain>(*T.FA, *T.A, "innermost if");
+
+  T.edit([](Cfg &G) { G.replaceStmt(edgeOf(G, "s = s + 1"), bump("s", 4)); },
+         "statement in the innermost body");
+  T.queryAll("statement in the innermost body");
+  expectFromScratchConsistent<IntervalDomain>(*T.FA, *T.A, "innermost stmt");
+}
 
 TEST(DaigReconcile, NestedLoopEditsMatchFullRebuild) {
   TwinDaigs<IntervalDomain> T(mustLowerFn(NestedSource, "main"));
@@ -489,25 +538,13 @@ TEST(DaigReconcile, RebuiltCellsDoNotGrowWithProgramSize) {
 // E-Loop rollback against the whole-DAIG scan it replaced
 //===----------------------------------------------------------------------===//
 
-/// Decodes a state name ℓ^(c1)…^(ck) into its location and counts,
-/// outermost loop first.
-bool decodeState(Name N, Loc &L, std::vector<uint32_t> &Counts) {
-  Counts.clear();
-  for (; N.kind() == Name::Kind::Iter; N = N.iterBase())
-    Counts.insert(Counts.begin(), N.iterCount());
-  if (N.kind() != Name::Kind::Loc)
-    return false;
-  L = N.locId();
-  return true;
-}
-
 /// The selection rule of the scan over every cell that E-Loop rollback
 /// once ran, kept as the reference for the forward walk that replaced it.
 /// A cell belongs to instance \p I's unrolled region when its state part (a
 /// pre-join cell's state, a pre-widen cell's first iterate) lies in I's
 /// loop at a count ≥ 1 under I's enclosing counts — except iterate 1 and
 /// the pre-widen cell (0, 1), which the rollback keeps.
-bool inUnrolledRegion(Name N, const DaigTestPeer::LoopRecord &I,
+bool inUnrolledRegion(const CellKey &N, const DaigTestPeer::LoopRecord &I,
                       const CfgInfo &Info) {
   auto countOf = [&](Loc H, uint32_t AtHead) -> uint32_t {
     if (H == I.Head)
@@ -517,29 +554,18 @@ bool inUnrolledRegion(Name N, const DaigTestPeer::LoopRecord &I,
         return C;
     return 0;
   };
-  auto iterate = [&](uint32_t C) {
-    Name It = Name::loc(I.Head);
-    for (Loc H : Info.loopNest(I.Head))
-      It = Name::iter(It, countOf(H, C));
-    return It;
-  };
-  if (N == iterate(1) || N == Name::pair(iterate(0), iterate(1)))
+  std::vector<uint32_t> Enclosing; // the fix cell's counts
+  std::span<const Loc> HeadNest = Info.loopNest(I.Head);
+  for (Loc H : HeadNest.first(HeadNest.size() - 1))
+    Enclosing.push_back(countOf(H, 0));
+  CellKey Fix = CellKey::state(I.Head, Enclosing);
+  if (N == Fix.iterate(1) || N == Fix.preWiden(0))
     return false;
-  Name State = N;
-  if (N.kind() == Name::Kind::Pair) {
-    Name Left = N.left();
-    if (Left.kind() == Name::Kind::Num)
-      State = N.right();
-    else if (Left.kind() == Name::Kind::Iter)
-      State = Left;
-    else
-      return false; // a statement cell
-  }
-  Loc L;
-  std::vector<uint32_t> Counts;
-  if (!decodeState(State, L, Counts))
+  if (N.shape() == CellKey::Shape::Stmt)
     return false;
-  std::span<const Loc> Nest = Info.loopNest(L);
+  // The state part's location and counts.
+  std::span<const uint32_t> Counts = N.counts();
+  std::span<const Loc> Nest = Info.loopNest(N.loc());
   size_t P = std::find(Nest.begin(), Nest.end(), I.Head) - Nest.begin();
   if (P >= Nest.size() || P >= Counts.size() || Counts[P] < 1)
     return false;
@@ -549,11 +575,11 @@ bool inUnrolledRegion(Name N, const DaigTestPeer::LoopRecord &I,
   return true;
 }
 
-/// \p Names as text, for failure messages.
-std::string listed(const std::set<Name> &Names) {
+/// \p Keys as text, for failure messages.
+std::string listed(const std::set<CellKey> &Keys) {
   std::string Out;
-  for (Name N : Names)
-    Out += N.toString() + " ";
+  for (const CellKey &K : Keys)
+    Out += K.toString() + " ";
   return Out;
 }
 
@@ -562,15 +588,15 @@ std::string listed(const std::set<Name> &Names) {
 /// the instances it rolls back and leaves \p G audit-clean. Returns the
 /// unrolled instances the edit leaves unrolled.
 size_t checkRollbackEdit(Daig<IntervalDomain> &G, EdgeId Id, Stmt New) {
-  std::set<Name> Before = DaigTestPeer::cellNames(G);
+  std::set<CellKey> Before = DaigTestPeer::cellKeys(G);
   std::vector<DaigTestPeer::LoopRecord> LoopsBefore = DaigTestPeer::loops(G);
   EXPECT_TRUE(G.applyStatementEdit(Id, std::move(New)));
-  std::set<Name> After = DaigTestPeer::cellNames(G);
-  std::map<Name, uint32_t> KAfter;
+  std::set<CellKey> After = DaigTestPeer::cellKeys(G);
+  std::map<CellKey, uint32_t> KAfter;
   for (const DaigTestPeer::LoopRecord &I : DaigTestPeer::loops(G))
     KAfter[I.Fix] = I.K;
 
-  std::set<Name> Expected;
+  std::set<CellKey> Expected;
   size_t Kept = 0;
   for (const DaigTestPeer::LoopRecord &I : LoopsBefore) {
     if (I.K <= 1)
@@ -580,11 +606,11 @@ size_t checkRollbackEdit(Daig<IntervalDomain> &G, EdgeId Id, Stmt New) {
       ++Kept;
       continue;
     }
-    for (Name N : Before)
+    for (const CellKey &N : Before)
       if (inUnrolledRegion(N, I, G.info()))
         Expected.insert(N);
   }
-  std::set<Name> Removed;
+  std::set<CellKey> Removed;
   std::set_difference(Before.begin(), Before.end(), After.begin(),
                       After.end(), std::inserter(Removed, Removed.end()));
   EXPECT_TRUE(std::includes(Before.begin(), Before.end(), After.begin(),
@@ -796,8 +822,8 @@ TEST(DaigLocationReaders, DegradedFixAnswersForItsLoop) {
       BudgetScope Scope(B);
       (void)G.queryLocation(Inner);
     }
-    // The outermost loop's fix cell is its head's name: no enclosing count.
-    if (!G.cellDegraded(Name::loc(T.Outer)))
+    // The outermost loop's fix cell is its head's key: no enclosing count.
+    if (!G.cellDegraded(CellKey::state(T.Outer)))
       continue;
     ++Degraded;
     IntervalState Fix = G.queryLocation(T.Outer);

@@ -185,9 +185,9 @@ TEST(MemoKey, HashCollisionsDoNotAlias) {
   EXPECT_EQ(M.lookup(A)->get("x"), std::optional<int64_t>(1));
 }
 
-/// Memo keys are values, not names: one program shape analysed under fresh
-/// constants computes fresh values (memo misses) but names no new cell
-/// once the shape's cells are named.
+/// Memo keys are values, not cell keys: one program shape analysed under
+/// fresh constants computes fresh values (memo misses), and each DAIG of
+/// that shape inserts exactly one key per cell, the same number every time.
 TEST(MemoTable, FreshValuesInternNoNames) {
   Statistics Stats;
   MemoTable<ConstPropDomain> Memo;
@@ -204,11 +204,13 @@ TEST(MemoTable, FreshValuesInternNoNames) {
                              "}",
                              "main");
     uint64_t MissesBefore = Stats.MemoMisses;
+    uint64_t NamesBefore = nameTableCounters().NamesInterned;
     Daig<ConstPropDomain> G(&F.Body, ConstPropDomain::initialEntry(F.Params),
                             &Stats, &Memo);
     (void)G.queryLocation(F.Body.exit());
     EXPECT_GT(Stats.MemoMisses, MissesBefore) << "constant " << C;
-    uint64_t Names = nameTableCounters().NamesInterned;
+    uint64_t Names = nameTableCounters().NamesInterned - NamesBefore;
+    EXPECT_EQ(Names, G.cellCount()) << "constant " << C;
     if (C == 1)
       NamesAfterFirst = Names;
     else
@@ -391,13 +393,13 @@ TEST(DaigIntrospection, QueryAllLocationsFillsEverything) {
   EXPECT_EQ(G.checkAiConsistency(), "");
 }
 
-TEST(DaigIntrospection, ExitCellNameIsQueryable) {
+TEST(DaigIntrospection, ExitCellKeyIsQueryable) {
   Function F = mustLowerFn("function main() { return 3; }", "main");
   Daig<ConstPropDomain> G(&F.Body, ConstPropDomain::initialEntry({}));
-  ASSERT_TRUE(G.hasCell(G.exitCellName()));
-  EXPECT_FALSE(G.cellHasValue(G.exitCellName()));
-  (void)G.queryState(G.exitCellName());
-  EXPECT_TRUE(G.cellHasValue(G.exitCellName()));
+  ASSERT_TRUE(G.hasCell(G.exitCellKey()));
+  EXPECT_FALSE(G.cellHasValue(G.exitCellKey()));
+  (void)G.queryState(G.exitCellKey());
+  EXPECT_TRUE(G.cellHasValue(G.exitCellKey()));
 }
 
 TEST(Statistics, DifferenceOperator) {

@@ -15,7 +15,7 @@
 #include "cfg/cfg_analysis.h"
 #include "cfg/edits.h"
 #include "cfg/lowering.h"
-#include "daig/name.h"
+#include "daig/cell_key.h"
 #include "lang/lexer.h"
 #include "support/rng.h"
 #include "lang/parser.h"
@@ -300,38 +300,38 @@ TEST(CfgEdits, InsertionsPreserveWellFormedness) {
 }
 
 //===----------------------------------------------------------------------===//
-// Name algebra
+// Cell keys (the name algebra of Fig. 6)
 //===----------------------------------------------------------------------===//
 
 TEST(NameAlgebra, StructuralEqualityAndHash) {
-  Name A = Name::pair(Name::loc(3), Name::loc(4));
-  Name B = Name::pair(Name::loc(3), Name::loc(4));
-  Name C = Name::pair(Name::loc(4), Name::loc(3));
+  CellKey A = CellKey::stmt(3, 4);
+  CellKey B = CellKey::stmt(3, 4);
+  CellKey C = CellKey::stmt(4, 3);
   EXPECT_EQ(A, B);
   EXPECT_EQ(A.hash(), B.hash());
   EXPECT_NE(A, C);
-  Name I1 = Name::iter(Name::loc(3), 0);
-  Name I2 = Name::iter(Name::loc(3), 1);
+  CellKey I1 = CellKey::state(3).iterate(0);
+  CellKey I2 = CellKey::state(3).iterate(1);
   EXPECT_NE(I1, I2);
-  EXPECT_NE(I1, Name::loc(3)) << "iterate names differ from plain names";
+  EXPECT_NE(I1, CellKey::state(3)) << "iterate keys differ from plain keys";
 }
 
 TEST(NameAlgebra, OrderingIsTotalAndConsistent) {
-  std::vector<Name> Names = {
-      Name::loc(1), Name::loc(2), Name::num(1),
-      Name::pair(Name::loc(1), Name::loc(2)), Name::iter(Name::loc(1), 3)};
-  std::sort(Names.begin(), Names.end());
-  for (size_t I = 0; I + 1 < Names.size(); ++I) {
-    EXPECT_TRUE(Names[I] < Names[I + 1] || Names[I] == Names[I + 1]);
-    EXPECT_FALSE(Names[I + 1] < Names[I]);
+  std::vector<CellKey> Keys = {CellKey::state(1), CellKey::state(2),
+                               CellKey::state(2).preJoin(1),
+                               CellKey::stmt(1, 2),
+                               CellKey::state(1).iterate(3)};
+  std::sort(Keys.begin(), Keys.end());
+  for (size_t I = 0; I + 1 < Keys.size(); ++I) {
+    EXPECT_TRUE(Keys[I] < Keys[I + 1] || Keys[I] == Keys[I + 1]);
+    EXPECT_FALSE(Keys[I + 1] < Keys[I]);
   }
 }
 
 TEST(NameAlgebra, Printing) {
-  Name N = Name::pair(Name::num(2),
-                      Name::pair(Name::loc(3), Name::loc(4)));
-  EXPECT_EQ(N.toString(), "2.l3.l4");
-  EXPECT_EQ(Name::iter(Name::loc(7), 1).toString(), "l7(1)");
+  EXPECT_EQ(CellKey::stmt(3, 4, 2).toString(), "2.l3.l4");
+  EXPECT_EQ(CellKey::state(7).iterate(1).toString(), "l7(1)");
+  EXPECT_EQ(CellKey::state(7).preWiden(0).toString(), "l7(0).l7(1)");
 }
 
 TEST(StmtLanguage, EqualityAndHashing) {

@@ -1,24 +1,28 @@
-//===-- tests/intern_concurrency_test.cpp - Concurrent intern tables ------===//
+//===-- tests/intern_concurrency_test.cpp - Concurrent naming -------------===//
 //
 // Part of dai-cpp. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Concurrency stress for the two process-global intern tables: the
-/// hash-consed NameTable (daig/name.h) and the SymbolTable (domain/symbol.h).
-/// N threads intern overlapping key sets simultaneously; afterwards every
-/// thread must have observed the SAME id for the same key (no torn or
-/// duplicate ids), distinct keys must have distinct ids, every id must be
-/// dense (below the table's size), and a serial re-intern — the oracle —
-/// must agree with what the racing threads saw. Run under
-/// -DDAI_SANITIZE=thread (`ctest -L tsan`) this is also the data-race lane
-/// for the sharded table internals.
+/// Concurrency stress for naming across threads. The SymbolTable
+/// (domain/symbol.h) is process-global: N threads intern overlapping key sets
+/// simultaneously; afterwards every thread must have observed the SAME id
+/// for the same key (no torn or duplicate ids), distinct keys must have
+/// distinct ids, every id must be dense (below the table's size), and a
+/// serial re-intern — the oracle — must agree with what the racing threads
+/// saw. DAIG cell keys are per DAIG (daig/cell_key.h): DAIGs built at once
+/// on pool threads share no naming state and must equal a serial build.
+/// Run under -DDAI_SANITIZE=thread (`ctest -L tsan`) this is also the
+/// data-race lane for the sharded symbol table and for concurrent DAIGs.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "daig/name.h"
+#include "daig/daig.h"
+#include "domain/interval.h"
 #include "domain/symbol.h"
+#include "support/task_pool.h"
+#include "tests/test_util.h"
 
 #include <gtest/gtest.h>
 
@@ -34,114 +38,6 @@ using namespace dai;
 namespace {
 
 constexpr unsigned kThreads = 8;
-
-/// Distinct payload space per test-run so repeated ctest invocations within
-/// one process (and the other suites sharing the global tables) cannot
-/// collide with these keys; overlap ACROSS the racing threads is the point
-/// and is total by construction.
-constexpr uint64_t kNamePayloadBase = 0x1D00DB0B00000000ull;
-
-TEST(InternConcurrency, NameTableOneIdPerKeyAcrossThreads) {
-  constexpr unsigned KeysPerThread = 300;
-  // Every thread builds the SAME key sequence (maximal overlap: all eight
-  // race on every key) of leaves, pairs, and iters.
-  auto buildKey = [](unsigned I) {
-    Name A = Name::num(kNamePayloadBase + I);
-    Name B = Name::num(kNamePayloadBase + 0x8000 + I / 3);
-    switch (I % 4) {
-    case 0:
-      return A;
-    case 1:
-      return Name::pair(A, B);
-    case 2:
-      return Name::iter(A, I % 7);
-    default:
-      return Name::pair(Name::pair(A, B), A);
-    }
-  };
-
-  std::vector<std::vector<NameId>> Seen(kThreads);
-  std::vector<std::thread> Threads;
-  for (unsigned T = 0; T < kThreads; ++T)
-    Threads.emplace_back([T, &Seen, &buildKey] {
-      Seen[T].reserve(KeysPerThread);
-      for (unsigned I = 0; I < KeysPerThread; ++I)
-        Seen[T].push_back(buildKey(I).id());
-    });
-  for (std::thread &Th : Threads)
-    Th.join();
-
-  // Agreement: every thread observed the same id for the same key index.
-  for (unsigned T = 1; T < kThreads; ++T)
-    for (unsigned I = 0; I < KeysPerThread; ++I)
-      EXPECT_EQ(Seen[T][I], Seen[0][I])
-          << "thread " << T << " disagrees on key " << I;
-
-  // Serial oracle: re-interning now (single thread) returns the same ids.
-  for (unsigned I = 0; I < KeysPerThread; ++I)
-    EXPECT_EQ(buildKey(I).id(), Seen[0][I]) << "serial oracle, key " << I;
-
-  // Density and uniqueness: ids are valid slab indices, and structurally
-  // distinct keys never share an id (interning is complete).
-  size_t TableSize = NameTable::global().size();
-  std::map<NameId, unsigned> FirstKey;
-  for (unsigned I = 0; I < KeysPerThread; ++I) {
-    NameId Id = Seen[0][I];
-    ASSERT_LT(Id, TableSize);
-    auto [It, Fresh] = FirstKey.emplace(Id, I);
-    if (!Fresh) {
-      // Same id ⇒ the two keys must be structurally equal.
-      EXPECT_TRUE(buildKey(It->second) == buildKey(I))
-          << "keys " << It->second << " and " << I << " collided on id "
-          << Id;
-    }
-  }
-
-  // Structure survives: node accessors and toString read back coherently
-  // through the lock-free slab.
-  for (unsigned I = 0; I < KeysPerThread; I += 17) {
-    Name N = buildKey(I);
-    EXPECT_TRUE(N.valid());
-    EXPECT_FALSE(N.toString().empty());
-  }
-}
-
-TEST(InternConcurrency, NameTableDisjointAndSharedMix) {
-  // Threads race on a half-shared, half-private payload space: catches
-  // cross-shard NextId races that full overlap can mask (full overlap
-  // serializes most traffic onto few shards).
-  constexpr unsigned PerThread = 200;
-  std::vector<std::vector<std::pair<uint64_t, NameId>>> Out(kThreads);
-  std::vector<std::thread> Threads;
-  for (unsigned T = 0; T < kThreads; ++T)
-    Threads.emplace_back([T, &Out] {
-      for (unsigned I = 0; I < PerThread; ++I) {
-        uint64_t Payload = (I % 2 == 0)
-                               ? kNamePayloadBase + 0x10000 + I // shared
-                               : kNamePayloadBase + 0x20000 +
-                                     (uint64_t(T) << 32) + I; // private
-        Out[T].emplace_back(Payload, Name::num(Payload).id());
-      }
-    });
-  for (std::thread &Th : Threads)
-    Th.join();
-
-  // One id per payload, across all observations of all threads.
-  std::map<uint64_t, NameId> IdOf;
-  std::map<NameId, uint64_t> PayloadOf;
-  for (unsigned T = 0; T < kThreads; ++T)
-    for (auto [Payload, Id] : Out[T]) {
-      auto [It, Fresh] = IdOf.emplace(Payload, Id);
-      EXPECT_EQ(It->second, Id) << "payload " << Payload;
-      auto [Rit, RFresh] = PayloadOf.emplace(Id, Payload);
-      EXPECT_EQ(Rit->second, Payload) << "id " << Id << " reused";
-      (void)Fresh;
-      (void)RFresh;
-    }
-  // Serial oracle agreement.
-  for (auto &[Payload, Id] : IdOf)
-    EXPECT_EQ(Name::num(Payload).id(), Id);
-}
 
 TEST(InternConcurrency, SymbolTableOneIdPerSpellingAcrossThreads) {
   constexpr unsigned KeysPerThread = 400;
@@ -196,24 +92,86 @@ TEST(InternConcurrency, SymbolLookupNeverInterns) {
       << "lookup() must not grow the table";
 }
 
-TEST(InternConcurrency, MixedNameAndSymbolTraffic) {
-  // Both tables hammered at once (the traffic shape of analyses on pool
-  // workers: names for DAIG cells, symbols for gensyms and call keys).
-  std::vector<std::thread> Threads;
-  std::vector<std::vector<std::pair<NameId, SymbolId>>> Out(kThreads);
-  for (unsigned T = 0; T < kThreads; ++T)
-    Threads.emplace_back([T, &Out] {
-      for (unsigned I = 0; I < 150; ++I) {
-        Name N = Name::pair(Name::num(kNamePayloadBase + 0x30000 + I),
-                            Name::loc(1));
-        SymbolId S = internSymbol("icon_mixed_" + std::to_string(I));
-        Out[T].emplace_back(N.id(), S);
+/// What one DAIG of a function yields: its cell count, the demand tree of
+/// a cold query of every location (every key the queries traversed, with
+/// how each was resolved), and every location's answer.
+struct DaigRun {
+  size_t Cells = 0;
+  std::string Demands;
+  std::vector<std::string> Answers;
+  NameTableCounters Names;
+
+  bool operator==(const DaigRun &O) const {
+    return Cells == O.Cells && Demands == O.Demands && Answers == O.Answers;
+  }
+};
+
+DaigRun runDaig(Function &F) {
+  NameTableCounters Before = nameTableCounters();
+  Daig<IntervalDomain> G(&F.Body, IntervalDomain::initialEntry(F.Params));
+  DaigRun R;
+  for (Loc L : G.info().Rpo) {
+    R.Demands += G.explainQuery(L).text();
+    R.Answers.push_back(IntervalDomain::toString(G.queryLocation(L)));
+  }
+  R.Cells = G.cellCount();
+  R.Names = nameTableCounters() - Before;
+  return R;
+}
+
+/// The DAIGs of two functions built and queried at once on a 2-thread pool
+/// equal a serial build: the same keys, cell counts and answers, and the
+/// same key-index counts, brought back to the caller by the pool.
+TEST(InternConcurrency, TwoDaigsAtOnceMatchASerialBuild) {
+  Program P = test::mustLower(R"(
+    function outer(n) {
+      var i = 0;
+      var s = 0;
+      while (i < n) {
+        var j = 0;
+        while (j < i) { s = s + j; j = j + 1; }
+        if (s > 100) { s = 0; } else { s = s + 1; }
+        i = i + 1;
       }
-    });
-  for (std::thread &Th : Threads)
-    Th.join();
-  for (unsigned T = 1; T < kThreads; ++T)
-    EXPECT_EQ(Out[T], Out[0]) << "thread " << T;
+      return s;
+    }
+    function main(a) {
+      var x = 0;
+      var y = 10;
+      while (x < 20) {
+        if (x < a) { y = y - 1; } else { y = y + 2; }
+        x = x + 1;
+      }
+      return x + y;
+    }
+  )");
+  std::vector<Function *> Fns = {P.find("outer"), P.find("main")};
+  ASSERT_TRUE(Fns[0] && Fns[1]);
+
+  std::vector<DaigRun> Serial;
+  for (Function *F : Fns)
+    Serial.push_back(runDaig(*F));
+
+  for (unsigned Round = 0; Round < 4; ++Round) {
+    std::vector<DaigRun> Pooled(Fns.size());
+    std::vector<TaskPool::Task> Tasks;
+    for (size_t I = 0; I < Fns.size(); ++I)
+      Tasks.push_back([&, I] { Pooled[I] = runDaig(*Fns[I]); });
+    NameTableCounters Before = nameTableCounters();
+    TaskPool Pool(2);
+    Pool.run(std::move(Tasks));
+    NameTableCounters Merged = nameTableCounters() - Before;
+    for (size_t I = 0; I < Fns.size(); ++I)
+      EXPECT_TRUE(Pooled[I] == Serial[I]) << "function " << I << "\n"
+                                          << Pooled[I].Demands;
+    EXPECT_EQ(Merged.NamesInterned,
+              Serial[0].Names.NamesInterned + Serial[1].Names.NamesInterned);
+    EXPECT_EQ(Merged.InternHits,
+              Serial[0].Names.InternHits + Serial[1].Names.InternHits);
+  }
+  EXPECT_GT(Serial[0].Cells, 0u);
+  EXPECT_NE(Serial[0].Demands.find("(1)"), std::string::npos)
+      << "the loops unrolled";
 }
 
 } // namespace

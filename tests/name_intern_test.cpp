@@ -1,23 +1,24 @@
-//===-- tests/name_intern_test.cpp - Hash-consed Name property suite ------===//
+//===-- tests/name_intern_test.cpp - Cell keys against a tree oracle ------===//
 //
 // Part of dai-cpp. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Safety net for the hash-consed NameTable (daig/name.h): a structural
-/// reference oracle — the pre-interning shared_ptr tree implementation,
-/// reproduced here verbatim — is driven in lockstep with the interned Name
-/// through randomized construction sequences (leaves, pairs, iters, nested
-/// interleavings). Equality, the total order, toString, and hashes must be
-/// bit-identical to the structural semantics; interning itself must be
-/// sound (structurally equal ⇒ same id) and complete (distinct ⇒ distinct
-/// ids). Plus a directed regression: kind() on an invalid Name is the
-/// well-defined Kind::Invalid sentinel (previously a null dereference).
+/// Safety net for DAIG cell keys (daig/cell_key.h): a structural reference
+/// oracle — the name algebra of Fig. 6 as shared_ptr trees with recursive
+/// structural equality and order — spells every cell shape a DAIG builds
+/// (state, head iterate, fix, pre-join, pre-widen, plain and indexed
+/// statement cells) next to the key for the same cell, over random
+/// locations, nest depths 0–4 and counts up to 2^32−1. Equality, hash, the
+/// total order, the structural order and toString must all match the
+/// oracle. Deeper nests, whose counts leave the key's inline storage, are
+/// checked the same way. The per-DAIG index is checked for its counters,
+/// its probe walk over DAIG-shaped keys, and deletion.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "daig/name.h"
+#include "daig/cell_key.h"
 
 #include "support/hashing.h"
 #include "support/rng.h"
@@ -34,14 +35,14 @@ using namespace dai;
 namespace {
 
 //===----------------------------------------------------------------------===//
-// Structural reference oracle: the pre-interning Name, shared_ptr trees with
-// recursive structural equality/order — semantics the interned class must
-// reproduce exactly.
+// Structural reference oracle: names as shared_ptr trees with recursive
+// structural equality and order — the semantics cell keys must reproduce.
 //===----------------------------------------------------------------------===//
 
 class RefName {
 public:
-  using Kind = Name::Kind;
+  /// Node kinds; leaf hashes and the structural order read these values.
+  enum class Kind : uint8_t { Loc = 0, Num = 2, Pair = 4, Iter = 5 };
 
   RefName() = default;
 
@@ -64,7 +65,6 @@ public:
     return RefName(std::move(N));
   }
 
-  bool valid() const { return Ptr != nullptr; }
   uint64_t hash() const { return Ptr ? Ptr->Hash : 0; }
 
   bool operator==(const RefName &O) const {
@@ -74,7 +74,10 @@ public:
     uint64_t HA = hash(), HB = O.hash();
     if (HA != HB)
       return HA < HB;
-    return nodeCompare(Ptr.get(), O.Ptr.get()) < 0;
+    return compareStructure(O) < 0;
+  }
+  int compareStructure(const RefName &O) const {
+    return nodeCompare(Ptr.get(), O.Ptr.get());
   }
 
   std::string toString() const { return nodeToString(Ptr.get()); }
@@ -142,199 +145,310 @@ private:
     case Kind::Iter:
       OS << nodeToString(N->L.get()) << "(" << N->A << ")";
       break;
-    case Kind::Invalid:
-      break; // the oracle never builds Invalid nodes
     }
     return OS.str();
   }
 };
 
-/// One lockstep-constructed pair of names.
-struct Pair {
-  Name N;
+/// ℓ^(c1)…^(cd) as a tree.
+RefName refState(Loc L, const std::vector<uint32_t> &Counts) {
+  RefName N = RefName::loc(L);
+  for (uint32_t C : Counts)
+    N = RefName::iter(N, C);
+  return N;
+}
+
+/// One cell spelled both ways, with a label for failure messages.
+struct Twin {
+  CellKey K;
   RefName R;
+  const char *Shape;
 };
 
-/// Builds a random name through BOTH implementations with the identical
-/// construction sequence, reusing earlier names as pair/iter children so
-/// interleaved nesting (pairs of iters of pairs …) and cross-tree sharing
-/// both occur.
-Pair randomName(Rng &Rng, std::vector<Pair> &Pool) {
-  uint64_t Roll = Rng.below(100);
-  if (Pool.size() >= 2 && Roll < 30) {
-    const Pair &L = Pool[Rng.below(Pool.size())];
-    const Pair &R = Pool[Rng.below(Pool.size())];
-    return Pair{Name::pair(L.N, R.N), RefName::pair(L.R, R.R)};
+/// Random counts: small values mostly (so keys collide and share
+/// prefixes), the top of the 32-bit range sometimes.
+uint32_t randomCount(Rng &Rng) {
+  switch (Rng.below(6)) {
+  case 0:
+    return UINT32_MAX - static_cast<uint32_t>(Rng.below(2));
+  case 1:
+    return static_cast<uint32_t>(Rng.next());
+  default:
+    return static_cast<uint32_t>(Rng.below(4));
   }
-  if (!Pool.empty() && Roll < 55) {
-    const Pair &B = Pool[Rng.below(Pool.size())];
-    uint32_t Count = static_cast<uint32_t>(Rng.below(4));
-    return Pair{Name::iter(B.N, Count), RefName::iter(B.R, Count)};
+}
+
+/// A random cell of a random DAIG shape, at a nest depth drawn from
+/// [MinDepth, MaxDepth].
+Twin randomTwin(Rng &Rng, size_t MinDepth, size_t MaxDepth) {
+  // Locations from a small pool mostly, so equal keys recur.
+  auto loc = [&]() -> Loc {
+    return Rng.below(4) ? static_cast<Loc>(Rng.below(6))
+                        : static_cast<Loc>(Rng.next());
+  };
+  Loc L = loc();
+  std::vector<uint32_t> Counts(MinDepth + Rng.below(MaxDepth - MinDepth + 1));
+  for (uint32_t &C : Counts)
+    C = randomCount(Rng);
+  uint32_t Idx = 1 + static_cast<uint32_t>(Rng.below(3));
+  switch (Rng.below(6)) {
+  case 0: // a state cell, a fix cell (a head under enclosing counts)
+    return {CellKey::state(L, Counts), refState(L, Counts), "state"};
+  case 1: { // a head iterate: the fix cell's key wrapped by k
+    uint32_t K = randomCount(Rng);
+    std::vector<uint32_t> It = Counts;
+    It.push_back(K);
+    return {CellKey::state(L, Counts).iterate(K), refState(L, It), "iterate"};
   }
-  // Leaves draw from small pools so collisions (re-interning) are common.
-  if (Rng.below(2) == 0) {
-    Loc L = static_cast<Loc>(Rng.below(6));
-    return Pair{Name::loc(L), RefName::loc(L)};
+  case 2:
+    return {CellKey::state(L, Counts).preJoin(Idx),
+            RefName::pair(RefName::num(Idx), refState(L, Counts)), "pre-join"};
+  case 3: { // the pre-widen cell of iterate k
+    uint32_t K = randomCount(Rng);
+    std::vector<uint32_t> ItK = Counts, ItNext = Counts;
+    ItK.push_back(K);
+    ItNext.push_back(K + 1);
+    return {CellKey::state(L, Counts).preWiden(K),
+            RefName::pair(refState(L, ItK), refState(L, ItNext)),
+            "pre-widen"};
   }
-  uint64_t V = Rng.below(5);
-  return Pair{Name::num(V), RefName::num(V)};
+  case 4: {
+    Loc Dst = loc();
+    return {CellKey::stmt(L, Dst),
+            RefName::pair(RefName::loc(L), RefName::loc(Dst)), "stmt"};
+  }
+  default: {
+    Loc Dst = loc();
+    return {CellKey::stmt(L, Dst, Idx),
+            RefName::pair(RefName::num(Idx),
+                          RefName::pair(RefName::loc(L), RefName::loc(Dst))),
+            "indexed stmt"};
+  }
+  }
+}
+
+int sign(int V) { return (V > 0) - (V < 0); }
+
+/// Every key of \p Pool agrees with its tree, and every pair of keys
+/// relates as their trees do.
+void expectLockstep(const std::vector<Twin> &Pool) {
+  for (const Twin &T : Pool) {
+    EXPECT_TRUE(T.K.valid());
+    EXPECT_EQ(T.K.hash(), T.R.hash()) << T.Shape << " " << T.R.toString();
+    EXPECT_EQ(T.K.toString(), T.R.toString()) << T.Shape;
+  }
+  for (const Twin &A : Pool)
+    for (const Twin &B : Pool) {
+      EXPECT_EQ(A.K == B.K, A.R == B.R)
+          << A.R.toString() << " vs " << B.R.toString();
+      EXPECT_EQ(A.K < B.K, A.R < B.R)
+          << A.R.toString() << " vs " << B.R.toString();
+      EXPECT_EQ(sign(A.K.compareStructure(B.K)),
+                sign(A.R.compareStructure(B.R)))
+          << A.R.toString() << " vs " << B.R.toString();
+    }
 }
 
 //===----------------------------------------------------------------------===//
-// The lockstep property suite
+// Keys against the oracle
 //===----------------------------------------------------------------------===//
 
 TEST(NameIntern, LockstepEqualityOrderToStringHash) {
   for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
     Rng R(Seed);
-    std::vector<Pair> Pool;
+    std::vector<Twin> Pool;
     for (unsigned Step = 0; Step < 120; ++Step)
-      Pool.push_back(randomName(R, Pool));
+      Pool.push_back(randomTwin(R, 0, 4));
+    expectLockstep(Pool);
+  }
+}
 
-    for (const Pair &P : Pool) {
-      EXPECT_EQ(P.N.hash(), P.R.hash()) << P.R.toString();
-      EXPECT_EQ(P.N.toString(), P.R.toString());
-      EXPECT_TRUE(P.N.valid());
-    }
-    for (size_t I = 0; I < Pool.size(); ++I) {
-      for (size_t J = 0; J < Pool.size(); ++J) {
-        const Pair &A = Pool[I], &B = Pool[J];
-        bool RefEq = A.R == B.R;
-        EXPECT_EQ(A.N == B.N, RefEq)
-            << A.R.toString() << " vs " << B.R.toString();
-        // Hash-consing: structural equality ⟺ id equality.
-        EXPECT_EQ(A.N.id() == B.N.id(), RefEq);
-        EXPECT_EQ(A.N < B.N, A.R < B.R)
-            << A.R.toString() << " vs " << B.R.toString();
-      }
-    }
+/// Counts past kInlineCounts live on the heap: copies, moves and
+/// assignments must keep them, and the key must still match its tree.
+TEST(NameIntern, DeepNestsSpillAndMatchTheOracle) {
+  Rng R(77);
+  std::vector<Twin> Pool;
+  for (unsigned Step = 0; Step < 60; ++Step)
+    Pool.push_back(randomTwin(R, CellKey::kInlineCounts - 1,
+                              CellKey::kInlineCounts + 3));
+  expectLockstep(Pool);
+  for (const Twin &T : Pool) {
+    CellKey Copy = T.K;
+    EXPECT_EQ(Copy, T.K);
+    CellKey Moved = std::move(Copy);
+    EXPECT_EQ(Moved, T.K);
+    EXPECT_FALSE(Copy.valid()) << "a moved-from key is empty";
+    Copy = Moved; // assignment into a moved-from key
+    Moved = CellKey::state(1);
+    EXPECT_EQ(Copy.toString(), T.R.toString());
+    EXPECT_EQ(Copy.counts().size(), T.K.counts().size());
   }
 }
 
 TEST(NameIntern, TotalOrderIsStrictWeak) {
   Rng R(99);
-  std::vector<Pair> Pool;
+  std::vector<Twin> Pool;
   for (unsigned Step = 0; Step < 60; ++Step)
-    Pool.push_back(randomName(R, Pool));
-  for (size_t I = 0; I < Pool.size(); ++I) {
-    EXPECT_FALSE(Pool[I].N < Pool[I].N) << "irreflexive";
-    for (size_t J = 0; J < Pool.size(); ++J) {
-      bool AB = Pool[I].N < Pool[J].N;
-      bool BA = Pool[J].N < Pool[I].N;
-      if (Pool[I].N == Pool[J].N)
-        EXPECT_TRUE(!AB && !BA) << "equal names are unordered";
+    Pool.push_back(randomTwin(R, 0, 4));
+  for (const Twin &A : Pool) {
+    EXPECT_FALSE(A.K < A.K) << "irreflexive";
+    for (const Twin &B : Pool) {
+      bool AB = A.K < B.K, BA = B.K < A.K;
+      if (A.K == B.K)
+        EXPECT_TRUE(!AB && !BA) << "equal keys are unordered";
       else
-        EXPECT_NE(AB, BA) << "distinct names are strictly ordered";
+        EXPECT_NE(AB, BA) << "distinct keys are strictly ordered";
     }
   }
 }
 
-TEST(NameIntern, HashStableAcrossInterleavedNesting) {
-  // The same structure reached through different construction orders (and
-  // at different times) must be the same id with the same hash.
-  Name A1 = Name::iter(Name::pair(Name::loc(3), Name::num(1)), 2);
-  Name Deep = Name::pair(A1, Name::iter(A1, 0));
-  // Rebuild from scratch, children first in a different order.
-  Name NumFirst = Name::num(1);
-  Name LocSecond = Name::loc(3);
-  Name A2 = Name::iter(Name::pair(LocSecond, NumFirst), 2);
-  Name Deep2 = Name::pair(A2, Name::iter(A2, 0));
-  EXPECT_EQ(A1.id(), A2.id());
-  EXPECT_EQ(Deep.id(), Deep2.id());
-  EXPECT_EQ(Deep.hash(), Deep2.hash());
-  EXPECT_EQ(Deep, Deep2);
-  EXPECT_EQ(Deep.toString(), "l3.1(2).l3.1(2)(0)");
+/// The same cell reached along different construction routes is one key.
+TEST(NameIntern, ConstructionRoutesAgree) {
+  const std::vector<uint32_t> Ctx = {2, 0};
+  CellKey Direct = CellKey::state(5, Ctx);
+  EXPECT_EQ(Direct, CellKey::state(5).iterate(2).iterate(0));
+  // A context shorter than the nest reads 0 for the missing counts.
+  EXPECT_EQ(CellKey::state(5, std::vector<uint32_t>{2}, 2), Direct);
+  EXPECT_EQ(CellKey::state(5, Ctx, 1), CellKey::state(5).iterate(2));
+  CellKey Fix = CellKey::state(5).iterate(2);
+  EXPECT_EQ(Fix.iterate(0), Direct);
+  EXPECT_EQ(Fix.preWiden(0).toString(), "l5(2)(0).l5(2)(1)");
+  EXPECT_EQ(Direct.preJoin(3).toString(), "3.l5(2)(0)");
+  EXPECT_EQ(CellKey::stmt(4, 5, 0), CellKey::stmt(4, 5));
 }
 
 TEST(NameIntern, AccessorsRoundTrip) {
-  Name L = Name::loc(7);
-  EXPECT_EQ(L.kind(), Name::Kind::Loc);
-  EXPECT_EQ(L.locId(), 7u);
-  Name N = Name::num(42);
-  EXPECT_EQ(N.numValue(), 42u);
-  Name P = Name::pair(L, N);
-  EXPECT_EQ(P.kind(), Name::Kind::Pair);
-  EXPECT_EQ(P.left(), L);
-  EXPECT_EQ(P.right(), N);
-  Name I = Name::iter(P, 3);
-  EXPECT_EQ(I.kind(), Name::Kind::Iter);
-  EXPECT_EQ(I.iterBase(), P);
-  EXPECT_EQ(I.iterCount(), 3u);
+  CellKey S = CellKey::state(7, std::vector<uint32_t>{1, 3});
+  EXPECT_EQ(S.shape(), CellKey::Shape::State);
+  EXPECT_EQ(S.loc(), 7u);
+  EXPECT_EQ(std::vector<uint32_t>(S.counts().begin(), S.counts().end()),
+            (std::vector<uint32_t>{1, 3}));
+  CellKey PJ = S.preJoin(2);
+  EXPECT_EQ(PJ.shape(), CellKey::Shape::PreJoin);
+  EXPECT_EQ(PJ.loc(), 7u);
+  EXPECT_EQ(PJ.counts().size(), 2u) << "its state's counts";
+  CellKey PW = S.preWiden(4);
+  EXPECT_EQ(PW.shape(), CellKey::Shape::PreWiden);
+  EXPECT_EQ(PW.counts().size(), 3u) << "the first iterate's counts";
+  EXPECT_EQ(PW.counts().back(), 4u);
+  CellKey St = CellKey::stmt(3, 9, 2);
+  EXPECT_EQ(St.shape(), CellKey::Shape::Stmt);
+  EXPECT_EQ(St.loc(), 3u);
+  EXPECT_TRUE(St.counts().empty());
 }
 
-/// Leaf hashes and the structural order read the kind values, so retiring
-/// a kind must not renumber the others: every cell name keeps its hash.
+/// Leaf hashes read the node kinds' values, so they must not shift: every
+/// cell keeps its hash, hence every dependent list its order.
 TEST(NameIntern, KindValuesArePinned) {
-  EXPECT_EQ(static_cast<int>(Name::Kind::Loc), 0);
-  EXPECT_EQ(static_cast<int>(Name::Kind::Num), 2);
-  EXPECT_EQ(static_cast<int>(Name::Kind::Pair), 4);
-  EXPECT_EQ(static_cast<int>(Name::Kind::Iter), 5);
-  EXPECT_EQ(Name::loc(3).hash(), hashValues(0x51ULL, 3));
-  EXPECT_EQ(Name::num(3).hash(), hashValues(0x53ULL, 3));
+  EXPECT_EQ(CellKey::state(3).hash(), hashValues(0x51ULL, 3));
+  EXPECT_EQ(CellKey::state(3).preJoin(3).hash(),
+            hashCombine(hashCombine(0x9a17ULL, hashValues(0x53ULL, 3)),
+                        hashValues(0x51ULL, 3)));
 }
 
-/// Regression: the pre-interning kind() dereferenced a null node on a
-/// default-constructed Name (undefined behavior); it now returns the
-/// documented Kind::Invalid sentinel, and the other invalid-name queries
-/// stay well-defined too.
-TEST(NameIntern, InvalidNameIsWellDefined) {
-  Name Invalid;
+TEST(NameIntern, InvalidKeyIsWellDefined) {
+  CellKey Invalid;
   EXPECT_FALSE(Invalid.valid());
-  EXPECT_EQ(Invalid.kind(), Name::Kind::Invalid);
+  EXPECT_EQ(Invalid.shape(), CellKey::Shape::None);
   EXPECT_EQ(Invalid.hash(), 0u);
-  EXPECT_EQ(Invalid.id(), kNoName);
   EXPECT_EQ(Invalid.toString(), "<invalid>");
-  EXPECT_EQ(Invalid, Name());
-  // The structural order puts the invalid name below every valid one
-  // whenever hashes tie (and hash 0 ties with nothing in practice).
-  Name SomeName = Name::loc(0);
-  EXPECT_NE(Invalid, SomeName);
-  EXPECT_TRUE(Invalid < SomeName || SomeName < Invalid) << "still ordered";
+  EXPECT_EQ(Invalid, CellKey());
+  CellKey SomeKey = CellKey::state(0);
+  EXPECT_NE(Invalid, SomeKey);
+  EXPECT_TRUE(Invalid < SomeKey || SomeKey < Invalid) << "still ordered";
+  EXPECT_LT(Invalid.compareStructure(SomeKey), 0) << "no cell sorts first";
 }
 
-TEST(NameIntern, CountersTrackHitsAndGrowth) {
+//===----------------------------------------------------------------------===//
+// The per-DAIG index
+//===----------------------------------------------------------------------===//
+
+/// A minimal cell store: the index keeps ids, the store keeps keys.
+struct KeyStore {
+  std::vector<CellKey> Keys;
+  CellKeyIndex Index;
+
+  const CellKey &keyOf(CellId Id) const { return Keys[Id]; }
+  auto reader() const {
+    return [this](CellId Id) -> const CellKey & { return Keys[Id]; };
+  }
+  CellId add(const CellKey &K) {
+    return Index.findOrAdd(K, reader(), [&] {
+      Keys.push_back(K);
+      return static_cast<CellId>(Keys.size() - 1);
+    });
+  }
+  CellId find(const CellKey &K) const { return Index.find(K, reader()); }
+};
+
+TEST(NameIntern, IndexCountsInsertsHitsAndBytes) {
+  KeyStore S;
   NameTableCounters Before = nameTableCounters();
-  // A fresh, never-before-interned leaf (value chosen to be unique to this
-  // test) grows the table; re-constructing it is a hit.
-  Name A = Name::num(0x5eedf00d12345678ULL);
+  CellKey A = CellKey::state(11).preJoin(2);
+  CellId Id = S.add(A);
   NameTableCounters AfterNew = nameTableCounters();
   EXPECT_EQ(AfterNew.NamesInterned, Before.NamesInterned + 1);
-  Name B = Name::num(0x5eedf00d12345678ULL);
-  NameTableCounters AfterHit = nameTableCounters();
-  EXPECT_EQ(AfterHit.NamesInterned, AfterNew.NamesInterned);
-  EXPECT_EQ(AfterHit.InternHits, AfterNew.InternHits + 1);
-  EXPECT_EQ(A.id(), B.id());
-  EXPECT_GT(AfterHit.NameTableBytes, 0u);
+  EXPECT_EQ(AfterNew.InternHits, Before.InternHits);
+  EXPECT_EQ(S.add(A), Id) << "a second add finds the key";
+  EXPECT_EQ(S.find(A), Id);
+  EXPECT_EQ(S.find(CellKey::state(11)), kNoCell);
+  NameTableCounters AfterHits = nameTableCounters();
+  EXPECT_EQ(AfterHits.NamesInterned, AfterNew.NamesInterned);
+  EXPECT_EQ(AfterHits.InternHits, AfterNew.InternHits + 2)
+      << "two probes found their key; the miss is no hit";
+  EXPECT_GT(AfterHits.NameTableBytes, 0u);
+  EXPECT_EQ(S.Index.size(), 1u);
 }
 
-/// The cell names a DAIG builds have small, structured fields — consecutive
+/// The cell keys a DAIG builds have small, structured fields — consecutive
 /// locations, join indices 1–3, iteration counts 0–3 — so their structural
-/// hashes cluster. The dedup index must still spread them: over such a set,
-/// each intern call may examine only a few slots past the first (indexed by
-/// the raw structural hash, this set walked about two hundred per call).
-TEST(NameIntern, DaigShapedNamesProbeFewSlots) {
-  constexpr Loc Base = 7000000; // beyond every location the other tests name
+/// hashes cluster. The index must still spread them: over such a set, each
+/// probe may examine only a few slots past the first.
+TEST(NameIntern, DaigShapedKeysProbeFewSlots) {
   constexpr Loc NumLocs = 3000;
+  KeyStore S;
   NameTableCounters Before = nameTableCounters();
-  for (unsigned Pass = 0; Pass < 2; ++Pass) // interning, then all hits
-    for (Loc L = Base; L < Base + NumLocs; ++L) {
-      Name Here = Name::loc(L);
-      for (uint64_t Idx = 1; Idx <= 3; ++Idx) {
+  for (unsigned Pass = 0; Pass < 2; ++Pass) // inserting, then all hits
+    for (Loc L = 1; L <= NumLocs; ++L) {
+      for (uint32_t Idx = 1; Idx <= 3; ++Idx) {
         // Statement cell of join in-edge Idx, and its pre-join cell.
-        (void)Name::pair(Name::num(Idx),
-                         Name::pair(Name::loc(L - Idx), Here));
-        (void)Name::pair(Name::num(Idx), Name::iter(Here, 0));
+        (void)S.add(CellKey::stmt(L - 1, L, Idx));
+        (void)S.add(CellKey::state(L).iterate(0).preJoin(Idx));
       }
       // State cells under two nested loops, iterates 0–3 each.
       for (uint32_t Outer = 0; Outer < 4; ++Outer)
         for (uint32_t Inner = 0; Inner < 4; ++Inner)
-          (void)Name::iter(Name::iter(Here, Outer), Inner);
+          (void)S.add(CellKey::state(L, std::vector<uint32_t>{Outer, Inner}));
     }
   NameTableCounters D = nameTableCounters() - Before;
   uint64_t Calls = D.NamesInterned + D.InternHits;
-  ASSERT_GT(D.NamesInterned, 50000u);
+  EXPECT_EQ(D.NamesInterned, NumLocs * 22u);
+  EXPECT_EQ(D.InternHits, NumLocs * 22u);
   EXPECT_LE(D.InternExtraProbes, 4 * Calls)
       << D.InternExtraProbes << " extra probes over " << Calls << " calls";
+}
+
+/// Removing cells (E-Loop rollback, reconcile) erases their keys: every
+/// other key stays findable, and an erased key can come back.
+TEST(NameIntern, IndexEraseKeepsTheRestFindable) {
+  KeyStore S;
+  Rng R(5);
+  for (Loc L = 0; L < 2000; ++L)
+    S.add(CellKey::state(L % 40, std::vector<uint32_t>{L / 40}));
+  std::vector<char> Gone(S.Keys.size(), 0);
+  for (CellId Id = 0; Id < S.Keys.size(); ++Id)
+    if (R.below(2)) {
+      S.Index.erase(S.Keys[Id], S.reader());
+      Gone[Id] = 1;
+    }
+  for (CellId Id = 0; Id < S.Keys.size(); ++Id)
+    EXPECT_EQ(S.find(S.Keys[Id]), Gone[Id] ? kNoCell : Id) << Id;
+  for (CellId Id = 0; Id < S.Keys.size(); ++Id)
+    if (Gone[Id]) {
+      S.Index.findOrAdd(S.Keys[Id], S.reader(), [Id] { return Id; });
+      EXPECT_EQ(S.find(S.Keys[Id]), Id);
+    }
+  EXPECT_EQ(S.Index.size(), S.Keys.size());
 }
 
 } // namespace

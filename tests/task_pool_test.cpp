@@ -21,9 +21,11 @@
 
 #include "support/task_pool.h"
 
-#include "daig/name.h"
+#include "daig/daig.h"
+#include "domain/interval.h"
 #include "domain/symbol.h"
 #include "support/statistics.h"
+#include "tests/test_util.h"
 
 #include <gtest/gtest.h>
 
@@ -216,25 +218,31 @@ TEST(TaskPool, PeakGaugeMergesViaMax) {
   EXPECT_EQ(closureCounters().PeakDbmBytes, Target + 8);
 }
 
-TEST(TaskPool, WorkerInterningLandsInGlobalAtomicCounters) {
-  // The name/symbol counters are process-global atomics, so worker-thread
-  // interning needs no repatriation step — but it must be visible in the
-  // caller's snapshot after the barrier.
-  TaskPool Pool(4);
+TEST(TaskPool, WorkerDaigKeyCountsLandInCallersCounters) {
+  // Each DAIG keys its cells in its own index and counts into its thread's
+  // NameTableCounters; the pool brings the workers' counts back to the
+  // caller, like every other ThreadCounters family.
+  Function F = test::mustLowerFn(
+      "function main(n) { var i = 0; while (i < n) { i = i + 1; } "
+      "return i; }",
+      "main");
+  auto build = [&F] {
+    Daig<IntervalDomain> G(&F.Body, IntervalDomain::initialEntry(F.Params));
+    (void)G.queryLocation(F.Body.exit());
+  };
   NameTableCounters Before = nameTableCounters();
-  std::vector<TaskPool::Task> Tasks;
-  for (int I = 0; I < 8; ++I)
-    Tasks.push_back([I] {
-      for (int J = 0; J < 10; ++J)
-        (void)Name::num(0x7a5cf001u + static_cast<uint64_t>(I) * 10 + J);
-    });
+  build();
+  NameTableCounters One = nameTableCounters() - Before;
+  ASSERT_GT(One.NamesInterned, 0u);
+
+  TaskPool Pool(4);
+  std::vector<TaskPool::Task> Tasks(8, build);
+  Before = nameTableCounters();
   Pool.run(std::move(Tasks));
-  NameTableCounters After = nameTableCounters();
-  // 80 distinct payloads: first construction of each interns, reruns of the
-  // suite hit. Either way the atomic sink recorded all 80 constructions.
-  EXPECT_GE((After.NamesInterned - Before.NamesInterned) +
-                (After.InternHits - Before.InternHits),
-            80u);
+  NameTableCounters Eight = nameTableCounters() - Before;
+  EXPECT_EQ(Eight.NamesInterned, 8 * One.NamesInterned);
+  EXPECT_EQ(Eight.InternHits, 8 * One.InternHits);
+  EXPECT_EQ(Eight.InternExtraProbes, 8 * One.InternExtraProbes);
 }
 
 //===----------------------------------------------------------------------===//
