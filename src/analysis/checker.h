@@ -18,7 +18,7 @@
 /// provenance can never yield SAFE (clamped to WARNING).
 ///
 /// IncrementalChecker is the DAIG-native part. It keeps each live edge's
-/// statement, obligations, pre-state and verdicts across passes, keyed by
+/// label stamp, obligations, pre-state and verdicts across passes, keyed by
 /// EdgeId. After an edit it re-collects, re-queries, re-evaluates and
 /// rewrites ChecksDb rows only where the edit reached (the class comment
 /// gives the two reuse tiers); the re-evaluated obligations — the demanded
@@ -118,15 +118,15 @@ runChecks(const std::vector<Obligation> &Obs,
 }
 
 /// Incremental re-checking bound to one Daig. The checker keeps, for every
-/// live edge, the statement its obligations came from, those obligations,
-/// the source location its pre-state was queried at, and that pre-state
-/// with its degraded flag and verdicts. db() holds the edge's rows at that
-/// location. A recheck() pass works only where an edit reached:
+/// live edge, its obligations with the label stamp they came from (the
+/// statement stays on the edge), the source location its pre-state was
+/// queried at, and that pre-state with its degraded flag and verdicts.
+/// db() holds the edge's rows at that location. A recheck() pass works
+/// only where an edit reached:
 ///
-///  - Obligations are re-collected only for an edge whose statement changed
-///    (Stmt ==, which short-circuits on the expression pointers an
-///    unchanged statement shares with the stored copy). An edge whose
-///    source moved keeps its obligations with the new location.
+///  - Obligations are re-collected only for an edge whose label stamp
+///    changed (an equal statement sets no stamp). An edge whose source
+///    moved keeps its obligations with the new location.
 ///  - db() rows are replaced in place (ChecksDb::replaceEdge) only for an
 ///    edge whose results changed: re-evaluated, moved to a new source,
 ///    added or removed.
@@ -189,12 +189,11 @@ public:
       if (Id >= Edges.size())
         Edges.resize(Id + 1);
       EdgeState &St = Edges[Id];
-      bool New = St.SeenIn == 0;
       St.SeenIn = Pass;
-      if (New || St.S != E.Label) {
-        St.S = E.Label;
+      if (St.Stamp != E.LabelStamp) {
+        St.Stamp = E.LabelStamp;
         St.Obs.clear();
-        collectObligations(St.S, Id, E.Src, St.Obs, Mask);
+        collectObligations(E.Label, Id, E.Src, St.Obs, Mask);
         if (Stats)
           Stats->ChecksCollected += St.Obs.size();
         St.Verdicts.clear(); // answers to other obligations: no reuse
@@ -274,7 +273,7 @@ private:
   /// What the checker knows about one edge, indexed by EdgeId (the CFG
   /// allocates ids densely and never reuses them).
   struct EdgeState {
-    Stmt S;                  ///< The statement Obs were collected from.
+    uint64_t Stamp = 0;      ///< The label stamp Obs were collected at.
     std::vector<Obligation> Obs;
     Loc At = InvalidLoc;     ///< Where Pre was queried and the rows sit.
     bool Degraded = false;

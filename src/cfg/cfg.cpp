@@ -28,7 +28,8 @@ EdgeId Cfg::addEdge(Loc Src, Loc Dst, Stmt Label) {
   ++StructVersion;
   EdgeId Id = NextEdge++;
   assert(Id == EdgesById.size() && "edge ids are allocated densely");
-  EdgesById.push_back(CfgEdge{Id, Src, Dst, std::move(Label)});
+  uint64_t Hash = Label.hash();
+  EdgesById.push_back(CfgEdge{Id, Src, Dst, std::move(Label), Hash, Version});
   ++LiveEdges;
   return Id;
 }
@@ -37,9 +38,13 @@ bool Cfg::replaceStmt(EdgeId Id, Stmt NewLabel) {
   CfgEdge *E = liveEdge(Id);
   if (!E)
     return false;
+  if (E->Label == NewLabel)
+    return true;
   // Statement-only edit: the shape is untouched, so StructVersion (and the
   // cached CfgInfo keyed by it) survives.
   ++Version;
+  E->LabelHash = NewLabel.hash();
+  E->LabelStamp = Version;
   E->Label = std::move(NewLabel);
   return true;
 }

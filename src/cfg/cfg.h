@@ -12,7 +12,10 @@
 ///
 /// Edges carry stable unique identities (EdgeId) so that program edits can
 /// address "the statement on edge #k" across CFG mutations, and so that join
-/// input indices (fwd-edges-to) are deterministic.
+/// input indices (fwd-edges-to) are deterministic. Each edge owns its
+/// statement: the label, its hash and its stamp (the version() that set
+/// it). DAIG statement cells and the checker keep an edge id and the stamp
+/// they read, not a copy, and compare stamps.
 ///
 /// Storage: edges live in a dense vector indexed by EdgeId (ids are
 /// allocated 0, 1, 2, … and never reused), so findEdge — the single hottest
@@ -57,12 +60,15 @@ inline constexpr Loc InvalidLoc = ~0u;
 using EdgeId = uint32_t;
 inline constexpr EdgeId InvalidEdgeId = ~0u;
 
-/// A statement-labelled control-flow edge ℓ —[s]→ ℓ'.
+/// A statement-labelled control-flow edge ℓ —[s]→ ℓ', the one owner of its
+/// statement.
 struct CfgEdge {
   EdgeId Id = InvalidEdgeId;
   Loc Src = InvalidLoc;
   Loc Dst = InvalidLoc;
   Stmt Label;
+  uint64_t LabelHash = 0;  ///< Label.hash(), computed once per label.
+  uint64_t LabelStamp = 0; ///< The version() that set Label: one per label.
 };
 
 class CfgInfo; // cfg/cfg_analysis.h
@@ -131,8 +137,9 @@ public:
   EdgeId addEdge(Loc Src, Loc Dst, Stmt Label);
 
   /// Replaces the statement labelling edge \p Id. Returns false if no such
-  /// edge exists. A statement-only edit: bumps version() but NOT
-  /// structuralVersion(), so the cached CfgInfo survives.
+  /// edge exists. A statement-only edit: bumps version(), the edge's new
+  /// LabelStamp, but NOT structuralVersion(), so the cached CfgInfo
+  /// survives. An equal statement changes nothing.
   bool replaceStmt(EdgeId Id, Stmt NewLabel);
 
   /// Redirects the source of edge \p Id to \p NewSrc (used by structured

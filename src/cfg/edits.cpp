@@ -12,10 +12,6 @@
 
 using namespace dai;
 
-bool dai::replaceEdgeStmt(Cfg &G, EdgeId Id, Stmt NewStmt) {
-  return G.replaceStmt(Id, std::move(NewStmt));
-}
-
 namespace {
 
 /// Splices a fresh location after L (the hammock's exit): L's outgoing edges

@@ -6,11 +6,12 @@
 ///
 /// \file
 /// The program-edit operations of the paper's evaluation (Section 7.3): an
-/// edit is an in-place statement replacement, or the insertion of a
-/// statement, if-then-else, or while loop at a program location. Insertions
-/// splice a single-entry hammock after the location: existing outgoing edges
-/// are redirected (keeping their EdgeIds, hence their join indices) to the
-/// hammock's exit, so all pre-existing DAIG cell names remain meaningful.
+/// edit is an in-place statement replacement (Cfg::replaceStmt), or the
+/// insertion of a statement, if-then-else, or while loop at a program
+/// location. Insertions splice a single-entry hammock after the location:
+/// existing outgoing edges are redirected (keeping their EdgeIds, hence
+/// their join indices) to the hammock's exit, so all pre-existing DAIG cell
+/// names remain meaningful.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,9 +27,6 @@ struct InsertResult {
   Loc HammockExit = InvalidLoc;  ///< Where the original successors now hang.
   EdgeId FirstNewEdge = InvalidEdgeId;
 };
-
-/// Replaces the statement on edge \p Id. Returns false if no such edge.
-bool replaceEdgeStmt(Cfg &G, EdgeId Id, Stmt NewStmt);
 
 /// Inserts `S` immediately after \p L: L —[S]→ m, with L's previous outgoing
 /// edges re-sourced at m. \p L must not be the CFG exit.

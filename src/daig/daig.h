@@ -14,8 +14,9 @@
 /// E-Propagate / E-Loop of Fig. 9).
 ///
 /// The hypergraph is one store of cell records (Daig::Cell), addressed by
-/// dense CellIds: the cell's key (its name), statement or value, the
-/// computation that defines it, and the destinations of the computations
+/// dense CellIds: the cell's key (its name), value or, for a statement
+/// cell, CFG edge and label stamp (the edge owns the statement, cfg/cfg.h),
+/// the computation that defines it, and the destinations of the computations
 /// that read it, in key order. Computations and dependent lists hold ids, so
 /// queries (walking computations backward) and dirtying (walking dependent
 /// lists forward, stamping visited cells with a per-DAIG epoch) index the
@@ -44,9 +45,10 @@
 /// queryLocation and the location readers. See docs/architecture.md, "Cell
 /// names" and "DAIG edits".
 ///
-/// Program edits:
-///  - applyStatementEdit: in-place statement replacement — surgical dirtying
-///    with no structural change;
+/// Program edits, each reconciled before the next query (which reads labels
+/// from the CFG):
+///  - applyStatementEdit: in-place statement replacement — a new label and
+///    stamp on the edge, surgical dirtying, no structural change;
 ///  - rebuild(): after arbitrary structural CFG edits — reconciles the DAIG
 ///    with the CFG in place. Only the locations whose construction inputs
 ///    changed, widened to the outermost loops around them, are rebuilt;
@@ -76,7 +78,6 @@
 #include <cassert>
 #include <functional>
 #include <optional>
-#include <variant>
 
 namespace dai {
 
@@ -208,17 +209,14 @@ public:
   /// leaves the DAIG by value (queryLocation).
   using ElemPtr = typename MemoTable<D>::ElemPtr;
   /// Statement interpretation override used by the interprocedural engine to
-  /// resolve Call statements by demanding callee summaries.
-  using TransferFn = std::function<Elem(const Stmt &, const Elem &)>;
+  /// resolve the Call on an edge by demanding callee summaries.
+  using TransferFn = std::function<Elem(const CfgEdge &, const Elem &)>;
   /// Invalidation callback: fired with the key of every cell emptied by an
   /// edit, letting the engine propagate dirtying across function DAIGs.
   using EmptiedFn = std::function<void(const CellKey &)>;
 
   /// Test access to internals (tests/daig_reconcile_test.cpp).
   friend struct DaigTestPeer;
-
-  /// Reference cell types (Fig. 6): τ ∈ {Stmt, Σ♯}.
-  enum class CellType : uint8_t { StmtTy, StateTy };
 
   /// A computation edge n ← f(n1, ..., nk): the function and its sources
   /// in argument order (a transfer reads its statement cell first).
@@ -230,7 +228,7 @@ public:
   };
 
   /// One reference cell and everything the DAIG keeps about it: its key,
-  /// contents, the computation that defines it (at most one, Definition
+  /// value or edge, the computation that defines it (at most one, Definition
   /// 4.1) and the computations that read it, plus its loop-instance and
   /// degraded bookkeeping. An edit changes one record; auditInvariants
   /// checks that each cell's computation and its sources' dependent lists
@@ -238,7 +236,6 @@ public:
   struct Cell {
     /// The cell's name; invalid while the slot is free.
     CellKey Key;
-    CellType T = CellType::StateTy;
     /// Holds a budget-degraded value (support/budget.h): ⊤-substituted on
     /// hard exhaustion, or computed from a degraded input (taint). Cleared
     /// whenever the cell is emptied: the mark describes the value stored.
@@ -249,12 +246,12 @@ public:
     /// A loop iterate: its instance's fix cell, as buildIteration last set
     /// it (E-Loop rollback checks it against the keys before use).
     CellId Fix = kNoCell;
-    /// A statement cell: its statement's Stmt::hash(), the first half of
-    /// its transfers' memo keys.
-    uint64_t StmtHash = 0;
-    /// A statement cell's statement or a state cell's (non-null) value;
-    /// empty while a state cell is unfilled.
-    std::optional<std::variant<Stmt, ElemPtr>> V;
+    /// A statement cell: the edge whose label it refers to (InvalidEdgeId
+    /// for a state cell) and the edge's LabelStamp when it last read it.
+    EdgeId Edge = InvalidEdgeId;
+    uint64_t Stamp = 0;
+    /// A state cell's value; null while unfilled and for statement cells.
+    ElemPtr V;
     /// The defining computation; none for statement cells and the entry
     /// cell.
     std::optional<Comp> Def;
@@ -264,9 +261,11 @@ public:
     /// The epoch of the last dirtying or rollback walk that visited it.
     uint64_t Seen = 0;
 
-    bool hasValue() const { return V.has_value(); }
-    const Stmt &stmt() const { return std::get<Stmt>(*V); }
-    const ElemPtr &value() const { return std::get<ElemPtr>(*V); }
+    bool isStmt() const { return Edge != InvalidEdgeId; }
+    bool hasValue() const { return V != nullptr; }
+    bool reads(const CfgEdge &E) const {
+      return Edge == E.Id && Stamp == E.LabelStamp;
+    }
   };
 
   /// Note: the memo table counts its own hits/misses/evictions into the
@@ -360,20 +359,29 @@ public:
   // Edits (Fig. 9)
   //===--------------------------------------------------------------------===//
 
-  /// In-place statement replacement on edge \p Id: updates the CFG and the
-  /// statement cell, then dirties forward. Structural shape is unchanged.
+  /// In-place statement replacement on edge \p Id: replaces the CFG's label
+  /// (an equal statement is no edit), then refreshStmtCell. Structural shape
+  /// is unchanged. Returns false if no such edge.
   bool applyStatementEdit(EdgeId Id, Stmt NewStmt) {
-    const CfgEdge *E = G->findEdge(Id);
-    if (!E)
+    if (!G->replaceStmt(Id, std::move(NewStmt)))
       return false;
-    CellId SC = find(stmtCellKey(Id));
-    assert(SC != kNoCell && "statement cell missing for live edge");
-    if (Cells[SC].stmt() == NewStmt)
-      return true; // no-op edit
-    G->replaceStmt(Id, NewStmt);
-    setStmt(Cells[SC], std::move(NewStmt));
-    dirtyDependentsOf(SC);
+    refreshStmtCell(Id);
     return true;
+  }
+
+  /// E-Commit for a label the CFG already holds: live edge \p Id's statement
+  /// cell takes the edge's new stamp and its readers are dirtied. The edit
+  /// counts as seen, so it alone makes no reconcile scan labels. The engine
+  /// replaces a label once and refreshes every instance.
+  void refreshStmtCell(EdgeId Id) {
+    const CfgEdge &E = *G->findEdge(Id);
+    CellId SC = find(stmtCellKey(Id));
+    if (SC == kNoCell || Cells[SC].reads(E))
+      return; // no cell reads the edge (its source is unreachable), or
+              // the cell already read this label
+    Cells[SC].Stamp = E.LabelStamp;
+    ++LabelEdits;
+    dirtyDependentsOf(SC);
   }
 
   /// Statement insertion — the common 85% case of the paper's edit
@@ -609,7 +617,7 @@ public:
       // Degraded honesty: a mark sits on a filled state cell.
       if (C.Degraded) {
         ++Marks;
-        if (C.T != CellType::StateTy || !C.hasValue())
+        if (!C.hasValue())
           return "degraded mark on an empty/statement cell: " + Name();
       }
     }
@@ -758,23 +766,17 @@ private:
     return Id;
   }
 
-  static void setStmt(Cell &C, Stmt S) {
-    C.StmtHash = S.hash();
-    C.V = std::move(S);
-  }
-
-  /// Builds statement cell \p K holding \p S; an existing cell with another
-  /// statement takes \p S and is logged as changed.
-  CellId addStmtCell(const CellKey &K, const Stmt &S) {
+  /// Builds statement cell \p K referring to edge \p E; an existing cell
+  /// that read another edge or an older label takes E's and is logged as
+  /// changed.
+  CellId addStmtCell(const CellKey &K, const CfgEdge &E) {
     CellId Id = cellFor(K);
     Cell &C = Cells[Id];
-    if (!C.hasValue()) {
-      C.T = CellType::StmtTy;
-      setStmt(C, S);
-    } else if (!(C.stmt() == S)) {
-      setStmt(C, S);
-      if (Log)
+    if (!C.reads(E)) {
+      if (C.isStmt() && Log)
         Log->Changed.push_back(Id);
+      C.Edge = E.Id;
+      C.Stamp = E.LabelStamp;
     }
     if (Log)
       Log->Built.push_back(Id);
@@ -880,7 +882,7 @@ private:
       return; // head reachable only through its back edge: entry via loop
     if (Ids.size() == 1) {
       const CfgEdge *E = G->findEdge(Ids[0]);
-      CellId SC = addStmtCell(stmtKey(E->Src, L, 1, 1), E->Label);
+      CellId SC = addStmtCell(stmtKey(E->Src, L, 1, 1), *E);
       addComp(Dest, FnKind::Transfer,
               {SC, cellFor(srcStateKey(E->Src, L, Ctx))});
       return;
@@ -888,7 +890,7 @@ private:
     std::vector<CellId> PreJoins;
     for (unsigned I = 0; I < Ids.size(); ++I) {
       const CfgEdge *E = G->findEdge(Ids[I]);
-      CellId SC = addStmtCell(stmtKey(E->Src, L, I + 1, Ids.size()), E->Label);
+      CellId SC = addStmtCell(stmtKey(E->Src, L, I + 1, Ids.size()), *E);
       CellId PJ = addStateCell(DestKey.preJoin(I + 1));
       addComp(PJ, FnKind::Transfer, {SC, cellFor(srcStateKey(E->Src, L, Ctx))});
       PreJoins.push_back(PJ);
@@ -964,7 +966,7 @@ private:
 
     // Back edge: transfer from the latch state into the pre-widen cell.
     const CfgEdge *Back = G->findEdge(Info->backEdgeOf(L));
-    CellId SC = addStmtCell(stmtKey(Back->Src, L, 0, 1), Back->Label);
+    CellId SC = addStmtCell(stmtKey(Back->Src, L, 0, 1), *Back);
     addComp(PreWiden, FnKind::Transfer,
             {SC, cellFor(stateKey(Back->Src, Ctx))});
     Ctx.pop_back();
@@ -1070,7 +1072,7 @@ private:
   /// loop, adding cells, so the record is re-read by id after it.
   ElemPtr queryCell(CellId N) {
     const Cell &C = Cells[N];
-    assert(C.T == CellType::StateTy && "queryCell on a Stmt cell");
+    assert(!C.isStmt() && "queryCell on a statement cell");
     if (C.hasValue()) {
       if (Stats)
         ++Stats->CellReuses; // Q-Reuse
@@ -1079,7 +1081,7 @@ private:
       if (Prov)
         provEnter(N, C.Degraded ? DemandOutcome::DegradedReuse
                                 : DemandOutcome::Reused);
-      return C.value();
+      return C.V;
     }
     ProvFrame PF(*this, N);
     TraceSpan Sp("daig.cell_eval", N);
@@ -1115,10 +1117,11 @@ private:
     return Top;
   }
 
-  const Cell &stmtCell(CellId N) const {
-    assert(Cells[N].T == CellType::StmtTy &&
-           "transfer source 0 must be a statement cell");
-    return Cells[N];
+  /// The edge statement cell \p N names, whose label a transfer reads.
+  const CfgEdge &labelOf(CellId N) const {
+    const CfgEdge *E = G->findEdge(Cells[N].Edge);
+    assert(E && Cells[N].reads(*E) && "query before reconciling a CFG edit");
+    return *E;
   }
 
   /// Q-Loop-Converge / Q-Loop-Unroll, bounded: every iteration checkpoints
@@ -1177,8 +1180,8 @@ private:
   /// operation builds and hands that handle to both the memo table and the
   /// caller (which stores it in the destination cell). No path copies an
   /// abstract state. Demanding an input may add cells, so sources are read
-  /// by index and a transfer reads its statement after its input; the call
-  /// hook never re-enters this DAIG (the call graph rejects recursion).
+  /// by index and a transfer reads its statement cell after its input; the
+  /// call hook never re-enters this DAIG (the call graph rejects recursion).
   ///
   /// Memo keys embed D::hash(In), and a hit returns the stored value as-is,
   /// so correctness requires hash() to be a pure function of the value and
@@ -1193,14 +1196,13 @@ private:
     switch (Cells[N].Def->F) {
     case FnKind::Transfer: {
       ElemPtr In = queryCell(src(1));
-      const Cell &SC = stmtCell(src(0));
-      const Stmt &S = SC.stmt();
-      bool IsCall = S.Kind == StmtKind::Call;
+      const CfgEdge &E = labelOf(src(0));
+      bool IsCall = E.Label.Kind == StmtKind::Call;
       // Memo keys cost hashing: build one only when a memo table will
       // read it (never for calls, whose hook is the summary).
       MemoKey Key;
       if (Memo && !IsCall) {
-        Key = {FnKind::Transfer, {SC.StmtHash, D::hash(*In)}};
+        Key = {FnKind::Transfer, {E.LabelHash, D::hash(*In)}};
         if (ElemPtr Hit = Memo->lookup(Key)) {
           provMarkTop(DemandOutcome::MemoHit);
           return Hit;
@@ -1209,7 +1211,7 @@ private:
       if (Stats)
         ++Stats->Transfers;
       ElemPtr Out =
-          share((IsCall && Hook) ? Hook(S, *In) : D::transfer(S, *In));
+          share((IsCall && Hook) ? Hook(E, *In) : D::transfer(E.Label, *In));
       if (Memo && !IsCall)
         Memo->store(std::move(Key), Out);
       return Out;
@@ -1294,7 +1296,7 @@ private:
       Cell &C = Cells[N];
       if (!C.Key.valid())
         continue; // deleted by a rollback while enqueued
-      if (C.Seen == Walk || C.T == CellType::StmtTy)
+      if (C.Seen == Walk || C.isStmt())
         continue; // statements are never dirtied by propagation
       C.Seen = Walk;
       maybeRollbackAt(N); // deletes other cells only
@@ -1356,7 +1358,7 @@ private:
 
   /// What the builder records while rebuild() runs it (Log is null
   /// otherwise): every cell it builds, and the cells whose computation or
-  /// statement it changed.
+  /// label it changed.
   struct ReconcileLog {
     std::vector<CellId> Built; ///< In build order; may repeat a cell.
     std::vector<CellId> Changed;
@@ -1369,7 +1371,8 @@ private:
   uint64_t labelEditCount() const {
     return G->version() - G->structuralVersion();
   }
-  uint64_t LabelEdits = 0; ///< labelEditCount() when the DAIG last matched.
+  /// labelEditCount() at the last match, plus refreshStmtCell's edits since.
+  uint64_t LabelEdits = 0;
 
   /// rebuild(), or with \p Everywhere every location rebuilt: the full
   /// rebuild, reachable only from tests, which must agree with the region
@@ -1383,7 +1386,7 @@ private:
       // then start over.
       std::vector<CellId> Work;
       for (CellId N = 0; N < Cells.size(); ++N)
-        if (Cells[N].T == CellType::StateTy && Cells[N].hasValue())
+        if (Cells[N].hasValue())
           Work.push_back(N);
       propagateDirty(Work);
       construct();
@@ -1491,14 +1494,10 @@ private:
     std::vector<CellId> Dirty, Gone;
     for (CellId N : Rec.Changed) {
       const Cell &C = Cells[N];
-      if (!C.hasValue())
-        continue; // an empty cell has no filled dependents to dirty
-      if (C.T == CellType::StateTy) {
+      if (C.isStmt()) // a new label: dirty its readers
+        Dirty.insert(Dirty.end(), C.Deps.begin(), C.Deps.end());
+      else if (C.hasValue()) // an empty cell has no filled dependents
         Dirty.push_back(N);
-        continue;
-      }
-      // A new statement: dirty its readers.
-      Dirty.insert(Dirty.end(), C.Deps.begin(), C.Deps.end());
     }
     for (const CellKey &K : OldCells) {
       CellId N = find(K);
@@ -1513,7 +1512,7 @@ private:
   }
 
   /// True when a construction input of location \p X differs between the
-  /// pinned snapshot (with this DAIG's statement cells as its labels) and
+  /// pinned snapshot (with the labels this DAIG's statement cells read) and
   /// \p New: whether X is reachable, its loop nest (which also decides
   /// whether it is a head), a head's back edge, and X's forward in-edges
   /// (ids, hence join indices, and each edgeChanged). Which locations a
@@ -1547,9 +1546,9 @@ private:
   /// True when edge \p Id into \p X (fwd-edges-to index \p Idx of
   /// \p InDegree) reads other cells under \p New: another source, a source
   /// whose cells are keyed differently (its loop nest), or, when \p Labels,
-  /// a statement other than the one in this DAIG's statement cell. Whether
-  /// the edge leaves its source's loop (srcStateKey's choice) can change
-  /// only with X's nest, which the caller has compared.
+  /// a label stamp other than the one its statement cell read. Whether the
+  /// edge leaves its source's loop (srcStateKey's choice) can change only
+  /// with X's nest, which the caller has compared.
   bool edgeChanged(const CfgInfo &New, EdgeId Id, Loc X, unsigned Idx,
                    size_t InDegree, bool Labels) const {
     const CfgInfo &Old = *Info;
@@ -1560,7 +1559,7 @@ private:
     if (!Labels)
       return false;
     CellId SC = find(stmtKey(S, X, Idx, InDegree));
-    return SC == kNoCell || !(Cells[SC].stmt() == G->findEdge(Id)->Label);
+    return SC == kNoCell || !Cells[SC].reads(*G->findEdge(Id));
   }
 
   /// Appends the keys construction gives location \p X at the all-zero
@@ -1607,14 +1606,12 @@ std::string Daig<D>::checkWellFormed() const {
     auto Name = [&] { return R.Key.toString(); };
     if (!R.Def) {
       // (5) empty references have dependencies.
-      if (R.T == CellType::StateTy && !R.hasValue())
+      if (!R.isStmt() && !R.hasValue())
         return "empty cell without a computation: " + Name();
-      if (R.T == CellType::StmtTy && !R.hasValue())
-        return "statement cell without content: " + Name();
       continue;
     }
     const Comp &C = *R.Def;
-    if (R.T != CellType::StateTy)
+    if (R.isStmt())
       return "computation writes a statement cell: " + Name();
     for (size_t I = 0; I < C.Srcs.size(); ++I) {
       CellId S = C.Srcs[I];
@@ -1622,12 +1619,10 @@ std::string Daig<D>::checkWellFormed() const {
         return "computation source missing (dest " + Name() + ")";
       // (4) typing: transfer source 0 is a statement; all others are states.
       bool ExpectStmt = (C.F == FnKind::Transfer && I == 0);
-      if (ExpectStmt && Cells[S].T != CellType::StmtTy)
+      if (ExpectStmt && !Cells[S].isStmt())
         return "transfer source 0 is not a statement: " + Name();
-      if (!ExpectStmt && Cells[S].T != CellType::StateTy)
+      if (!ExpectStmt && Cells[S].isStmt())
         return "state source is not a state cell: " + Cells[S].Key.toString();
-      if (ExpectStmt && !Cells[S].hasValue())
-        return "statement cell is empty: " + Cells[S].Key.toString();
     }
     if (C.F == FnKind::Fix && C.Srcs.size() != 2)
       return "fix edge without exactly two sources: " + Name();
@@ -1663,10 +1658,10 @@ std::string Daig<D>::checkWellFormed() const {
 template <typename D>
   requires AbstractDomain<D>
 std::string Daig<D>::checkAiConsistency() {
-  auto valueOf = [&](CellId S) -> const Elem & { return *Cells[S].value(); };
+  auto valueOf = [&](CellId S) -> const Elem & { return *Cells[S].V; };
   for (CellId N = 0; N < Cells.size(); ++N) {
     const Cell &C = Cells[N];
-    if (C.T != CellType::StateTy || !C.hasValue())
+    if (!C.hasValue())
       continue;
     if (C.Degraded)
       continue; // ⊤-substituted/tainted by a budget: deliberately not the
@@ -1674,10 +1669,11 @@ std::string Daig<D>::checkAiConsistency() {
     if (!C.Def)
       continue; // φ0 cell
     const Comp &Comp = *C.Def;
-    if (!std::ranges::all_of(Comp.Srcs,
-                             [&](CellId S) { return Cells[S].hasValue(); }))
+    if (!std::ranges::all_of(Comp.Srcs, [&](CellId S) {
+          return Cells[S].isStmt() || Cells[S].hasValue();
+        }))
       return "filled cell " + C.Key.toString() + " depends on an empty cell";
-    const Elem &Stored = *C.value();
+    const Elem &Stored = *C.V;
     if (Comp.F == FnKind::Fix) {
       const Elem &V1 = valueOf(Comp.Srcs[0]);
       const Elem &V2 = valueOf(Comp.Srcs[1]);
@@ -1689,10 +1685,11 @@ std::string Daig<D>::checkAiConsistency() {
     Elem Recomputed = [&] {
       switch (Comp.F) {
       case FnKind::Transfer: {
-        const Stmt &S = Cells[Comp.Srcs[0]].stmt();
+        const CfgEdge &E = labelOf(Comp.Srcs[0]);
         const Elem &In = valueOf(Comp.Srcs[1]);
-        return (S.Kind == StmtKind::Call && Hook) ? Hook(S, In)
-                                                  : D::transfer(S, In);
+        return (E.Label.Kind == StmtKind::Call && Hook)
+                   ? Hook(E, In)
+                   : D::transfer(E.Label, In);
       }
       case FnKind::Join: {
         Elem Acc = valueOf(Comp.Srcs[0]);

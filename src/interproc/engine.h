@@ -161,36 +161,37 @@ public:
     return Instances.size();
   }
 
-  /// In-place statement replacement in every instance of \p Fn. If the old
-  /// statement was a call, its call-site contributions are dropped (the site
-  /// key changes with the statement); other contributions persist and are
-  /// re-validated by subsequent queries (entries only grow between explicit
-  /// re-seeds, a sound monotone approximation).
+  /// In-place statement replacement: the shared CFG's label is replaced
+  /// once, then every instance of \p Fn refreshes its statement cell; an
+  /// equal statement is no edit. If the old statement was a call, its
+  /// call-site contributions are dropped (the site key changes with the
+  /// statement); other contributions persist and are re-validated by
+  /// subsequent queries (entries only grow between explicit re-seeds, a
+  /// sound monotone approximation).
   bool applyStatementEdit(const std::string &Fn, EdgeId Id, Stmt NewStmt) {
     Function *F = Prog.find(Fn);
-    if (!F || !F->Body.findEdge(Id))
+    const CfgEdge *E = F ? F->Body.findEdge(Id) : nullptr;
+    if (!E)
       return false;
+    if (E->Label == NewStmt)
+      return true; // no-op edit
+    bool WasCall = E->Label.Kind == StmtKind::Call;
+    bool StructureRelevant = WasCall || NewStmt.Kind == StmtKind::Call;
+    uint64_t OldSite = E->LabelHash;
+    F->Body.replaceStmt(Id, std::move(NewStmt));
     SymbolId FnId = internSymbol(Fn);
-    Stmt OldStmt = F->Body.findEdge(Id)->Label;
-    bool StructureRelevant =
-        NewStmt.Kind == StmtKind::Call || OldStmt.Kind == StmtKind::Call;
     for (auto &[Key, Inst] : Instances) {
       if (Key.Fn != FnId)
         continue;
-      Inst->G->applyStatementEdit(Id, NewStmt);
+      Inst->G->refreshStmtCell(Id);
       Inst->FullyQueried = false;
     }
-    if (!anyInstanceOf(FnId))
-      F->Body.replaceStmt(Id, NewStmt); // no instance carried the CFG update
     if (StructureRelevant)
       CG = buildCallGraph(Prog); // the call graph may have changed
-    if (OldStmt.Kind == StmtKind::Call) {
-      // The site key dies with the statement.
-      uint64_t Site = OldStmt.hash();
+    if (WasCall) // the site key dies with the statement
       dropContributions([&](const Contributor &C) {
-        return C.first.Fn == FnId && C.second == Site;
+        return C.first.Fn == FnId && C.second == OldSite;
       });
-    }
     drainDirtyExits();
     return true;
   }
@@ -412,9 +413,10 @@ private:
       Inst->Seeded = Seed;
       Inst->ExitKey = Inst->G->exitCellKey();
       InstanceKey KeyCopy = Key;
-      Inst->G->setTransferHook([this, KeyCopy](const Stmt &S, const Elem &In) {
-        return resolveCall(KeyCopy, S, In);
-      });
+      Inst->G->setTransferHook(
+          [this, KeyCopy](const CfgEdge &E, const Elem &In) {
+            return resolveCall(KeyCopy, E, In);
+          });
       // The instance is heap-allocated and owns its DAIG, so the callback
       // never outlives it.
       Inst->G->setOnCellEmptied(
@@ -449,23 +451,26 @@ private:
     }
   }
 
-  /// The transfer hook: demanded callee summaries (Section 2.3).
-  Elem resolveCall(const InstanceKey &Caller, const Stmt &S, const Elem &In) {
+  /// The transfer hook: demanded callee summaries (Section 2.3). \p E is
+  /// the call's edge; its label hash names the call site.
+  Elem resolveCall(const InstanceKey &Caller, const CfgEdge &E,
+                   const Elem &In) {
     if (Stats.CallSummaries != UINT64_MAX)
       ++Stats.CallSummaries;
     if (D::isBottom(In))
       return D::bottom();
+    const Stmt &S = E.Label;
     Function *Callee = Prog.find(S.Callee);
     if (!Callee) // undefined callee: havoc via the domain's default
       return D::transfer(S, In);
-    uint64_t SiteHash = S.hash();
-    InstanceKey CalleeKey{internSymbol(S.Callee),
-                          Caller.Ctx.extend(CallSite{Caller.Fn, SiteHash}, K)};
+    InstanceKey CalleeKey{
+        internSymbol(S.Callee),
+        Caller.Ctx.extend(CallSite{Caller.Fn, E.LabelHash}, K)};
     Instance &CalleeInst = instanceFor(CalleeKey, /*Seed=*/false);
 
     // Record/update this call site's entry contribution.
     Elem Contribution = D::enterCall(In, S, Callee->Params);
-    auto SiteKey = std::make_pair(Caller, SiteHash);
+    auto SiteKey = std::make_pair(Caller, E.LabelHash);
     auto CIt = CalleeInst.Contributions.find(SiteKey);
     bool ContributionChanged =
         CIt == CalleeInst.Contributions.end() ||
@@ -588,13 +593,6 @@ private:
     }
     InDirtyDrain = false;
     return AnyWork;
-  }
-
-  bool anyInstanceOf(SymbolId Fn) const {
-    for (const auto &[Key, Inst] : Instances)
-      if (Key.Fn == Fn)
-        return true;
-    return false;
   }
 };
 

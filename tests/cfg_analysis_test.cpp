@@ -442,13 +442,60 @@ TEST(CfgInfoCache, StatementEditsKeepTheSnapshot) {
   for (int Round = 0; Round < 2; ++Round) {
     std::shared_ptr<const CfgInfo> Before = G.infoShared();
     for (const auto &[Id, E] : G.edges()) {
-      ASSERT_TRUE(replaceEdgeStmt(G, Id, Stmt::mkSkip()));
+      ASSERT_TRUE(G.replaceStmt(Id, Stmt::mkSkip()));
       EXPECT_EQ(G.infoShared(), Before)
           << "round " << Round << ": replaceStmt on e" << Id;
     }
     EXPECT_EQ(&G.info(), Before.get());
     G.addLoc();
   }
+}
+
+// Each edge owns its label's hash and the version() that set the label.
+// An equal statement, even one built afresh, changes nothing; a different
+// one takes the new version() as its stamp, which no other edge holds.
+TEST(CfgLabels, ReplaceStmtStampsOnlyADifferentStatement) {
+  Program P = loopProgram();
+  Cfg &G = P.find("main")->Body;
+  EdgeId Id = InvalidEdgeId;
+  std::vector<uint64_t> Stamps;
+  for (const auto &[Other, E] : G.edges()) {
+    EXPECT_EQ(E.LabelHash, E.Label.hash()) << "e" << Other;
+    Stamps.push_back(E.LabelStamp);
+    if (E.Label.toString() == "i = i + 1")
+      Id = Other;
+  }
+  ASSERT_NE(Id, InvalidEdgeId);
+  std::ranges::sort(Stamps);
+  EXPECT_EQ(std::ranges::adjacent_find(Stamps), Stamps.end());
+  const CfgEdge &E = *G.findEdge(Id);
+  const uint64_t Version = G.version(), Shape = G.structuralVersion();
+  const uint64_t Stamp = E.LabelStamp, Hash = E.LabelHash;
+  auto bump = [](int64_t C) {
+    return Stmt::mkAssign(
+        "i", Expr::mkBinary(BinaryOp::Add, Expr::mkVar("i"), Expr::mkInt(C)));
+  };
+
+  ASSERT_TRUE(G.replaceStmt(Id, bump(1)));
+  EXPECT_EQ(G.version(), Version);
+  EXPECT_EQ(E.LabelStamp, Stamp);
+  EXPECT_EQ(E.LabelHash, Hash);
+
+  ASSERT_TRUE(G.replaceStmt(Id, bump(3)));
+  EXPECT_EQ(G.version(), Version + 1);
+  EXPECT_EQ(G.structuralVersion(), Shape);
+  EXPECT_EQ(E.LabelStamp, G.version());
+  EXPECT_EQ(E.Label, bump(3));
+  EXPECT_EQ(E.LabelHash, E.Label.hash());
+  EXPECT_NE(E.LabelHash, Hash);
+  for (const auto &[Other, O] : G.edges()) {
+    if (Other != Id) {
+      EXPECT_NE(O.LabelStamp, E.LabelStamp) << "e" << Other;
+    }
+  }
+
+  EXPECT_FALSE(G.replaceStmt(G.numEdgeIds(), bump(1)));
+  EXPECT_EQ(G.version(), Version + 1);
 }
 
 TEST(CfgInfoCache, EveryShapeMutationYieldsANewSnapshot) {
@@ -502,7 +549,7 @@ TEST(CfgInfoCache, PinnedSnapshotIsUnchangedByLaterEdits) {
     (void)G.info(); // re-derive, replacing the cached snapshot
     EdgeId Some = static_cast<EdgeId>(I) % G.numEdgeIds();
     if (G.findEdge(Some))
-      replaceEdgeStmt(G, Some, Stmt::mkSkip());
+      G.replaceStmt(Some, Stmt::mkSkip());
   }
   EXPECT_NE(G.infoShared(), Pinned);
   EXPECT_EQ(render(*Pinned, Ids), Text);

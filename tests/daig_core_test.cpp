@@ -53,6 +53,12 @@ TEST(DaigConstruction, BranchesCreateJoinCells) {
   EXPECT_EQ(G.checkWellFormed(), "");
 }
 
+// A cell record holds no statement: a statement cell keeps its edge's id
+// and the label stamp it read (cfg/cfg.h), so it costs a state cell's size.
+TEST(DaigConstruction, CellRecordHoldsNoStatement) {
+  EXPECT_LE(sizeof(Daig<IntervalDomain>::Cell), 160u);
+}
+
 TEST(DaigQuery, StraightLineConstants) {
   Function F = mustLowerFn(R"(
     function main() {

@@ -13,9 +13,11 @@
 /// require identical cells, computations, values, loop counts and degraded
 /// marks after every edit and every query batch. They also pin that a
 /// structural edit's rebuilt cell count does not grow with program size,
-/// check E-Loop rollback's forward walk against the whole-DAIG scan it
-/// replaced (DaigRollback), and check the location readers three loops deep
-/// across a query, an edit and a budget (DaigLocationReaders).
+/// that a statement edit through the DAIG's own API spares the next
+/// reconcile the label scan, check E-Loop rollback's forward walk against
+/// the whole-DAIG scan it replaced (DaigRollback), and check the location
+/// readers three loops deep across a query, an edit and a budget
+/// (DaigLocationReaders).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,7 +60,8 @@ struct DaigTestPeer {
   }
 
   /// "" when \p A and \p B hold the same cells, computations, values, loop
-  /// instances and degraded marks; else the first difference.
+  /// instances and degraded marks, and their statement cells read the same
+  /// (edge, label stamp); else the first difference.
   template <typename D>
   static std::string diff(const Daig<D> &A, const Daig<D> &B) {
     for (const auto &CB : B.Cells)
@@ -72,22 +75,18 @@ struct DaigTestPeer {
       if (IB == kNoCell)
         return "cell " + N + " only on the first side";
       const auto &CB = B.Cells[IB];
-      if (CA.T != CB.T || CA.hasValue() != CB.hasValue())
-        return "cell " + N + " differs in type or fill";
+      if (CA.Edge != CB.Edge || CA.Stamp != CB.Stamp)
+        return "statement cell " + N + " reads another edge or label";
+      if (CA.hasValue() != CB.hasValue())
+        return "cell " + N + " differs in fill";
       if (compOf(A, CA) != compOf(B, CB))
         return "computation of " + N + " differs";
       if (CA.K != CB.K)
         return "loop instance " + N + " differs";
       if (CA.Degraded != CB.Degraded)
         return "degraded marks differ at " + N;
-      if (!CA.hasValue())
-        continue;
-      if (CA.T == Daig<D>::CellType::StmtTy) {
-        if (!(CA.stmt() == CB.stmt()))
-          return "statement cell " + N + " differs";
-      } else if (!D::equal(*CA.value(), *CB.value())) {
+      if (CA.hasValue() && !D::equal(*CA.V, *CB.V))
         return "value of " + N + " differs";
-      }
     }
     return "";
   }
@@ -298,6 +297,40 @@ TEST(DaigReconcile, ReplaceStmtBeforeRebuildIsCaught) {
   expectFromScratchConsistent<IntervalDomain>(*T.FA, *T.A, "label only");
 }
 
+// A statement edit made through the DAIG's own API leaves it matched with
+// its graph: the next insertion probes the key index for its candidate
+// locations only, exactly as a DAIG built on the edited graph does. A label
+// changed behind the DAIG's back still forces the scan of every label.
+TEST(DaigReconcile, OwnStatementEditsSkipTheLabelScan) {
+  Function FA = straightLine(12);
+  Daig<IntervalDomain> A(&FA.Body, IntervalDomain::initialEntry(FA.Params));
+  A.queryAllLocations();
+  ASSERT_TRUE(A.applyStatementEdit(edgeOf(FA.Body, "x1 = x0 + 1"),
+                                   bump("x1", 2)));
+  Function FB = FA; // the edited program, with a DAIG of its own
+  Daig<IntervalDomain> B(&FB.Body, IntervalDomain::initialEntry(FB.Params));
+  B.queryAllLocations();
+  auto insertionProbes = [](Function &F, Daig<IntervalDomain> &G,
+                            const std::string &After) {
+    uint64_t Before = nameTableCounters().InternHits;
+    Loc At = destOf(F.Body, After);
+    G.applyInsertedStatement(At, insertStmtAt(F.Body, At, bump("x5", 1)));
+    return nameTableCounters().InternHits - Before;
+  };
+  EXPECT_EQ(insertionProbes(FA, A, "x5 = x4 + 1"),
+            insertionProbes(FB, B, "x5 = x4 + 1"));
+
+  FA.Body.replaceStmt(edgeOf(FA.Body, "x9 = x8 + 1"), bump("x9", 3));
+  ASSERT_TRUE(B.applyStatementEdit(edgeOf(FB.Body, "x9 = x8 + 1"),
+                                   bump("x9", 3)));
+  EXPECT_GT(insertionProbes(FA, A, "x10 = x9 + 1"),
+            insertionProbes(FB, B, "x10 = x9 + 1"));
+  EXPECT_EQ(A.auditInvariants(), "");
+  EXPECT_EQ(B.auditInvariants(), "");
+  expectFromScratchConsistent<IntervalDomain>(FA, A, "label behind its back");
+  expectFromScratchConsistent<IntervalDomain>(FB, B, "label through its API");
+}
+
 TEST(DaigReconcile, UnreachableCodeBecomesReachableAndBack) {
   Function F = mustLowerFn(R"(
     function main(n) {
@@ -315,6 +348,14 @@ TEST(DaigReconcile, UnreachableCodeBecomesReachableAndBack) {
   F.Body.addEdge(Dead2, destOf(F.Body, "y = 2"), bump("x", 1));
   TwinDaigs<IntervalDomain> T(F);
   T.queryAll("initial");
+
+  // A statement edit of dead code through the DAIG's API: no cell reads
+  // the edge, so the reconcile that links it in reads the new label.
+  for (auto [Fn, G] : {std::pair{T.FA.get(), T.A.get()},
+                       std::pair{T.FB.get(), T.B.get()}})
+    ASSERT_TRUE(G->applyStatementEdit(edgeOf(Fn->Body, "x = 40"),
+                                      Stmt::mkAssign("x", Expr::mkInt(30))));
+  T.check("dead code edited");
 
   EdgeId Link = InvalidEdgeId;
   T.edit([&](Cfg &G) { Link = G.addEdge(destOf(G, "x = 1"), Dead,

@@ -22,6 +22,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <sstream>
+
 using namespace dai;
 using namespace dai::test;
 
@@ -187,6 +190,106 @@ TEST(Interproc, EditInCallerReseedsCallee) {
       "main", Target, Stmt::mkCall("r", "f", {Expr::mkInt(99)})));
   EXPECT_EQ(E.queryMain(E.cfgOf("main")->exit()).get(RetVar),
             std::optional<int64_t>(99));
+}
+
+/// The counters \p Op moves in \p E's statistics, as text.
+template <typename D, typename Fn>
+std::string countersMovedBy(InterprocEngine<D> &E, Fn &&Op) {
+  Statistics Before = E.statistics();
+  Op();
+  std::ostringstream OS;
+  OS << (E.statistics() - Before);
+  return OS.str();
+}
+
+/// Every instance's answer at every location of its function, as text.
+template <typename D>
+std::map<std::string, std::string> allAnswers(InterprocEngine<D> &E) {
+  std::map<std::string, std::string> Out;
+  E.forEachInstance([&](const auto &Key, Daig<D> &G) {
+    std::string &Text = Out[Key.toString()];
+    for (Loc L : E.cfgOf(Key.Fn)->info().Rpo)
+      Text += D::toString(G.queryLocation(L)) + "\n";
+  });
+  return Out;
+}
+
+// A statement that already labels its edge is no edit: the engine keeps
+// every instance, contribution and call graph, so analysis afterwards does
+// exactly the work of a pass with no edit before it, for a call and for a
+// plain statement, at k = 0 and k = 1.
+TEST(Interproc, NoOpStatementEditsMoveNoCounter) {
+  const char *Src = R"(
+    function f(x) { var y = x + 1; return y; }
+    function main() { var r = f(10); return r; }
+  )";
+  for (unsigned K : {0u, 1u}) {
+    InterprocEngine<ConstPropDomain> E(mustLower(Src), "main", K);
+    ASSERT_TRUE(E.valid());
+    E.analyzeAllFromMain();
+    std::string Idle = countersMovedBy(E, [&] { E.analyzeAllFromMain(); });
+    for (auto [Fn, Text] : {std::pair{"main", "r = f(10)"},
+                            std::pair{"f", "y = x + 1"}}) {
+      const Cfg &G = *E.cfgOf(Fn);
+      EdgeId Id = edgeOf(G, Text);
+      Stmt Same = G.findEdge(Id)->Label;
+      uint64_t Version = G.version();
+      std::string Moved = countersMovedBy(E, [&] {
+        ASSERT_TRUE(E.applyStatementEdit(Fn, Id, Same));
+        E.analyzeAllFromMain();
+      });
+      EXPECT_EQ(Moved, Idle) << Text << " at k=" << K;
+      EXPECT_EQ(G.version(), Version) << Text << " at k=" << K;
+    }
+    EXPECT_EQ(E.queryMain(E.cfgOf("main")->exit()).get(RetVar),
+              std::optional<int64_t>(11));
+  }
+}
+
+// At k = 1 a callee called from two sites has two instances over its one
+// CFG. An edit of its statement replaces the label once, dirties its
+// readers in both instances, and leaves every instance answering like a
+// fresh engine over the edited program.
+TEST(Interproc, CalleeEditReplacesTheLabelOnceForEveryInstance) {
+  using Engine = InterprocEngine<ConstPropDomain>;
+  Engine E(mustLower(R"(
+    function f(x) { var y = x + 1; return y; }
+    function main() { var a = f(1); var b = f(2); return a + b; }
+  )"),
+           "main", 1);
+  ASSERT_TRUE(E.valid());
+  E.analyzeAllFromMain();
+  auto instancesOfF = [&] {
+    std::vector<Daig<ConstPropDomain> *> Out;
+    E.forEachInstance([&](const Engine::InstanceKey &K, auto &G) {
+      if (K.Fn == internSymbol("f"))
+        Out.push_back(&G);
+    });
+    return Out;
+  };
+  const Cfg &G = *E.cfgOf("f");
+  ASSERT_EQ(instancesOfF().size(), 2u);
+  for (Daig<ConstPropDomain> *I : instancesOfF())
+    ASSERT_TRUE(I->locationValueReady(G.exit()));
+
+  uint64_t Version = G.version();
+  ASSERT_TRUE(E.applyStatementEdit(
+      "f", edgeOf(G, "y = x + 1"),
+      Stmt::mkAssign("y", Expr::mkBinary(BinaryOp::Add, Expr::mkVar("x"),
+                                         Expr::mkInt(5)))));
+  EXPECT_EQ(G.version(), Version + 1);
+  for (Daig<ConstPropDomain> *I : instancesOfF()) {
+    EXPECT_FALSE(I->locationValueReady(G.exit()));
+    EXPECT_EQ(I->auditInvariants(), "");
+  }
+
+  E.analyzeAllFromMain();
+  EXPECT_EQ(E.queryMain(E.cfgOf("main")->exit()).get(RetVar),
+            std::optional<int64_t>(13));
+  Engine Fresh(E.program(), "main", 1);
+  Fresh.analyzeAllFromMain();
+  EXPECT_EQ(allAnswers(E), allAnswers(Fresh));
+  EXPECT_EQ(E.auditInvariants(), "");
 }
 
 TEST(Interproc, IntervalArgumentBindingKeepsArrayLengths) {
