@@ -41,8 +41,11 @@ struct Collector {
   uint32_t Next = 0; ///< SubIndex allocator (running, collection order).
 
   void emit(CheckKind K, ExprPtr Prop, std::string Text) {
+    Stmt NotProp = Stmt::mkAssume(negate(Prop));
+    Stmt IsProp = Stmt::mkAssume(Prop);
     Out.push_back(Obligation{K, Edge, At, Next++, std::move(Prop),
-                             std::move(Text)});
+                             std::move(Text), std::move(NotProp),
+                             std::move(IsProp)});
   }
 
   bool wants(CheckKind K) const { return (Mask & checkMask(K)) != 0; }

@@ -36,6 +36,7 @@
 #include "support/observe.h"
 #include "support/statistics.h"
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -45,6 +46,8 @@ namespace dai {
 
 /// An unevaluated check obligation: property \p Prop must hold of the
 /// abstract state entering edge \p Edge (i.e., at location \p At).
+/// collectObligations builds the two ⊥-probe statements with it, once, so
+/// that evaluating the obligation again builds nothing.
 struct Obligation {
   CheckKind Kind = CheckKind::UserAssertion;
   EdgeId Edge = InvalidEdgeId;
@@ -52,6 +55,8 @@ struct Obligation {
   uint32_t SubIndex = 0;  ///< Ordinal within the edge (collection order).
   ExprPtr Prop;           ///< The property, as a boolean expression.
   std::string Text;       ///< Human-readable rendering of Prop.
+  Stmt AssumeNotProp;     ///< `assume ¬Prop`: the entailment probe.
+  Stmt AssumeProp;        ///< `assume Prop`: the refutation probe.
 };
 
 /// Appends the obligations of statement \p S (labelling edge \p Edge with
@@ -82,13 +87,15 @@ Verdict evaluateObligation(const Obligation &Ob, const typename D::Elem &Pre,
   TraceSpan Sp("check.obligation", Ob.Edge, Ob.SubIndex);
   if (D::isBottom(Pre))
     return Verdict::Unreachable;
+  assert(Ob.AssumeProp.Kind == StmtKind::Assume &&
+         "an obligation is built with its probes (collectObligations)");
   // Entailment probe: no state of γ(Pre) satisfies ¬φ ⇒ φ holds on entry.
-  if (D::isBottom(D::transfer(Stmt::mkAssume(negate(Ob.Prop)), Pre)))
+  if (D::isBottom(D::transfer(Ob.AssumeNotProp, Pre)))
     return DegradedPre ? Verdict::Warning : Verdict::Safe;
   // Refutation probe: no state of γ(Pre) satisfies φ ⇒ every execution
   // reaching the check violates it. (Sound under over-approximation: the
   // transfer over-approximates the meet, so ⊥ means the set is empty.)
-  if (D::isBottom(D::transfer(Stmt::mkAssume(Ob.Prop), Pre)))
+  if (D::isBottom(D::transfer(Ob.AssumeProp, Pre)))
     return Verdict::Error;
   return Verdict::Warning;
 }

@@ -16,25 +16,26 @@
 #ifndef DAI_DOMAIN_CONSTPROP_H
 #define DAI_DOMAIN_CONSTPROP_H
 
-#include "domain/abstract_domain.h"
-#include "domain/symbol.h"
 #include "cfg/program.h"
+#include "domain/abstract_domain.h"
+#include "domain/symbol_map.h"
 #include "support/hashing.h"
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
 
 namespace dai {
 
-/// ⊥ or a finite map var → constant (absent = ⊤). Keyed by interned
-/// SymbolIds like the other domain-state maps (see domain/symbol.h); the
-/// string overloads intern on writes and probe without interning on reads.
+/// ⊥ or a finite map var → constant (absent = ⊤), keyed by interned
+/// SymbolIds like the other non-relational states (domain/symbol_map.h).
+/// The transfers read the ids the program carries (Expr::Sym,
+/// Stmt::LhsSym); the string overloads, for tests and examples, intern on
+/// writes and probe without interning on reads.
 struct ConstState {
   bool Bottom = false;
-  std::map<SymbolId, int64_t> Env;
+  SymbolMap<int64_t> Env;
 
   std::optional<int64_t> get(SymbolId Sym) const {
     auto It = Env.find(Sym);
@@ -46,13 +47,15 @@ struct ConstState {
     SymbolId Sym = lookupSymbol(Var);
     return Sym == kNoSymbol ? std::nullopt : get(Sym);
   }
+  void setVar(SymbolId Sym, int64_t V) { Env[Sym] = V; }
   void setVar(const std::string &Var, int64_t V) {
-    Env[internSymbol(Var)] = V;
+    setVar(internSymbol(Var), V);
   }
+  void eraseVar(SymbolId Sym) { Env.erase(Sym); }
   void eraseVar(const std::string &Var) {
     SymbolId Sym = lookupSymbol(Var);
     if (Sym != kNoSymbol)
-      Env.erase(Sym);
+      eraseVar(Sym);
   }
 };
 
@@ -81,7 +84,7 @@ struct ConstPropDomain {
     case ExprKind::BoolLit:
       return E->BoolVal ? 1 : 0;
     case ExprKind::Var:
-      return S.get(E->Name);
+      return S.get(E->Sym);
     case ExprKind::Unary: {
       auto V = eval(E->Lhs, S);
       if (!V)
@@ -139,13 +142,13 @@ struct ConstPropDomain {
       return Out;
     case StmtKind::Alloc:
     case StmtKind::Call:
-      Out.eraseVar(S.Lhs);
+      Out.eraseVar(S.LhsSym);
       return Out;
     case StmtKind::Assign: {
       if (auto V = eval(S.Rhs, In))
-        Out.setVar(S.Lhs, *V);
+        Out.setVar(S.LhsSym, *V);
       else
-        Out.eraseVar(S.Lhs);
+        Out.eraseVar(S.LhsSym);
       return Out;
     }
     case StmtKind::Assume:
@@ -166,12 +169,14 @@ struct ConstPropDomain {
       return B;
     if (B.Bottom)
       return A;
+    // A variable stays bound only to a constant both sides agree on.
     Elem R;
-    for (const auto &[Var, VA] : A.Env) {
-      auto It = B.Env.find(Var);
-      if (It != B.Env.end() && It->second == VA)
-        R.Env[Var] = VA;
-    }
+    R.Env = SymbolMap<int64_t>::intersect(
+        A.Env, B.Env, [](int64_t VA, int64_t VB) -> std::optional<int64_t> {
+          if (VA != VB)
+            return std::nullopt;
+          return VA;
+        });
     return R;
   }
 
@@ -249,9 +254,9 @@ struct ConstPropDomain {
       return bottom();
     Elem Out = Caller;
     if (auto V = CalleeExit.get(RetVar))
-      Out.setVar(CallSite.Lhs, *V);
+      Out.setVar(CallSite.LhsSym, *V);
     else
-      Out.eraseVar(CallSite.Lhs);
+      Out.eraseVar(CallSite.LhsSym);
     return Out;
   }
 
@@ -271,7 +276,7 @@ private:
     auto Learn = [&](const ExprPtr &VarSide, const ExprPtr &ValSide) {
       if (VarSide && VarSide->Kind == ExprKind::Var)
         if (auto V = eval(ValSide, S))
-          S.setVar(VarSide->Name, *V);
+          S.setVar(VarSide->Sym, *V);
     };
     Learn(Cond->Lhs, Cond->Rhs);
     Learn(Cond->Rhs, Cond->Lhs);

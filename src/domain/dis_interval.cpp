@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <sstream>
 
 using namespace dai;
@@ -342,6 +343,24 @@ DisVarAbs widenVar(const DisVarAbs &A, const DisVarAbs &B) {
   return R;
 }
 
+/// The pointwise \p Op of two non-⊥ states. Absent = ⊤, so only variables
+/// bound on both sides can stay bound, and a ⊤ result is left out.
+template <class Fn>
+DisIntervalState pointwise(const DisIntervalState &A,
+                           const DisIntervalState &B, Fn Op) {
+  DisIntervalState R;
+  R.Env = SymbolMap<DisVarAbs>::intersect(
+      A.Env, B.Env,
+      [&Op](const DisVarAbs &VA,
+            const DisVarAbs &VB) -> std::optional<DisVarAbs> {
+        DisVarAbs V = Op(VA, VB);
+        if (V.isTop())
+          return std::nullopt;
+        return V;
+      });
+  return R;
+}
+
 bool leqVar(const DisVarAbs &A, const DisVarAbs &B) {
   return B.Num.subsumes(A.Num) && B.Len.subsumes(A.Len) &&
          B.Elems.subsumes(A.Elems);
@@ -369,7 +388,7 @@ DisVarAbs evalImpl(const ExprPtr &E, const DisIntervalState &S) {
   case ExprKind::NullLit:
     return DisVarAbs::top();
   case ExprKind::Var:
-    return S.get(E->Name);
+    return S.get(E->Sym);
   case ExprKind::Unary: {
     if (E->UOp == UnaryOp::Neg)
       return DisVarAbs::numeric(evalImpl(E->Lhs, S).Num.neg());
@@ -429,7 +448,7 @@ TriBool truth(const ExprPtr &E, const DisIntervalState &S) {
   case ExprKind::NullLit:
     return TriBool::False;
   case ExprKind::Var: {
-    DisInterval I = S.get(E->Name).Num;
+    DisInterval I = S.get(E->Sym).Num;
     if (I.isConstant())
       return I.contains(0) ? TriBool::False : TriBool::True;
     // A gap over 0 decides truthiness where the hull cannot.
@@ -473,13 +492,13 @@ bool refineSide(DisIntervalState &S, BinaryOp Op, const ExprPtr &Target,
                 const DisInterval &Other) {
   if (!Target)
     return true;
-  std::string Var;
+  SymbolId Var;
   bool IsLen = false;
   if (Target->Kind == ExprKind::Var) {
-    Var = Target->Name;
+    Var = Target->Sym;
   } else if (Target->Kind == ExprKind::FieldRead && Target->Name == "length" &&
              Target->Lhs && Target->Lhs->Kind == ExprKind::Var) {
-    Var = Target->Lhs->Name;
+    Var = Target->Lhs->Sym;
     IsLen = true;
   } else {
     return true;
@@ -525,6 +544,14 @@ bool refineSide(DisIntervalState &S, BinaryOp Op, const ExprPtr &Target,
   return true;
 }
 
+/// \p In with \p Sym bound to \p V (erased when V is ⊤).
+DisIntervalState withVar(const DisIntervalState &In, SymbolId Sym,
+                         DisVarAbs V) {
+  DisIntervalState Out = In;
+  Out.set(Sym, std::move(V));
+  return Out;
+}
+
 BinaryOp flipCmp(BinaryOp Op) {
   switch (Op) {
   case BinaryOp::Lt: return BinaryOp::Gt;
@@ -542,12 +569,14 @@ IntervalState DisIntervalState::hullState() const {
   S.Bottom = Bottom;
   if (Bottom)
     return S;
+  S.Env.reserve(Env.size());
   for (const auto &[Var, V] : Env) {
     VarAbs H;
     H.Num = V.Num.hull();
     H.Len = V.Len;
     H.Elems = V.Elems;
-    S.set(Var, H);
+    if (!H.isTop())
+      S.Env.append(Var, H);
   }
   return S;
 }
@@ -614,34 +643,29 @@ DisIntervalState DisIntervalDomain::transfer(const Stmt &S,
                                              const DisIntervalState &In) {
   if (In.Bottom)
     return In;
-  DisIntervalState Out = In;
   switch (S.Kind) {
   case StmtKind::Skip:
   case StmtKind::Print:
   case StmtKind::FieldWrite: // Heap mutation: no numeric effect.
-    return Out;
+    return In;
   case StmtKind::Alloc:
-    Out.set(S.Lhs, DisVarAbs::top());
-    return Out;
+    return withVar(In, S.LhsSym, DisVarAbs::top());
   case StmtKind::Assign:
-    Out.set(S.Lhs, evalImpl(S.Rhs, In));
-    return Out;
+    return withVar(In, S.LhsSym, evalImpl(S.Rhs, In));
   case StmtKind::Assume:
   case StmtKind::Assert: // Execution aborts on failure, so e holds after.
     return assume(In, S.Rhs);
   case StmtKind::ArrayWrite: {
-    DisVarAbs A = In.get(S.Lhs);
+    DisVarAbs A = In.get(S.LhsSym);
     A.Elems = A.Elems.join(evalImpl(S.Rhs, In).Num.hull());
-    Out.set(S.Lhs, A);
-    return Out;
+    return withVar(In, S.LhsSym, std::move(A));
   }
   case StmtKind::Call:
     // Intraprocedural default: havoc the result. The interprocedural engine
     // replaces this with a demanded callee summary.
-    Out.set(S.Lhs, DisVarAbs::top());
-    return Out;
+    return withVar(In, S.LhsSym, DisVarAbs::top());
   }
-  return Out;
+  return In;
 }
 
 DisIntervalState DisIntervalDomain::join(const DisIntervalState &A,
@@ -650,14 +674,7 @@ DisIntervalState DisIntervalDomain::join(const DisIntervalState &A,
     return B;
   if (B.Bottom)
     return A;
-  DisIntervalState R;
-  // Absent = ⊤, so only variables bound in both sides stay bound.
-  for (const auto &[Var, VA] : A.Env) {
-    auto It = B.Env.find(Var);
-    if (It != B.Env.end())
-      R.set(Var, joinVar(VA, It->second));
-  }
-  return R;
+  return pointwise(A, B, joinVar);
 }
 
 DisIntervalState DisIntervalDomain::widen(const DisIntervalState &Prev,
@@ -666,13 +683,7 @@ DisIntervalState DisIntervalDomain::widen(const DisIntervalState &Prev,
     return Next;
   if (Next.Bottom)
     return Prev;
-  DisIntervalState R;
-  for (const auto &[Var, VP] : Prev.Env) {
-    auto It = Next.Env.find(Var);
-    if (It != Next.Env.end())
-      R.set(Var, widenVar(VP, It->second));
-  }
-  return R;
+  return pointwise(Prev, Next, widenVar);
 }
 
 bool DisIntervalDomain::leq(const DisIntervalState &A,
@@ -755,13 +766,13 @@ DisIntervalState DisIntervalDomain::exitCall(const DisIntervalState &Caller,
   // but can never change a length (the statement language has no resize).
   for (const auto &Arg : CallSite.Args) {
     if (Arg && Arg->Kind == ExprKind::Var) {
-      DisVarAbs V = Out.get(Arg->Name);
+      DisVarAbs V = Out.get(Arg->Sym);
       if (!V.Elems.isTop()) {
         V.Elems = Interval::top();
-        Out.set(Arg->Name, V);
+        Out.set(Arg->Sym, V);
       }
     }
   }
-  Out.set(CallSite.Lhs, CalleeExit.get(RetVar));
+  Out.set(CallSite.LhsSym, CalleeExit.get(RetVar));
   return Out;
 }

@@ -161,10 +161,10 @@ struct DisVarAbs {
 
 /// An abstract state: ⊥ or a finite map from interned variable symbols to
 /// DisVarAbs (absent variables are ⊤, ⊤ bindings are erased — the same
-/// normalization as IntervalState).
+/// normalization and the same SymbolMap environment as IntervalState).
 struct DisIntervalState {
   bool Bottom = false;
-  std::map<SymbolId, DisVarAbs> Env;
+  SymbolMap<DisVarAbs> Env;
 
   DisVarAbs get(SymbolId Sym) const {
     auto It = Env.find(Sym);

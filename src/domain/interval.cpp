@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <sstream>
 
 using namespace dai;
@@ -273,6 +274,23 @@ VarAbs widenVar(const VarAbs &A, const VarAbs &B) {
   return R;
 }
 
+/// The pointwise \p Op of two non-⊥ states. Absent = ⊤, so only variables
+/// bound on both sides can stay bound, and a ⊤ result is left out.
+template <class Fn>
+IntervalState pointwise(const IntervalState &A, const IntervalState &B,
+                        Fn Op) {
+  IntervalState R;
+  R.Env = SymbolMap<VarAbs>::intersect(
+      A.Env, B.Env,
+      [&Op](const VarAbs &VA, const VarAbs &VB) -> std::optional<VarAbs> {
+        VarAbs V = Op(VA, VB);
+        if (V.isTop())
+          return std::nullopt;
+        return V;
+      });
+  return R;
+}
+
 bool leqVar(const VarAbs &A, const VarAbs &B) {
   return B.Num.subsumes(A.Num) && B.Len.subsumes(A.Len) &&
          B.Elems.subsumes(A.Elems);
@@ -301,7 +319,7 @@ VarAbs evalImpl(const ExprPtr &E, const IntervalState &S) {
   case ExprKind::NullLit:
     return VarAbs::top(); // null carries no numeric information
   case ExprKind::Var:
-    return S.get(E->Name);
+    return S.get(E->Sym);
   case ExprKind::Unary: {
     if (E->UOp == UnaryOp::Neg)
       return VarAbs::numeric(evalImpl(E->Lhs, S).Num.neg());
@@ -354,7 +372,7 @@ TriBool truth(const ExprPtr &E, const IntervalState &S) {
   case ExprKind::NullLit:
     return TriBool::False;
   case ExprKind::Var: {
-    Interval I = S.get(E->Name).Num;
+    Interval I = S.get(E->Sym).Num;
     if (I.isConstant())
       return I.contains(0) ? TriBool::False : TriBool::True;
     if (!I.contains(0) && !I.isEmpty() && !I.isTop())
@@ -398,13 +416,13 @@ bool refineSide(IntervalState &S, BinaryOp Op, const ExprPtr &Target,
   if (!Target)
     return true;
   // Identify what we are refining: a variable's Num, or a variable's Len.
-  std::string Var;
+  SymbolId Var;
   bool IsLen = false;
   if (Target->Kind == ExprKind::Var) {
-    Var = Target->Name;
+    Var = Target->Sym;
   } else if (Target->Kind == ExprKind::FieldRead && Target->Name == "length" &&
              Target->Lhs && Target->Lhs->Kind == ExprKind::Var) {
-    Var = Target->Lhs->Name;
+    Var = Target->Lhs->Sym;
     IsLen = true;
   } else {
     return true; // Not a refinable atom.
@@ -428,6 +446,13 @@ bool refineSide(IntervalState &S, BinaryOp Op, const ExprPtr &Target,
     return false;
   S.set(Var, V);
   return true;
+}
+
+/// \p In with \p Sym bound to \p V (erased when V is ⊤).
+IntervalState withVar(const IntervalState &In, SymbolId Sym, VarAbs V) {
+  IntervalState Out = In;
+  Out.set(Sym, std::move(V));
+  return Out;
 }
 
 BinaryOp flipCmp(BinaryOp Op) {
@@ -502,34 +527,29 @@ IntervalState IntervalDomain::assume(const IntervalState &In,
 IntervalState IntervalDomain::transfer(const Stmt &S, const IntervalState &In) {
   if (In.Bottom)
     return In;
-  IntervalState Out = In;
   switch (S.Kind) {
   case StmtKind::Skip:
   case StmtKind::Print:
   case StmtKind::FieldWrite: // Heap mutation: no numeric effect.
-    return Out;
+    return In;
   case StmtKind::Alloc:
-    Out.set(S.Lhs, VarAbs::top());
-    return Out;
+    return withVar(In, S.LhsSym, VarAbs::top());
   case StmtKind::Assign:
-    Out.set(S.Lhs, evalImpl(S.Rhs, In));
-    return Out;
+    return withVar(In, S.LhsSym, evalImpl(S.Rhs, In));
   case StmtKind::Assume:
   case StmtKind::Assert: // Execution aborts on failure, so e holds after.
     return assume(In, S.Rhs);
   case StmtKind::ArrayWrite: {
-    VarAbs A = In.get(S.Lhs);
+    VarAbs A = In.get(S.LhsSym);
     A.Elems = A.Elems.join(evalImpl(S.Rhs, In).Num);
-    Out.set(S.Lhs, A);
-    return Out;
+    return withVar(In, S.LhsSym, A);
   }
   case StmtKind::Call:
     // Intraprocedural default: havoc the result. The interprocedural engine
     // replaces this with a demanded callee summary (Section 7.1).
-    Out.set(S.Lhs, VarAbs::top());
-    return Out;
+    return withVar(In, S.LhsSym, VarAbs::top());
   }
-  return Out;
+  return In;
 }
 
 IntervalState IntervalDomain::join(const IntervalState &A,
@@ -538,14 +558,7 @@ IntervalState IntervalDomain::join(const IntervalState &A,
     return B;
   if (B.Bottom)
     return A;
-  IntervalState R;
-  // Absent = ⊤, so only variables bound in both sides stay bound.
-  for (const auto &[Var, VA] : A.Env) {
-    auto It = B.Env.find(Var);
-    if (It != B.Env.end())
-      R.set(Var, joinVar(VA, It->second));
-  }
-  return R;
+  return pointwise(A, B, joinVar);
 }
 
 IntervalState IntervalDomain::widen(const IntervalState &Prev,
@@ -554,13 +567,7 @@ IntervalState IntervalDomain::widen(const IntervalState &Prev,
     return Next;
   if (Next.Bottom)
     return Prev;
-  IntervalState R;
-  for (const auto &[Var, VP] : Prev.Env) {
-    auto It = Next.Env.find(Var);
-    if (It != Next.Env.end())
-      R.set(Var, widenVar(VP, It->second));
-  }
-  return R;
+  return pointwise(Prev, Next, widenVar);
 }
 
 bool IntervalDomain::leq(const IntervalState &A, const IntervalState &B) {
@@ -640,13 +647,13 @@ IntervalState IntervalDomain::exitCall(const IntervalState &Caller,
   // but can never change a length (the statement language has no resize).
   for (const auto &Arg : CallSite.Args) {
     if (Arg && Arg->Kind == ExprKind::Var) {
-      VarAbs V = Out.get(Arg->Name);
+      VarAbs V = Out.get(Arg->Sym);
       if (!V.Elems.isTop()) {
         V.Elems = Interval::top();
-        Out.set(Arg->Name, V);
+        Out.set(Arg->Sym, V);
       }
     }
   }
-  Out.set(CallSite.Lhs, CalleeExit.get(RetVar));
+  Out.set(CallSite.LhsSym, CalleeExit.get(RetVar));
   return Out;
 }

@@ -23,11 +23,10 @@
 #define DAI_DOMAIN_INTERVAL_H
 
 #include "domain/abstract_domain.h"
-#include "domain/symbol.h"
+#include "domain/symbol_map.h"
 #include "lang/stmt.h"
 
 #include <cstdint>
-#include <map>
 #include <string>
 
 namespace dai {
@@ -146,13 +145,15 @@ struct VarAbs {
 
 /// An abstract state: ⊥ or a finite map from interned variable symbols to
 /// VarAbs (absent variables are ⊤). Kept normalized: ⊤ bindings are erased.
-/// Keys are SymbolIds (domain/symbol.h) so map operations compare integers
-/// and the octagon domain's interval fallback crosses the interface without
-/// touching strings; the string overloads intern (set) or probe without
-/// interning (get — reading a never-seen variable must not grow the table).
+/// The map is a SymbolMap (domain/symbol_map.h), so a copy is one
+/// allocation and a memcpy, and the octagon domain's interval fallback
+/// crosses the interface without touching strings. The domain reads the
+/// ids the program carries (Expr::Sym, Stmt::LhsSym); the string overloads,
+/// for tests and examples, intern (set) or probe without interning (get —
+/// reading a never-seen variable must not grow the table).
 struct IntervalState {
   bool Bottom = false;
-  std::map<SymbolId, VarAbs> Env;
+  SymbolMap<VarAbs> Env;
 
   /// Lookup with the absent-means-top convention.
   VarAbs get(SymbolId Sym) const {

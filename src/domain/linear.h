@@ -9,15 +9,15 @@
 /// relational domains (octagon, zone): each domain pattern-matches the
 /// resulting LinForm against the constraint shapes it can represent exactly
 /// (±x ± y ≤ c for octagons, x − y ≤ c / ±x ≤ c for zones) and falls back
-/// to interval reasoning otherwise. Variables are interned at linearization,
-/// so everything downstream works over integer symbol ids.
+/// to interval reasoning otherwise. A variable enters the form by the id
+/// its node was built with (Expr::Sym), so everything downstream works over
+/// integer symbol ids and linearization never probes the symbol table.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DAI_DOMAIN_LINEAR_H
 #define DAI_DOMAIN_LINEAR_H
 
-#include "domain/symbol.h"
 #include "lang/expr.h"
 
 #include <cstdint>
@@ -81,7 +81,7 @@ inline LinForm linearize(const ExprPtr &E) {
   case ExprKind::Var: {
     LinForm F;
     F.Ok = true;
-    F.Coeffs[internSymbol(E->Name)] = 1;
+    F.Coeffs[E->Sym] = 1;
     return F;
   }
   case ExprKind::Unary: {

@@ -259,30 +259,27 @@ void Octagon::set(size_t I, size_t J, int64_t V) {
   Closed = false;
 }
 
-void Octagon::addConstraint(size_t XIdx, bool PosX, size_t YIdx, bool PosY,
+bool Octagon::addConstraint(size_t XIdx, bool PosX, size_t YIdx, bool PosY,
                             int64_t C) {
   assert(XIdx < numVars() && "constraint variable out of range");
-  invalidateDerived();
-  std::vector<int64_t> &MM = matMut();
+  // Like set(): only a write that lowers the cell un-shares the buffer,
+  // drops the derived caches and clears Closed.
   auto tighten = [&](size_t I, size_t J, int64_t Bound) {
-    int64_t &Slot = MM[matPos2(I, J)];
-    if (Bound < Slot)
-      Slot = Bound;
+    size_t Pos = matPos2(I, J);
+    if (Bound >= mat()[Pos])
+      return false;
+    invalidateDerived();
+    matMut()[Pos] = Bound;
+    Closed = false;
+    return true;
   };
   if (YIdx == npos) {
     // ±x ≤ C  ⟺  (±x) − (∓x) ≤ 2C. A doubled bound at or past the +∞
     // sentinel is dropped; one below INT64_MIN saturates as bAdd does.
     size_t Pos = 2 * XIdx, Neg = 2 * XIdx + 1;
-    if (C >= Inf / 2) {
-      Closed = false;
-      return;
-    }
-    if (PosX)
-      tighten(Neg, Pos, bAdd(C, C));
-    else
-      tighten(Pos, Neg, bAdd(C, C));
-    Closed = false;
-    return;
+    if (C >= Inf / 2)
+      return false;
+    return PosX ? tighten(Neg, Pos, bAdd(C, C)) : tighten(Pos, Neg, bAdd(C, C));
   }
   assert(YIdx < numVars() && "constraint variable out of range");
   assert(XIdx != YIdx && "binary constraints need distinct variables");
@@ -291,8 +288,7 @@ void Octagon::addConstraint(size_t XIdx, bool PosX, size_t YIdx, bool PosY,
   // both orientations.
   size_t A = 2 * XIdx + (PosX ? 0 : 1);
   size_t B = 2 * YIdx + (PosY ? 1 : 0);
-  tighten(B, A, C);
-  Closed = false;
+  return tighten(B, A, C);
 }
 
 void Octagon::assignShifted(size_t Idx, bool Negate, int64_t C) {
@@ -828,6 +824,7 @@ IntervalState toIntervalState(const Octagon &O) {
     S.Bottom = true;
     return S;
   }
+  S.Env.reserve(O.numVars());
   for (SymbolId V : O.vars())
     S.set(V, VarAbs::numeric(O.boundsOf(V)));
   return S;
@@ -1022,23 +1019,21 @@ Octagon OctagonDomain::assume(const Elem &In, const ExprPtr &Cond) {
     if (Refined.Bottom)
       return bottom();
     // Import every refined unary bound into the (closed) receiver first,
-    // then restore closure with ONE k-pivot sweep over the touched
-    // variables: an assume chain refining k variables pays a single
-    // O(k·n²) pass instead of k separate re-closures.
+    // then restore closure with ONE k-pivot sweep over the variables whose
+    // bounds lowered a cell: an assume chain refining k variables pays a
+    // single O(k·n²) pass instead of k separate re-closures, and one that
+    // refines nothing (most bounds re-import what the projection read off
+    // the receiver) leaves it closed and unshared.
     std::vector<size_t> TouchedIdxs;
     for (const auto &[Var, V] : Refined.Env) {
       size_t Idx = Out.varIndex(Var);
       if (Idx == npos)
         continue;
       bool Tightened = false;
-      if (V.Num.hi() != Interval::kPosInf) {
-        Out.addConstraint(Idx, true, npos, true, V.Num.hi());
-        Tightened = true;
-      }
-      if (V.Num.lo() != Interval::kNegInf) {
-        Out.addConstraint(Idx, false, npos, true, -V.Num.lo());
-        Tightened = true;
-      }
+      if (V.Num.hi() != Interval::kPosInf)
+        Tightened |= Out.addConstraint(Idx, true, npos, true, V.Num.hi());
+      if (V.Num.lo() != Interval::kNegInf)
+        Tightened |= Out.addConstraint(Idx, false, npos, true, -V.Num.lo());
       if (Tightened)
         TouchedIdxs.push_back(Idx);
     }
@@ -1065,11 +1060,11 @@ Octagon OctagonDomain::transfer(const Stmt &S, const Elem &In) {
     return Out;
   case StmtKind::Alloc:
   case StmtKind::Call:
-    Out.forgetAndRemove(S.Lhs);
+    Out.forgetAndRemove(S.LhsSym);
     Out.normalize();
     return Out;
   case StmtKind::Assign:
-    evalAssign(Out, internSymbol(S.Lhs), S.Rhs);
+    evalAssign(Out, S.LhsSym, S.Rhs);
     Out.normalize();
     return Out;
   case StmtKind::Assume:
@@ -1206,9 +1201,9 @@ Octagon OctagonDomain::exitCall(const Elem &Caller, const Elem &CalleeExit,
   // caller locals are not representable without a combined frame).
   Interval Ret = CE.boundsOf(RetVar);
   if (!Ret.isTop() && !Ret.isEmpty())
-    bindToInterval(Out, internSymbol(CallSite.Lhs), Ret);
+    bindToInterval(Out, CallSite.LhsSym, Ret);
   else
-    Out.forgetAndRemove(CallSite.Lhs);
+    Out.forgetAndRemove(CallSite.LhsSym);
   Out.normalize();
   return Out;
 }

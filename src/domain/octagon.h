@@ -71,7 +71,9 @@
 ///    with one deliberate exception: `widen` results must stay unclosed to
 ///    guarantee convergence (the classic octagon widening caveat), so the
 ///    only unclosed values flowing through an analysis are widening iterates.
-///  - `addConstraint` clears `Closed` and performs no propagation itself.
+///  - `addConstraint` clears `Closed` when it lowers a cell (it keeps the
+///    flag when the constraint was already implied by the stored bound) and
+///    performs no propagation itself.
 ///    A caller that held a *closed* value re-establishes closure in O(n²)
 ///    with `closeIncremental(x, y)` — sound because every DBM edge the
 ///    constraint tightened is incident to the doubled indices of x (and y),
@@ -110,8 +112,8 @@
 
 #include "domain/abstract_domain.h"
 #include "domain/interval.h"
-#include "domain/symbol.h"
 #include "support/statistics.h"
+#include "support/symbol.h"
 
 #include <cstdint>
 #include <memory>
@@ -224,8 +226,10 @@ public:
   void set(size_t I, size_t J, int64_t V);
 
   /// Tightens with constraint  ±x ± y ≤ C  (PosX: +x else −x; likewise
-  /// PosY). Pass YIdx == npos for the unary constraint ±x ≤ C.
-  void addConstraint(size_t XIdx, bool PosX, size_t YIdx, bool PosY,
+  /// PosY). Pass YIdx == npos for the unary constraint ±x ≤ C. Returns
+  /// whether the constraint lowered a cell; one that lowers none leaves the
+  /// matrix, `Closed` and the derived caches alone, as a no-op set() does.
+  bool addConstraint(size_t XIdx, bool PosX, size_t YIdx, bool PosY,
                      int64_t C);
 
   /// The invertible assignment  x := ±x + C  on dimension \p Idx, in place

@@ -63,6 +63,7 @@ IntervalState toBoxImpl(const ConstState &S) {
     R.Bottom = true;
     return R;
   }
+  R.Env.reserve(S.Env.size());
   for (const auto &[Var, V] : S.Env)
     R.set(Var, VarAbs::numeric(Interval::constant(V)));
   return R;
@@ -79,7 +80,9 @@ IntervalState toBoxImpl(const Zone &Z) {
     R.Bottom = true;
     return R;
   }
-  for (SymbolId V : C.constrainedVars()) {
+  std::vector<SymbolId> Vars = C.constrainedVars();
+  R.Env.reserve(Vars.size());
+  for (SymbolId V : Vars) {
     Interval I = C.boundsOf(V);
     if (!I.isTop())
       R.set(V, VarAbs::numeric(I));
@@ -98,6 +101,7 @@ IntervalState toBoxImpl(const Octagon &O) {
     R.Bottom = true;
     return R;
   }
+  R.Env.reserve(C.numVars());
   for (SymbolId V : C.vars()) {
     Interval I = C.boundsOf(V);
     if (!I.isTop())
@@ -159,6 +163,7 @@ DisIntervalState disFromBox(const IntervalState &Box) {
   S.Bottom = Box.Bottom;
   if (Box.Bottom)
     return S;
+  S.Env.reserve(Box.Env.size());
   for (const auto &[Var, V] : Box.Env) {
     DisVarAbs D;
     D.Num = DisInterval::fromInterval(V.Num);

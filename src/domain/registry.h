@@ -45,8 +45,8 @@
 
 #include "domain/abstract_domain.h"
 #include "domain/interval.h"
-#include "domain/symbol.h"
 #include "lang/stmt.h"
+#include "support/symbol.h"
 
 #include <map>
 #include <memory>

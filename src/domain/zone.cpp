@@ -840,6 +840,11 @@ SymbolId freshSymbol(const Zone &Z, const std::string &Base) {
   return S;
 }
 
+/// The temporary of x := x + c, interned when the program starts, so that
+/// a loop counter's step probes no symbol table; freshSymbol runs only
+/// when a value already holds it.
+const SymbolId ZoneTmpSym = internSymbol("__zone_tmp");
+
 /// Projects the zone onto per-variable intervals (for the interval fallback
 /// on non-zone expressions). Requires \p Z closed.
 IntervalState toIntervalState(const Zone &Z) {
@@ -848,6 +853,7 @@ IntervalState toIntervalState(const Zone &Z) {
     S.Bottom = true;
     return S;
   }
+  S.Env.reserve(Z.vars().size());
   for (SymbolId V : Z.vars())
     S.set(V, VarAbs::numeric(Z.boundsOf(V)));
   return S;
@@ -923,7 +929,9 @@ void evalAssign(Zone &Z, SymbolId X, const ExprPtr &E) {
     if (Z.varIndex(X) == npos)
       Z.addVar(X); // untracked x: x + c is then unconstrained, but the
                    // temp still must NOT read as a bound on a missing dim
-    SymbolId Tmp = freshSymbol(Z, "__zone_tmp");
+    SymbolId Tmp = Z.varIndex(ZoneTmpSym) == npos
+                       ? ZoneTmpSym
+                       : freshSymbol(Z, "__zone_tmp");
     Z.addVar(Tmp);
     Z.addDifference(Tmp, X, F.Const);
     if (!Z.isBottom())
@@ -1162,11 +1170,11 @@ Zone ZoneDomain::transfer(const Stmt &S, const Elem &In) {
     return Out;
   case StmtKind::Alloc:
   case StmtKind::Call:
-    Out.forgetAndRemove(S.Lhs);
+    Out.forgetAndRemove(S.LhsSym);
     normalize(Out);
     return Out;
   case StmtKind::Assign:
-    evalAssign(Out, internSymbol(S.Lhs), S.Rhs);
+    evalAssign(Out, S.LhsSym, S.Rhs);
     normalize(Out);
     return Out;
   case StmtKind::Assume:
@@ -1286,10 +1294,10 @@ Zone ZoneDomain::exitCall(const Elem &Caller, const Elem &CalleeExit,
   // Import the return value's interval (relations between callee locals
   // and caller locals are not representable without a combined frame).
   Interval Ret = CE.boundsOf(RetVar);
-  Out.forgetAndRemove(CallSite.Lhs);
+  Out.forgetAndRemove(CallSite.LhsSym);
   if (!Ret.isTop() && !Ret.isEmpty()) {
-    Out.addVar(CallSite.Lhs);
-    SymbolId Lhs = internSymbol(CallSite.Lhs);
+    SymbolId Lhs = CallSite.LhsSym;
+    Out.addVar(Lhs);
     if (Ret.hi() != Interval::kPosInf)
       Out.addUpperBound(Lhs, Ret.hi());
     if (!Out.isBottom() && Ret.lo() != Interval::kNegInf)

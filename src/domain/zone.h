@@ -74,8 +74,8 @@
 
 #include "domain/abstract_domain.h"
 #include "domain/interval.h"
-#include "domain/symbol.h"
 #include "support/statistics.h"
+#include "support/symbol.h"
 
 #include <cstdint>
 #include <memory>

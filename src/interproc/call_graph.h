@@ -18,7 +18,7 @@
 #define DAI_INTERPROC_CALL_GRAPH_H
 
 #include "cfg/program.h"
-#include "domain/symbol.h"
+#include "support/symbol.h"
 
 #include <map>
 #include <set>

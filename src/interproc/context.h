@@ -20,7 +20,7 @@
 #ifndef DAI_INTERPROC_CONTEXT_H
 #define DAI_INTERPROC_CONTEXT_H
 
-#include "domain/symbol.h"
+#include "support/symbol.h"
 
 #include <cstdint>
 #include <sstream>

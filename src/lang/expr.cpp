@@ -79,6 +79,7 @@ ExprPtr Expr::mkNull() {
 ExprPtr Expr::mkVar(std::string Name) {
   auto E = std::make_shared<Expr>();
   E->Kind = ExprKind::Var;
+  E->Sym = internSymbol(Name);
   E->Name = std::move(Name);
   return E;
 }

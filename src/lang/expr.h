@@ -13,12 +13,16 @@
 ///
 /// Expressions are immutable trees shared via shared_ptr; they support
 /// structural equality, hashing (for DAIG names and memo-table keys), and
-/// printing.
+/// printing. A variable node carries its interned symbol (support/symbol.h),
+/// resolved once by mkVar, so the abstract domains read ids and never look
+/// a name up while they evaluate.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DAI_LANG_EXPR_H
 #define DAI_LANG_EXPR_H
+
+#include "support/symbol.h"
 
 #include <cstdint>
 #include <memory>
@@ -61,9 +65,12 @@ bool isComparison(BinaryOp Op);
 /// An immutable expression tree node.
 ///
 /// All fields are populated according to Kind; unused fields hold default
-/// values and participate in neither equality nor hashing.
+/// values and participate in neither equality nor hashing. Sym is derived
+/// from Name (equal names intern to equal ids), so it takes no part in
+/// either.
 struct Expr {
   ExprKind Kind;
+  SymbolId Sym = kNoSymbol;  ///< Var: the interned Name.
   int64_t IntVal = 0;        ///< IntLit.
   bool BoolVal = false;      ///< BoolLit.
   std::string Name;          ///< Var name or FieldRead field name.

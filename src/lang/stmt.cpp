@@ -13,11 +13,21 @@
 
 using namespace dai;
 
+namespace {
+
+/// The id of a statement target; a statement without one interns nothing.
+SymbolId targetSym(const std::string &Lhs) {
+  return Lhs.empty() ? kNoSymbol : internSymbol(Lhs);
+}
+
+} // namespace
+
 Stmt Stmt::mkSkip() { return Stmt(); }
 
 Stmt Stmt::mkAssign(std::string Lhs, ExprPtr Rhs) {
   Stmt S;
   S.Kind = StmtKind::Assign;
+  S.LhsSym = targetSym(Lhs);
   S.Lhs = std::move(Lhs);
   S.Rhs = std::move(Rhs);
   return S;
@@ -33,6 +43,7 @@ Stmt Stmt::mkAssume(ExprPtr Cond) {
 Stmt Stmt::mkArrayWrite(std::string Lhs, ExprPtr Index, ExprPtr Rhs) {
   Stmt S;
   S.Kind = StmtKind::ArrayWrite;
+  S.LhsSym = targetSym(Lhs);
   S.Lhs = std::move(Lhs);
   S.Index = std::move(Index);
   S.Rhs = std::move(Rhs);
@@ -42,6 +53,7 @@ Stmt Stmt::mkArrayWrite(std::string Lhs, ExprPtr Index, ExprPtr Rhs) {
 Stmt Stmt::mkFieldWrite(std::string Lhs, ExprPtr Rhs) {
   Stmt S;
   S.Kind = StmtKind::FieldWrite;
+  S.LhsSym = targetSym(Lhs);
   S.Lhs = std::move(Lhs);
   S.Rhs = std::move(Rhs);
   return S;
@@ -50,6 +62,7 @@ Stmt Stmt::mkFieldWrite(std::string Lhs, ExprPtr Rhs) {
 Stmt Stmt::mkAlloc(std::string Lhs) {
   Stmt S;
   S.Kind = StmtKind::Alloc;
+  S.LhsSym = targetSym(Lhs);
   S.Lhs = std::move(Lhs);
   return S;
 }
@@ -58,6 +71,7 @@ Stmt Stmt::mkCall(std::string Lhs, std::string Callee,
                   std::vector<ExprPtr> Args) {
   Stmt S;
   S.Kind = StmtKind::Call;
+  S.LhsSym = targetSym(Lhs);
   S.Lhs = std::move(Lhs);
   S.Callee = std::move(Callee);
   S.Args = std::move(Args);

@@ -42,8 +42,12 @@ enum class StmtKind : uint8_t {
 };
 
 /// An atomic program statement. Value-type with structural semantics.
+/// The factories intern a non-empty target once and keep its id in LhsSym
+/// (kNoSymbol without a target); like Expr::Sym it is derived from Lhs and
+/// takes no part in equality or hashing.
 struct Stmt {
   StmtKind Kind = StmtKind::Skip;
+  SymbolId LhsSym = kNoSymbol; ///< The interned Lhs.
   std::string Lhs;            ///< Assign/ArrayWrite/FieldWrite/Alloc/Call target.
   ExprPtr Index;              ///< ArrayWrite index.
   ExprPtr Rhs;                ///< Assign/ArrayWrite/FieldWrite/Print payload.

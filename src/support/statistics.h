@@ -138,17 +138,22 @@
   X(BudgetCounters, DegradedCells, "degraded_cells", Counter)                  \
   X(BudgetCounters, CancellationsHonored, "cancellations_honored", Counter)
 
-/// NameTableCounters: the per-DAIG cell-key indices (daig/cell_key.h).
-/// NamesInterned counts keys inserted (one per cell a DAIG creates),
-/// InternHits the probes that found their key, and InternExtraProbes the
-/// index slots examined past the first: about zero per probe while the
-/// index spreads keys well, and the first figure to climb when it does not.
-/// NameTableBytes is the largest slot array one index has held.
+/// NameTableCounters: the per-DAIG cell-key indices (daig/cell_key.h) and
+/// the global symbol table (support/symbol.h). NamesInterned counts keys
+/// inserted (one per cell a DAIG creates), InternHits the probes that found
+/// their key, and InternExtraProbes the index slots examined past the
+/// first: about zero per probe while the index spreads keys well, and the
+/// first figure to climb when it does not. NameTableBytes is the largest
+/// slot array one index has held. SymbolProbes counts intern and lookup
+/// calls on the symbol table, each a shard lock and a string hash. Names
+/// are resolved when a program is built, so transfers, evaluation and
+/// refinement add none; the call hooks and the arr_* rewrites still do.
 #define DAI_NAME_TABLE_COUNTERS(X)                                             \
   X(NameTableCounters, NamesInterned, "names_interned", Counter)               \
   X(NameTableCounters, InternHits, "intern_hits", Counter)                     \
   X(NameTableCounters, InternExtraProbes, "intern_extra_probes", Counter)      \
-  X(NameTableCounters, NameTableBytes, "name_table_bytes", Gauge)
+  X(NameTableCounters, NameTableBytes, "name_table_bytes", Gauge)              \
+  X(NameTableCounters, SymbolProbes, "symbol_probes", Counter)
 
 /// The whole table, every family in turn.
 #define DAI_COUNTER_TABLE(X)                                                   \

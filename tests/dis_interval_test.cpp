@@ -133,8 +133,9 @@ TEST_P(DisIntervalLockstep, HullNeverLessPreciseThanInterval) {
     }
     // Precision refinement: if the interval run proves ⊥, the (tighter)
     // disjunctive run must have proven it too.
-    if (IntervalDomain::isBottom(I))
+    if (IntervalDomain::isBottom(I)) {
       EXPECT_TRUE(DisIntervalDomain::isBottom(D));
+    }
   }
 }
 

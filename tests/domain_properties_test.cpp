@@ -249,17 +249,20 @@ TEST_P(IntervalArithSeed, ArithmeticSoundOnSamples) {
     EXPECT_TRUE(X.add(Y).contains(VX + VY));
     EXPECT_TRUE(X.sub(Y).contains(VX - VY));
     EXPECT_TRUE(X.mul(Y).contains(VX * VY));
-    if (VY != 0)
+    if (VY != 0) {
       EXPECT_TRUE(X.div(Y).contains(VX / VY))
           << X.toString() << " / " << Y.toString() << " ∌ " << VX / VY;
-    if (VY != 0)
+    }
+    if (VY != 0) {
       EXPECT_TRUE(X.mod(Y).contains(VX % VY));
+    }
     EXPECT_TRUE(X.neg().contains(-VX));
     // Meet/join sanity on memberships.
     EXPECT_TRUE(X.join(Y).contains(VX));
     EXPECT_TRUE(X.join(Y).contains(VY));
-    if (X.meet(Y).contains(VX))
+    if (X.meet(Y).contains(VX)) {
       EXPECT_TRUE(Y.contains(VX));
+    }
   }
 }
 
@@ -273,13 +276,16 @@ TEST_P(IntervalArithSeed, ComparisonTruthsSound) {
     int64_t VX = R.range(X.lo(), X.hi());
     int64_t VY = R.range(Y.lo(), Y.hi());
     TriBool Lt = X.cmpLt(Y);
-    if (Lt == TriBool::True)
+    if (Lt == TriBool::True) {
       EXPECT_LT(VX, VY);
-    if (Lt == TriBool::False)
+    }
+    if (Lt == TriBool::False) {
       EXPECT_GE(VX, VY);
+    }
     TriBool Eq = X.cmpEq(Y);
-    if (Eq == TriBool::True)
+    if (Eq == TriBool::True) {
       EXPECT_EQ(VX, VY);
+    }
   }
 }
 
@@ -516,8 +522,9 @@ TEST_P(DomainConformance, EqualHashCoherence) {
     // memo layer keys on hash and confirms with equal, so either failing
     // here would break Q-Match.
     AnyVal Rejoined = AnyDomain::join(A, A);
-    if (AnyDomain::equal(Rejoined, A))
+    if (AnyDomain::equal(Rejoined, A)) {
       EXPECT_EQ(AnyDomain::hash(Rejoined), AnyDomain::hash(A));
+    }
     EXPECT_EQ(AnyDomain::hash(A), AnyDomain::hash(A))
         << "hash must be deterministic";
   }

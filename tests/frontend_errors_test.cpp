@@ -34,9 +34,10 @@ namespace {
 void expectGracefulFrontend(const std::string &Source,
                             const std::string &Context) {
   LowerResult R = frontend(Source);
-  if (!R.ok())
+  if (!R.ok()) {
     EXPECT_FALSE(R.Error.empty())
         << Context << ": failed parse must carry a diagnostic";
+  }
 }
 
 /// Corpus: realistic source programs covering the whole grammar surface —

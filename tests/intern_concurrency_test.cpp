@@ -20,7 +20,7 @@
 
 #include "daig/daig.h"
 #include "domain/interval.h"
-#include "domain/symbol.h"
+#include "support/symbol.h"
 #include "support/task_pool.h"
 #include "tests/test_util.h"
 

@@ -15,6 +15,7 @@
 
 #include "domain/octagon.h"
 
+#include "lang/expr.h"
 #include "support/rng.h"
 #include "support/statistics.h"
 
@@ -280,6 +281,56 @@ TEST(OctagonIncrementalClosure, CountersDistinguishFullFromIncremental) {
   EXPECT_EQ(Delta.IncrementalCloses, 1u);
   EXPECT_EQ(Delta.FullCloses, 1u);
   EXPECT_EQ(Delta.ClosesSkipped, 2u);
+}
+
+/// The interval fallback of assume re-imports the bounds of the refined
+/// projection. A condition that refines nothing lowers no cell, so the
+/// value comes back closed and no closure runs; one that does refine pays
+/// exactly one incremental closure.
+TEST(OctagonIncrementalClosure, FallbackAssumeThatRefinesNothingStaysClosed) {
+  ExprPtr X = Expr::mkVar("fb_x");
+  auto Cmp = [&](BinaryOp Op, int64_t C) {
+    return Expr::mkBinary(Op, X, Expr::mkInt(C));
+  };
+  Octagon In = OctagonDomain::assume(
+      OctagonDomain::assume(Octagon::top(), Cmp(BinaryOp::Ge, 0)),
+      Cmp(BinaryOp::Le, 10));
+  ASSERT_TRUE(In.isClosed());
+  ASSERT_EQ(In.boundsOf("fb_x"), Interval::range(0, 10));
+
+  // x != 3 is not octagonal (the fallback runs) and cannot move [0, 10].
+  ClosureCounters Before = closureCounters();
+  Octagon Same = OctagonDomain::assume(In, Cmp(BinaryOp::Ne, 3));
+  ClosureCounters Delta = closureCounters() - Before;
+  EXPECT_TRUE(Same.isClosed());
+  EXPECT_TRUE(OctagonDomain::equal(Same, In));
+  EXPECT_EQ(Delta.IncrementalCloses, 0u);
+  EXPECT_EQ(Delta.FullCloses, 0u);
+
+  // x != 10 lowers the upper bound: one incremental closure.
+  Before = closureCounters();
+  Octagon Lowered = OctagonDomain::assume(In, Cmp(BinaryOp::Ne, 10));
+  Delta = closureCounters() - Before;
+  EXPECT_TRUE(Lowered.isClosed());
+  EXPECT_EQ(Lowered.boundsOf("fb_x"), Interval::range(0, 9));
+  EXPECT_EQ(Delta.IncrementalCloses, 1u);
+  EXPECT_EQ(Delta.FullCloses, 0u);
+}
+
+/// addConstraint reports whether it lowered a cell, and one that lowers
+/// none leaves the flag and the matrix alone.
+TEST(OctagonIncrementalClosure, ImpliedConstraintKeepsClosedFlag) {
+  Octagon O = freshOctagon(2);
+  O.close();
+  ASSERT_TRUE(O.addConstraint(0, true, npos, true, 5)); // v0 ≤ 5
+  EXPECT_FALSE(O.isClosed());
+  O.closeIncremental(0);
+  ASSERT_TRUE(O.isClosed());
+  Octagon Copy = O;
+  EXPECT_FALSE(O.addConstraint(0, true, npos, true, 7)); // implied by v0 ≤ 5
+  EXPECT_FALSE(O.addConstraint(0, true, 1, true, Interval::kPosInf));
+  EXPECT_TRUE(O.isClosed());
+  EXPECT_EQ(diffOctagons(Copy, O), "");
 }
 
 } // namespace

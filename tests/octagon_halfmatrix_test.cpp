@@ -323,9 +323,10 @@ TEST(OctagonHalfMatrix, IndexAlgebra) {
   // semantic (both pinned to 0 by closure), exactly as in the dense layout.
   for (size_t I = 0; I < 96; ++I)
     for (size_t J = 0; J < 96; ++J) {
-      if (I != J)
+      if (I != J) {
         ASSERT_EQ(Octagon::matPos2(I, J), Octagon::matPos2(J ^ 1, I ^ 1))
             << I << "," << J;
+      }
       ASSERT_LT(Octagon::matPos2(I, J), Octagon::matSize(96));
     }
   // Stored cells (j ≤ i|1) are addressed directly and bijectively.

@@ -23,8 +23,8 @@
 
 #include "daig/daig.h"
 #include "domain/interval.h"
-#include "domain/symbol.h"
 #include "support/statistics.h"
+#include "support/symbol.h"
 #include "tests/test_util.h"
 
 #include <gtest/gtest.h>
